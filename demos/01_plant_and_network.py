@@ -8,7 +8,7 @@ the power balance by hand.
 
 import numpy as np
 
-from mgres import default_model, droop_primary, solve_network, step_plant
+from mgres import PlantState, default_model, solve_network, step_plant
 
 model = default_model()
 
@@ -19,11 +19,14 @@ print("DG active power  [pu]:", np.round(sol.s_dg.real, 4))
 print("DG reactive power [pu]:", np.round(sol.s_dg.imag, 4))
 print(f"power balance residual: {sol.balance_residual:.2e}")
 
-# Droop: loaded DGs depress their voltage and frequency set-points.
-v, w = droop_primary(model.dgs[0], v_n=1.0, w_n=2 * np.pi * 60,
-                     p=sol.s_dg.real[0], q=sol.s_dg.imag[0])
-print(f"\ndroop output for DG1 at this load: v = {v:.4f} pu, "
-      f"f = {w / (2 * np.pi):.4f} Hz")
+# Droop: loaded DGs depress their voltage and frequency below the set-points.
+# step_plant applies v = V_n - n_Q q and w = w_n - m_P p to the filtered
+# powers; with the filters settled at the powers above, its outputs are the
+# droop operating point at this load.
+loaded = PlantState(delta=np.zeros(4), p=sol.s_dg.real, q=sol.s_dg.imag)
+_, out = step_plant(model, loaded, np.ones(4), np.full(4, 2 * np.pi * 60), dt=1e-4)
+print(f"\ndroop output for DG1 at this load: v = {out.v[0]:.4f} pu, "
+      f"f = {out.w[0] / (2 * np.pi):.4f} Hz")
 
 # One Euler step of the dynamic layers (power filters + angles).
 state = model.initial_state()

@@ -295,8 +295,8 @@ def build_dataset(runs) -> Dataset:
     """Assemble (x, y) training pairs from recorded runs.
 
     ``runs`` is an iterable of (trace, clean_trace, scenario_id) where
-    clean_trace is the matching no-attack baseline run (identical loads and
-    seed); for a normal run trace is its own clean reference.  One paired row
+    clean_trace is the matching no-attack baseline run (identical loads);
+    for a normal run trace is its own clean reference.  One paired row
     per sample x = [clean triple, received triple, v*]; attacked runs
     additionally contribute a duplicated-triple row matching the runtime
     feature layout.  The first 0.1 s of every trace is discarded.
@@ -353,6 +353,8 @@ def save_model(params: MlpParams, path) -> None:
 def load_model(path) -> MlpParams:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"model file {path} is empty")
     header = lines[0].split()
     if header[:2] != ["mgres-mlp", "1"] or header[2:] != [str(N_IN), str(N_HIDDEN), "1"]:
         raise ValueError(f"unrecognized model header: {lines[0]!r}")

@@ -8,8 +8,10 @@ modulates it with a sinusoid:
                   h(u) = u + alpha * u   (t >= tau)
     periodic:     h(u) = u + beta * sin(omega * t) * u   (t >= tau)
 
-Both are multiplicative in u and stateless.  The sinusoid phase is referenced
-to simulation time zero, not to tau.
+Both are multiplicative in u and stateless, so ``AttackSpec.gain`` is the
+whole layer: the simulator scales the channels ``resolve_channels`` selects
+by it, in declaration order.  The sinusoid phase is referenced to simulation
+time zero, not to tau.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import math
 import re
 from dataclasses import dataclass
 
+from .graph import SIGNALS
+
 BROADCAST = "broadcast"
-SIGNALS = ("voltage", "frequency")
 
 
 class AttackConfigError(ValueError):
@@ -77,22 +80,6 @@ class AttackSpec:
         if self.dst != BROADCAST and self.dst != dst:
             return False
         return True
-
-
-def inject(spec: AttackSpec, t: float, u: float) -> float:
-    """Corrupted channel value h(u) at time t; identity before tau."""
-    return u * spec.gain(t)
-
-
-def apply_attacks(specs: list[AttackSpec], t: float,
-                  channels: dict[tuple[int, int, str], float]) -> dict[tuple[int, int, str], float]:
-    """Pass every channel through each spec that targets it, in declaration order."""
-    out = dict(channels)
-    for spec in specs:
-        for key in out:
-            if spec.matches(*key):
-                out[key] = inject(spec, t, out[key])
-    return out
 
 
 _TARGET_RE = re.compile(r"^\s*(dg(\d+)\.(\w+)|broadcast)\s*->\s*(dg(\d+)(\.(\w+))?|broadcast)\s*$")

@@ -8,14 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import yaml
 
 from . import ann as annmod
 from .attack import AttackConfigError
 from .datagen import MatrixSpec, gen_data, train_pipeline
-from .graph import GraphError
+from .graph import SIGNALS, GraphError
 from .metrics import compare, compute_metrics
 from .plant import NetworkError
 from .scenario import ScenarioError, load_scenario
@@ -28,15 +27,8 @@ CONFIG_ERRORS = (ScenarioError, AttackConfigError, GraphError, NetworkError,
                  ValueError, yaml.YAMLError)
 
 
-def _load(args, ann_model=None):
-    cfg = load_scenario(args.scenario, ann_model=ann_model)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
 def cmd_simulate(args) -> int:
-    trace = run_scenario(_load(args))
+    trace = run_scenario(load_scenario(args.scenario))
     export_csv(trace, args.out)
     if trace.diverged:
         print(f"diverged at t={trace.diverged_time:.6f}s; partial trace in {args.out}")
@@ -76,7 +68,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load(args, ann_model=args.model)
+    cfg = load_scenario(args.scenario, ann_model=args.model)
     trace = run_scenario(cfg)
     export_csv(trace, args.out)
     if trace.diverged:
@@ -89,8 +81,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg_pi = _load(args)
-    cfg_ann = _load(args, ann_model=args.model)
+    cfg_pi = load_scenario(args.scenario)
+    cfg_ann = load_scenario(args.scenario, ann_model=args.model)
     t_pi = run_scenario(cfg_pi)
     t_ann = run_scenario(cfg_ann)
     report = compare(t_pi, t_ann, v_ref=cfg_pi.v_ref, w_ref=cfg_pi.w_ref)
@@ -105,8 +97,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_graph_info(args) -> int:
-    cfg = _load(args)
-    g = cfg.graph
+    g = load_scenario(args.scenario).graph
     print(f"{g.n} DGs; pinned: "
           + ", ".join(f"dg{i + 1} (b={g.pinning[i]:g})"
                       for i in range(g.n) if g.pinning[i] > 0))
@@ -114,7 +105,7 @@ def cmd_graph_info(args) -> int:
         nbrs = g.in_neighbors(i)
         desc = ", ".join(f"dg{j + 1} (a={g.adjacency[i, j]:g})" for j in nbrs)
         print(f"dg{i + 1} receives from: {desc or '-'}")
-    print(f"channels: {len(g.channels())} per signal kind")
+    print(f"channels: {len(g.channels()) // len(SIGNALS)} per signal kind")
     return 0
 
 
@@ -125,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     def scen_arg(sp):
         sp.add_argument("--scenario", required=True,
                         help="built-in scenario name or YAML file")
-        sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("simulate", help="run a scenario, write the trace CSV")
     scen_arg(sp)

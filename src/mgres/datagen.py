@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .ann import Dataset, MlpParams, TrainConfig, TrainReport, build_dataset, train
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .plant import default_model
-from .scenario import LoadEvent, ScenarioConfig
+from .scenario import LoadEvent, ScenarioConfig, ScenarioError
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv
 
@@ -37,20 +37,15 @@ class MatrixSpec:
     tau: float = 2.0
     step_time: float = 1.0
     duration: float = 4.0
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixSpec":
-        return cls(
-            load_factors=tuple(d.get("load_factors", DEFAULT_LOAD_FACTORS)),
-            alphas=tuple(d.get("alphas", DEFAULT_ALPHAS)),
-            betas=tuple(d.get("betas", DEFAULT_BETAS)),
-            freq_hz=float(d.get("freq_hz", 60.0)),
-            tau=float(d.get("tau", 2.0)),
-            step_time=float(d.get("step_time", 1.0)),
-            duration=float(d.get("duration", 4.0)),
-            seed=int(d.get("seed", 0)),
-        )
+        """Overrides of the defaults: lists become tuples, scalars floats."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ScenarioError(f"unknown matrix fields: {sorted(unknown)}")
+        return cls(**{k: tuple(v) if isinstance(v, (list, tuple)) else float(v)
+                      for k, v in d.items()})
 
 
 def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
@@ -88,7 +83,6 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
                 graph=ring_graph(4),
                 load_events=events,
                 attacks=(atk,) if atk is not None else (),
-                seed=spec.seed,
             )
             out.append((cfg, None if atk is None else clean_id))
     return out
@@ -110,7 +104,6 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
             "clean_ref": clean_id if clean_id is not None else cfg.scenario_id,
             "v_ref": cfg.v_ref,
             "w_ref": cfg.w_ref,
-            "seed": cfg.seed,
         }
         try:
             trace = run_scenario(cfg)

@@ -1,4 +1,5 @@
-"""Sparse communication digraph between DGs and neighborhood tracking errors.
+"""Sparse communication digraph between DGs, its channel layout and the
+neighborhood tracking errors.
 
 DG i receives information from DG j iff adjacency[i, j] > 0.  A pinned DG
 (pinning[i] > 0) additionally receives the global reference.  Every DG also
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+SIGNALS = ("voltage", "frequency")
 
 
 class GraphError(ValueError):
@@ -39,13 +42,12 @@ class CommGraph:
         """DGs whose values DG i receives (support of row i)."""
         return [int(j) for j in np.flatnonzero(self.adjacency[i])]
 
-    def channels(self) -> list[tuple[int, int]]:
-        """All (src, dst) value channels: one self loop per DG plus the edges."""
-        chans = [(i, i) for i in range(self.n)]
-        for i in range(self.n):
-            for j in self.in_neighbors(i):
-                chans.append((j, i))
-        return chans
+    def channels(self) -> list[tuple[int, int, str]]:
+        """All (src, dst, signal) value channels: one self loop per DG, then
+        the edges by destination, each carrying voltage then frequency."""
+        pairs = [(i, i) for i in range(self.n)]
+        pairs += [(j, i) for i in range(self.n) for j in self.in_neighbors(i)]
+        return [(s, d, sig) for (s, d) in pairs for sig in SIGNALS]
 
 
 def validate(graph: CommGraph) -> None:
@@ -95,24 +97,24 @@ def validate(graph: CommGraph) -> None:
         raise GraphError(f"DG {i} is unreachable from the reference")
 
 
-def neighborhood_tracking_error(graph: CommGraph, i: int,
-                                values: np.ndarray, reference: float) -> float:
-    """Local cooperative error e_i = sum_j a_ij (x_i - x_j) + b_i (x_i - x*)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (graph.n,):
-        raise IndexError(f"values must have length {graph.n}, got {values.shape}")
-    if not 0 <= i < graph.n:
-        raise IndexError(f"DG index {i} out of range for n={graph.n}")
-    e = float(graph.adjacency[i] @ (values[i] - values))
-    e += float(graph.pinning[i]) * (values[i] - reference)
-    return e
+def tracking_errors(graph: CommGraph, recv_self: np.ndarray,
+                    recv: np.ndarray, reference: float) -> np.ndarray:
+    """Cooperative errors e_i = sum_j a_ij (x_ii - x_ij) + b_i (x_ii - x*).
+
+    recv_self[i] is DG i's received copy of its own signal; recv[i, j] its
+    received copy of DG j's signal (only entries with a_ij > 0 are used).  A
+    row vector recv means every DG receives the same values.
+    """
+    diff = graph.adjacency * (recv_self[:, None] - recv)
+    return diff.sum(axis=1) + graph.pinning * (recv_self - reference)
 
 
-def tracking_errors(graph: CommGraph, values: np.ndarray, reference: float) -> np.ndarray:
-    """Vectorized tracking error for all DGs at once."""
-    values = np.asarray(values, dtype=float)
-    e = (graph.adjacency * (values[:, None] - values[None, :])).sum(axis=1)
-    return e + graph.pinning * (values - reference)
+def inbound_voltage_channels(channels: list[tuple[int, int, str]], dg: int) -> list[int]:
+    """Indices of the voltage channels feeding DG ``dg``: its self loop first,
+    then its in-neighbors by ascending source index."""
+    inbound = sorted((s != dg, s, k) for k, (s, d, sig) in enumerate(channels)
+                     if sig == "voltage" and d == dg)
+    return [k for *_, k in inbound]
 
 
 def ring_graph(n: int = 4, weight: float = 1.0, pinned: int = 0) -> CommGraph:
@@ -127,8 +129,6 @@ def ring_graph(n: int = 4, weight: float = 1.0, pinned: int = 0) -> CommGraph:
         adj[i, (i - 1) % n] = weight
     if n == 1:
         adj[:] = 0.0
-    if n == 2:
-        adj = np.array([[0.0, weight], [weight, 0.0]])
     pin = np.zeros(n)
     pin[pinned] = 1.0
     return CommGraph(adj, pin)

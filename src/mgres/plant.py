@@ -160,8 +160,8 @@ class NetworkSolution:
     balance_residual: float  # relative active power mismatch
 
 
-def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
-                  ybus: np.ndarray | None = None) -> NetworkSolution:
+def solve_network(vmag: np.ndarray, delta: np.ndarray,
+                  net: NetworkParams) -> NetworkSolution:
     """Solve the phasor network for per-DG injected complex power.
 
     DG buses are fixed voltage sources vmag * exp(j delta); the remaining
@@ -174,8 +174,6 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
     if (vmag <= 0).any():
         raise NetworkError("DG voltage magnitudes must be positive")
     cache = _net_cache(net)
-    if ybus is None:
-        ybus = cache.ybus
 
     v = np.zeros(net.n_bus, dtype=complex)
     v[cache.dg] = vmag * np.exp(1j * delta)
@@ -187,7 +185,7 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
         if not np.isfinite(v[cache.other]).all():
             raise NetworkError("non-finite bus voltages (degenerate network)")
 
-    i_inj = ybus @ v
+    i_inj = cache.ybus @ v
     s_dg = v[cache.dg] * np.conj(i_inj[cache.dg])
 
     p_load = float(((v.real[cache.load_bus] ** 2 + v.imag[cache.load_bus] ** 2)
@@ -197,12 +195,6 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
     p_gen = float(s_dg.real.sum())
     residual = abs(p_gen - p_load - p_loss) / max(1.0, abs(p_gen))
     return NetworkSolution(s_dg=s_dg, bus_v=v, balance_residual=residual)
-
-
-def droop_primary(params: DgParams, v_n: float, w_n: float,
-                  p: float, q: float) -> tuple[float, float]:
-    """Primary droop laws: v = V_n - n_Q q, w = w_n - m_P p."""
-    return v_n - params.n_q * q, w_n - params.m_p * p
 
 
 @dataclass(frozen=True)
@@ -267,11 +259,12 @@ def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> Mic
 
 
 def step_plant(model: MicrogridModel, state: PlantState,
-               v_n: np.ndarray, w_n: np.ndarray, dt: float, t: float = 0.0,
-               ybus: np.ndarray | None = None) -> tuple[PlantState, StepOutputs]:
+               v_n: np.ndarray, w_n: np.ndarray, dt: float,
+               t: float = 0.0) -> tuple[PlantState, StepOutputs]:
     """Advance the plant one fixed Euler step.
 
-    Order: droop -> network solve -> power filter update -> angle integration.
+    Order: droop (v = V_n - n_Q q, w = w_n - m_P p) -> network solve ->
+    power filter update -> angle integration.
     Angles integrate w_i - w_1 (DG1 frame) and are wrapped to (-pi, pi].
     Deterministic: identical inputs give bit-identical outputs.
     """
@@ -282,7 +275,7 @@ def step_plant(model: MicrogridModel, state: PlantState,
     if (v <= 0).any() or not np.isfinite(v).all():
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
 
-    sol = solve_network(v, state.delta, model.network, ybus=ybus)
+    sol = solve_network(v, state.delta, model.network)
 
     wc = model.omega_c
     p_new = state.p + dt * wc * (sol.s_dg.real - state.p)

@@ -56,7 +56,6 @@ class ScenarioConfig:
     w_ref: float = 2.0 * math.pi * 60.0
     dt: float = 1e-4
     sample_period: float = 1e-3
-    seed: int = 0
     load_events: tuple[LoadEvent, ...] = ()
     attacks: tuple[AttackSpec, ...] = ()
 
@@ -96,11 +95,9 @@ class ScenarioConfig:
         for ev in self.load_events:
             if ev.bus not in loads_by_bus:
                 raise ScenarioError(f"load event targets bus {ev.bus + 1} with no load")
-        chans = [(s, d, sig) for (s, d) in self.graph.channels()
-                 for sig in ("voltage", "frequency")]
         for spec in self.attacks:
             try:
-                resolve_channels(spec, chans)
+                resolve_channels(spec, self.graph.channels())
             except AttackConfigError as exc:
                 raise ScenarioError(str(exc)) from exc
 
@@ -114,9 +111,15 @@ class ScenarioConfig:
 
 
 def _require(d: dict, key: str, where: str):
-    if key not in d:
+    if not isinstance(d, dict) or key not in d:
         raise ScenarioError(f"missing required field {key!r} in {where}")
     return d[key]
+
+
+def _entries(items, where: str, *fields: str) -> list[list]:
+    """The required ``fields`` of each entry of a list, in order."""
+    return [[_require(e, f, f"{where} {k + 1}") for f in fields]
+            for k, e in enumerate(items)]
 
 
 def _parse_attack(d: dict) -> AttackSpec:
@@ -148,11 +151,12 @@ def _parse_plant(d: dict) -> MicrogridModel:
                          n_q=float(e.get("n_q", 0.04)),
                          omega_c=float(e.get("omega_c", 31.4)))
                 for e in _require(d, "dgs", "plant"))
-    lines = tuple(Line(int(e["from"]) - 1, int(e["to"]) - 1,
-                       float(e["r"]), float(e["x"]))
-                  for e in _require(d, "lines", "plant"))
-    loads = tuple(Load(int(e["bus"]) - 1, float(e["r"]), float(e["x"]))
-                  for e in _require(d, "loads", "plant"))
+    lines = tuple(Line(int(a) - 1, int(b) - 1, float(r), float(x))
+                  for a, b, r, x in _entries(_require(d, "lines", "plant"),
+                                             "plant line", "from", "to", "r", "x"))
+    loads = tuple(Load(int(b) - 1, float(r), float(x))
+                  for b, r, x in _entries(_require(d, "loads", "plant"),
+                                          "plant load", "bus", "r", "x"))
     net = NetworkParams(n_bus=int(_require(d, "n_bus", "plant")),
                         lines=lines, loads=loads,
                         dg_bus=tuple(int(b) - 1 for b in _require(d, "dg_bus", "plant")))
@@ -183,7 +187,7 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     """Build and validate a ScenarioConfig from a parsed YAML mapping."""
     if not isinstance(d, dict):
         raise ScenarioError("scenario file must contain a mapping at top level")
-    unknown = set(d) - {"duration", "dt", "sample_period", "seed", "references",
+    unknown = set(d) - {"duration", "dt", "sample_period", "references",
                         "controller", "controllers", "ann_model", "gains",
                         "plant", "graph", "load_events", "attacks", "id"}
     if unknown:
@@ -218,9 +222,9 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     gains = SecondaryGains(c_v=float(gains_d.get("c_v", 5.0)),
                            c_w=float(gains_d.get("c_w", 5.0)))
 
-    events = tuple(LoadEvent(t=float(e["t"]), bus=int(e["bus"]) - 1,
-                             r=float(e["r"]), x=float(e["x"]))
-                   for e in d.get("load_events", []))
+    events = tuple(LoadEvent(t=float(t), bus=int(b) - 1, r=float(r), x=float(x))
+                   for t, b, r, x in _entries(d.get("load_events", []),
+                                              "load event", "t", "bus", "r", "x"))
     attacks = tuple(_parse_attack(a) for a in d.get("attacks", []))
 
     return ScenarioConfig(
@@ -228,7 +232,6 @@ def from_dict(d: dict, scenario_id: str = "scenario",
         duration=float(_require(d, "duration", "scenario")),
         dt=float(d.get("dt", 1e-4)),
         sample_period=float(d.get("sample_period", 1e-3)),
-        seed=int(d.get("seed", 0)),
         v_ref=v_ref, w_ref=w_ref,
         model=model, graph=graph, gains=gains,
         controllers=controllers, ann_model_path=ann_model,

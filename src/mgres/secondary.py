@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackSpec, inject
-from .graph import CommGraph
+from .graph import CommGraph, tracking_errors
 
 CONTROLLER_NAMES = ("pi", "ann")
 
 
 class ControllerConfigError(ValueError):
-    """Unknown controller name or missing channel."""
+    """Unknown controller name."""
 
 
 @dataclass(frozen=True)
@@ -47,40 +46,6 @@ class SecondaryState:
     w_n: np.ndarray   # frequency set-points, rad/s
 
 
-def received_values(graph: CommGraph, channels: dict[tuple[int, int, str], float],
-                    attacks: list[AttackSpec], t: float) -> dict[int, dict[str, dict[int, float]]]:
-    """Per-DG view of the channel values as delivered by the attack layer.
-
-    ``channels`` maps (src, dst, signal) to the clean value.  The result maps
-    dst -> signal -> src -> received value, where received equals clean for
-    every channel no active attack targets.
-    """
-    out: dict[int, dict[str, dict[int, float]]] = {
-        i: {"voltage": {}, "frequency": {}} for i in range(graph.n)}
-    for (src, dst) in graph.channels():
-        for sig in ("voltage", "frequency"):
-            key = (src, dst, sig)
-            if key not in channels:
-                raise ControllerConfigError(f"missing channel value for {key}")
-            u = channels[key]
-            for spec in attacks:
-                if spec.matches(src, dst, sig):
-                    u = inject(spec, t, u)
-            out[dst][sig][src] = u
-    return out
-
-
-def _consensus_error(graph: CommGraph, recv_self: np.ndarray,
-                     recv: np.ndarray, reference: float) -> np.ndarray:
-    """Tracking error from received values.
-
-    recv_self[i] is DG i's received copy of its own signal; recv[i, j] its
-    received copy of DG j's signal (only entries with a_ij > 0 are used).
-    """
-    diff = graph.adjacency * (recv_self[:, None] - recv)
-    return diff.sum(axis=1) + graph.pinning * (recv_self - reference)
-
-
 def secondary_update(gains: SecondaryGains, graph: CommGraph,
                      recv_v_self: np.ndarray, recv_v: np.ndarray,
                      recv_w_self: np.ndarray, recv_w: np.ndarray,
@@ -93,8 +58,8 @@ def secondary_update(gains: SecondaryGains, graph: CommGraph,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    e_v = _consensus_error(graph, recv_v_self, recv_v, v_ref)
-    e_w = _consensus_error(graph, recv_w_self, recv_w, w_ref)
+    e_v = tracking_errors(graph, recv_v_self, recv_v, v_ref)
+    e_w = tracking_errors(graph, recv_w_self, recv_w, w_ref)
     p_share = (graph.adjacency * (weighted_p[:, None] - weighted_p[None, :])).sum(axis=1)
     return SecondaryState(
         v_n=state.v_n - gains.c_v * e_v * dt,

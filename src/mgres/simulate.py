@@ -11,15 +11,11 @@ import numpy as np
 
 from . import ann as annmod
 from .attack import resolve_channels
+from .graph import SIGNALS, inbound_voltage_channels
 from .plant import DivergenceError, apply_load_event, step_plant
 from .scenario import ScenarioConfig
 from .secondary import SecondaryState, secondary_update
-from .trace import Trace
-
-
-def _channel_list(graph) -> list[tuple[int, int, str]]:
-    return [(s, d, sig) for (s, d) in graph.channels()
-            for sig in ("voltage", "frequency")]
+from .trace import DG_SIGNALS, Trace
 
 
 def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
@@ -36,35 +32,27 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     graph = config.graph
     n = graph.n
     model = config.model
-    channels = _channel_list(graph)
-    n_ch = len(channels)
-    ch_src = np.array([s for (s, _, _) in channels])
-    ch_is_v = np.array([sig == "voltage" for (_, _, sig) in channels])
-    v_idx = np.flatnonzero(ch_is_v)
-    w_idx = np.flatnonzero(~ch_is_v)
-
-    # consensus bookkeeping: self-loop channel per DG and (dst, src) matrix slots
-    self_v = np.zeros(n, dtype=int)
-    self_w = np.zeros(n, dtype=int)
-    mat_v: list[tuple[int, int, int]] = []   # (dst, src, channel idx)
-    mat_w: list[tuple[int, int, int]] = []
-    for c, (s, d, sig) in enumerate(channels):
-        if sig == "voltage":
-            (mat_v.append((d, s, c)) if s != d else self_v.__setitem__(d, c))
-        else:
-            (mat_w.append((d, s, c)) if s != d else self_w.__setitem__(d, c))
-
+    channels = graph.channels()
     attack_targets = [np.array(resolve_channels(spec, channels))
                       for spec in config.attacks]
+
+    # Clean values are gathered from [v, w]; received values scatter into the
+    # secondary layer's self-loop vectors and (signal, dst, src) matrices.
+    sig_k = np.array([SIGNALS.index(c[2]) for c in channels])
+    src = np.array([c[0] for c in channels])
+    dst = np.array([c[1] for c in channels])
+    gather = sig_k * n + src
+    loop = src == dst
+    self_idx = np.zeros((len(SIGNALS), n), dtype=int)
+    self_idx[sig_k[loop], dst[loop]] = np.flatnonzero(loop)
+    edge = np.flatnonzero(~loop)
+    scatter = (sig_k[edge], dst[edge], src[edge])
 
     # inbound voltage triples for ANN-controlled DGs (self first, then by src)
     ann_inputs: dict[int, np.ndarray] = {}
     for i, name in enumerate(config.controllers):
         if name == "ann":
-            nbr = sorted(graph.in_neighbors(i))
-            idx = [self_v[i]] + [next(c for (d, s, c) in
-                                      ((d, s, c) for (d, s, c) in mat_v)
-                                      if d == i and s == j) for j in nbr]
+            idx = inbound_voltage_channels(channels, i)
             if len(idx) != 3:
                 raise ValueError(
                     f"ANN controller on DG{i + 1} needs exactly 2 in-neighbors")
@@ -77,9 +65,9 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
 
     # preallocated record arrays
     rec_t = np.zeros(n_samples)
-    rec_dg = {sig: np.zeros((n_samples, n)) for sig in ("v", "w", "P", "Q", "Vn", "wn")}
-    rec_clean = np.zeros((n_samples, n_ch))
-    rec_recv = np.zeros((n_samples, n_ch))
+    rec_dg = {sig: np.zeros((n_samples, n)) for sig in DG_SIGNALS}
+    rec_clean = np.zeros((n_samples, len(channels)))
+    rec_recv = np.zeros_like(rec_clean)
     rec_load = np.zeros((n_samples, len(model.network.loads)))
     rec_att = np.zeros(n_samples, dtype=int)
 
@@ -113,9 +101,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             break
         max_residual = max(max_residual, out.solution.balance_residual)
 
-        clean = np.empty(n_ch)
-        clean[v_idx] = out.v[ch_src[v_idx]]
-        clean[w_idx] = out.w[ch_src[w_idx]]
+        clean = np.concatenate((out.v, out.w))[gather]
         recv = clean.copy()
         for spec, targets in zip(config.attacks, attack_targets):
             g = spec.gain(t)
@@ -140,22 +126,15 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             break
 
         # secondary layer consumes the received (possibly corrupted) values
-        rv_self = recv[self_v]
-        rw_self = recv[self_w]
-        rv = np.zeros((n, n))
-        rw = np.zeros((n, n))
-        for d, s, c in mat_v:
-            rv[d, s] = recv[c]
-        for d, s, c in mat_w:
-            rw[d, s] = recv[c]
-        sec = secondary_update(config.gains, graph, rv_self, rv, rw_self, rw,
-                               m_p * state.p, config.v_ref, config.w_ref,
-                               sec, config.dt)
+        recv_self = recv[self_idx]
+        recv_mat = np.zeros((len(SIGNALS), n, n))
+        recv_mat[scatter] = recv[edge]
+        sec = secondary_update(config.gains, graph, recv_self[0], recv_mat[0],
+                               recv_self[1], recv_mat[1], m_p * state.p,
+                               config.v_ref, config.w_ref, sec, config.dt)
+        # secondary_update returns fresh arrays, safe to overwrite in place
         for i, idx in ann_inputs.items():
-            v_n = annmod.ann_controller(ann_params, recv[idx], config.v_ref)
-            arr = sec.v_n.copy()
-            arr[i] = v_n
-            sec = SecondaryState(v_n=arr, w_n=sec.w_n)
+            sec.v_n[i] = annmod.ann_controller(ann_params, recv[idx], config.v_ref)
 
         state = new_state
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import inbound_voltage_channels
+
 DG_SIGNALS = ("v", "w", "P", "Q", "Vn", "wn")
 
 
@@ -46,19 +48,10 @@ class Trace:
     def n_dg(self) -> int:
         return self.dg["v"].shape[1]
 
-    def inbound_voltage_channels(self, dg: int) -> list[int]:
-        """Voltage channel indices feeding DG ``dg``: self loop first, then
-        in-neighbors by ascending source index."""
-        own = [k for k, (s, d, sig) in enumerate(self.channels)
-               if sig == "voltage" and d == dg and s == dg]
-        nbr = sorted((s, k) for k, (s, d, sig) in enumerate(self.channels)
-                     if sig == "voltage" and d == dg and s != dg)
-        return own + [k for _, k in nbr]
-
 
 def dg1_voltage_triple(trace: Trace, dg: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Clean and received [v_ii, v_ij, v_ik] series for the attacked DG."""
-    idx = trace.inbound_voltage_channels(dg)
+    idx = inbound_voltage_channels(trace.channels, dg)
     if len(idx) != 3:
         raise TraceFormatError(
             f"DG {dg + 1} has {len(idx)} inbound voltage channels, the "

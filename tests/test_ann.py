@@ -166,6 +166,9 @@ def test_model_load_rejects_garbage(tmp_path):
     path.write_text("mgres-mlp 1 7 10 1\n1 2 3\n")
     with pytest.raises(ValueError, match="value rows"):
         load_model(path)
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match="bad.txt is empty"):
+        load_model(path)
 
 
 def make_trace(n_samples, attacked, vn1, clean=None, recv=None, v_ref=1.0):

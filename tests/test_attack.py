@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mgres.attack import (AttackConfigError, AttackSpec, NonPeriodic, Periodic,
-                          apply_attacks, inject, parse_target, resolve_channels)
+                          parse_target, resolve_channels)
+from mgres.scenario import builtin_scenario
+from mgres.simulate import run_scenario
 
 
 def spec(kind, tau=2.0, src=0, dst=1, signal="voltage", end=None):
@@ -13,39 +17,44 @@ def spec(kind, tau=2.0, src=0, dst=1, signal="voltage", end=None):
 
 def test_identity_before_tau():
     s = spec(NonPeriodic(alpha=0.5))
-    assert inject(s, 0.0, 1.02) == 1.02
-    assert inject(s, 1.999, 1.02) == 1.02
+    assert s.gain(0.0) == 1.0 and 1.02 * s.gain(0.0) == 1.02
+    assert s.gain(1.999) == 1.0
 
 
 def test_nonperiodic_after_tau():
     s = spec(NonPeriodic(alpha=0.5))
     # h(u) = u + 0.5 u exactly at and after onset
-    assert inject(s, 2.0, 1.0) == pytest.approx(1.5, abs=1e-15)
-    assert inject(s, 3.7, 0.98) == pytest.approx(1.47, abs=1e-15)
+    assert 1.0 * s.gain(2.0) == pytest.approx(1.5, abs=1e-15)
+    assert 0.98 * s.gain(3.7) == pytest.approx(1.47, abs=1e-15)
 
 
 def test_periodic_phase_referenced_to_time_zero():
     s = spec(Periodic(beta=0.5, omega=2 * math.pi * 60.0))
     # quarter period past t=2s: sin(2 pi 60 (2 + 1/240)) = sin(pi/2) = 1
     t = 2.0 + 1.0 / 240.0
-    assert inject(s, t, 1.0) == pytest.approx(1.5, rel=1e-9)
+    assert s.gain(t) == pytest.approx(1.5, rel=1e-9)
     # at onset the sinusoid continues the t=0 phase, sin(240 pi) = 0
-    assert inject(s, 2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert s.gain(2.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_attack_window_end():
     s = spec(NonPeriodic(alpha=1.0), tau=1.0, end=2.0)
-    assert inject(s, 0.5, 1.0) == 1.0
-    assert inject(s, 1.5, 1.0) == 2.0
-    assert inject(s, 2.0, 1.0) == 1.0  # half-open [tau, end)
+    assert s.gain(0.5) == 1.0
+    assert s.gain(1.5) == 2.0
+    assert s.gain(2.0) == 1.0  # half-open [tau, end)
 
 
 def test_stacked_attacks_compose_in_declaration_order():
     a = spec(NonPeriodic(alpha=0.5), tau=0.0)
     b = spec(NonPeriodic(alpha=0.5), tau=0.0)
-    chans = {(0, 1, "voltage"): 1.0}
-    out = apply_attacks([a, b], 1.0, chans)
-    assert out[(0, 1, "voltage")] == pytest.approx(2.25, abs=1e-15)
+    tr = run_scenario(replace(builtin_scenario("default", duration=0.01),
+                              attacks=(a, b)))
+    k = tr.channels.index((0, 1, "voltage"))
+    clean, recv = tr.ch_clean[:, k], tr.ch_recv[:, k]
+    np.testing.assert_allclose(recv, 2.25 * clean, rtol=1e-15)
+    np.testing.assert_array_equal(recv, clean * a.gain(0.0) * b.gain(0.0))
+    others = [c for c in range(len(tr.channels)) if c != k]
+    np.testing.assert_array_equal(tr.ch_recv[:, others], tr.ch_clean[:, others])
 
 
 def test_matching_is_channel_precise():
@@ -109,9 +118,11 @@ def test_resolve_channels():
 
 @given(st.floats(0, 10), st.floats(-2, 2), st.floats(-0.9, 0.9))
 def test_homogeneity(t, u, alpha):
+    # h(u) = gain(t) * u does not depend on u, so h(2u) = 2 h(u)
     s = spec(NonPeriodic(alpha=alpha), tau=1.0)
-    assert inject(s, t, 2.0 * u) == pytest.approx(2.0 * inject(s, t, u),
+    assert (2.0 * u) * s.gain(t) == pytest.approx(2.0 * (u * s.gain(t)),
                                                   rel=1e-12, abs=1e-12)
+    assert s.gain(t) == (1.0 + alpha if t >= 1.0 else 1.0)
 
 
 @given(st.floats(0, 10), st.floats(0, 1), st.floats(1, 500))

@@ -117,3 +117,42 @@ def test_train_missing_data_exits_1(work, capsys):
                "--out", str(work / "m.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_empty_model_exits_1(work, capsys):
+    empty = work / "empty-model.txt"
+    empty.write_text("")
+    rc = main(["evaluate", "--scenario", "default", "--model", str(empty),
+               "--out", str(work / "e.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and str(empty) in err and "empty" in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ("plant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{}]\n"
+     "  lines: [{to: 2, r: 0.05, x: 0.1}]\n  loads: [{bus: 2, r: 0.8, x: 0.3}]\n",
+     "'from' in plant line 1"),
+    ("load_events:\n  - {t: 0.2, r: 0.8, x: 0.3}\n", "'bus' in load event 1"),
+    ("seed: 3\n", "unknown scenario fields: ['seed']"),
+])
+def test_malformed_scenario_exits_1(work, capsys, doc, field):
+    path = work / "malformed.yaml"
+    path.write_text("duration: 0.1\n" + doc)
+    rc = main(["simulate", "--scenario", str(path), "--out", str(work / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "x.csv"], ["graph-info"],
+    ["evaluate", "--model", "m.txt", "--out", "x.csv"],
+    ["compare", "--model", "m.txt", "--report", "r.json"],
+])
+def test_scenario_commands_take_no_seed(command, capsys):
+    # the simulator draws no random numbers; only train takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--scenario", "default", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from mgres.ann import TrainConfig
 from mgres.datagen import (MatrixSpec, dataset_from_dir, gen_data, load_runs,
                            train_pipeline, training_matrix)
+from mgres.scenario import ScenarioError
 
 TINY = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
                   tau=0.4, step_time=0.2, duration=0.8)
@@ -42,6 +43,9 @@ def test_matrix_spec_from_dict():
     assert spec.load_factors == (1.0,)
     assert spec.alphas == (0.25, 0.5)  # defaults survive partial overrides
     assert spec.tau == 0.4
+    # no cell draws random numbers, so there is no seed to set
+    with pytest.raises(ScenarioError, match=r"unknown matrix fields: \['seed'\]"):
+        MatrixSpec.from_dict({"seed": 1})
 
 
 def test_gen_data_outputs(data_dir):
@@ -52,6 +56,8 @@ def test_gen_data_outputs(data_dir):
     for e in entries:
         assert os.path.exists(os.path.join(data_dir, e["file"]))
         assert e["v_ref"] == 1.0
+        assert set(e) == {"id", "file", "attacked", "clean_ref", "v_ref",
+                          "w_ref", "status"}
     normal = next(e for e in entries if not e["attacked"])
     assert normal["clean_ref"] == normal["id"]
     attacked = [e for e in entries if e["attacked"]]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgres.graph import (CommGraph, GraphError, neighborhood_tracking_error,
+from mgres.graph import (CommGraph, GraphError, inbound_voltage_channels,
                          ring_graph, tracking_errors, validate)
 
 
@@ -16,6 +16,15 @@ def test_default_ring_is_valid():
 def test_pinned_singleton_is_valid():
     g = CommGraph(np.zeros((1, 1)), np.array([1.0]))
     assert g.n == 1
+
+
+@pytest.mark.parametrize("n, adj", [
+    (1, [[0.0]]), (2, [[0.0, 2.0], [2.0, 0.0]]),
+    (3, [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]),
+])
+def test_small_rings(n, adj):
+    g = ring_graph(n, weight=2.0)
+    np.testing.assert_array_equal(g.adjacency, adj)
 
 
 def test_disconnected_dg_is_rejected():
@@ -36,14 +45,14 @@ def test_invariant_violations(adj, pin, msg):
 def test_consensus_fixed_point():
     g = ring_graph(4)
     values = np.full(4, 1.0)
-    for i in range(4):
-        assert neighborhood_tracking_error(g, i, values, 1.0) == 0.0
+    np.testing.assert_array_equal(
+        tracking_errors(g, values, np.tile(values, (4, 1)), 1.0), np.zeros(4))
 
 
 def test_two_dg_hand_case():
     g = CommGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
-    e1 = neighborhood_tracking_error(g, 0, np.array([1.05, 1.00]), 1.00)
-    assert e1 == pytest.approx(0.10, abs=1e-15)
+    e = tracking_errors(g, np.array([1.05, 1.00]), np.array([1.05, 1.00]), 1.00)
+    assert e[0] == pytest.approx(0.10, abs=1e-15)
 
 
 def test_against_double_loop_oracle():
@@ -53,23 +62,25 @@ def test_against_double_loop_oracle():
     pin = rng.uniform(0, 1, 4)
     pin[0] = 1.0
     g = CommGraph(adj, pin)
-    values = rng.uniform(0.9, 1.1, 4)
+    recv_self = rng.uniform(0.9, 1.1, 4)
+    recv = rng.uniform(0.9, 1.1, (4, 4))  # each DG's own copies of the others
     ref = 1.02
+    e = tracking_errors(g, recv_self, recv, ref)
     for i in range(4):
         # independent re-implementation of the weighted sum
-        expect = sum(adj[i][j] * (values[i] - values[j]) for j in range(4))
-        expect += pin[i] * (values[i] - ref)
-        assert neighborhood_tracking_error(g, i, values, ref) == pytest.approx(
-            expect, rel=1e-12)
-        assert tracking_errors(g, values, ref)[i] == pytest.approx(expect, rel=1e-12)
+        expect = sum(adj[i][j] * (recv_self[i] - recv[i][j]) for j in range(4))
+        expect += pin[i] * (recv_self[i] - ref)
+        assert e[i] == pytest.approx(expect, rel=1e-12)
+    # uncorrupted channels: every DG receives the same values
+    np.testing.assert_array_equal(
+        tracking_errors(g, recv_self, recv_self, ref),
+        tracking_errors(g, recv_self, np.tile(recv_self, (4, 1)), ref))
 
 
-def test_index_errors():
+def test_length_mismatch_is_rejected():
     g = ring_graph(4)
-    with pytest.raises(IndexError):
-        neighborhood_tracking_error(g, 4, np.ones(4), 1.0)
-    with pytest.raises(IndexError):
-        neighborhood_tracking_error(g, 0, np.ones(3), 1.0)
+    with pytest.raises(ValueError):
+        tracking_errors(g, np.ones(3), np.ones(3), 1.0)
 
 
 @given(st.floats(-10, 10), st.floats(-5, 5),
@@ -78,8 +89,21 @@ def test_linearity_and_translation(lam, shift, vals):
     g = ring_graph(4)
     values = np.array(vals)
     ref = 1.0
-    e = tracking_errors(g, values, ref)
-    np.testing.assert_allclose(tracking_errors(g, lam * values, lam * ref),
+    e = tracking_errors(g, values, values, ref)
+    np.testing.assert_allclose(tracking_errors(g, lam * values, lam * values, lam * ref),
                                lam * e, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(tracking_errors(g, values + shift, ref + shift),
-                               e, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(
+        tracking_errors(g, values + shift, values + shift, ref + shift),
+        e, rtol=1e-9, atol=1e-9)
+
+
+def test_channel_layout():
+    chans = ring_graph(4).channels()
+    assert chans[:8] == [(i, i, sig) for i in range(4)
+                         for sig in ("voltage", "frequency")]
+    assert chans[8:12] == [(1, 0, "voltage"), (1, 0, "frequency"),
+                           (3, 0, "voltage"), (3, 0, "frequency")]
+    assert len(chans) == 24
+    assert inbound_voltage_channels(chans, 0) == [0, 8, 10]
+    assert [chans[k] for k in inbound_voltage_channels(chans, 2)] == [
+        (2, 2, "voltage"), (1, 2, "voltage"), (3, 2, "voltage")]

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
                          NetworkError, NetworkParams, PlantState,
                          apply_load_event, build_ybus, default_model,
-                         droop_primary, solve_network, step_plant)
+                         solve_network, step_plant)
 
 
 def two_bus_net(load=Load(1, 0.8, 0.3)):
@@ -83,10 +83,12 @@ def test_network_invariants():
 @given(st.floats(0.9, 1.1), st.floats(370, 380),
        st.floats(-1, 1), st.floats(-1, 1))
 def test_droop_is_affine(v_n, w_n, p, q):
-    params = DgParams(m_p=3.77, n_q=0.04, omega_c=31.4)
-    v, w = droop_primary(params, v_n, w_n, p, q)
-    assert v == pytest.approx(v_n - 0.04 * q, rel=1e-12)
-    assert w == pytest.approx(w_n - 3.77 * p, rel=1e-12)
+    # droop outputs of every DG: v = V_n - n_Q q, w = w_n - m_P p
+    model = default_model(m_p=3.77, n_q=0.04)
+    state = PlantState(delta=np.zeros(4), p=np.full(4, p), q=np.full(4, q))
+    _, out = step_plant(model, state, np.full(4, v_n), np.full(4, w_n), 1e-4)
+    np.testing.assert_allclose(out.v, v_n - 0.04 * q, rtol=1e-12)
+    np.testing.assert_allclose(out.w, w_n - 3.77 * p, rtol=1e-12)
 
 
 def test_step_is_deterministic():

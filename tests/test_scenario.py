@@ -90,6 +90,28 @@ def test_unknown_fields_rejected():
         from_dict({})
     with pytest.raises(ScenarioError, match="mapping"):
         from_dict([1, 2])
+    # the simulator draws no random numbers, so there is no seed to set
+    with pytest.raises(ScenarioError, match="unknown scenario fields: \\['seed'\\]"):
+        from_dict({"duration": 1.0, "seed": 3})
+
+
+@pytest.mark.parametrize("doc, field, where", [
+    ({"plant": {"n_bus": 2, "dg_bus": [1], "dgs": [{}],
+                "lines": [{"to": 2, "r": 0.05, "x": 0.1}], "loads": []}},
+     "from", "plant line 1"),
+    ({"plant": {"n_bus": 2, "dg_bus": [1], "dgs": [{}],
+                "lines": [{"from": 1, "to": 2, "r": 0.05, "x": 0.1}],
+                "loads": [{"bus": 2, "r": 0.8}]}},
+     "x", "plant load 1"),
+    ({"load_events": [{"t": 0.5, "bus": 1, "r": 0.4, "x": 0.15},
+                      {"t": 0.5, "r": 0.4, "x": 0.15}]},
+     "bus", "load event 2"),
+    ({"load_events": ["bus 1"]}, "t", "load event 1"),
+])
+def test_missing_entry_fields(doc, field, where):
+    with pytest.raises(ScenarioError,
+                       match=f"missing required field '{field}' in {where}"):
+        from_dict(dict(doc, duration=1.0))
 
 
 @pytest.mark.parametrize("override, msg", [

@@ -1,65 +1,70 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import CommGraph, ring_graph
+from mgres.scenario import builtin_scenario
 from mgres.secondary import (ControllerConfigError, SecondaryGains,
                              SecondaryState, check_controller_name,
-                             received_values, secondary_update)
+                             secondary_update)
+from mgres.simulate import run_scenario
 
 
 def two_dg_graph():
     return CommGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
 
 
-def clean_channels(graph, v, w):
-    out = {}
-    for (s, d) in graph.channels():
-        out[(s, d, "voltage")] = v[s]
-        out[(s, d, "frequency")] = w[s]
-    return out
+def received(trace, dst, signal):
+    """DG dst's received copies of each source's signal, per sample."""
+    return {s: trace.ch_recv[:, k] for k, (s, d, sig) in enumerate(trace.channels)
+            if d == dst and sig == signal}
+
+
+def attacked_run(atk, duration=0.02):
+    return run_scenario(replace(builtin_scenario("default", duration=duration),
+                                attacks=(atk,)))
 
 
 def test_received_values_without_attack_are_clean():
-    g = ring_graph(4)
-    v = np.array([1.01, 1.02, 1.03, 1.04])
-    w = np.full(4, 377.0)
-    rv = received_values(g, clean_channels(g, v, w), [], t=0.0)
-    assert rv[0]["voltage"] == {0: 1.01, 1: 1.02, 3: 1.04}
-    assert rv[2]["frequency"] == {1: 377.0, 2: 377.0, 3: 377.0}
+    tr = run_scenario(builtin_scenario("default", duration=0.02))
+    np.testing.assert_array_equal(tr.ch_recv, tr.ch_clean)
+    rv = received(tr, 0, "voltage")
+    assert sorted(rv) == [0, 1, 3]
+    for s, u in rv.items():
+        np.testing.assert_array_equal(u, tr.dg["v"][:, s])
+    rw = received(tr, 2, "frequency")
+    assert sorted(rw) == [1, 2, 3]
+    for s, u in rw.items():
+        np.testing.assert_array_equal(u, tr.dg["w"][:, s])
 
 
 def test_received_values_attack_targets_only_named_channel():
-    g = ring_graph(4)
-    v = np.full(4, 1.0)
-    w = np.full(4, 377.0)
     atk = AttackSpec(src=1, dst=0, signal="voltage",
                      kind=NonPeriodic(alpha=0.5), tau=0.0)
-    rv = received_values(g, clean_channels(g, v, w), [atk], t=1.0)
-    assert rv[0]["voltage"][1] == pytest.approx(1.5)
-    assert rv[0]["voltage"][0] == 1.0 and rv[0]["voltage"][3] == 1.0
-    assert rv[0]["frequency"][1] == 377.0
-    assert rv[1]["voltage"][0] == 1.0
+    tr = attacked_run(atk)
+    v, w = tr.dg["v"], tr.dg["w"]
+    rv = received(tr, 0, "voltage")
+    np.testing.assert_array_equal(rv[1], v[:, 1] * 1.5)
+    np.testing.assert_array_equal(rv[0], v[:, 0])
+    np.testing.assert_array_equal(rv[3], v[:, 3])
+    np.testing.assert_array_equal(received(tr, 0, "frequency")[1], w[:, 1])
+    np.testing.assert_array_equal(received(tr, 1, "voltage")[0], v[:, 0])
 
 
 def test_inbound_broadcast_corrupts_whole_controller_view():
-    g = ring_graph(4)
     atk = AttackSpec(src="broadcast", dst=0, signal="voltage",
-                     kind=NonPeriodic(alpha=0.5), tau=2.0)
-    rv = received_values(g, clean_channels(g, np.full(4, 1.0), np.full(4, 377.0)),
-                         [atk], t=3.0)
-    assert all(u == pytest.approx(1.5) for u in rv[0]["voltage"].values())
-    assert all(u == 1.0 for u in rv[1]["voltage"].values())
-
-
-def test_missing_channel_is_an_error():
-    g = two_dg_graph()
-    chans = clean_channels(g, np.ones(2), np.full(2, 377.0))
-    del chans[(1, 0, "voltage")]
-    with pytest.raises(ControllerConfigError, match="missing channel"):
-        received_values(g, chans, [], t=0.0)
+                     kind=NonPeriodic(alpha=0.5), tau=0.01)
+    tr = attacked_run(atk)
+    post = tr.t >= 0.01
+    assert post.any() and not post.all()
+    for s, u in received(tr, 0, "voltage").items():
+        np.testing.assert_array_equal(u[post], tr.dg["v"][post, s] * 1.5)
+        np.testing.assert_array_equal(u[~post], tr.dg["v"][~post, s])
+    for s, u in received(tr, 1, "voltage").items():
+        np.testing.assert_array_equal(u, tr.dg["v"][:, s])
 
 
 def test_two_dg_hand_step():

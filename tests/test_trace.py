@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgres.graph import inbound_voltage_channels
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import (Trace, TraceFormatError, column_names,
@@ -51,7 +52,7 @@ def test_parsed_values_match(short_trace):
 
 
 def test_voltage_triple_ordering(short_trace):
-    idx = short_trace.inbound_voltage_channels(0)
+    idx = inbound_voltage_channels(short_trace.channels, 0)
     assert [short_trace.channels[k] for k in idx] == [
         (0, 0, "voltage"), (1, 0, "voltage"), (3, 0, "voltage")]
     clean, recv = dg1_voltage_triple(short_trace)
