@@ -23,14 +23,14 @@ print(f"power balance residual: {sol.balance_residual:.2e}")
 # step_plant applies v = V_n - n_Q q and w = w_n - m_P p to the filtered
 # powers; with the filters settled at the powers above, its outputs are the
 # droop operating point at this load.
-loaded = PlantState(delta=np.zeros(4), p=sol.s_dg.real, q=sol.s_dg.imag)
-_, out = step_plant(model, loaded, np.ones(4), np.full(4, 2 * np.pi * 60), dt=1e-4)
+loaded = PlantState(delta=np.zeros(4), pq=np.array([sol.s_dg.real, sol.s_dg.imag]))
+setpoints = np.array([np.ones(4), np.full(4, 2 * np.pi * 60)])  # [V_n; w_n]
+_, out = step_plant(model, loaded, setpoints, dt=1e-4)
 print(f"\ndroop output for DG1 at this load: v = {out.v[0]:.4f} pu, "
       f"f = {out.w[0] / (2 * np.pi):.4f} Hz")
 
 # One Euler step of the dynamic layers (power filters + angles).
 state = model.initial_state()
-state, out = step_plant(model, state, np.ones(4), np.full(4, 2 * np.pi * 60),
-                        dt=1e-4)
+state, out = step_plant(model, state, setpoints, dt=1e-4)
 print("\nfiltered power after one 0.1 ms step:", np.round(state.p, 6))
 print("(the 31.4 rad/s low-pass filters need ~0.1 s to see the full load)")

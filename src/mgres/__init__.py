@@ -15,7 +15,7 @@ from .plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
                     PlantState, apply_load_event, default_model, solve_network,
                     step_plant)
 from .scenario import LoadEvent, ScenarioConfig, builtin_scenario, load_scenario
-from .secondary import SecondaryGains, SecondaryState, secondary_update
+from .secondary import ConsensusMap, SecondaryGains, secondary_update
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv, traces_equal
 

@@ -287,7 +287,8 @@ def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
 def ann_controller(params: MlpParams, received_triple: np.ndarray,
                    v_ref: float) -> float:
     """Voltage set-point for the attacked DG, clamped to [0.5, 1.5] pu."""
-    out = forward(params, runtime_features(received_triple, v_ref))
+    r = received_triple.tolist()
+    out = forward_batch(params, np.array([r + r + [v_ref]]))[0]
     return float(min(max(out, SETPOINT_MIN), SETPOINT_MAX))
 
 

@@ -2,8 +2,9 @@
 
 Droop-controlled DG voltage sources feed an RL line network with constant
 impedance loads.  The network is solved algebraically at every step (nodal
-admittance, DG buses held as fixed voltage sources); dynamics live in the
-power measurement low-pass filters and the phase angle integrators.
+admittance, DG buses held as fixed voltage sources, passive buses Kron-reduced
+once per load epoch); dynamics live in the power measurement low-pass filters
+and the phase angle integrators.
 
 All quantities are per-unit on a common base; angles are radians, frequency
 rad/s.  Angle integration is relative to DG1's frequency so that the phasor
@@ -18,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 DIVERGENCE_LIMIT = 10.0  # pu magnitude at which the run is declared diverged
+_TWO_PI = 2.0 * math.pi
 
 
 class NetworkError(ValueError):
@@ -126,23 +128,44 @@ def build_ybus(net: NetworkParams) -> np.ndarray:
 
 
 class _NetCache:
-    """Precomputed solver arrays for one (immutable) NetworkParams."""
+    """Solver constants of one (immutable) NetworkParams, i.e. one load epoch.
+
+    Passive buses are eliminated by Kron reduction: their voltages are
+    v_o = K v_d with K = -Y_oo^-1 Y_od, so the DG currents are Y_red v_d with
+    Y_red = Y_dd + Y_do K.  Bus voltages and branch voltages (lines, then
+    loads to ground) are fixed linear maps of the DG voltages.
+    """
 
     def __init__(self, net: NetworkParams):
-        self.ybus = build_ybus(net)
-        self.dg = np.array(net.dg_bus, dtype=int)
-        dg_set = set(net.dg_bus)
-        self.other = np.array([b for b in range(net.n_bus) if b not in dg_set],
-                              dtype=int)
-        self.line_a = np.array([ln.bus_a for ln in net.lines], dtype=int)
-        self.line_b = np.array([ln.bus_b for ln in net.lines], dtype=int)
-        self.line_r = np.array([ln.r for ln in net.lines])
-        self.y_line = np.array([1.0 / complex(ln.r, ln.x) for ln in net.lines])
-        self.load_bus = np.array([ld.bus for ld in net.loads], dtype=int)
-        self.load_g = np.array([ld.admittance.real for ld in net.loads])
-        if self.other.size:
-            self.y_oo = self.ybus[np.ix_(self.other, self.other)]
-            self.y_od = self.ybus[np.ix_(self.other, self.dg)]
+        ybus = build_ybus(net)
+        dg = list(net.dg_bus)
+        other = sorted(set(range(net.n_bus)) - set(dg))
+        bus_map = np.eye(net.n_bus, dtype=complex)[:, dg]
+        self.y_red = ybus[np.ix_(dg, dg)]
+        if other:
+            try:
+                kron = np.linalg.solve(ybus[np.ix_(other, other)],
+                                       -ybus[np.ix_(other, dg)])
+            except np.linalg.LinAlgError as exc:
+                raise NetworkError(f"singular admittance system: {exc}") from exc
+            if not np.isfinite(kron).all():
+                raise NetworkError("non-finite bus voltages (degenerate network)")
+            self.y_red = self.y_red + ybus[np.ix_(dg, other)] @ kron
+            bus_map[other] = kron
+        self.bus_map = bus_map
+        # branch voltages [lines; loads], then each scaled by its conductance:
+        # consumed power is sum_b g_b |u_b|^2 = Re vdot(u, g u)
+        incidence = np.zeros((len(net.lines) + len(net.loads), net.n_bus))
+        g = []
+        for k, ln in enumerate(net.lines):
+            incidence[k, [ln.bus_a, ln.bus_b]] = 1.0, -1.0
+            g.append((1.0 / complex(ln.r, ln.x)).real)
+        for k, ld in enumerate(net.loads, start=len(net.lines)):
+            incidence[k, ld.bus] = 1.0
+            g.append(ld.admittance.real)
+        branch = incidence @ bus_map
+        self.branch = np.vstack([branch, np.array(g)[:, None] * branch])
+        self.n_branch = len(g)
 
 
 def _net_cache(net: NetworkParams) -> _NetCache:
@@ -153,11 +176,21 @@ def _net_cache(net: NetworkParams) -> _NetCache:
     return cache
 
 
-@dataclass(frozen=True)
 class NetworkSolution:
-    s_dg: np.ndarray        # complex injected power per DG, pu
-    bus_v: np.ndarray       # complex voltage per bus, pu
-    balance_residual: float  # relative active power mismatch
+    """Per-DG injected complex power, DG voltages and the balance residual."""
+
+    __slots__ = ("s_dg", "v_dg", "balance_residual", "_bus_map")
+
+    def __init__(self, s_dg, v_dg, balance_residual, bus_map):
+        self.s_dg = s_dg                          # complex power per DG, pu
+        self.v_dg = v_dg                          # complex voltage per DG, pu
+        self.balance_residual = balance_residual  # relative active power mismatch
+        self._bus_map = bus_map
+
+    @property
+    def bus_v(self) -> np.ndarray:
+        """Complex voltage per bus, pu."""
+        return self._bus_map @ self.v_dg
 
 
 def solve_network(vmag: np.ndarray, delta: np.ndarray,
@@ -165,50 +198,57 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray,
     """Solve the phasor network for per-DG injected complex power.
 
     DG buses are fixed voltage sources vmag * exp(j delta); the remaining
-    buses carry no injection and their voltages come from the reduced linear
-    system.  The returned residual is the relative mismatch between generated
-    active power and load consumption plus line losses.
+    buses carry no injection and are Kron-reduced once per network.  The
+    returned residual is the relative mismatch between generated active
+    power and load consumption plus line losses, the latter summed over the
+    branch voltages of the full network.
     """
-    vmag = np.asarray(vmag, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if (vmag <= 0).any():
+    if not min(vmag.tolist()) > 0.0:
         raise NetworkError("DG voltage magnitudes must be positive")
     cache = _net_cache(net)
-
-    v = np.zeros(net.n_bus, dtype=complex)
-    v[cache.dg] = vmag * np.exp(1j * delta)
-    if cache.other.size:
-        try:
-            v[cache.other] = np.linalg.solve(cache.y_oo, -cache.y_od @ v[cache.dg])
-        except np.linalg.LinAlgError as exc:
-            raise NetworkError(f"singular admittance system: {exc}") from exc
-        if not np.isfinite(v[cache.other]).all():
-            raise NetworkError("non-finite bus voltages (degenerate network)")
-
-    i_inj = cache.ybus @ v
-    s_dg = v[cache.dg] * np.conj(i_inj[cache.dg])
-
-    p_load = float(((v.real[cache.load_bus] ** 2 + v.imag[cache.load_bus] ** 2)
-                    * cache.load_g).sum())
-    i_line = (v[cache.line_a] - v[cache.line_b]) * cache.y_line
-    p_loss = float(((i_line.real ** 2 + i_line.imag ** 2) * cache.line_r).sum())
-    p_gen = float(s_dg.real.sum())
-    residual = abs(p_gen - p_load - p_loss) / max(1.0, abs(p_gen))
-    return NetworkSolution(s_dg=s_dg, bus_v=v, balance_residual=residual)
+    v = vmag * np.exp(1j * delta)
+    s_dg = v * np.conj(np.dot(cache.y_red, v))
+    u = np.dot(cache.branch, v)
+    p_cons = np.vdot(u[:cache.n_branch], u[cache.n_branch:]).real
+    p_gen = sum(s_dg.real.tolist())
+    residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
+    return NetworkSolution(s_dg, v, residual, cache.bus_map)
 
 
-@dataclass(frozen=True)
 class PlantState:
-    delta: np.ndarray   # phase angle per DG, rad, relative to DG1's frame
-    p: np.ndarray       # filtered active power per DG, pu
-    q: np.ndarray       # filtered reactive power per DG, pu
+    """Phase angles and the filtered powers, stacked as pq = [P; Q]."""
+
+    __slots__ = ("delta", "pq")
+
+    def __init__(self, delta: np.ndarray, pq: np.ndarray):
+        self.delta = delta   # (n,) phase angle per DG, rad, relative to DG1's frame
+        self.pq = pq         # (2, n) filtered active and reactive power per DG, pu
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.pq[0]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.pq[1]
 
 
-@dataclass(frozen=True)
 class StepOutputs:
-    v: np.ndarray            # output voltage magnitude per DG at step start
-    w: np.ndarray            # frequency per DG at step start, rad/s
-    solution: NetworkSolution
+    """Droop outputs at the step start, vw = [v; w], and the network solution."""
+
+    __slots__ = ("vw", "solution")
+
+    def __init__(self, vw: np.ndarray, solution: NetworkSolution):
+        self.vw = vw               # (2, n) voltage magnitude (pu) and frequency (rad/s)
+        self.solution = solution
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.vw[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.vw[1]
 
 
 @dataclass(frozen=True)
@@ -220,11 +260,11 @@ class MicrogridModel:
         object.__setattr__(self, "dgs", tuple(self.dgs))
         if len(self.dgs) != len(self.network.dg_bus):
             raise ValueError("one DgParams entry per network DG attachment required")
-
-        for name in ("m_p", "n_q", "omega_c"):
-            arr = np.array([getattr(d, name) for d in self.dgs])
-            arr.setflags(write=False)
-            object.__setattr__(self, "_" + name, arr)
+        # rows n_Q, m_P, omega_c; the first two scale [q; p] in the droop law
+        gains = np.array([[d.n_q for d in self.dgs], [d.m_p for d in self.dgs],
+                          [d.omega_c for d in self.dgs]])
+        gains.setflags(write=False)
+        object.__setattr__(self, "_gains", gains)
 
     @property
     def n(self) -> int:
@@ -232,19 +272,18 @@ class MicrogridModel:
 
     @property
     def m_p(self) -> np.ndarray:
-        return self._m_p
+        return self._gains[1]
 
     @property
     def n_q(self) -> np.ndarray:
-        return self._n_q
+        return self._gains[0]
 
     @property
     def omega_c(self) -> np.ndarray:
-        return self._omega_c
+        return self._gains[2]
 
     def initial_state(self) -> PlantState:
-        n = self.n
-        return PlantState(delta=np.zeros(n), p=np.zeros(n), q=np.zeros(n))
+        return PlantState(delta=np.zeros(self.n), pq=np.zeros((2, self.n)))
 
 
 def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> MicrogridModel:
@@ -258,10 +297,9 @@ def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> Mic
     raise NetworkError(f"no load declared at bus {bus}")
 
 
-def step_plant(model: MicrogridModel, state: PlantState,
-               v_n: np.ndarray, w_n: np.ndarray, dt: float,
-               t: float = 0.0) -> tuple[PlantState, StepOutputs]:
-    """Advance the plant one fixed Euler step.
+def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
+               dt: float, t: float = 0.0) -> tuple[PlantState, StepOutputs]:
+    """Advance the plant one fixed Euler step from set-points [V_n; w_n].
 
     Order: droop (v = V_n - n_Q q, w = w_n - m_P p) -> network solve ->
     power filter update -> angle integration.
@@ -270,26 +308,27 @@ def step_plant(model: MicrogridModel, state: PlantState,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v = v_n - model.n_q * state.q
-    w = w_n - model.m_p * state.p
-    if (v <= 0).any() or not np.isfinite(v).all():
+    vw = setpoints - model._gains[:2] * state.pq[::-1]
+    v, w = vw[0], vw[1]
+    vl = v.tolist()
+    # min() is NaN-blind past the first element; the sum is not
+    if not (min(vl) > 0.0 and math.isfinite(sum(vl))):
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
 
     sol = solve_network(v, state.delta, model.network)
+    # [Re s; Im s] as a (2, n) view of the complex powers
+    s = sol.s_dg.view(np.float64).reshape(-1, 2).T
+    pq = state.pq + dt * model._gains[2] * (s - state.pq)
+    wl = w.tolist()
+    w0 = wl[0]
+    delta = [(d + dt * (x - w0) + math.pi) % _TWO_PI - math.pi
+             for d, x in zip(state.delta.tolist(), wl)]
 
-    wc = model.omega_c
-    p_new = state.p + dt * wc * (sol.s_dg.real - state.p)
-    q_new = state.q + dt * wc * (sol.s_dg.imag - state.q)
-    delta_new = state.delta + dt * (w - w[0])
-    delta_new = np.mod(delta_new + math.pi, 2.0 * math.pi) - math.pi
-
-    # NaN fails the comparison too, so non-finite states also land here
-    m = max(np.abs(p_new).max(), np.abs(q_new).max(), v.max())
+    # NaN propagates through the array max, so non-finite states also land here
+    m = max(np.abs(pq).max(), max(vl))
     if not m <= DIVERGENCE_LIMIT:
         raise DivergenceError(t, f"state magnitude {m:.3g} exceeded {DIVERGENCE_LIMIT} pu")
-
-    new_state = PlantState(delta=delta_new, p=p_new, q=q_new)
-    return new_state, StepOutputs(v=v, w=w, solution=sol)
+    return PlantState(np.array(delta), pq), StepOutputs(vw, sol)
 
 
 def default_model(load1: complex = 0.8 + 0.3j, load2: complex = 0.8 + 0.3j,

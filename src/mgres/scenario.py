@@ -147,10 +147,12 @@ def _parse_attack(d: dict) -> AttackSpec:
 
 
 def _parse_plant(d: dict) -> MicrogridModel:
-    dgs = tuple(DgParams(m_p=float(e.get("m_p", 3.77)),
-                         n_q=float(e.get("n_q", 0.04)),
-                         omega_c=float(e.get("omega_c", 31.4)))
-                for e in _require(d, "dgs", "plant"))
+    dgs = []
+    for k, e in enumerate(_require(d, "dgs", "plant")):
+        if not isinstance(e, dict):
+            raise ScenarioError(f"plant dg {k + 1} must be a mapping, got {e!r}")
+        dgs.append(DgParams(m_p=float(e.get("m_p", 3.77)), n_q=float(e.get("n_q", 0.04)),
+                            omega_c=float(e.get("omega_c", 31.4))))
     lines = tuple(Line(int(a) - 1, int(b) - 1, float(r), float(x))
                   for a, b, r, x in _entries(_require(d, "lines", "plant"),
                                              "plant line", "from", "to", "r", "x"))
@@ -168,11 +170,11 @@ def _parse_graph(d: dict) -> CommGraph:
     pinning = np.array([float(v) for v in _require(d, "pinning", "graph")])
     n = len(pinning)
     adj = np.zeros((n, n))
-    for e in edges:
-        if len(e) == 2:
-            frm, to, w = int(e[0]), int(e[1]), 1.0
-        else:
-            frm, to, w = int(e[0]), int(e[1]), float(e[2])
+    for k, e in enumerate(edges):
+        if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
+            raise ScenarioError(
+                f"graph edge {k + 1} must be [from, to] or [from, to, weight], got {e!r}")
+        frm, to, w = int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0
         if not (1 <= frm <= n and 1 <= to <= n):
             raise ScenarioError(f"graph edge ({frm}, {to}) references an unknown DG")
         adj[to - 1, frm - 1] = w  # information flows frm -> to

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CommGraph, tracking_errors
+from .graph import SIGNALS, CommGraph
 
 CONTROLLER_NAMES = ("pi", "ann")
 
@@ -40,31 +40,49 @@ class SecondaryGains:
             raise ValueError("secondary gains must be positive")
 
 
-@dataclass(frozen=True)
-class SecondaryState:
-    v_n: np.ndarray   # voltage set-points handed to droop, pu
-    w_n: np.ndarray   # frequency set-points, rad/s
+class ConsensusMap:
+    """Constants of ``secondary_update`` for one graph, channel list, gain
+    set and reference pair, built once per run.
+
+    The update reads one vector x: the received channel values in the order
+    of ``channels``, then m_P,i P_i for each DG.  Each graph edge j -> i
+    contributes the differences (vh_ii - vh_ij) for both signals and
+    (m_P,i P_i - m_P,j P_j); one (E, n) product with the edge weights a_ij
+    sums them per destination DG.
+    """
+
+    def __init__(self, graph: CommGraph, channels: list[tuple[int, int, str]],
+                 gains: SecondaryGains, v_ref: float, w_ref: float):
+        n, c = graph.n, len(channels)
+        pos = {ch: k for k, ch in enumerate(channels)}
+        self.own = np.array([[pos[i, i, sig] for i in range(n)] for sig in SIGNALS])
+        edges = [(s, d) for (s, d, sig) in channels if s != d and sig == SIGNALS[0]]
+        # rows: voltage, frequency, weighted power; x[head] - x[tail] per edge
+        self.head = np.array([[pos[d, d, sig] for s, d in edges] for sig in SIGNALS]
+                             + [[c + d for s, d in edges]], dtype=int)
+        self.tail = np.array([[pos[s, d, sig] for s, d in edges] for sig in SIGNALS]
+                             + [[c + s for s, d in edges]], dtype=int)
+        self.weights = np.zeros((len(edges), n))
+        for k, (s, d) in enumerate(edges):
+            self.weights[k, d] = graph.adjacency[d, s]
+        self.pinning = graph.pinning
+        self.gains = np.array([[gains.c_v], [gains.c_w]])
+        self.references = np.array([[v_ref], [w_ref]])
 
 
-def secondary_update(gains: SecondaryGains, graph: CommGraph,
-                     recv_v_self: np.ndarray, recv_v: np.ndarray,
-                     recv_w_self: np.ndarray, recv_w: np.ndarray,
-                     weighted_p: np.ndarray,
-                     v_ref: float, w_ref: float,
-                     state: SecondaryState, dt: float) -> SecondaryState:
+def secondary_update(cmap: ConsensusMap, x: np.ndarray, setpoints: np.ndarray,
+                     dt: float) -> np.ndarray:
     """One forward-Euler step of both set-point integrators.
 
-    weighted_p[i] is m_P,i * P_i.  Pure function of its inputs.
+    setpoints is (2, n) [V_n; w_n]; x is laid out as ``ConsensusMap``
+    describes.  Returns fresh set-points; a pure function of its inputs.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    e_v = tracking_errors(graph, recv_v_self, recv_v, v_ref)
-    e_w = tracking_errors(graph, recv_w_self, recv_w, w_ref)
-    p_share = (graph.adjacency * (weighted_p[:, None] - weighted_p[None, :])).sum(axis=1)
-    return SecondaryState(
-        v_n=state.v_n - gains.c_v * e_v * dt,
-        w_n=state.w_n - gains.c_w * (e_w + p_share) * dt,
-    )
+    sums = np.dot(x[cmap.head] - x[cmap.tail], cmap.weights)
+    e = sums[:2] + cmap.pinning * (x[cmap.own] - cmap.references)
+    e[1] += sums[2]
+    return setpoints - cmap.gains * e * dt
 
 
 def check_controller_name(name: str) -> str:

@@ -12,7 +12,7 @@ export -> parse -> export is byte-identical.
 
 from __future__ import annotations
 
-import io
+import os
 import re
 from dataclasses import dataclass
 
@@ -59,10 +59,6 @@ def dg1_voltage_triple(trace: Trace, dg: int = 0) -> tuple[np.ndarray, np.ndarra
     return trace.ch_clean[:, idx], trace.ch_recv[:, idx]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def column_names(trace: Trace) -> list[str]:
     cols = ["t"]
     for i in range(trace.n_dg):
@@ -79,24 +75,25 @@ def column_names(trace: Trace) -> list[str]:
 def export_csv(trace: Trace, path=None) -> str | None:
     """Write the trace in the normative CSV schema; returns the text when no
     path is given."""
-    buf = io.StringIO()
-    buf.write(",".join(column_names(trace)) + "\n")
-    n = len(trace.t)
-    for r in range(n):
-        parts = [_fmt(trace.t[r])]
-        for i in range(trace.n_dg):
-            parts += [_fmt(trace.dg[sig][r, i]) for sig in DG_SIGNALS]
-        for c in range(len(trace.channels)):
-            parts.append(_fmt(trace.ch_clean[r, c]))
-            parts.append(_fmt(trace.ch_recv[r, c]))
-        for k in range(len(trace.load_buses)):
-            parts.append(_fmt(trace.load_current[r, k]))
-        parts.append(str(int(trace.attack_active[r])))
-        buf.write(",".join(parts) + "\n")
-    text = buf.getvalue()
+    cols = column_names(trace)
+    # one float block in the CSV's column order, attack_active aside
+    block = np.empty((len(trace.t), len(cols) - 1))
+    block[:, 0] = trace.t
+    ch = 1 + len(DG_SIGNALS) * trace.n_dg           # first channel column
+    for k, sig in enumerate(DG_SIGNALS):
+        block[:, 1 + k:ch:len(DG_SIGNALS)] = trace.dg[sig]
+    ld = ch + 2 * len(trace.channels)               # first load column
+    block[:, ch:ld:2] = trace.ch_clean
+    block[:, ch + 1:ld:2] = trace.ch_recv
+    block[:, ld:] = trace.load_current
+    fmt = "{:.17g}".format
+    lines = [",".join(cols) + "\n"]
+    # row by row: a whole-block tolist() would hold ~4x the block as floats
+    for row, flag in zip(block, trace.attack_active.astype(int).tolist()):
+        lines.append(",".join(map(fmt, row.tolist())) + f",{flag}\n")
+    text = "".join(lines)
     if path is None:
         return text
-    import os
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)

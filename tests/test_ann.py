@@ -144,6 +144,17 @@ def test_runtime_features_and_clamp():
     assert ann_controller(lo, np.ones(3), 1.0) == 0.5
 
 
+def test_controller_is_forward_on_runtime_features_bitwise():
+    # ann_controller builds the feature row itself and skips forward's
+    # checks; the checked path is its reference, bit for bit
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.9, 1.1, (200, 7))
+    params = init_params(rng, NormalizationSpec.from_data(x, rng.uniform(1.0, 1.05, 200)))
+    for r in rng.uniform(0.8, 1.6, (300, 3)):
+        want = min(max(forward(params, runtime_features(r, 1.02)), 0.5), 1.5)
+        assert ann_controller(params, r, 1.02) == want
+
+
 def test_model_round_trip_is_exact(tmp_path):
     params = init_params(np.random.default_rng(11))
     path = tmp_path / "model.txt"

@@ -156,3 +156,30 @@ def test_scenario_commands_take_no_seed(command, capsys):
         main(command + ["--scenario", "default", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+GRAPH4 = "graph:\n  pinning: [1, 0, 0, 0]\n  edges: "
+
+
+@pytest.mark.parametrize("doc, field", [
+    (GRAPH4 + "[[1, 2], [1]]\n", "graph edge 2 must be [from, to]"),
+    (GRAPH4 + "[[1, 2], 3]\n", "graph edge 2 must be [from, to]"),
+    ("plant:\n  n_bus: 1\n  dg_bus: [1]\n  dgs: [3]\n  lines: []\n  loads: []\n",
+     "plant dg 1 must be a mapping"),
+])
+def test_malformed_graph_or_dg_entry_exits_1(work, capsys, doc, field):
+    path = work / "malformed-entry.yaml"
+    path.write_text("duration: 0.1\n" + doc)
+    assert main(["graph-info", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_resonant_passive_bus_exits_1(work, capsys):
+    # line j0.1 in series with load -j0.1: the passive bus's admittance is 0
+    path = work / "resonant.yaml"
+    path.write_text("duration: 0.01\nplant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{}]\n"
+                    "  lines: [{from: 1, to: 2, r: 0.0, x: 0.1}]\n"
+                    "  loads: [{bus: 2, r: 0.0, x: -0.1}]\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(work / "r.csv")]) == 1
+    assert "singular admittance system" in capsys.readouterr().err

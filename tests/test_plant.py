@@ -8,6 +8,10 @@ from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
                          solve_network, step_plant)
 
 
+def setpoints(v_n, w_n):
+    return np.array([v_n, w_n])
+
+
 def two_bus_net(load=Load(1, 0.8, 0.3)):
     return NetworkParams(n_bus=2, lines=(Line(0, 1, 0.05, 0.10),),
                          loads=(load,), dg_bus=(0,))
@@ -67,6 +71,13 @@ def test_solver_input_validation():
         solve_network(np.array([0.0]), np.array([0.0]), net)
 
 
+def test_resonant_passive_bus_is_singular():
+    # j0.1 line in series with a -j0.1 load: Y_oo is exactly zero
+    net = NetworkParams(2, (Line(0, 1, 0.0, 0.1),), (Load(1, 0.0, -0.1),), (0,))
+    with pytest.raises(NetworkError, match="singular"):
+        solve_network(np.array([1.0]), np.array([0.0]), net)
+
+
 def test_network_invariants():
     with pytest.raises(NetworkError, match="itself"):
         NetworkParams(2, (Line(0, 0, 0.05, 0.1),), (), (0,))
@@ -85,18 +96,17 @@ def test_network_invariants():
 def test_droop_is_affine(v_n, w_n, p, q):
     # droop outputs of every DG: v = V_n - n_Q q, w = w_n - m_P p
     model = default_model(m_p=3.77, n_q=0.04)
-    state = PlantState(delta=np.zeros(4), p=np.full(4, p), q=np.full(4, q))
-    _, out = step_plant(model, state, np.full(4, v_n), np.full(4, w_n), 1e-4)
+    state = PlantState(delta=np.zeros(4), pq=np.array([np.full(4, p), np.full(4, q)]))
+    _, out = step_plant(model, state, setpoints(np.full(4, v_n), np.full(4, w_n)), 1e-4)
     np.testing.assert_allclose(out.v, v_n - 0.04 * q, rtol=1e-12)
     np.testing.assert_allclose(out.w, w_n - 3.77 * p, rtol=1e-12)
 
 
 def test_step_is_deterministic():
     model = default_model()
-    v_n = np.full(4, 1.0)
-    w_n = np.full(4, 2 * np.pi * 60)
-    s1, o1 = step_plant(model, model.initial_state(), v_n, w_n, 1e-4)
-    s2, o2 = step_plant(model, model.initial_state(), v_n, w_n, 1e-4)
+    sp = setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60))
+    s1, o1 = step_plant(model, model.initial_state(), sp, 1e-4)
+    s2, o2 = step_plant(model, model.initial_state(), sp, 1e-4)
     assert np.array_equal(s1.p, s2.p) and np.array_equal(s1.q, s2.q)
     assert np.array_equal(s1.delta, s2.delta)
     assert np.array_equal(o1.v, o2.v) and np.array_equal(o1.w, o2.w)
@@ -105,10 +115,9 @@ def test_step_is_deterministic():
 def test_step_filter_update_matches_hand_formula():
     model = default_model()
     state = model.initial_state()
-    v_n = np.full(4, 1.0)
-    w_n = np.full(4, 2 * np.pi * 60)
     dt = 1e-4
-    new, out = step_plant(model, state, v_n, w_n, dt)
+    new, out = step_plant(model, state, setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60)),
+                          dt)
     sol = solve_network(out.v, state.delta, model.network)
     np.testing.assert_allclose(new.p, dt * 31.4 * sol.s_dg.real, rtol=1e-12)
     np.testing.assert_allclose(new.q, dt * 31.4 * sol.s_dg.imag, rtol=1e-12)
@@ -119,9 +128,9 @@ def test_step_filter_update_matches_hand_formula():
 def test_angle_integrates_relative_frequency_and_wraps():
     model = default_model()
     state = PlantState(delta=np.array([0.0, np.pi - 1e-3, 0.0, 0.0]),
-                       p=np.zeros(4), q=np.zeros(4))
+                       pq=np.zeros((2, 4)))
     w_n = np.array([0.0, 100.0, 0.0, 0.0]) + 2 * np.pi * 60
-    new, out = step_plant(model, state, np.full(4, 1.0), w_n, dt=1e-4)
+    new, out = step_plant(model, state, setpoints(np.full(4, 1.0), w_n), dt=1e-4)
     d1 = np.pi - 1e-3 + 1e-4 * (out.w[1] - out.w[0])
     assert d1 > np.pi  # crosses the branch cut
     assert new.delta[1] == pytest.approx(d1 - 2 * np.pi, abs=1e-12)
@@ -130,13 +139,26 @@ def test_angle_integrates_relative_frequency_and_wraps():
 
 def test_divergence_guard():
     model = default_model()
-    bad = PlantState(delta=np.zeros(4), p=np.zeros(4), q=np.full(4, 100.0))
+    bad = PlantState(delta=np.zeros(4), pq=np.array([np.zeros(4), np.full(4, 100.0)]))
+    sp = setpoints(np.full(4, 1.0), np.full(4, 377.0))
     with pytest.raises(DivergenceError):
-        step_plant(model, bad, np.full(4, 1.0), np.full(4, 377.0), 1e-4, t=0.25)
+        step_plant(model, bad, sp, 1e-4, t=0.25)
     try:
-        step_plant(model, bad, np.full(4, 1.0), np.full(4, 377.0), 1e-4, t=0.25)
+        step_plant(model, bad, sp, 1e-4, t=0.25)
     except DivergenceError as exc:
         assert exc.t == 0.25
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dg", [0, 1, 3])
+def test_non_finite_droop_voltage_is_caught_at_any_dg(bad, dg):
+    model = default_model()
+    v_n = np.full(4, 1.0)
+    v_n[dg] = bad
+    with pytest.raises(DivergenceError, match="non-finite droop voltage") as exc:
+        step_plant(model, model.initial_state(), setpoints(v_n, np.full(4, 377.0)),
+                   1e-4, t=0.125)
+    assert exc.value.t == 0.125
 
 
 def test_apply_load_event():

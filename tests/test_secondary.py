@@ -5,16 +5,29 @@ import numpy as np
 import pytest
 
 from mgres.attack import AttackSpec, NonPeriodic
-from mgres.graph import CommGraph, ring_graph
+from mgres.graph import CommGraph, ring_graph, tracking_errors
 from mgres.scenario import builtin_scenario
-from mgres.secondary import (ControllerConfigError, SecondaryGains,
-                             SecondaryState, check_controller_name,
+from mgres.secondary import (ConsensusMap, ControllerConfigError,
+                             SecondaryGains, check_controller_name,
                              secondary_update)
 from mgres.simulate import run_scenario
 
 
 def two_dg_graph():
     return CommGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+
+
+def update(g, v, rv, w, rw, weighted_p, v_n, w_n, v_ref=1.0, w_ref=377.0,
+           dt=1e-3, gains=SecondaryGains()):
+    """secondary_update with DG i's received copy of DG j's signal at
+    rv[i, j] / rw[i, j] and its own at v[i] / w[i]; returns [V_n; w_n]."""
+    channels = g.channels()
+    own = {"voltage": v, "frequency": w}
+    other = {"voltage": rv, "frequency": rw}
+    x = [own[sig][d] if s == d else other[sig][d, s] for s, d, sig in channels]
+    cmap = ConsensusMap(g, channels, gains, v_ref, w_ref)
+    return secondary_update(cmap, np.array(x + list(weighted_p)),
+                            np.array([v_n, w_n]), dt)
 
 
 def received(trace, dst, signal):
@@ -75,13 +88,10 @@ def test_two_dg_hand_step():
     rv = np.array([[0.0, 1.00], [1.05, 0.0]])
     w = np.full(2, 377.0)
     rw = np.array([[0.0, 377.0], [377.0, 0.0]])
-    state = SecondaryState(v_n=np.array([1.05, 1.00]), w_n=w.copy())
-    new = secondary_update(SecondaryGains(), g, v, rv, w, rw,
-                           weighted_p=np.zeros(2), v_ref=1.0, w_ref=377.0,
-                           state=state, dt=1e-3)
-    assert new.v_n[0] == pytest.approx(1.05 - 5.0 * 0.10 * 1e-3, abs=1e-15)
-    assert new.v_n[1] == pytest.approx(1.00 - 5.0 * (1.00 - 1.05) * 1e-3, abs=1e-15)
-    np.testing.assert_array_equal(new.w_n, w)  # consensus + balanced power
+    v_n, w_n = update(g, v, rv, w, rw, np.zeros(2), [1.05, 1.00], w)
+    assert v_n[0] == pytest.approx(1.05 - 5.0 * 0.10 * 1e-3, abs=1e-15)
+    assert v_n[1] == pytest.approx(1.00 - 5.0 * (1.00 - 1.05) * 1e-3, abs=1e-15)
+    np.testing.assert_array_equal(w_n, w)  # consensus + balanced power
 
 
 def test_fixed_point_at_consensus():
@@ -90,12 +100,10 @@ def test_fixed_point_at_consensus():
     w = np.full(4, 2 * math.pi * 60)
     rv = np.tile(v, (4, 1))
     rw = np.tile(w, (4, 1))
-    state = SecondaryState(v_n=np.full(4, 1.02), w_n=w.copy())
-    new = secondary_update(SecondaryGains(), g, v, rv, w, rw,
-                           weighted_p=np.full(4, 0.7), v_ref=1.0,
-                           w_ref=2 * math.pi * 60, state=state, dt=1e-4)
-    np.testing.assert_array_equal(new.v_n, state.v_n)
-    np.testing.assert_array_equal(new.w_n, state.w_n)
+    v_n, w_n = update(g, v, rv, w, rw, np.full(4, 0.7), np.full(4, 1.02), w,
+                      w_ref=2 * math.pi * 60, dt=1e-4)
+    np.testing.assert_array_equal(v_n, np.full(4, 1.02))
+    np.testing.assert_array_equal(w_n, w)
 
 
 def test_power_sharing_term():
@@ -104,23 +112,40 @@ def test_power_sharing_term():
     rv = np.array([[0.0, 1.0], [1.0, 0.0]])
     w = np.full(2, 377.0)
     rw = np.array([[0.0, 377.0], [377.0, 0.0]])
-    state = SecondaryState(v_n=np.ones(2), w_n=w.copy())
     wp = np.array([0.8, 0.6])  # DG1 over-loaded by 0.2 (droop-weighted)
-    new = secondary_update(SecondaryGains(), g, v, rv, w, rw, wp,
-                           v_ref=1.0, w_ref=377.0, state=state, dt=1e-3)
-    assert new.w_n[0] == pytest.approx(377.0 - 5.0 * 0.2 * 1e-3, abs=1e-12)
-    assert new.w_n[1] == pytest.approx(377.0 + 5.0 * 0.2 * 1e-3, abs=1e-12)
+    _, w_n = update(g, v, rv, w, rw, wp, np.ones(2), w)
+    assert w_n[0] == pytest.approx(377.0 - 5.0 * 0.2 * 1e-3, abs=1e-12)
+    assert w_n[1] == pytest.approx(377.0 + 5.0 * 0.2 * 1e-3, abs=1e-12)
 
 
 def test_update_is_pure():
     g = two_dg_graph()
-    state = SecondaryState(v_n=np.ones(2), w_n=np.full(2, 377.0))
-    before = state.v_n.copy()
-    secondary_update(SecondaryGains(), g, np.ones(2) * 1.1,
-                     np.ones((2, 2)), np.full(2, 377.0),
-                     np.full((2, 2), 377.0), np.zeros(2),
-                     1.0, 377.0, state, 1e-3)
-    np.testing.assert_array_equal(state.v_n, before)
+    channels = g.channels()
+    cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0)
+    x = np.linspace(0.9, 1.1, len(channels) + 2)
+    setpoints = np.array([np.ones(2), np.full(2, 377.0)])
+    before, x_before = setpoints.copy(), x.copy()
+    out = secondary_update(cmap, x, setpoints, 1e-3)
+    assert out is not setpoints
+    np.testing.assert_array_equal(setpoints, before)
+    np.testing.assert_array_equal(x, x_before)
+
+
+def test_ring_matches_matrix_form_bitwise():
+    # on the ring (two unit-weight in-edges per DG) the channel form sums the
+    # same terms in the same order as graph.tracking_errors
+    g = ring_graph(4)
+    rng = np.random.default_rng(3)
+    v, w = rng.uniform(0.95, 1.05, 4), rng.uniform(376.0, 378.0, 4)
+    rv, rw = rng.uniform(0.95, 1.05, (4, 4)), rng.uniform(376.0, 378.0, (4, 4))
+    wp = rng.uniform(0.5, 1.0, 4)
+    v_n, w_n = rng.uniform(0.98, 1.02, 4), rng.uniform(376.0, 378.0, 4)
+    got_v, got_w = update(g, v, rv, w, rw, wp, v_n, w_n, dt=1e-4)
+    e_v = tracking_errors(g, v, rv, 1.0)
+    e_w = tracking_errors(g, w, rw, 377.0)
+    share = (g.adjacency * (wp[:, None] - wp[None, :])).sum(axis=1)
+    np.testing.assert_array_equal(got_v, v_n - 5.0 * e_v * 1e-4)
+    np.testing.assert_array_equal(got_w, w_n - 5.0 * (e_w + share) * 1e-4)
 
 
 def test_gain_and_name_validation():
@@ -132,7 +157,5 @@ def test_gain_and_name_validation():
         check_controller_name("pid")
     g = two_dg_graph()
     with pytest.raises(ValueError, match="dt"):
-        secondary_update(SecondaryGains(), g, np.ones(2), np.ones((2, 2)),
-                         np.ones(2), np.ones((2, 2)), np.zeros(2),
-                         1.0, 377.0,
-                         SecondaryState(np.ones(2), np.ones(2)), dt=0.0)
+        update(g, np.ones(2), np.ones((2, 2)), np.ones(2), np.ones((2, 2)),
+               np.zeros(2), np.ones(2), np.ones(2), dt=0.0)

@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mgres import ann, attack, plant, simulate
 from mgres.ann import MlpParams, NormalizationSpec
 from mgres.attack import AttackSpec, NonPeriodic
+from mgres.graph import ring_graph
+from mgres.plant import DgParams, Line, Load, MicrogridModel, NetworkParams, build_ybus
 from mgres.scenario import LoadEvent, ScenarioConfig, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import traces_equal
@@ -124,9 +127,85 @@ def test_divergence_is_reported_not_raised():
     assert tr.diverged_time is not None and 0.05 <= tr.diverged_time < 0.5
     assert tr.t[-1] <= tr.diverged_time + 1e-9
     assert len(tr.t) < 501
+    # pinned on the engine before the per-step rewrite
+    assert tr.diverged_time == 0.2398
+    assert len(tr.t) == 240
 
 
 def test_trace_carries_run_metadata():
     tr = run_scenario(short(duration=0.02))
     assert tr.v_ref == 1.0
     assert tr.w_ref == pytest.approx(2 * math.pi * 60)
+
+
+def counting(monkeypatch, owner, attr, counts):
+    inner = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += 1
+        return inner(*args, **kwargs)
+
+    counts[attr] = 0
+    monkeypatch.setattr(owner, attr, counted)
+
+
+@pytest.mark.parametrize("name, n_ann", [("default", 0), ("default-nonperiodic", 1)])
+def test_layer_call_counts(monkeypatch, name, n_ann):
+    # the attributes the benchmark's traced run wraps, with its per-step counts
+    counts = {}
+    for owner, attr in ((simulate, "step_plant"), (simulate, "secondary_update"),
+                        (plant, "solve_network"), (attack.AttackSpec, "gain"),
+                        (ann, "ann_controller")):
+        counting(monkeypatch, owner, attr, counts)
+    cfg = short(name, duration=0.05)
+    cfg = replace(cfg, attacks=tuple(replace(a, tau=0.02) for a in cfg.attacks),
+                  controllers=("ann",) * n_ann + ("pi",) * (4 - n_ann))
+    tr = run_scenario(cfg, ann_params=const_model(1.0) if n_ann else None)
+    n = cfg.n_steps
+    assert n == 500 and not tr.diverged
+    assert counts == {"step_plant": n + 1, "solve_network": n + 1,
+                      "gain": (n + 1) * len(cfg.attacks),
+                      "secondary_update": n, "ann_controller": n * n_ann}
+
+
+def test_passive_buses_match_full_nodal_solve(monkeypatch):
+    # 6-bus ring, DGs on buses 1, 2, 4, 5; buses 3 and 6 carry loads only
+    lines = tuple(Line(a, (a + 1) % 6, 0.05, 0.10) for a in range(6))
+    loads = (Load(2, 0.8, 0.3), Load(5, 0.9, 0.35), Load(0, 1.5, 0.5))
+    net = NetworkParams(6, lines, loads, (0, 1, 3, 4))
+    model = MicrogridModel(tuple(DgParams(3.77, 0.04, 31.4) for _ in range(4)), net)
+    cfg = ScenarioConfig("six-bus", 0.3, model, ring_graph(4),
+                         load_events=(LoadEvent(0.15, 2, 0.4, 0.15),))
+    solves = []
+    inner = plant.solve_network
+
+    def recorded(vmag, delta, network):
+        solves.append((vmag.copy(), delta.copy(), network))
+        return inner(vmag, delta, network)
+
+    monkeypatch.setattr(plant, "solve_network", recorded)
+    tr = run_scenario(cfg)
+    assert not tr.diverged and len(tr.t) == 301
+    assert tr.max_power_residual < 1e-9
+    stride = cfg.sample_stride
+    want = []
+    for vmag, delta, network in solves[::stride]:
+        y = build_ybus(network)
+        v = np.zeros(6, dtype=complex)
+        dg, other = [0, 1, 3, 4], [2, 5]
+        v[dg] = vmag * np.exp(1j * delta)
+        v[other] = np.linalg.solve(y[np.ix_(other, other)], -y[np.ix_(other, dg)] @ v[dg])
+        want.append([abs(v[ld.bus] * ld.admittance) for ld in network.loads])
+    np.testing.assert_allclose(tr.load_current, want, rtol=0, atol=1e-12)
+    assert tr.load_current[-1, 0] > 1.5 * tr.load_current[100, 0]  # the event took effect
+
+
+def test_single_dg_without_graph_edges(tmp_path):
+    # one DG feeding a load bus: no communication edges, only the pinning term
+    net = NetworkParams(2, (Line(0, 1, 0.05, 0.10),), (Load(1, 0.8, 0.3),), (0,))
+    model = MicrogridModel((DgParams(3.77, 0.04, 31.4),), net)
+    tr = run_scenario(ScenarioConfig("one-dg", 0.05, model, ring_graph(1)))
+    assert not tr.diverged and len(tr.t) == 51
+    assert tr.max_power_residual < 1e-9
+    # the loaded DG sags below 1 pu, so its integrator raises the set-point
+    assert tr.dg["v"][-1, 0] < 1.0 < tr.dg["Vn"][-1, 0]

@@ -92,3 +92,26 @@ def test_traces_equal_detects_differences(short_trace):
     other = parse_csv(export_csv(short_trace))
     other.dg["v"][0, 0] += 1e-15
     assert not traces_equal(short_trace, other)
+
+
+def test_export_matches_per_value_formatting():
+    # the normative text: every value through format(x, ".17g"), in the
+    # schema's column order, the flag as an integer
+    t = np.array([0.0, 1e-300, 1e300])
+    dg = {sig: np.array([[-0.0, k + 0.1], [1e-300, -1e300], [1e300, 1.0 / 3.0]]) * (k + 1)
+          for k, sig in enumerate(("v", "w", "P", "Q", "Vn", "wn"))}
+    channels = [(0, 0, "voltage"), (1, 0, "frequency")]
+    clean = np.array([[-0.0, 2.5e-300], [1e300, 0.1], [7.0, -1e-300]])
+    recv = -clean[:, ::-1]
+    loads = np.array([[1e300], [-0.0], [1e-300]])
+    tr = Trace(t=t, dg=dg, channels=channels, ch_clean=clean, ch_recv=recv,
+               load_buses=[0], load_current=loads, attack_active=np.array([0, 1, 0]))
+    lines = [",".join(column_names(tr))]
+    for r in range(3):
+        vals = [t[r]] + [dg[sig][r, i] for i in range(2)
+                         for sig in ("v", "w", "P", "Q", "Vn", "wn")]
+        vals += [x for c in range(2) for x in (clean[r, c], recv[r, c])] + [loads[r, 0]]
+        lines.append(",".join(format(x, ".17g") for x in vals) + f",{tr.attack_active[r]}")
+    text = export_csv(tr)
+    assert text == "\n".join(lines) + "\n"
+    assert "-0," in text and "1e+300" in text and "1e-300" in text
