@@ -23,8 +23,8 @@ from .simulate import run_scenario
 from .trace import export_csv
 
 CONFIG_ERRORS = (ScenarioError, AttackConfigError, GraphError, NetworkError,
-                 ControllerConfigError, annmod.DatasetError, FileNotFoundError,
-                 ValueError, yaml.YAMLError)
+                 ControllerConfigError, annmod.DatasetError, annmod.TrainingError,
+                 FileNotFoundError, ValueError, yaml.YAMLError)
 
 
 def cmd_simulate(args) -> int:
@@ -49,16 +49,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tc = annmod.TrainConfig(seed=args.seed if args.seed is not None else 0)
+    d = {}
     if args.config:
         with open(args.config) as fh:
             d = yaml.safe_load(fh) or {}
-        tc = annmod.TrainConfig(
-            learning_rate=float(d.get("learning_rate", tc.learning_rate)),
-            max_epochs=int(d.get("max_epochs", tc.max_epochs)),
-            split=float(d.get("split", tc.split)),
-            tolerance=float(d.get("tolerance", tc.tolerance)),
-            seed=int(d.get("seed", tc.seed)))
+    # a seed in the config file wins over --seed
+    tc = annmod.TrainConfig.from_dict(d, seed=args.seed or 0)
     params, report = train_pipeline(args.data, tc)
     annmod.save_model(params, args.out)
     print(f"trained {len(report.train_mse)} epochs; "

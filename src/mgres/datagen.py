@@ -41,9 +41,11 @@ class MatrixSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixSpec":
         """Overrides of the defaults: lists become tuples, scalars floats."""
+        if not isinstance(d, dict):
+            raise ScenarioError(f"matrix must be a mapping, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
-            raise ScenarioError(f"unknown matrix fields: {sorted(unknown)}")
+            raise ScenarioError(f"unknown matrix fields: {sorted(map(str, unknown))}")
         return cls(**{k: tuple(v) if isinstance(v, (list, tuple)) else float(v)
                       for k, v in d.items()})
 

@@ -3,7 +3,7 @@ import pytest
 
 from mgres import ann
 from mgres.ann import (Dataset, DatasetError, MlpParams, NormalizationSpec,
-                       TrainConfig, ann_controller, build_dataset, forward,
+                       TrainConfig, TrainingError, ann_controller, build_dataset, forward,
                        forward_batch, gradient, init_params, load_model, mse,
                        runtime_features, save_model, tansig, train)
 from mgres.trace import Trace
@@ -81,6 +81,25 @@ def test_gradient_matches_central_differences():
             assert g[idx] == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
 
 
+def test_gradient_is_the_reference_arithmetic_bitwise():
+    # the fit kernel writes into buffers and sums columns with einsum; the
+    # plain expressions, in the same order, are its reference bit for bit
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.9, 1.1, (500, 7))
+    y = rng.uniform(1.0, 1.05, 500)
+    params = init_params(rng, NormalizationSpec.from_data(x, y))
+    norm = params.norm
+    xn = (x - norm.x_offset) / norm.x_scale
+    h = np.tanh(xn @ params.w1.T + params.b1)
+    r = (h @ params.w2.T + params.b2)[:, 0] * norm.y_scale + norm.y_offset - y
+    d_out = (2.0 / len(y)) * r * norm.y_scale
+    d_a1 = d_out[:, None] * params.w2 * (1.0 - h * h)
+    want = (d_a1.T @ xn, d_a1.sum(axis=0), (d_out @ h)[None, :], np.array([d_out.sum()]))
+    for got, ref in zip(gradient(params, x, y), want):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_normalization_from_data():
     x = np.zeros((4, 7))
     x[:, 0] = [0.0, 1.0, 2.0, 3.0]
@@ -115,6 +134,53 @@ def test_train_learns_and_is_reproducible():
     # accepted-step train MSE never increases
     acc = [m for m, a in zip(r1.train_mse, r1.accepted) if a]
     assert all(b <= a + 1e-15 for a, b in zip(acc, acc[1:]))
+
+
+def test_best_val_mse_is_the_inference_mse():
+    # the fit kernel's forward half must not drift from forward_batch
+    ds = synth_dataset()
+    for seed in (1, 2):
+        cfg = TrainConfig(max_epochs=300, seed=seed)
+        params, report = train(ds, cfg)
+        order = np.random.default_rng(seed).permutation(len(ds))
+        va = order[int(round(len(ds) * cfg.split)):]
+        assert report.best_val_mse == mse(params, ds.x[va], ds.y[va])
+        assert report.best_val_mse == report.val_mse[report.best_epoch]
+
+
+def test_nan_candidate_is_rejected():
+    # at this step size the first candidate's weights overflow and its train
+    # MSE is NaN, which `cand_loss > loss` would have accepted
+    ds = synth_dataset()
+    ds.y *= 1e3
+    params, report = train(ds, TrainConfig(learning_rate=1e305, max_epochs=1100))
+    assert not report.accepted[0]
+    assert report.train_mse[1] == report.train_mse[0]
+    assert any(report.accepted) and np.isfinite(report.train_mse).all()
+    assert np.isfinite(report.best_val_mse) and np.isfinite(params.w1).all()
+
+
+def test_fit_without_an_accepted_step_raises():
+    # every candidate overflows, so the untrained weights would be returned
+    with pytest.raises(TrainingError, match="no step improved the validation MSE in 50 epochs"):
+        train(synth_dataset(), TrainConfig(learning_rate=1e300, max_epochs=50))
+
+
+def test_train_config_from_dict():
+    tc = TrainConfig.from_dict({"learning_rate": "0.1", "max_epochs": 40}, seed=3)
+    assert tc == TrainConfig(learning_rate=0.1, max_epochs=40, seed=3)
+    assert TrainConfig.from_dict({"seed": 5}, seed=3).seed == 5
+    assert TrainConfig.from_dict({}) == TrainConfig()
+    with pytest.raises(ValueError, match=r"unknown training config fields: \['learning_rat'\]"):
+        TrainConfig.from_dict({"learning_rat": 0.1})
+    with pytest.raises(ValueError, match=r"unknown training config fields: \['1', 'a'\]"):
+        TrainConfig.from_dict({1: 2, "a": 3})
+    with pytest.raises(ValueError, match="must be a mapping, got list"):
+        TrainConfig.from_dict([{"learning_rate": 0.1}])
+    with pytest.raises(ValueError, match="'max_epochs' must be int, got None"):
+        TrainConfig.from_dict({"max_epochs": None})
+    with pytest.raises(ValueError, match="learning_rate > 0"):
+        TrainConfig.from_dict({"learning_rate": float("nan")})
 
 
 def test_train_input_validation():

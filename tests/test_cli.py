@@ -112,6 +112,24 @@ def test_compare(pipeline, work, capsys):
     assert "ann_better_mean_eps_v" in out
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("- max_epochs: 40\n", "training config must be a mapping, got list"),
+    ("learning_rat: 0.1\n", "unknown training config fields: ['learning_rat']"),
+    ("learning_rate: 1.0e+300\nmax_epochs: 20\n",
+     "no step improved the validation MSE in 20 epochs"),
+])
+def test_bad_train_config_or_failed_fit_exits_1(pipeline, work, capsys, doc, message):
+    _, _, data, _ = pipeline
+    cfg = work / "bad-train.yaml"
+    cfg.write_text(doc)
+    out = work / "unsaved-model.txt"
+    rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_missing_data_exits_1(work, capsys):
     rc = main(["train", "--data", str(work / "nodata"),
                "--out", str(work / "m.txt")])

@@ -46,6 +46,10 @@ def test_matrix_spec_from_dict():
     # no cell draws random numbers, so there is no seed to set
     with pytest.raises(ScenarioError, match=r"unknown matrix fields: \['seed'\]"):
         MatrixSpec.from_dict({"seed": 1})
+    with pytest.raises(ScenarioError, match="matrix must be a mapping, got list"):
+        MatrixSpec.from_dict([{"tau": 0.4}])
+    with pytest.raises(ScenarioError, match=r"unknown matrix fields: \['1', 'a'\]"):
+        MatrixSpec.from_dict({1: 2, "a": 3})
 
 
 def test_gen_data_outputs(data_dir):

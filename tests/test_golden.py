@@ -1,27 +1,37 @@
-"""Golden-trace regression: the engine must reproduce a recorded reference.
+"""Golden regression: the engine and the trainer must reproduce recorded references.
 
-Each built-in scenario runs for 1 s with the attack onset moved to 0.5 s,
-once with the baseline controller on every DG and once with a fixed MLP on
-DG1.  Every 20 ms the fixture holds dg.v, dg.Vn and DG1's received voltage
-triple.  Regenerate (only when a change to the traces is intended) with
+Traces: each built-in scenario runs for 1 s with the attack onset moved to
+0.5 s, once with the baseline controller on every DG and once with a fixed
+MLP on DG1.  Every 20 ms the fixture holds dg.v, dg.Vn and DG1's received
+voltage triple, matched to 1e-12.
+
+Fits: two seeded training runs, one on the synthetic dataset of test_ann and
+one on a small gen-data matrix.  The fixture holds the per-epoch report and
+the saved model text, matched exactly.
+
+Regenerate both fixtures (only when a change to the results is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgres.ann import MlpParams, NormalizationSpec
+from mgres.ann import MlpParams, NormalizationSpec, TrainConfig, save_model, train
+from mgres.datagen import MatrixSpec, dataset_from_dir, gen_data
 from mgres.scenario import BUILTIN_SCENARIOS, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import dg1_voltage_triple
+from test_ann import synth_dataset
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
+FIT_FIXTURE = Path(__file__).parent / "fixtures" / "golden_train.json"
 DURATION = 1.0
 TAU = 0.5
 EVERY = 20  # samples of 1 ms
@@ -49,6 +59,28 @@ def record(name: str, ctrl: str) -> dict:
             "recv_triple": recv[::EVERY].tolist()}
 
 
+GEN_MATRIX = MatrixSpec(load_factors=(0.85, 1.15), duration=0.35, step_time=0.1, tau=0.2)
+FITS = {"synth": TrainConfig(max_epochs=300, seed=1),
+        "gen-data": TrainConfig(max_epochs=200, tolerance=0.0)}
+
+
+def fit_dataset(name: str, work: Path):
+    if name == "synth":
+        return synth_dataset()
+    gen_data(str(work), GEN_MATRIX)
+    return dataset_from_dir(str(work))
+
+
+def record_fit(name: str, work: Path) -> dict:
+    work.mkdir(parents=True, exist_ok=True)
+    params, report = train(fit_dataset(name, work), FITS[name])
+    model = work / "model.txt"
+    save_model(params, model)
+    return {"train_mse": report.train_mse, "val_mse": report.val_mse,
+            "accepted": report.accepted, "best_epoch": report.best_epoch,
+            "best_val_mse": report.best_val_mse, "model": model.read_text()}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
@@ -64,8 +96,21 @@ def test_matches_golden_trace(golden, name, ctrl):
                                    err_msg=f"{name}/{ctrl} {key}")
 
 
+@pytest.mark.parametrize("name", FITS)
+def test_matches_golden_fit(tmp_path, name):
+    want = json.loads(FIT_FIXTURE.read_text())[name]
+    got = record_fit(name, tmp_path)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], f"{name} {key}"
+
+
 if __name__ == "__main__" and "--record" in sys.argv:
     FIXTURE.parent.mkdir(exist_ok=True)
     data = {f"{name}/{ctrl}": record(name, ctrl) for name, ctrl in CASES}
     FIXTURE.write_text(json.dumps(data, separators=(",", ":")) + "\n")
     print(f"wrote {len(data)} traces to {FIXTURE}")
+    with tempfile.TemporaryDirectory() as work:
+        fits = {name: record_fit(name, Path(work) / name) for name in FITS}
+    FIT_FIXTURE.write_text(json.dumps(fits, indent=1) + "\n")
+    print(f"wrote {len(fits)} fits to {FIT_FIXTURE}")
