@@ -53,6 +53,10 @@ class NormalizationSpec:
         object.__setattr__(self, "x_scale", xs)
         if xo.shape != (N_IN,) or xs.shape != (N_IN,):
             raise ValueError(f"normalization maps must have length {N_IN}")
+        for name, val in (("x_offset", xo), ("x_scale", xs),
+                          ("y_offset", self.y_offset), ("y_scale", self.y_scale)):
+            if not np.isfinite(val).all():
+                raise ValueError(f"normalization {name} contains non-finite entries")
         if (xs == 0).any() or self.y_scale == 0:
             raise ValueError("normalization scales must be nonzero")
 
@@ -238,11 +242,14 @@ class TrainConfig:
             raise ValueError("split must be in (0, 1)")
         if self.max_epochs < 1 or not self.learning_rate > 0:
             raise ValueError("max_epochs >= 1 and learning_rate > 0 required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, d, **defaults) -> "TrainConfig":
         """Config from a YAML mapping laid over ``defaults``; each value is
-        converted to its field's type and unknown keys are errors."""
+        converted to its field's type and unknown keys are errors.  A bool is
+        no value of any field, and an int field takes no fractional value."""
         if not isinstance(d, dict):
             raise ValueError(f"training config must be a mapping, got {type(d).__name__}")
         kinds = {f.name: type(f.default) for f in fields(cls)}
@@ -251,9 +258,13 @@ class TrainConfig:
             raise ValueError(f"unknown training config fields: {sorted(map(str, unknown))}")
         values = dict(defaults)
         for k, v in d.items():
+            kind = kinds[k]
             try:
-                values[k] = kinds[k](v)
-            except (TypeError, ValueError):
+                if isinstance(v, bool) or (
+                        kind is int and isinstance(v, float) and not v.is_integer()):
+                    raise ValueError
+                values[k] = kind(v)
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"training config field {k!r} must be "
                                  f"{kinds[k].__name__}, got {v!r}") from None
         return cls(**values)
@@ -344,12 +355,47 @@ def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
     return np.concatenate([r, r, [v_ref]])
 
 
-def ann_controller(params: MlpParams, received_triple: np.ndarray,
-                   v_ref: float) -> float:
-    """Voltage set-point for the attacked DG, clamped to [0.5, 1.5] pu."""
-    r = received_triple.tolist()
-    out = forward_batch(params, np.array([r + r + [v_ref]]))[0]
-    return float(min(max(out, SETPOINT_MIN), SETPOINT_MAX))
+class AnnKernel:
+    """``forward_batch`` on one runtime feature row, in buffers built once per run.
+
+    The row [r, r, v*] of one controlled DG is preallocated with v* in its
+    last column; ``ann_controller`` fills [r, r] with one take from the
+    channel vector and runs normalisation, both layers and tansig in place on
+    (1, .) buffers.  These are ``forward_batch``'s operations in its order,
+    so the set-point is bit-equal to ``forward(runtime_features(r, v*))``.
+    """
+
+    def __init__(self, params: MlpParams, v_ref: float, triple):
+        self.take = np.array(list(triple) * 2, dtype=int)
+        if self.take.shape != (6,):
+            raise ValueError("received triple must have length 3")
+        self.row = np.empty((1, N_IN))
+        self.row[0, 6] = v_ref
+        self.rr = self.row[0, :6]
+        self.x_offset = params.norm.x_offset[None, :]
+        self.x_scale = params.norm.x_scale[None, :]
+        self.w1t, self.b1 = params.w1.T, params.b1[None, :]
+        self.w2t, self.b2 = params.w2.T, params.b2[None, :]
+        self.y_scale, self.y_offset = float(params.norm.y_scale), float(params.norm.y_offset)
+        self.xn = np.empty((1, N_IN))
+        self.h = np.empty((1, N_HIDDEN))
+        self.out = np.empty((1, 1))
+
+
+def ann_controller(kernel: AnnKernel, x: np.ndarray) -> float:
+    """Voltage set-point for the attacked DG from the received triple at
+    ``x[triple]``, clamped to [0.5, 1.5] pu."""
+    x.take(kernel.take, out=kernel.rr)
+    xn, h, out = kernel.xn, kernel.h, kernel.out
+    np.subtract(kernel.row, kernel.x_offset, xn)
+    np.divide(xn, kernel.x_scale, xn)
+    np.matmul(xn, kernel.w1t, h)
+    np.add(h, kernel.b1, h)
+    np.tanh(h, h)                       # tansig
+    np.matmul(h, kernel.w2t, out)
+    np.add(out, kernel.b2, out)
+    y = out.item() * kernel.y_scale + kernel.y_offset
+    return min(max(y, SETPOINT_MIN), SETPOINT_MAX)
 
 
 def build_dataset(runs) -> Dataset:
@@ -401,6 +447,11 @@ def trace_v_ref(trace) -> float:
 
 # -- model persistence: self-describing flat text, >= 17 significant digits --
 
+# the value rows after the header, in file order, and their lengths
+_MODEL_ROWS = {"w1": N_HIDDEN * N_IN, "b1": N_HIDDEN, "w2": N_HIDDEN, "b2": 1,
+               "x_offset": N_IN, "x_scale": N_IN, "y_offset": 1, "y_scale": 1}
+
+
 def save_model(params: MlpParams, path) -> None:
     lines = [f"mgres-mlp 1 {N_IN} {N_HIDDEN} 1"]
     for arr in (params.w1, params.b1, params.w2, params.b2,
@@ -419,9 +470,21 @@ def load_model(path) -> MlpParams:
     header = lines[0].split()
     if header[:2] != ["mgres-mlp", "1"] or header[2:] != [str(N_IN), str(N_HIDDEN), "1"]:
         raise ValueError(f"unrecognized model header: {lines[0]!r}")
-    vals = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
+    vals = []
+    for k, ln in enumerate(lines[1:], start=1):
+        try:
+            vals.append(np.array([float(v) for v in ln.split()]))
+        except ValueError as exc:
+            raise ValueError(f"model file {path}: value row {k}: {exc}") from None
     if len(vals) != 8:
         raise ValueError(f"model file has {len(vals)} value rows, expected 8")
-    norm = NormalizationSpec(vals[4], vals[5], float(vals[6][0]), float(vals[7][0]))
-    return MlpParams(w1=vals[0].reshape(N_HIDDEN, N_IN), b1=vals[1],
-                     w2=vals[2].reshape(1, N_HIDDEN), b2=vals[3], norm=norm)
+    for k, (name, row) in enumerate(zip(_MODEL_ROWS, vals), start=1):
+        if len(row) != _MODEL_ROWS[name]:
+            raise ValueError(f"model file {path}: value row {k} ({name}) has "
+                             f"{len(row)} values, expected {_MODEL_ROWS[name]}")
+    try:
+        norm = NormalizationSpec(vals[4], vals[5], float(vals[6][0]), float(vals[7][0]))
+        return MlpParams(w1=vals[0].reshape(N_HIDDEN, N_IN), b1=vals[1],
+                         w2=vals[2].reshape(1, N_HIDDEN), b2=vals[3], norm=norm)
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None

@@ -193,44 +193,76 @@ class NetworkSolution:
         return self._bus_map @ self.v_dg
 
 
-def solve_network(vmag: np.ndarray, delta: np.ndarray,
-                  net: NetworkParams) -> NetworkSolution:
+class NetworkWorkspace:
+    """Buffers that ``solve_network`` writes for n DGs.
+
+    The solution it returns is ``self.solution``, whose arrays are rewritten
+    by the next solve on this workspace.  The workspace follows the network
+    it last solved: the branch-voltage buffer u and its halves [lines and
+    loads; conductance-scaled] are remade only when the branch count changes.
+    """
+
+    def __init__(self, n: int):
+        self.v_dg = np.empty(n, dtype=complex)   # DG voltages
+        self.i_dg = np.empty(n, dtype=complex)   # DG currents, then their conjugates
+        self.s_dg = np.empty(n, dtype=complex)   # DG powers
+        self.p_dg = self.s_dg.real
+        self.j = np.full(n, 1j)                  # 1j at the shape of the angles
+        self.s_re_im = self.s_dg.view(np.float64).reshape(n, 2)   # [Re s, Im s] per DG
+        self.solution = NetworkSolution(self.s_dg, self.v_dg, 0.0, None)
+        self.net = self.cache = self.u = None
+
+    def use(self, net: NetworkParams) -> None:
+        self.net, self.cache = net, _net_cache(net)
+        nb = self.cache.n_branch
+        if self.u is None or len(self.u) != 2 * nb:
+            self.u = np.empty(2 * nb, dtype=complex)
+            self.u_lo, self.u_hi = self.u[:nb], self.u[nb:]
+        self.solution._bus_map = self.cache.bus_map
+
+
+def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
+                  ws: NetworkWorkspace | None = None) -> NetworkSolution:
     """Solve the phasor network for per-DG injected complex power.
 
     DG buses are fixed voltage sources vmag * exp(j delta); the remaining
     buses carry no injection and are Kron-reduced once per network.  The
     returned residual is the relative mismatch between generated active
     power and load consumption plus line losses, the latter summed over the
-    branch voltages of the full network.
+    branch voltages of the full network.  The solution lives in ``ws`` (a
+    fresh workspace when none is given).
     """
     if not min(vmag.tolist()) > 0.0:
         raise NetworkError("DG voltage magnitudes must be positive")
-    cache = _net_cache(net)
-    v = vmag * np.exp(1j * delta)
-    s_dg = v * np.conj(np.dot(cache.y_red, v))
-    u = np.dot(cache.branch, v)
-    p_cons = np.vdot(u[:cache.n_branch], u[cache.n_branch:]).real
-    p_gen = sum(s_dg.real.tolist())
-    residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
-    return NetworkSolution(s_dg, v, residual, cache.bus_map)
+    if ws is None:
+        ws = NetworkWorkspace(len(vmag))
+    if net is not ws.net:
+        ws.use(net)
+    cache, v, i = ws.cache, ws.v_dg, ws.i_dg
+    np.multiply(ws.j, delta, v)
+    np.exp(v, v)
+    np.multiply(vmag, v, v)
+    np.dot(cache.y_red, v, out=i)
+    np.conjugate(i, i)
+    np.multiply(v, i, ws.s_dg)
+    np.dot(cache.branch, v, out=ws.u)
+    p_cons = np.vdot(ws.u_lo, ws.u_hi).real
+    p_gen = sum(ws.p_dg.tolist())
+    sol = ws.solution
+    sol.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
+    return sol
 
 
 class PlantState:
     """Phase angles and the filtered powers, stacked as pq = [P; Q]."""
 
-    __slots__ = ("delta", "pq")
+    __slots__ = ("delta", "pq", "p", "q", "pq_t")
 
     def __init__(self, delta: np.ndarray, pq: np.ndarray):
         self.delta = delta   # (n,) phase angle per DG, rad, relative to DG1's frame
         self.pq = pq         # (2, n) filtered active and reactive power per DG, pu
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.pq[0]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.pq[1]
+        self.p, self.q = pq  # row views
+        self.pq_t = pq.T     # (n, 2) view, [P, Q] per DG
 
 
 class StepOutputs:
@@ -283,7 +315,8 @@ class MicrogridModel:
         return self._gains[2]
 
     def initial_state(self) -> PlantState:
-        return PlantState(delta=np.zeros(self.n), pq=np.zeros((2, self.n)))
+        # [P; Q] stored per DG, the layout of the complex powers (see PlantWorkspace)
+        return PlantState(delta=np.zeros(self.n), pq=np.zeros((self.n, 2)).T)
 
 
 def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> MicrogridModel:
@@ -297,38 +330,80 @@ def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> Mic
     raise NetworkError(f"no load declared at bus {bus}")
 
 
+class PlantWorkspace(NetworkWorkspace):
+    """Buffers of ``step_plant`` for one model's DGs and one dt, built once per run.
+
+    Two ``PlantState``s take turns as the next state, so a step reads the
+    state it is given while it writes the other.  Their [P; Q] is stored
+    per DG, like the complex powers, so the filter update runs on
+    contiguous (n, 2) arrays; a state laid out otherwise gives the same
+    bits, only more slowly.  The droop outputs [v; w] and the network
+    solution are rewritten by every step.  Constants are held at the full
+    shape of their operands, so no per-step operation broadcasts.
+    """
+
+    def __init__(self, model: MicrogridModel, dt: float):
+        n = model.n
+        super().__init__(n)
+        self.dgs, self.dt = model.dgs, dt
+        self.states = (model.initial_state(), model.initial_state())
+        self.vw = np.empty((2, n))
+        self.v, self.w = self.vw                 # row views
+        self.n_q, self.m_p = model._gains[0].copy(), model._gains[1].copy()
+        dt_wc = dt * model._gains[2]
+        self.dt_wc = np.column_stack([dt_wc, dt_wc])   # (n, 2), per DG like [P, Q]
+        self.outputs = StepOutputs(self.vw, self.solution)
+
+
 def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
-               dt: float, t: float = 0.0) -> tuple[PlantState, StepOutputs]:
+               dt: float, t: float = 0.0,
+               ws: PlantWorkspace | None = None) -> tuple[PlantState, StepOutputs]:
     """Advance the plant one fixed Euler step from set-points [V_n; w_n].
 
     Order: droop (v = V_n - n_Q q, w = w_n - m_P p) -> network solve ->
     power filter update -> angle integration.
     Angles integrate w_i - w_1 (DG1 frame) and are wrapped to (-pi, pi].
-    Deterministic: identical inputs give bit-identical outputs.
+    Deterministic: identical inputs give bit-identical outputs.  The new
+    state and the outputs live in ``ws`` (a fresh workspace when none is
+    given); the next step on ``ws`` overwrites the outputs and every state
+    but the one it is given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vw = setpoints - model._gains[:2] * state.pq[::-1]
-    v, w = vw[0], vw[1]
-    vl = v.tolist()
+    if ws is None:
+        ws = PlantWorkspace(model, dt)
+    elif ws.dt != dt or ws.dgs is not model.dgs:
+        raise ValueError("workspace was built for another dt or other DGs")
+    a, b = ws.states
+    new = b if state is a else a
+    vw = ws.vw
+    np.multiply(ws.n_q, state.q, ws.v)
+    np.multiply(ws.m_p, state.p, ws.w)
+    np.subtract(setpoints, vw, vw)
+    vl = ws.v.tolist()
     # min() is NaN-blind past the first element; the sum is not
     if not (min(vl) > 0.0 and math.isfinite(sum(vl))):
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
 
-    sol = solve_network(v, state.delta, model.network)
-    # [Re s; Im s] as a (2, n) view of the complex powers
-    s = sol.s_dg.view(np.float64).reshape(-1, 2).T
-    pq = state.pq + dt * model._gains[2] * (s - state.pq)
-    wl = w.tolist()
+    sol = solve_network(ws.v, state.delta, model.network, ws)
+    # the filter update per DG, on (n, 2) [P, Q] views
+    old, pq = state.pq_t, new.pq_t
+    np.subtract(ws.s_re_im, old, pq)
+    np.multiply(ws.dt_wc, pq, pq)
+    np.add(old, pq, pq)
+    wl = ws.w.tolist()
     w0 = wl[0]
-    delta = [(d + dt * (x - w0) + math.pi) % _TWO_PI - math.pi
-             for d, x in zip(state.delta.tolist(), wl)]
+    new.delta[:] = [(d + dt * (x - w0) + math.pi) % _TWO_PI - math.pi
+                    for d, x in zip(state.delta.tolist(), wl)]
 
-    # NaN propagates through the array max, so non-finite states also land here
-    m = max(np.abs(pq).max(), max(vl))
-    if not m <= DIVERGENCE_LIMIT:
+    # max() is NaN-blind past the first element; the sum is not
+    p, q = new.pq.tolist()
+    pl = p + q
+    if not (max(max(map(abs, pl)), max(vl)) <= DIVERGENCE_LIMIT
+            and math.isfinite(sum(pl))):
+        m = max(np.abs(new.pq).max(), max(vl))   # NaN if any entry is NaN
         raise DivergenceError(t, f"state magnitude {m:.3g} exceeded {DIVERGENCE_LIMIT} pu")
-    return PlantState(np.array(delta), pq), StepOutputs(vw, sol)
+    return new, ws.outputs
 
 
 def default_model(load1: complex = 0.8 + 0.3j, load2: complex = 0.8 + 0.3j,

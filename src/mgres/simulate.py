@@ -17,8 +17,26 @@ Each step k (t = k dt) runs, in order:
 4. ``secondary_update`` on x, whose tail holds m_P,i P_i, gives the next
    set-points, and each ANN-controlled DG overwrites its voltage set-point.
 
-[v; w] leaves the droop law as one (2, n) array, so no per-step concatenate is
-needed; x, the record arrays and the ``ConsensusMap`` are allocated once per run.
+Every per-step NumPy call writes its result with ``out`` into buffers built
+once per run, on same-shape operands and views made once (the exceptions are
+the attack layer's indexed scaling, on attacked steps only, and the copies
+into the record arrays on sampling steps):
+
+- ``plant.PlantWorkspace``: two ``PlantState``s that take turns (a step reads
+  one and writes the other, so the old state is still whole when the
+  secondary layer reads its P), the droop outputs [v; w], the complex DG
+  voltages, currents and powers with a (n, 2) float view of the powers, the
+  branch voltages, and the constants n_Q, m_P and dt omega_c;
+- ``secondary.ConsensusMap``: the edge gathers, the per-edge sums, the
+  pinning term and the tracking error, with gains, references and pinning
+  at the (2, n) set-point shape;
+- ``ann.AnnKernel``, one per ANN-controlled DG: its feature row [r, r, v*]
+  and the normalised row, hidden layer and output;
+- here: x, the (2, n) set-points, which ``secondary_update`` rewrites in
+  place once the step has recorded and consumed them, and the record arrays.
+
+The returned trace's arrays are views of this run's record arrays, so a later
+run never changes them.
 """
 
 from __future__ import annotations
@@ -30,7 +48,7 @@ import numpy as np
 from . import ann as annmod
 from .attack import resolve_channels
 from .graph import SIGNALS, inbound_voltage_channels
-from .plant import DivergenceError, apply_load_event, step_plant
+from .plant import DivergenceError, PlantWorkspace, apply_load_event, step_plant
 from .scenario import ScenarioConfig
 from .secondary import ConsensusMap, secondary_update
 from .trace import DG_SIGNALS, Trace
@@ -57,17 +75,18 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     # clean channel k carries [v; w].flat[gather[k]]
     gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
 
-    # inbound voltage triples for ANN-controlled DGs (self first, then by src)
-    ann_inputs: list[tuple[int, np.ndarray]] = []
+    dt, v_ref = config.dt, config.v_ref
+    # one kernel per ANN-controlled DG on its inbound voltage triple (self
+    # first, then by src)
+    ann_kernels: list[tuple[int, annmod.AnnKernel]] = []
     for i, name in enumerate(config.controllers):
         if name == "ann":
             idx = inbound_voltage_channels(channels, i)
             if len(idx) != 3:
                 raise ValueError(
                     f"ANN controller on DG{i + 1} needs exactly 2 in-neighbors")
-            ann_inputs.append((i, np.array(idx)))
+            ann_kernels.append((i, annmod.AnnKernel(ann_params, v_ref, idx)))
 
-    dt, v_ref = config.dt, config.v_ref
     stride, n_steps = config.sample_stride, config.n_steps
     n_samples = n_steps // stride + 1
 
@@ -82,6 +101,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     x = np.empty(len(channels) + n)
     recv, weighted_p = x[:len(channels)], x[len(channels):]
     m_p = model.m_p
+    ws = PlantWorkspace(model, dt)
     state = model.initial_state()
     setpoints = np.array([np.full(n, config.v_ref), np.full(n, config.w_ref)])
     events = list(config.load_events)
@@ -103,14 +123,15 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             next_event = events[0].t if events else math.inf
 
         try:
-            new_state, out = step_plant(model, state, setpoints, dt, t=t)
+            new_state, out = step_plant(model, state, setpoints, dt, t, ws)
         except DivergenceError as exc:
             diverged_time = exc.t
             break
         if out.solution.balance_residual > max_residual:
             max_residual = out.solution.balance_residual
 
-        out.vw.take(gather, out=recv)
+        # gather is in range by construction; "clip" skips the buffered copy of "raise"
+        out.vw.take(gather, out=recv, mode="clip")
         record = k % stride == 0
         if record:
             rec_clean[sample] = recv
@@ -133,11 +154,11 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             break
 
         # secondary layer consumes the received (possibly corrupted) values
-        np.multiply(m_p, state.pq[0], out=weighted_p)
-        setpoints = secondary_update(cmap, x, setpoints, dt)
-        # secondary_update returns a fresh array, safe to overwrite in place
-        for i, idx in ann_inputs:
-            setpoints[0, i] = annmod.ann_controller(ann_params, recv[idx], v_ref)
+        np.multiply(m_p, state.p, weighted_p)
+        # in place: this step has recorded and consumed the old set-points
+        secondary_update(cmap, x, setpoints, dt, setpoints)
+        for i, kernel in ann_kernels:
+            setpoints[0, i] = annmod.ann_controller(kernel, recv)
 
         state = new_state
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgres import ann
-from mgres.ann import (Dataset, DatasetError, MlpParams, NormalizationSpec,
+from mgres.ann import (AnnKernel, Dataset, DatasetError, MlpParams, NormalizationSpec,
                        TrainConfig, TrainingError, ann_controller, build_dataset, forward,
                        forward_batch, gradient, init_params, load_model, mse,
                        runtime_features, save_model, tansig, train)
@@ -181,6 +181,20 @@ def test_train_config_from_dict():
         TrainConfig.from_dict({"max_epochs": None})
     with pytest.raises(ValueError, match="learning_rate > 0"):
         TrainConfig.from_dict({"learning_rate": float("nan")})
+    # int(v) would train 2 epochs for 2.7 and 1 for true; a bool is no float either
+    assert TrainConfig.from_dict({"max_epochs": 40.0, "seed": 2.0}) == TrainConfig(
+        max_epochs=40, seed=2)
+    for field, value, kind in (("max_epochs", 2.7, "int"), ("max_epochs", True, "int"),
+                               ("seed", 0.5, "int"), ("seed", False, "int"),
+                               ("max_epochs", float("inf"), "int"),
+                               ("learning_rate", True, "float"),
+                               ("learning_rate", 10 ** 400, "float")):
+        with pytest.raises(ValueError, match=f"'{field}' must be {kind}, got {value!r}"):
+            TrainConfig.from_dict({field: value})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig.from_dict({"seed": -1})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        TrainConfig.from_dict({}, seed=-3)
 
 
 def test_train_input_validation():
@@ -206,19 +220,25 @@ def test_runtime_features_and_clamp():
                    NormalizationSpec(np.zeros(7), np.ones(7), 100.0, 1.0))
     lo = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2,
                    NormalizationSpec(np.zeros(7), np.ones(7), -100.0, 1.0))
-    assert ann_controller(hi, np.ones(3), 1.0) == 1.5
-    assert ann_controller(lo, np.ones(3), 1.0) == 0.5
+    assert ann_controller(AnnKernel(hi, 1.0, range(3)), np.ones(3)) == 1.5
+    assert ann_controller(AnnKernel(lo, 1.0, range(3)), np.ones(3)) == 0.5
+    with pytest.raises(ValueError, match="length 3"):
+        AnnKernel(hi, 1.0, range(2))
 
 
 def test_controller_is_forward_on_runtime_features_bitwise():
-    # ann_controller builds the feature row itself and skips forward's
-    # checks; the checked path is its reference, bit for bit
+    # ann_controller runs forward_batch's operations on one kernel's buffers
+    # and skips forward's checks; the checked path is its reference, bit for
+    # bit, also when one kernel is reused call after call
     rng = np.random.default_rng(5)
     x = rng.uniform(0.9, 1.1, (200, 7))
     params = init_params(rng, NormalizationSpec.from_data(x, rng.uniform(1.0, 1.05, 200)))
-    for r in rng.uniform(0.8, 1.6, (300, 3)):
-        want = min(max(forward(params, runtime_features(r, 1.02)), 0.5), 1.5)
-        assert ann_controller(params, r, 1.02) == want
+    triple = [4, 0, 2]
+    kernel = AnnKernel(params, 1.02, triple)
+    for channels in rng.uniform(0.8, 1.6, (300, 5)):
+        want = min(max(forward(params, runtime_features(channels[triple], 1.02)), 0.5), 1.5)
+        assert ann_controller(kernel, channels) == want
+        assert ann_controller(AnnKernel(params, 1.02, triple), channels) == want
 
 
 def test_model_round_trip_is_exact(tmp_path):
@@ -246,6 +266,44 @@ def test_model_load_rejects_garbage(tmp_path):
     path.write_text("\n  \n")
     with pytest.raises(ValueError, match="bad.txt is empty"):
         load_model(path)
+
+
+def model_text_with(row: int, values: str) -> str:
+    """A valid model file's text with value row ``row`` (w1 is 1) replaced."""
+    lines = []
+    params = init_params(np.random.default_rng(2))
+    for arr in (params.w1, params.b1, params.w2, params.b2, params.norm.x_offset,
+                params.norm.x_scale, [params.norm.y_offset], [params.norm.y_scale]):
+        lines.append(" ".join(format(v, ".17g") for v in np.ravel(arr)))
+    lines[row - 1] = values
+    return "mgres-mlp 1 7 10 1\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("row, values, message", [
+    (1, "1 2 3 4 5", r"bad.txt: value row 1 \(w1\) has 5 values, expected 70"),
+    (3, "0.5", r"bad.txt: value row 3 \(w2\) has 1 values, expected 10"),
+    (8, "1 1", r"bad.txt: value row 8 \(y_scale\) has 2 values, expected 1"),
+    (6, "1 1 nan 1 1 1 1", "bad.txt: normalization x_scale contains non-finite"),
+    (5, "0 0 0 inf 0 0 0", "bad.txt: normalization x_offset contains non-finite"),
+    (7, "nan", "bad.txt: normalization y_offset contains non-finite"),
+    (8, "-inf", "bad.txt: normalization y_scale contains non-finite"),
+    (2, "0 0 0 0 nan 0 0 0 0 0", "bad.txt: b1 contains non-finite"),
+    (4, "abc", "bad.txt: value row 4: could not convert string to float: 'abc'"),
+])
+def test_malformed_model_rows_name_the_file_and_row(tmp_path, row, values, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(model_text_with(row, values))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def test_normalization_rejects_non_finite_maps():
+    # NaN passes the set-point clamp, so it must stop at the model's boundary
+    ok = dict(x_offset=np.zeros(7), x_scale=np.ones(7), y_offset=0.0, y_scale=1.0)
+    for name, bad in (("x_offset", np.full(7, np.inf)), ("x_scale", np.full(7, np.nan)),
+                      ("y_offset", np.nan), ("y_scale", np.inf)):
+        with pytest.raises(ValueError, match=f"normalization {name} contains non-finite"):
+            NormalizationSpec(**dict(ok, **{name: bad}))
 
 
 def make_trace(n_samples, attacked, vn1, clean=None, recv=None, v_ref=1.0):

@@ -4,6 +4,7 @@ import textwrap
 import pytest
 
 from mgres.cli import main
+from test_ann import model_text_with
 
 SHORT_ATTACK_YAML = textwrap.dedent("""\
     duration: 0.8
@@ -117,6 +118,10 @@ def test_compare(pipeline, work, capsys):
     ("learning_rat: 0.1\n", "unknown training config fields: ['learning_rat']"),
     ("learning_rate: 1.0e+300\nmax_epochs: 20\n",
      "no step improved the validation MSE in 20 epochs"),
+    ("max_epochs: 2.7\n", "training config field 'max_epochs' must be int, got 2.7"),
+    ("max_epochs: true\n", "training config field 'max_epochs' must be int, got True"),
+    ("learning_rate: true\n", "training config field 'learning_rate' must be float, got True"),
+    ("seed: -1\n", "seed must be >= 0, got -1"),
 ])
 def test_bad_train_config_or_failed_fit_exits_1(pipeline, work, capsys, doc, message):
     _, _, data, _ = pipeline
@@ -127,6 +132,15 @@ def test_bad_train_config_or_failed_fit_exits_1(pipeline, work, capsys, doc, mes
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_negative_seed_exits_1(pipeline, work, capsys):
+    _, _, data, _ = pipeline
+    out = work / "unsaved-model.txt"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -145,6 +159,20 @@ def test_evaluate_empty_model_exits_1(work, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and str(empty) in err and "empty" in err
+
+
+@pytest.mark.parametrize("row, values, message", [
+    (6, "1 1 nan 1 1 1 1", "normalization x_scale contains non-finite entries"),
+    (1, "1 2 3 4 5", "value row 1 (w1) has 5 values, expected 70"),
+])
+def test_evaluate_malformed_model_exits_1(work, capsys, row, values, message):
+    # a NaN scale used to run and end as 'diverged at t=0.000100s', exit 2
+    bad = work / "malformed-model.txt"
+    bad.write_text(model_text_with(row, values))
+    rc = main(["evaluate", "--scenario", "default", "--model", str(bad),
+               "--out", str(work / "m.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: model file {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("doc, field", [

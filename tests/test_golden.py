@@ -12,8 +12,16 @@ the saved model text, matched exactly.
 Regenerate both fixtures (only when a change to the results is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Print the SHA-256 of the CSVs of the six 4 s built-in runs (each built-in
+scenario with the baseline controller, then with the benchmark's ANN
+fixture ``perfbench/fixtures/model.txt`` on DG1), to check that a change
+keeps every trace byte-identical, with
+
+    PYTHONPATH=src python tests/test_golden.py --digests
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -23,11 +31,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgres.ann import MlpParams, NormalizationSpec, TrainConfig, save_model, train
+from mgres.ann import (MlpParams, NormalizationSpec, TrainConfig, load_model, save_model,
+                       train)
 from mgres.datagen import MatrixSpec, dataset_from_dir, gen_data
 from mgres.scenario import BUILTIN_SCENARIOS, builtin_scenario
 from mgres.simulate import run_scenario
-from mgres.trace import dg1_voltage_triple
+from mgres.trace import dg1_voltage_triple, export_csv
 from test_ann import synth_dataset
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
@@ -104,6 +113,26 @@ def test_matches_golden_fit(tmp_path, name):
     for key in want:
         assert got[key] == want[key], f"{name} {key}"
 
+
+def csv_digests(model_path: Path) -> list[tuple[str, str]]:
+    """(run name, SHA-256 of its CSV) for the six 4 s built-in runs."""
+    params = load_model(model_path)
+    out = []
+    for ctrl in ("pi", "ann"):
+        for name in BUILTIN_SCENARIOS:
+            cfg = builtin_scenario(name, duration=4.0)
+            if ctrl == "ann":
+                cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"))
+            tr = run_scenario(cfg, ann_params=params if ctrl == "ann" else None)
+            out.append((f"{name}/{ctrl}",
+                        hashlib.sha256(export_csv(tr).encode()).hexdigest()))
+    return out
+
+
+if __name__ == "__main__" and "--digests" in sys.argv:
+    model = Path(__file__).parent.parent / "perfbench" / "fixtures" / "model.txt"
+    for run, digest in csv_digests(model):
+        print(f"{run:28s} {digest}")
 
 if __name__ == "__main__" and "--record" in sys.argv:
     FIXTURE.parent.mkdir(exist_ok=True)

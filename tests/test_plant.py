@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mgres.graph import ring_graph
 from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
-                         NetworkError, NetworkParams, PlantState,
-                         apply_load_event, build_ybus, default_model,
+                         NetworkError, NetworkParams, NetworkWorkspace, PlantState,
+                         PlantWorkspace, apply_load_event, build_ybus, default_model,
                          solve_network, step_plant)
+from mgres.scenario import ScenarioConfig
+from mgres.simulate import run_scenario
 
 
 def setpoints(v_n, w_n):
@@ -110,6 +113,10 @@ def test_step_is_deterministic():
     assert np.array_equal(s1.p, s2.p) and np.array_equal(s1.q, s2.q)
     assert np.array_equal(s1.delta, s2.delta)
     assert np.array_equal(o1.v, o2.v) and np.array_equal(o1.w, o2.w)
+    # two calls without a workspace compare two results, not one buffer with itself
+    for a, b in ((s1.pq, s2.pq), (s1.delta, s2.delta), (o1.vw, o2.vw),
+                 (o1.solution.s_dg, o2.solution.s_dg)):
+        assert not np.shares_memory(a, b)
 
 
 def test_step_filter_update_matches_hand_formula():
@@ -159,6 +166,120 @@ def test_non_finite_droop_voltage_is_caught_at_any_dg(bad, dg):
         step_plant(model, model.initial_state(), setpoints(v_n, np.full(4, 377.0)),
                    1e-4, t=0.125)
     assert exc.value.t == 0.125
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dg", [0, 1, 3])
+def test_non_finite_filtered_power_is_caught_at_any_dg(bad, dg):
+    # a non-finite P leaves v finite and reaches the magnitude guard, whose
+    # max() over Python floats skips a NaN that is not first; its sum does not
+    model = default_model()
+    pq = np.full((2, 4), 0.2)
+    pq[0, dg] = bad
+    sp = setpoints(np.full(4, 1.0), np.full(4, 377.0))
+    with pytest.raises(DivergenceError, match="state magnitude nan exceeded") as exc:
+        step_plant(model, PlantState(np.zeros(4), pq), sp, 1e-4, t=0.375)
+    assert exc.value.t == 0.375
+
+
+def six_bus_model():
+    # 6-bus ring, DGs on buses 1, 2, 4, 5; buses 3 and 6 carry loads only
+    lines = tuple(Line(a, (a + 1) % 6, 0.05, 0.10) for a in range(6))
+    loads = (Load(2, 0.8, 0.3), Load(5, 0.9, 0.35), Load(0, 1.5, 0.5))
+    net = NetworkParams(6, lines, loads, (0, 1, 3, 4))
+    return MicrogridModel(tuple(DgParams(3.77, 0.04, 31.4) for _ in range(4)), net)
+
+
+def assert_same_step(got, want):
+    (s1, o1), (s2, o2) = got, want
+    for a, b in ((s1.delta, s2.delta), (s1.pq, s2.pq), (o1.vw, o2.vw),
+                 (o1.solution.s_dg, o2.solution.s_dg), (o1.solution.v_dg, o2.solution.v_dg),
+                 (o1.solution.bus_v, o2.solution.bus_v)):
+        assert a.tobytes() == b.tobytes()
+    assert o1.solution.balance_residual == o2.solution.balance_residual
+
+
+def run_reused_and_fresh(model, n_steps, events=None, dt=1e-4):
+    """Step one state on one reused workspace and compare every step with the
+    same step, from a copy of the same state, on a fresh workspace."""
+    events = events or {}
+    ws = PlantWorkspace(model, dt)
+    state = model.initial_state()
+    sp = setpoints(np.linspace(0.99, 1.02, model.n), np.linspace(376.0, 378.0, model.n))
+    for k in range(n_steps):
+        if k in events:
+            model = apply_load_event(model, *events[k])
+        copy = PlantState(state.delta.copy(), state.pq.copy())
+        got = step_plant(model, state, sp, dt, k * dt, ws)
+        assert_same_step(got, step_plant(model, copy, sp, dt, k * dt))
+        assert got[1].solution.balance_residual < 1e-9
+        state = got[0]
+    return state
+
+
+@pytest.mark.parametrize("model, event", [
+    (default_model(), (0, 0.4, 0.15)),
+    (six_bus_model(), (2, 0.4, 0.15)),
+])
+def test_reused_workspace_gives_the_fresh_bits(model, event):
+    # the load event at step 6 starts a new load epoch mid-run
+    end = run_reused_and_fresh(model, 12, {6: event})
+    assert np.abs(end.pq).max() > 0
+
+
+def test_network_workspace_follows_the_branch_count():
+    ws = NetworkWorkspace(4)
+    vmag, delta = np.linspace(0.98, 1.02, 4), np.linspace(-0.02, 0.02, 4)
+    ring = default_model().network
+    chord = NetworkParams(4, ring.lines + (Line(0, 2, 0.1, 0.2),), ring.loads, ring.dg_bus)
+    for net in (ring, chord, ring):
+        sol = solve_network(vmag, delta, net, ws)
+        want = solve_network(vmag, delta, net)
+        assert sol.s_dg.tobytes() == want.s_dg.tobytes()
+        assert sol.balance_residual == want.balance_residual < 1e-9
+    # no branch at all: one DG alone on its bus
+    lone = solve_network(np.ones(1), np.zeros(1), NetworkParams(1, (), (), (0,)))
+    assert lone.s_dg[0] == 0 and lone.balance_residual == 0.0
+
+
+def test_workspace_is_bound_to_its_dt_and_dgs():
+    model = default_model()
+    ws = PlantWorkspace(model, 1e-4)
+    sp = setpoints(np.ones(4), np.full(4, 377.0))
+    with pytest.raises(ValueError, match="another dt or other DGs"):
+        step_plant(model, model.initial_state(), sp, 2e-4, ws=ws)
+    with pytest.raises(ValueError, match="another dt or other DGs"):
+        step_plant(default_model(m_p=1.0), model.initial_state(), sp, 1e-4, ws=ws)
+
+
+@st.composite
+def random_networks(draw):
+    """Connected networks with 2-5 DG buses, 0-2 passive buses and 1-3 loads."""
+    n_dg = draw(st.integers(2, 5))
+    n_bus = n_dg + draw(st.integers(0, 2))
+    imp = st.tuples(st.floats(0.01, 0.1), st.floats(0.05, 0.2))
+    # a random spanning tree, then up to two extra lines
+    pairs = [(draw(st.integers(0, b - 1)), b) for b in range(1, n_bus)]
+    pairs += [p for p in draw(st.lists(st.tuples(st.integers(0, n_bus - 1),
+                                                 st.integers(0, n_bus - 1)), max_size=2))
+              if p[0] != p[1]]
+    lines = tuple(Line(a, b, *draw(imp)) for a, b in pairs)
+    load_bus = draw(st.lists(st.integers(0, n_bus - 1), min_size=1, max_size=3, unique=True))
+    loads = tuple(Load(b, draw(st.floats(0.8, 3.0)), draw(st.floats(0.1, 0.8)))
+                  for b in load_bus)
+    dg_bus = tuple(draw(st.permutations(range(n_bus)))[:n_dg])
+    net = NetworkParams(n_bus, lines, loads, dg_bus)
+    return MicrogridModel(tuple(DgParams(3.77, 0.04, 31.4) for _ in range(n_dg)), net)
+
+
+@settings(max_examples=15, deadline=None)
+@given(random_networks())
+def test_random_networks_balance_and_reuse_bits(model):
+    tr = run_scenario(ScenarioConfig("random", 0.02, model, ring_graph(model.n)))
+    assert not tr.diverged and len(tr.t) == 21
+    assert tr.max_power_residual < 1e-9
+    run_reused_and_fresh(model, 20)
 
 
 def test_apply_load_event():

@@ -22,12 +22,17 @@ def update(g, v, rv, w, rw, weighted_p, v_n, w_n, v_ref=1.0, w_ref=377.0,
     """secondary_update with DG i's received copy of DG j's signal at
     rv[i, j] / rw[i, j] and its own at v[i] / w[i]; returns [V_n; w_n]."""
     channels = g.channels()
+    cmap = ConsensusMap(g, channels, gains, v_ref, w_ref)
+    return secondary_update(cmap, channel_vector(channels, v, rv, w, rw, weighted_p),
+                            np.array([v_n, w_n]), dt)
+
+
+def channel_vector(channels, v, rv, w, rw, weighted_p):
+    """secondary_update's input x: received channel values, then m_P,i P_i."""
     own = {"voltage": v, "frequency": w}
     other = {"voltage": rv, "frequency": rw}
     x = [own[sig][d] if s == d else other[sig][d, s] for s, d, sig in channels]
-    cmap = ConsensusMap(g, channels, gains, v_ref, w_ref)
-    return secondary_update(cmap, np.array(x + list(weighted_p)),
-                            np.array([v_n, w_n]), dt)
+    return np.array(x + list(weighted_p))
 
 
 def received(trace, dst, signal):
@@ -133,19 +138,26 @@ def test_update_is_pure():
 
 def test_ring_matches_matrix_form_bitwise():
     # on the ring (two unit-weight in-edges per DG) the channel form sums the
-    # same terms in the same order as graph.tracking_errors
+    # same terms in the same order as graph.tracking_errors, also when one
+    # map's buffers are reused and the set-points are updated in place
     g = ring_graph(4)
+    channels = g.channels()
+    cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0)
     rng = np.random.default_rng(3)
-    v, w = rng.uniform(0.95, 1.05, 4), rng.uniform(376.0, 378.0, 4)
-    rv, rw = rng.uniform(0.95, 1.05, (4, 4)), rng.uniform(376.0, 378.0, (4, 4))
-    wp = rng.uniform(0.5, 1.0, 4)
-    v_n, w_n = rng.uniform(0.98, 1.02, 4), rng.uniform(376.0, 378.0, 4)
-    got_v, got_w = update(g, v, rv, w, rw, wp, v_n, w_n, dt=1e-4)
-    e_v = tracking_errors(g, v, rv, 1.0)
-    e_w = tracking_errors(g, w, rw, 377.0)
-    share = (g.adjacency * (wp[:, None] - wp[None, :])).sum(axis=1)
-    np.testing.assert_array_equal(got_v, v_n - 5.0 * e_v * 1e-4)
-    np.testing.assert_array_equal(got_w, w_n - 5.0 * (e_w + share) * 1e-4)
+    for _ in range(3):
+        v, w = rng.uniform(0.95, 1.05, 4), rng.uniform(376.0, 378.0, 4)
+        rv, rw = rng.uniform(0.95, 1.05, (4, 4)), rng.uniform(376.0, 378.0, (4, 4))
+        wp = rng.uniform(0.5, 1.0, 4)
+        v_n, w_n = rng.uniform(0.98, 1.02, 4), rng.uniform(376.0, 378.0, 4)
+        e_v = tracking_errors(g, v, rv, 1.0)
+        e_w = tracking_errors(g, w, rw, 377.0)
+        share = (g.adjacency * (wp[:, None] - wp[None, :])).sum(axis=1)
+        want = np.array([v_n - 5.0 * e_v * 1e-4, w_n - 5.0 * (e_w + share) * 1e-4])
+        np.testing.assert_array_equal(update(g, v, rv, w, rw, wp, v_n, w_n, dt=1e-4), want)
+        x = channel_vector(channels, v, rv, w, rw, wp)
+        sp = np.array([v_n, w_n])
+        assert secondary_update(cmap, x, sp, 1e-4, sp) is sp
+        assert sp.tobytes() == want.tobytes()
 
 
 def test_gain_and_name_validation():
@@ -159,3 +171,7 @@ def test_gain_and_name_validation():
     with pytest.raises(ValueError, match="dt"):
         update(g, np.ones(2), np.ones((2, 2)), np.ones(2), np.ones((2, 2)),
                np.zeros(2), np.ones(2), np.ones(2), dt=0.0)
+    # the map's gathers read x by index, so x must have the map's layout
+    cmap = ConsensusMap(g, g.channels(), SecondaryGains(), 1.0, 377.0)
+    with pytest.raises(ValueError, match=r"x must have shape \(10,\), got \(7,\)"):
+        secondary_update(cmap, np.ones(7), np.ones((2, 2)), 1e-3)

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from mgres.plant import DgParams, Line, Load, MicrogridModel, NetworkParams, bui
 from mgres.scenario import LoadEvent, ScenarioConfig, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import traces_equal
+from test_plant import six_bus_model
 
 
 def short(name="default", duration=0.2, **kw):
@@ -39,6 +41,19 @@ def test_runs_are_bit_deterministic():
     a = run_scenario(short(duration=0.1))
     b = run_scenario(short(duration=0.1))
     assert traces_equal(a, b)
+
+
+def test_trace_outlives_the_next_run():
+    # each run owns its buffers: a later run, of another scenario with an
+    # ANN, leaves an earlier trace's arrays as they were
+    first = run_scenario(short(duration=0.05))
+    kept = copy.deepcopy(first)
+    run_scenario(short("default-nonperiodic", duration=0.05,
+                       controllers=("ann", "pi", "pi", "pi")),
+                 ann_params=const_model(1.1))
+    assert traces_equal(first, kept)
+    for a, b in ((first.dg["v"], kept.dg["v"]), (first.ch_recv, kept.ch_recv)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_initial_sample_is_the_reference_setpoint():
@@ -169,19 +184,15 @@ def test_layer_call_counts(monkeypatch, name, n_ann):
 
 
 def test_passive_buses_match_full_nodal_solve(monkeypatch):
-    # 6-bus ring, DGs on buses 1, 2, 4, 5; buses 3 and 6 carry loads only
-    lines = tuple(Line(a, (a + 1) % 6, 0.05, 0.10) for a in range(6))
-    loads = (Load(2, 0.8, 0.3), Load(5, 0.9, 0.35), Load(0, 1.5, 0.5))
-    net = NetworkParams(6, lines, loads, (0, 1, 3, 4))
-    model = MicrogridModel(tuple(DgParams(3.77, 0.04, 31.4) for _ in range(4)), net)
-    cfg = ScenarioConfig("six-bus", 0.3, model, ring_graph(4),
+    # DGs on buses 1, 2, 4, 5; buses 3 and 6 carry loads only
+    cfg = ScenarioConfig("six-bus", 0.3, six_bus_model(), ring_graph(4),
                          load_events=(LoadEvent(0.15, 2, 0.4, 0.15),))
     solves = []
     inner = plant.solve_network
 
-    def recorded(vmag, delta, network):
+    def recorded(vmag, delta, network, ws=None):
         solves.append((vmag.copy(), delta.copy(), network))
-        return inner(vmag, delta, network)
+        return inner(vmag, delta, network, ws)
 
     monkeypatch.setattr(plant, "solve_network", recorded)
     tr = run_scenario(cfg)
