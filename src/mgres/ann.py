@@ -121,14 +121,32 @@ def init_params(rng: np.random.Generator,
     )
 
 
+class _Forward:
+    """The MLP's two layers on ``rows`` normalised rows, into buffers allocated
+    once: h = tansig(xn w1^T + b1), out = h w2^T + b2.  Every forward pass
+    (``forward_batch``, the fit's loss, ``ann_controller``) runs here."""
+
+    def __init__(self, rows: int):
+        self.h = np.empty((rows, N_HIDDEN))
+        self.out = np.empty((rows, 1))
+
+    def run(self, xn, w1t, b1, w2t, b2) -> np.ndarray:
+        h, out = self.h, self.out
+        np.matmul(xn, w1t, h)
+        np.add(h, b1, h)
+        np.tanh(h, h)                       # tansig
+        np.matmul(h, w2t, out)
+        np.add(out, b2, out)
+        return out
+
+
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Network output for a batch of rows, in raw target units."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != N_IN:
         raise ValueError(f"expected (N, {N_IN}) input, got {x.shape}")
-    xn = params.norm.normalize_x(x)
-    h = tansig(xn @ params.w1.T + params.b1)
-    out = h @ params.w2.T + params.b2
+    out = _Forward(len(x)).run(params.norm.normalize_x(x), params.w1.T, params.b1,
+                               params.w2.T, params.b2)
     return params.norm.denormalize_y(out[:, 0])
 
 
@@ -145,35 +163,30 @@ def mse(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(r * r))
 
 
-class _FitSplit:
+class _FitSplit(_Forward):
     """One split of a fit: rows normalised once, and the kernel's temporaries.
 
     ``loss(w)`` is the forward pass of ``forward_batch`` and ``mse`` for the
-    weights w = (w1, b1, w2, b2), the same operations in the same order but
-    written into buffers allocated once, so it is bit-equal to ``mse`` on the
-    raw rows.  ``gradient()`` is the backward pass for the weights of the
-    last ``loss`` call, which left tansig(a1) and the residual in ``h``/``r``.
+    weights w = (w1, b1, w2, b2) on this split's ``_Forward`` buffers, so it
+    is bit-equal to ``mse`` on the raw rows.  ``gradient()`` is the backward
+    pass for the weights of the last ``loss`` call, which left tansig(a1)
+    and the residual in ``h``/``r``; it then reuses ``h`` for 1 - h^2.
     """
 
     def __init__(self, xn: np.ndarray, y: np.ndarray, norm: NormalizationSpec):
         n = xn.shape[0]
+        super().__init__(n)
         self.xn, self.y, self.norm = xn, y, norm
         self.w2 = None
-        self.h = np.empty((n, N_HIDDEN))   # a1, then tansig(a1), then 1 - h^2
         self.d = np.empty((n, N_HIDDEN))   # d_h, then d_a1
-        self.out = np.empty((n, 1))
         self.r = np.empty(n)               # residual, then d_out
         self.r2 = np.empty(n)
 
     def loss(self, w: tuple) -> float:
         w1, b1, self.w2, b2 = w
-        h, r = self.h, self.r
-        np.matmul(self.xn, w1.T, out=h)
-        h += b1
-        np.tanh(h, out=h)                  # tansig
-        np.matmul(h, self.w2.T, out=self.out)
-        self.out += b2
-        np.multiply(self.out[:, 0], self.norm.y_scale, out=r)
+        r = self.r
+        out = self.run(self.xn, w1.T, b1, self.w2.T, b2)
+        np.multiply(out[:, 0], self.norm.y_scale, out=r)
         r += self.norm.y_offset
         r -= self.y
         return float(np.mean(np.multiply(r, r, out=self.r2)))
@@ -355,17 +368,18 @@ def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
     return np.concatenate([r, r, [v_ref]])
 
 
-class AnnKernel:
+class AnnKernel(_Forward):
     """``forward_batch`` on one runtime feature row, in buffers built once per run.
 
     The row [r, r, v*] of one controlled DG is preallocated with v* in its
     last column; ``ann_controller`` fills [r, r] with one take from the
-    channel vector and runs normalisation, both layers and tansig in place on
-    (1, .) buffers.  These are ``forward_batch``'s operations in its order,
-    so the set-point is bit-equal to ``forward(runtime_features(r, v*))``.
+    channel vector, normalises it in place and runs ``_Forward`` on (1, .)
+    buffers.  These are ``forward_batch``'s operations in its order, so the
+    set-point is bit-equal to ``forward(runtime_features(r, v*))``.
     """
 
     def __init__(self, params: MlpParams, v_ref: float, triple):
+        super().__init__(1)
         self.take = np.array(list(triple) * 2, dtype=int)
         if self.take.shape != (6,):
             raise ValueError("received triple must have length 3")
@@ -378,22 +392,16 @@ class AnnKernel:
         self.w2t, self.b2 = params.w2.T, params.b2[None, :]
         self.y_scale, self.y_offset = float(params.norm.y_scale), float(params.norm.y_offset)
         self.xn = np.empty((1, N_IN))
-        self.h = np.empty((1, N_HIDDEN))
-        self.out = np.empty((1, 1))
 
 
 def ann_controller(kernel: AnnKernel, x: np.ndarray) -> float:
     """Voltage set-point for the attacked DG from the received triple at
     ``x[triple]``, clamped to [0.5, 1.5] pu."""
     x.take(kernel.take, out=kernel.rr)
-    xn, h, out = kernel.xn, kernel.h, kernel.out
+    xn = kernel.xn
     np.subtract(kernel.row, kernel.x_offset, xn)
     np.divide(xn, kernel.x_scale, xn)
-    np.matmul(xn, kernel.w1t, h)
-    np.add(h, kernel.b1, h)
-    np.tanh(h, h)                       # tansig
-    np.matmul(h, kernel.w2t, out)
-    np.add(out, kernel.b2, out)
+    out = kernel.run(xn, kernel.w1t, kernel.b1, kernel.w2t, kernel.b2)
     y = out.item() * kernel.y_scale + kernel.y_offset
     return min(max(y, SETPOINT_MIN), SETPOINT_MAX)
 
@@ -417,8 +425,10 @@ def build_dataset(runs) -> Dataset:
         if len(target) != len(trace.t):
             raise DatasetError(
                 f"clean reference for {scenario_id} has a different length")
+        if trace.v_ref is None:
+            raise DatasetError(f"trace {scenario_id} is missing the voltage reference")
         keep = trace.t >= 0.1 - 1e-12
-        v_ref = np.full(keep.sum(), trace_v_ref(trace))
+        v_ref = np.full(keep.sum(), float(trace.v_ref))
         is_attacked = bool(trace.attack_active.any())
         paired = np.column_stack([clean[keep], recv[keep], v_ref])
         xs.append(paired)
@@ -437,12 +447,6 @@ def build_dataset(runs) -> Dataset:
         raise DatasetError("no runs supplied")
     return Dataset(x=np.vstack(xs), y=np.concatenate(ys), scenario=scen,
                    t=np.concatenate(ts), attacked=np.concatenate(att))
-
-
-def trace_v_ref(trace) -> float:
-    if trace.v_ref is None:
-        raise DatasetError("trace is missing the voltage reference")
-    return float(trace.v_ref)
 
 
 # -- model persistence: self-describing flat text, >= 17 significant digits --

@@ -12,19 +12,15 @@ import sys
 import yaml
 
 from . import ann as annmod
-from .attack import AttackConfigError
 from .datagen import MatrixSpec, gen_data, train_pipeline
-from .graph import SIGNALS, GraphError
+from .graph import SIGNALS
 from .metrics import compare, compute_metrics
-from .plant import NetworkError
-from .scenario import ScenarioError, load_scenario
-from .secondary import ControllerConfigError
+from .scenario import load_scenario
 from .simulate import run_scenario
 from .trace import export_csv
 
-CONFIG_ERRORS = (ScenarioError, AttackConfigError, GraphError, NetworkError,
-                 ControllerConfigError, annmod.DatasetError, annmod.TrainingError,
-                 FileNotFoundError, ValueError, yaml.YAMLError)
+# the package's typed config errors subclass ValueError; a failed fit raises TrainingError
+CONFIG_ERRORS = (ValueError, annmod.TrainingError, FileNotFoundError, yaml.YAMLError)
 
 
 def cmd_simulate(args) -> int:

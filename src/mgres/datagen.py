@@ -15,7 +15,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .ann import Dataset, MlpParams, TrainConfig, TrainReport, build_dataset, train
+from .ann import (Dataset, DatasetError, MlpParams, TrainConfig, TrainReport,
+                  build_dataset, train)
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .plant import default_model
 from .scenario import LoadEvent, ScenarioConfig, ScenarioError
@@ -124,10 +125,24 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     return entries
 
 
+# the fields load_runs reads from each manifest entry, and their JSON types
+_MANIFEST_FIELDS = {"id": str, "file": str, "status": str, "clean_ref": str,
+                    "v_ref": (int, float), "w_ref": (int, float)}
+
+
 def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
     """Read a gen-data directory back into (trace, clean_trace, id) tuples."""
-    with open(os.path.join(data_dir, "manifest.json")) as fh:
+    path = os.path.join(data_dir, "manifest.json")
+    with open(path) as fh:
         entries = json.load(fh)
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise DatasetError(f"{path} must hold a list of run mappings")
+    for k, e in enumerate(entries, start=1):
+        for name, kind in _MANIFEST_FIELDS.items():
+            if not isinstance(e.get(name), kind):
+                noun = "a string" if kind is str else "a number"
+                raise DatasetError(f"{path}: run {k} field {name!r} must be {noun}, "
+                                   f"got {e.get(name)!r}")
     ok = {e["id"]: e for e in entries if e["status"] == "ok"}
     traces: dict[str, Trace] = {}
     for e in ok.values():

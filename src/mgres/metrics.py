@@ -39,9 +39,7 @@ class Metrics:
 
 
 def compute_metrics(trace: Trace, v_ref: float | None = None,
-                    w_ref: float | None = None, dg: int = 0,
-                    steady_window: float = STEADY_WINDOW,
-                    guard: float = POST_ATTACK_GUARD) -> Metrics:
+                    w_ref: float | None = None) -> Metrics:
     if len(trace.t) == 0:
         raise MetricsError("empty trace")
     v_ref = trace.v_ref if v_ref is None else v_ref
@@ -49,26 +47,26 @@ def compute_metrics(trace: Trace, v_ref: float | None = None,
     if v_ref is None or w_ref is None:
         raise MetricsError("references are required (not carried by CSV traces)")
     span = trace.t[-1] - trace.t[0]
-    if steady_window > span:
+    if STEADY_WINDOW > span:
         raise MetricsError(
-            f"steady window {steady_window}s exceeds trace span {span:.3f}s")
+            f"steady window {STEADY_WINDOW}s exceeds trace span {span:.3f}s")
 
     v = trace.dg["v"]
     w = trace.dg["w"]
-    eps = np.abs(v[:, dg] - v_ref)
+    eps = np.abs(v[:, 0] - v_ref)
 
     att = np.flatnonzero(trace.attack_active)
     attack_start = float(trace.t[att[0]]) if att.size else None
 
     post_mean = post_max = ripple = None
     if attack_start is not None:
-        post = trace.t >= attack_start + guard
+        post = trace.t >= attack_start + POST_ATTACK_GUARD
         if post.any():
             post_mean = float(eps[post].mean())
             post_max = float(eps[post].max())
-            ripple = float((v[post, dg].max() - v[post, dg].min()) / 2.0)
+            ripple = float((v[post, 0].max() - v[post, 0].min()) / 2.0)
 
-    final = trace.t >= trace.t[-1] - steady_window
+    final = trace.t >= trace.t[-1] - STEADY_WINDOW
     steady_v = np.abs(v[final] - v_ref).mean(axis=0) / v_ref * 100.0
     steady_f = np.abs(w[final] - w_ref).mean(axis=0) / (2.0 * math.pi)
 
@@ -124,15 +122,15 @@ class ComparisonReport:
 
 
 def compare(trace_pi: Trace, trace_ann: Trace, v_ref: float | None = None,
-            w_ref: float | None = None, dg: int = 0) -> ComparisonReport:
+            w_ref: float | None = None) -> ComparisonReport:
     """Side-by-side metrics for the same scenario run with both controllers."""
     if not np.array_equal(trace_pi.attack_active, trace_ann.attack_active) \
             or len(trace_pi.t) != len(trace_ann.t) \
             or not np.array_equal(trace_pi.t, trace_ann.t):
         raise MetricsError("traces come from different scenarios "
                            "(mismatched time base or attack schedule)")
-    m_pi = compute_metrics(trace_pi, v_ref, w_ref, dg=dg)
-    m_ann = compute_metrics(trace_ann, v_ref, w_ref, dg=dg)
+    m_pi = compute_metrics(trace_pi, v_ref, w_ref)
+    m_ann = compute_metrics(trace_ann, v_ref, w_ref)
     vr = v_ref if v_ref is not None else trace_ann.v_ref
 
     better = (m_ann.eps_v_post_mean is not None

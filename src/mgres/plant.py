@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,11 @@ class NetworkParams:
             missing = sorted(set(range(self.n_bus)) - seen)
             raise NetworkError(f"network is not connected (isolated buses {missing})")
 
+    @cached_property
+    def solver(self) -> NetworkSolver:
+        """Solver constants of this network, built at first use."""
+        return NetworkSolver(self)
+
 
 def build_ybus(net: NetworkParams) -> np.ndarray:
     """Nodal admittance matrix including the constant impedance loads."""
@@ -127,7 +133,7 @@ def build_ybus(net: NetworkParams) -> np.ndarray:
     return y
 
 
-class _NetCache:
+class NetworkSolver:
     """Solver constants of one (immutable) NetworkParams, i.e. one load epoch.
 
     Passive buses are eliminated by Kron reduction: their voltages are
@@ -168,38 +174,15 @@ class _NetCache:
         self.n_branch = len(g)
 
 
-def _net_cache(net: NetworkParams) -> _NetCache:
-    cache = getattr(net, "_solver_cache", None)
-    if cache is None:
-        cache = _NetCache(net)
-        object.__setattr__(net, "_solver_cache", cache)
-    return cache
-
-
-class NetworkSolution:
-    """Per-DG injected complex power, DG voltages and the balance residual."""
-
-    __slots__ = ("s_dg", "v_dg", "balance_residual", "_bus_map")
-
-    def __init__(self, s_dg, v_dg, balance_residual, bus_map):
-        self.s_dg = s_dg                          # complex power per DG, pu
-        self.v_dg = v_dg                          # complex voltage per DG, pu
-        self.balance_residual = balance_residual  # relative active power mismatch
-        self._bus_map = bus_map
-
-    @property
-    def bus_v(self) -> np.ndarray:
-        """Complex voltage per bus, pu."""
-        return self._bus_map @ self.v_dg
-
-
 class NetworkWorkspace:
-    """Buffers that ``solve_network`` writes for n DGs.
+    """Buffers that ``solve_network`` writes for n DGs, and its result.
 
-    The solution it returns is ``self.solution``, whose arrays are rewritten
-    by the next solve on this workspace.  The workspace follows the network
-    it last solved: the branch-voltage buffer u and its halves [lines and
-    loads; conductance-scaled] are remade only when the branch count changes.
+    After a solve it holds the complex voltage ``v_dg`` and power ``s_dg``
+    per DG, pu, and the relative active power mismatch ``balance_residual``;
+    the next solve on this workspace rewrites them.  The workspace follows
+    the network it last solved: the branch-voltage buffer u and its halves
+    [lines and loads; conductance-scaled] are remade only when the branch
+    count changes.
     """
 
     def __init__(self, n: int):
@@ -209,28 +192,32 @@ class NetworkWorkspace:
         self.p_dg = self.s_dg.real
         self.j = np.full(n, 1j)                  # 1j at the shape of the angles
         self.s_re_im = self.s_dg.view(np.float64).reshape(n, 2)   # [Re s, Im s] per DG
-        self.solution = NetworkSolution(self.s_dg, self.v_dg, 0.0, None)
-        self.net = self.cache = self.u = None
+        self.balance_residual = 0.0
+        self.net = self.solver = self.u = None
+
+    @property
+    def bus_v(self) -> np.ndarray:
+        """Complex voltage per bus, pu."""
+        return self.solver.bus_map @ self.v_dg
 
     def use(self, net: NetworkParams) -> None:
-        self.net, self.cache = net, _net_cache(net)
-        nb = self.cache.n_branch
+        self.net, self.solver = net, net.solver
+        nb = self.solver.n_branch
         if self.u is None or len(self.u) != 2 * nb:
             self.u = np.empty(2 * nb, dtype=complex)
             self.u_lo, self.u_hi = self.u[:nb], self.u[nb:]
-        self.solution._bus_map = self.cache.bus_map
 
 
 def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
-                  ws: NetworkWorkspace | None = None) -> NetworkSolution:
+                  ws: NetworkWorkspace | None = None) -> NetworkWorkspace:
     """Solve the phasor network for per-DG injected complex power.
 
     DG buses are fixed voltage sources vmag * exp(j delta); the remaining
     buses carry no injection and are Kron-reduced once per network.  The
-    returned residual is the relative mismatch between generated active
-    power and load consumption plus line losses, the latter summed over the
-    branch voltages of the full network.  The solution lives in ``ws`` (a
-    fresh workspace when none is given).
+    residual is the relative mismatch between generated active power and
+    load consumption plus line losses, the latter summed over the branch
+    voltages of the full network.  Returns ``ws`` with the solution written
+    into it (a fresh workspace when none is given).
     """
     if not min(vmag.tolist()) > 0.0:
         raise NetworkError("DG voltage magnitudes must be positive")
@@ -238,19 +225,18 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
         ws = NetworkWorkspace(len(vmag))
     if net is not ws.net:
         ws.use(net)
-    cache, v, i = ws.cache, ws.v_dg, ws.i_dg
+    solver, v, i = ws.solver, ws.v_dg, ws.i_dg
     np.multiply(ws.j, delta, v)
     np.exp(v, v)
     np.multiply(vmag, v, v)
-    np.dot(cache.y_red, v, out=i)
+    np.dot(solver.y_red, v, out=i)
     np.conjugate(i, i)
     np.multiply(v, i, ws.s_dg)
-    np.dot(cache.branch, v, out=ws.u)
+    np.dot(solver.branch, v, out=ws.u)
     p_cons = np.vdot(ws.u_lo, ws.u_hi).real
     p_gen = sum(ws.p_dg.tolist())
-    sol = ws.solution
-    sol.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
-    return sol
+    ws.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
+    return ws
 
 
 class PlantState:
@@ -263,24 +249,6 @@ class PlantState:
         self.pq = pq         # (2, n) filtered active and reactive power per DG, pu
         self.p, self.q = pq  # row views
         self.pq_t = pq.T     # (n, 2) view, [P, Q] per DG
-
-
-class StepOutputs:
-    """Droop outputs at the step start, vw = [v; w], and the network solution."""
-
-    __slots__ = ("vw", "solution")
-
-    def __init__(self, vw: np.ndarray, solution: NetworkSolution):
-        self.vw = vw               # (2, n) voltage magnitude (pu) and frequency (rad/s)
-        self.solution = solution
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.vw[0]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.vw[1]
 
 
 @dataclass(frozen=True)
@@ -337,9 +305,10 @@ class PlantWorkspace(NetworkWorkspace):
     state it is given while it writes the other.  Their [P; Q] is stored
     per DG, like the complex powers, so the filter update runs on
     contiguous (n, 2) arrays; a state laid out otherwise gives the same
-    bits, only more slowly.  The droop outputs [v; w] and the network
-    solution are rewritten by every step.  Constants are held at the full
-    shape of their operands, so no per-step operation broadcasts.
+    bits, only more slowly.  Every step rewrites the droop outputs ``vw`` =
+    [v; w] and the network solution, and returns the workspace as its
+    outputs.  Constants are held at the full shape of their operands, so no
+    per-step operation broadcasts.
     """
 
     def __init__(self, model: MicrogridModel, dt: float):
@@ -352,21 +321,21 @@ class PlantWorkspace(NetworkWorkspace):
         self.n_q, self.m_p = model._gains[0].copy(), model._gains[1].copy()
         dt_wc = dt * model._gains[2]
         self.dt_wc = np.column_stack([dt_wc, dt_wc])   # (n, 2), per DG like [P, Q]
-        self.outputs = StepOutputs(self.vw, self.solution)
 
 
 def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
                dt: float, t: float = 0.0,
-               ws: PlantWorkspace | None = None) -> tuple[PlantState, StepOutputs]:
+               ws: PlantWorkspace | None = None) -> tuple[PlantState, PlantWorkspace]:
     """Advance the plant one fixed Euler step from set-points [V_n; w_n].
 
     Order: droop (v = V_n - n_Q q, w = w_n - m_P p) -> network solve ->
     power filter update -> angle integration.
     Angles integrate w_i - w_1 (DG1 frame) and are wrapped to (-pi, pi].
-    Deterministic: identical inputs give bit-identical outputs.  The new
-    state and the outputs live in ``ws`` (a fresh workspace when none is
-    given); the next step on ``ws`` overwrites the outputs and every state
-    but the one it is given.
+    Deterministic: identical inputs give bit-identical outputs.  Returns
+    the new state and ``ws`` (a fresh workspace when none is given), which
+    holds this step's droop outputs ``vw`` = [v; w] and network solution
+    (``s_dg``, ``v_dg``, ``balance_residual``, ``bus_v``).  The next step on
+    ``ws`` overwrites them and every state but the one it is given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -385,7 +354,7 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
     if not (min(vl) > 0.0 and math.isfinite(sum(vl))):
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
 
-    sol = solve_network(ws.v, state.delta, model.network, ws)
+    solve_network(ws.v, state.delta, model.network, ws)
     # the filter update per DG, on (n, 2) [P, Q] views
     old, pq = state.pq_t, new.pq_t
     np.subtract(ws.s_re_im, old, pq)
@@ -403,7 +372,7 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
             and math.isfinite(sum(pl))):
         m = max(np.abs(new.pq).max(), max(vl))   # NaN if any entry is NaN
         raise DivergenceError(t, f"state magnitude {m:.3g} exceeded {DIVERGENCE_LIMIT} pu")
-    return new, ws.outputs
+    return new, ws
 
 
 def default_model(load1: complex = 0.8 + 0.3j, load2: complex = 0.8 + 0.3j,

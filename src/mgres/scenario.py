@@ -116,58 +116,72 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _entries(items, where: str, *fields: str) -> list[list]:
-    """The required ``fields`` of each entry of a list, in order."""
-    return [[_require(e, f, f"{where} {k + 1}") for f in fields]
+def _field(d: dict, key: str, where: str, kind: type = float, default=None):
+    """``d[key]`` (``default``, if given, when absent) as a float, or as a dict or list."""
+    v = _require(d, key, where) if default is None else d.get(key, default)
+    try:
+        if kind is float:
+            return float(v)
+        if isinstance(v, kind):
+            return v
+    except (TypeError, ValueError):
+        pass
+    noun = {float: "a number", dict: "a mapping", list: "a list"}[kind]
+    raise ScenarioError(f"field {key!r} in {where} must be {noun}, got {v!r}")
+
+
+def _entries(items: list, where: str, *fields: str) -> list[list[float]]:
+    """The required numeric ``fields`` of each entry of a list, in order."""
+    return [[_field(e, f, f"{where} {k + 1}") for f in fields]
             for k, e in enumerate(items)]
 
 
 def _parse_attack(d: dict) -> AttackSpec:
     target = _require(d, "target", "attack")
     src, dst, sig = parse_target(str(target))
-    kind_name = str(_require(d, "kind", f"attack {target!r}"))
+    where = f"attack {target!r}"
+    kind_name = str(_require(d, "kind", where))
     if kind_name == "nonperiodic":
-        kind = NonPeriodic(alpha=float(_require(d, "alpha", f"attack {target!r}")))
+        kind = NonPeriodic(alpha=_field(d, "alpha", where))
     elif kind_name == "periodic":
         if "freq_hz" in d:
-            omega = 2.0 * math.pi * float(d["freq_hz"])
+            omega = 2.0 * math.pi * _field(d, "freq_hz", where)
         elif "omega" in d:
-            omega = float(d["omega"])
+            omega = _field(d, "omega", where)
         else:
             raise ScenarioError(f"periodic attack {target!r} needs freq_hz or omega")
-        kind = Periodic(beta=float(_require(d, "beta", f"attack {target!r}")), omega=omega)
+        kind = Periodic(beta=_field(d, "beta", where), omega=omega)
     else:
         raise ScenarioError(f"unknown attack kind {kind_name!r} (nonperiodic|periodic)")
     try:
         return AttackSpec(src=src, dst=dst, signal=sig, kind=kind,
-                          tau=float(_require(d, "tau", f"attack {target!r}")),
-                          end=float(d["end"]) if "end" in d else None)
+                          tau=_field(d, "tau", where),
+                          end=_field(d, "end", where) if "end" in d else None)
     except AttackConfigError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
 def _parse_plant(d: dict) -> MicrogridModel:
     dgs = []
-    for k, e in enumerate(_require(d, "dgs", "plant")):
+    for k, e in enumerate(_field(d, "dgs", "plant", list)):
         if not isinstance(e, dict):
             raise ScenarioError(f"plant dg {k + 1} must be a mapping, got {e!r}")
-        dgs.append(DgParams(m_p=float(e.get("m_p", 3.77)), n_q=float(e.get("n_q", 0.04)),
-                            omega_c=float(e.get("omega_c", 31.4))))
-    lines = tuple(Line(int(a) - 1, int(b) - 1, float(r), float(x))
-                  for a, b, r, x in _entries(_require(d, "lines", "plant"),
-                                             "plant line", "from", "to", "r", "x"))
-    loads = tuple(Load(int(b) - 1, float(r), float(x))
-                  for b, r, x in _entries(_require(d, "loads", "plant"),
-                                          "plant load", "bus", "r", "x"))
-    net = NetworkParams(n_bus=int(_require(d, "n_bus", "plant")),
-                        lines=lines, loads=loads,
-                        dg_bus=tuple(int(b) - 1 for b in _require(d, "dg_bus", "plant")))
+        where = f"plant dg {k + 1}"
+        dgs.append(DgParams(m_p=_field(e, "m_p", where, default=3.77),
+                            n_q=_field(e, "n_q", where, default=0.04),
+                            omega_c=_field(e, "omega_c", where, default=31.4)))
+    lines = tuple(Line(int(a) - 1, int(b) - 1, r, x) for a, b, r, x in _entries(
+        _field(d, "lines", "plant", list), "plant line", "from", "to", "r", "x"))
+    loads = tuple(Load(int(b) - 1, r, x) for b, r, x in _entries(
+        _field(d, "loads", "plant", list), "plant load", "bus", "r", "x"))
+    net = NetworkParams(n_bus=int(_field(d, "n_bus", "plant")), lines=lines, loads=loads,
+                        dg_bus=tuple(int(b) - 1 for b in _field(d, "dg_bus", "plant", list)))
     return MicrogridModel(dgs=dgs, network=net)
 
 
 def _parse_graph(d: dict) -> CommGraph:
-    edges = _require(d, "edges", "graph")
-    pinning = np.array([float(v) for v in _require(d, "pinning", "graph")])
+    edges = _field(d, "edges", "graph", list)
+    pinning = np.array([float(v) for v in _field(d, "pinning", "graph", list)])
     n = len(pinning)
     adj = np.zeros((n, n))
     for k, e in enumerate(edges):
@@ -198,15 +212,15 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     model = _parse_plant(d["plant"]) if "plant" in d else default_model()
     graph = _parse_graph(d["graph"]) if "graph" in d else ring_graph(model.n)
 
-    refs = d.get("references", {})
-    v_ref = float(refs.get("voltage", 1.0))
+    refs = _field(d, "references", "scenario", dict, {})
+    v_ref = _field(refs, "voltage", "references", default=1.0)
     if "frequency_hz" in refs:
-        w_ref = 2.0 * math.pi * float(refs["frequency_hz"])
+        w_ref = 2.0 * math.pi * _field(refs, "frequency_hz", "references")
     else:
-        w_ref = float(refs.get("frequency", 2.0 * math.pi * 60.0))
+        w_ref = _field(refs, "frequency", "references", default=2.0 * math.pi * 60.0)
 
     if "controllers" in d:
-        controllers = tuple(str(c) for c in d["controllers"])
+        controllers = tuple(str(c) for c in _field(d, "controllers", "scenario", list))
     else:
         # shorthand: "ann" puts the ANN on DG1 only, everyone else on baseline
         name = str(d.get("controller", "pi"))
@@ -220,20 +234,20 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     if "ann" in controllers and ann_model is None:
         raise ScenarioError("controller 'ann' requires an ann_model file")
 
-    gains_d = d.get("gains", {})
-    gains = SecondaryGains(c_v=float(gains_d.get("c_v", 5.0)),
-                           c_w=float(gains_d.get("c_w", 5.0)))
+    gains_d = _field(d, "gains", "scenario", dict, {})
+    gains = SecondaryGains(c_v=_field(gains_d, "c_v", "gains", default=5.0),
+                           c_w=_field(gains_d, "c_w", "gains", default=5.0))
 
-    events = tuple(LoadEvent(t=float(t), bus=int(b) - 1, r=float(r), x=float(x))
-                   for t, b, r, x in _entries(d.get("load_events", []),
-                                              "load event", "t", "bus", "r", "x"))
-    attacks = tuple(_parse_attack(a) for a in d.get("attacks", []))
+    events = tuple(LoadEvent(t=t, bus=int(b) - 1, r=r, x=x) for t, b, r, x in
+                   _entries(_field(d, "load_events", "scenario", list, []),
+                            "load event", "t", "bus", "r", "x"))
+    attacks = tuple(_parse_attack(a) for a in _field(d, "attacks", "scenario", list, []))
 
     return ScenarioConfig(
         scenario_id=str(d.get("id", scenario_id)),
-        duration=float(_require(d, "duration", "scenario")),
-        dt=float(d.get("dt", 1e-4)),
-        sample_period=float(d.get("sample_period", 1e-3)),
+        duration=_field(d, "duration", "scenario"),
+        dt=_field(d, "dt", "scenario", default=1e-4),
+        sample_period=_field(d, "sample_period", "scenario", default=1e-3),
         v_ref=v_ref, w_ref=w_ref,
         model=model, graph=graph, gains=gains,
         controllers=controllers, ann_model_path=ann_model,

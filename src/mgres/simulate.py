@@ -6,10 +6,11 @@ the same configuration produces byte-identical CSV output.
 
 Each step k (t = k dt) runs, in order:
 
-1. load events due by t replace the network (a new load epoch, whose solver
-   constants ``plant`` builds at the next solve);
+1. load events due by t replace the network (a new load epoch, whose
+   ``NetworkParams.solver`` is built at the next solve);
 2. ``step_plant``: droop outputs [v; w] from the set-points [V_n; w_n], the
-   network solve and the filter/angle update;
+   network solve and the filter/angle update.  It returns the new state and
+   its workspace, which holds [v; w], the balance residual and ``bus_v``;
 3. the clean channel values are gathered from [v; w] straight into the
    front of the secondary layer's input vector x; on a sampling step they are
    recorded before the attack layer scales its targets in place by
@@ -127,8 +128,8 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         except DivergenceError as exc:
             diverged_time = exc.t
             break
-        if out.solution.balance_residual > max_residual:
-            max_residual = out.solution.balance_residual
+        if out.balance_residual > max_residual:
+            max_residual = out.balance_residual
 
         # gather is in range by construction; "clip" skips the buffered copy of "raise"
         out.vw.take(gather, out=recv, mode="clip")
@@ -138,7 +139,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         for spec, targets in attacks:
             g = spec.gain(t)
             if g != 1.0:
-                recv[targets] *= g
+                recv[targets] = recv[targets] * g
 
         if record:
             rec_t[sample] = t
@@ -146,7 +147,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             rec_dg[sample, 2:4] = state.pq
             rec_dg[sample, 4:6] = setpoints
             rec_recv[sample] = recv
-            rec_load[sample] = np.abs(out.solution.bus_v[load_bus] * load_y)
+            rec_load[sample] = np.abs(out.bus_v[load_bus] * load_y)
             rec_att[sample] = int(any(s.active(t) for s, _ in attacks))
             sample += 1
 

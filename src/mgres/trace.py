@@ -49,12 +49,12 @@ class Trace:
         return self.dg["v"].shape[1]
 
 
-def dg1_voltage_triple(trace: Trace, dg: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Clean and received [v_ii, v_ij, v_ik] series for the attacked DG."""
-    idx = inbound_voltage_channels(trace.channels, dg)
+def dg1_voltage_triple(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Clean and received [v_11, v_1j, v_1k] series of DG1, the attacked DG."""
+    idx = inbound_voltage_channels(trace.channels, 0)
     if len(idx) != 3:
         raise TraceFormatError(
-            f"DG {dg + 1} has {len(idx)} inbound voltage channels, the "
+            f"DG1 has {len(idx)} inbound voltage channels, the "
             "7-input controller needs exactly 3 (self + two neighbors)")
     return trace.ch_clean[:, idx], trace.ch_recv[:, idx]
 

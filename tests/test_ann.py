@@ -352,3 +352,6 @@ def test_build_dataset_errors():
     long = make_trace(201, attacked=True, vn1=1.0)
     with pytest.raises(DatasetError, match="different length"):
         build_dataset([(long, short, "mismatch")])
+    long.v_ref = None   # as parse_csv leaves it
+    with pytest.raises(DatasetError, match="trace no-ref is missing the voltage reference"):
+        build_dataset([(long, long, "no-ref")])

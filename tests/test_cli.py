@@ -151,6 +151,23 @@ def test_train_missing_data_exits_1(work, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest, message", [
+    # a KeyError and a TypeError traceback before the manifest was checked
+    ('[{"id": 1}]', "run 1 field 'id' must be a string, got 1"),
+    ('{"a": 1}', "manifest.json must hold a list of run mappings"),
+    ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": 1.0}]',
+     "run 1 field 'w_ref' must be a number, got None"),
+])
+def test_malformed_manifest_exits_1(work, capsys, manifest, message):
+    data = work / "bad-manifest"
+    data.mkdir(exist_ok=True)
+    (data / "manifest.json").write_text(manifest)
+    rc = main(["train", "--data", str(data), "--out", str(work / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
 def test_evaluate_empty_model_exits_1(work, capsys):
     empty = work / "empty-model.txt"
     empty.write_text("")
@@ -181,6 +198,12 @@ def test_evaluate_malformed_model_exits_1(work, capsys, row, values, message):
      "'from' in plant line 1"),
     ("load_events:\n  - {t: 0.2, r: 0.8, x: 0.3}\n", "'bus' in load event 1"),
     ("seed: 3\n", "unknown scenario fields: ['seed']"),
+    # an AttributeError traceback before the scenario's sections were type-checked
+    ("gains: 3\n", "field 'gains' in scenario must be a mapping, got 3"),
+    ("load_events:\n  - {t: 0.2, bus: 1, r: [], x: 0.3}\n",
+     "field 'r' in load event 1 must be a number"),
+    ("attacks: 3\n", "field 'attacks' in scenario must be a list"),
+    ("controllers: 3\n", "field 'controllers' in scenario must be a list"),
 ])
 def test_malformed_scenario_exits_1(work, capsys, doc, field):
     path = work / "malformed.yaml"
@@ -189,6 +212,17 @@ def test_malformed_scenario_exits_1(work, capsys, doc, field):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("value", ["[1]", "null", "abc"])
+def test_non_numeric_duration_exits_1(work, capsys, value):
+    # duration: [1] ended in a TypeError traceback
+    path = work / "bad-duration.yaml"
+    path.write_text(f"duration: {value}\n")
+    rc = main(["simulate", "--scenario", str(path), "--out", str(work / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'duration' in scenario must be a number, got ")
 
 
 @pytest.mark.parametrize("command", [

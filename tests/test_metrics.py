@@ -82,7 +82,7 @@ def test_metric_input_validation():
     tr2 = make_trace(t, v1=1.0)
     tr2.v_ref = None
     with pytest.raises(MetricsError, match="references"):
-        compute_metrics(tr2, steady_window=0.1)
+        compute_metrics(tr2)
     with pytest.raises(MetricsError, match="empty"):
         compute_metrics(make_trace(np.zeros(0), v1=np.zeros(0)))
 

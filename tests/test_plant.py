@@ -115,7 +115,7 @@ def test_step_is_deterministic():
     assert np.array_equal(o1.v, o2.v) and np.array_equal(o1.w, o2.w)
     # two calls without a workspace compare two results, not one buffer with itself
     for a, b in ((s1.pq, s2.pq), (s1.delta, s2.delta), (o1.vw, o2.vw),
-                 (o1.solution.s_dg, o2.solution.s_dg)):
+                 (o1.s_dg, o2.s_dg)):
         assert not np.shares_memory(a, b)
 
 
@@ -194,10 +194,9 @@ def six_bus_model():
 def assert_same_step(got, want):
     (s1, o1), (s2, o2) = got, want
     for a, b in ((s1.delta, s2.delta), (s1.pq, s2.pq), (o1.vw, o2.vw),
-                 (o1.solution.s_dg, o2.solution.s_dg), (o1.solution.v_dg, o2.solution.v_dg),
-                 (o1.solution.bus_v, o2.solution.bus_v)):
+                 (o1.s_dg, o2.s_dg), (o1.v_dg, o2.v_dg), (o1.bus_v, o2.bus_v)):
         assert a.tobytes() == b.tobytes()
-    assert o1.solution.balance_residual == o2.solution.balance_residual
+    assert o1.balance_residual == o2.balance_residual
 
 
 def run_reused_and_fresh(model, n_steps, events=None, dt=1e-4):
@@ -213,7 +212,7 @@ def run_reused_and_fresh(model, n_steps, events=None, dt=1e-4):
         copy = PlantState(state.delta.copy(), state.pq.copy())
         got = step_plant(model, state, sp, dt, k * dt, ws)
         assert_same_step(got, step_plant(model, copy, sp, dt, k * dt))
-        assert got[1].solution.balance_residual < 1e-9
+        assert got[1].balance_residual < 1e-9
         state = got[0]
     return state
 
@@ -241,6 +240,32 @@ def test_network_workspace_follows_the_branch_count():
     # no branch at all: one DG alone on its bus
     lone = solve_network(np.ones(1), np.zeros(1), NetworkParams(1, (), (), (0,)))
     assert lone.s_dg[0] == 0 and lone.balance_residual == 0.0
+
+
+def test_solve_and_step_return_their_workspace():
+    model = default_model()
+    vmag, delta = np.ones(4), np.zeros(4)
+    ws = NetworkWorkspace(4)
+    assert solve_network(vmag, delta, model.network, ws) is ws
+    fresh = solve_network(vmag, delta, model.network)
+    assert isinstance(fresh, NetworkWorkspace) and fresh is not ws
+    assert fresh.s_dg.tobytes() == ws.s_dg.tobytes()
+    pws = PlantWorkspace(model, 1e-4)
+    sp = setpoints(np.ones(4), np.full(4, 377.0))
+    new, out = step_plant(model, model.initial_state(), sp, 1e-4, ws=pws)
+    assert out is pws and new in pws.states
+    _, out = step_plant(model, model.initial_state(), sp, 1e-4)
+    assert isinstance(out, PlantWorkspace) and out is not pws
+
+
+def test_each_network_builds_its_solver_once():
+    model = default_model()
+    net = model.network
+    assert net.solver is net.solver
+    bumped = apply_load_event(model, bus=0, r=0.4, x=0.15).network
+    assert bumped.solver is bumped.solver
+    assert bumped.solver is not net.solver
+    assert not np.array_equal(bumped.solver.y_red, net.solver.y_red)
 
 
 def test_workspace_is_bound_to_its_dt_and_dgs():
