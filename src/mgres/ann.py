@@ -132,10 +132,10 @@ class _Forward:
 
     def run(self, xn, w1t, b1, w2t, b2) -> np.ndarray:
         h, out = self.h, self.out
-        np.matmul(xn, w1t, h)
+        np.dot(xn, w1t, out=h)
         np.add(h, b1, h)
         np.tanh(h, h)                       # tansig
-        np.matmul(h, w2t, out)
+        np.dot(h, w2t, out=out)
         np.add(out, b2, out)
         return out
 

@@ -116,24 +116,37 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _field(d: dict, key: str, where: str, kind: type = float, default=None):
-    """``d[key]`` (``default``, if given, when absent) as a float, or as a dict or list."""
-    v = _require(d, key, where) if default is None else d.get(key, default)
+def _as(v, kind: type, what: str):
+    """``v`` as a float or a whole number, or as a dict, list or str; ``what``
+    names the value in the error."""
     try:
         if kind is float:
             return float(v)
+        if kind is int and float(v).is_integer():
+            return int(float(v))
         if isinstance(v, kind):
             return v
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    noun = {float: "a number", dict: "a mapping", list: "a list"}[kind]
-    raise ScenarioError(f"field {key!r} in {where} must be {noun}, got {v!r}")
+    noun = {float: "a number", int: "a whole number", dict: "a mapping",
+            list: "a list", str: "a string"}[kind]
+    raise ScenarioError(f"{what} must be {noun}, got {v!r}")
 
 
-def _entries(items: list, where: str, *fields: str) -> list[list[float]]:
+def _field(d: dict, key: str, where: str, kind: type = float, default=None):
+    """``d[key]`` (``default``, if given, when absent) through ``_as``."""
+    v = _require(d, key, where) if default is None else d.get(key, default)
+    return _as(v, kind, f"field {key!r} in {where}")
+
+
+# 1-based bus and DG numbers are whole numbers
+_INDEX_FIELDS = ("from", "to", "bus")
+
+
+def _entries(items: list, where: str, *fields: str) -> list[list]:
     """The required numeric ``fields`` of each entry of a list, in order."""
-    return [[_field(e, f, f"{where} {k + 1}") for f in fields]
-            for k, e in enumerate(items)]
+    return [[_field(e, f, f"{where} {k + 1}", int if f in _INDEX_FIELDS else float)
+             for f in fields] for k, e in enumerate(items)]
 
 
 def _parse_attack(d: dict) -> AttackSpec:
@@ -170,25 +183,30 @@ def _parse_plant(d: dict) -> MicrogridModel:
         dgs.append(DgParams(m_p=_field(e, "m_p", where, default=3.77),
                             n_q=_field(e, "n_q", where, default=0.04),
                             omega_c=_field(e, "omega_c", where, default=31.4)))
-    lines = tuple(Line(int(a) - 1, int(b) - 1, r, x) for a, b, r, x in _entries(
+    lines = tuple(Line(a - 1, b - 1, r, x) for a, b, r, x in _entries(
         _field(d, "lines", "plant", list), "plant line", "from", "to", "r", "x"))
-    loads = tuple(Load(int(b) - 1, r, x) for b, r, x in _entries(
+    loads = tuple(Load(b - 1, r, x) for b, r, x in _entries(
         _field(d, "loads", "plant", list), "plant load", "bus", "r", "x"))
-    net = NetworkParams(n_bus=int(_field(d, "n_bus", "plant")), lines=lines, loads=loads,
-                        dg_bus=tuple(int(b) - 1 for b in _field(d, "dg_bus", "plant", list)))
+    dg_bus = tuple(_as(b, int, f"plant dg_bus entry {k + 1}") - 1
+                   for k, b in enumerate(_field(d, "dg_bus", "plant", list)))
+    net = NetworkParams(n_bus=_field(d, "n_bus", "plant", int), lines=lines, loads=loads,
+                        dg_bus=dg_bus)
     return MicrogridModel(dgs=dgs, network=net)
 
 
 def _parse_graph(d: dict) -> CommGraph:
     edges = _field(d, "edges", "graph", list)
-    pinning = np.array([float(v) for v in _field(d, "pinning", "graph", list)])
+    pinning = np.array([_as(v, float, f"graph pinning entry {k + 1}")
+                        for k, v in enumerate(_field(d, "pinning", "graph", list))])
     n = len(pinning)
     adj = np.zeros((n, n))
     for k, e in enumerate(edges):
         if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
             raise ScenarioError(
                 f"graph edge {k + 1} must be [from, to] or [from, to, weight], got {e!r}")
-        frm, to, w = int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0
+        where = f"graph edge {k + 1}"
+        frm, to = _as(e[0], int, f"{where} from"), _as(e[1], int, f"{where} to")
+        w = _as(e[2], float, f"{where} weight") if len(e) == 3 else 1.0
         if not (1 <= frm <= n and 1 <= to <= n):
             raise ScenarioError(f"graph edge ({frm}, {to}) references an unknown DG")
         adj[to - 1, frm - 1] = w  # information flows frm -> to
@@ -229,8 +247,8 @@ def from_dict(d: dict, scenario_id: str = "scenario",
             else ("pi",) * graph.n
 
     ann_model = d.get("ann_model")
-    if ann_model is not None and not os.path.isabs(ann_model):
-        ann_model = os.path.join(base_dir, ann_model)
+    if ann_model is not None:   # an absolute path is kept as it is
+        ann_model = os.path.join(base_dir, _field(d, "ann_model", "scenario", str))
     if "ann" in controllers and ann_model is None:
         raise ScenarioError("controller 'ann' requires an ann_model file")
 
@@ -238,7 +256,7 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     gains = SecondaryGains(c_v=_field(gains_d, "c_v", "gains", default=5.0),
                            c_w=_field(gains_d, "c_w", "gains", default=5.0))
 
-    events = tuple(LoadEvent(t=t, bus=int(b) - 1, r=r, x=x) for t, b, r, x in
+    events = tuple(LoadEvent(t=t, bus=b - 1, r=r, x=x) for t, b, r, x in
                    _entries(_field(d, "load_events", "scenario", list, []),
                             "load event", "t", "bus", "r", "x"))
     attacks = tuple(_parse_attack(a) for a in _field(d, "attacks", "scenario", list, []))

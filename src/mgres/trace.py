@@ -12,8 +12,10 @@ export -> parse -> export is byte-identical.
 
 from __future__ import annotations
 
+import io
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +88,18 @@ def export_csv(trace: Trace, path=None) -> str | None:
     block[:, ch:ld:2] = trace.ch_clean
     block[:, ch + 1:ld:2] = trace.ch_recv
     block[:, ld:] = trace.load_current
+    # a channel repeats the DG signal it carries: key columns by their bytes (-0
+    # and 0, or two NaN payloads, differ) and format each distinct one once a row
+    seen: dict[bytes, int] = {}                     # a column's bits -> its slot
+    slots = [seen.setdefault(col.tobytes(), len(seen)) for col in block.T]
+    block = block[:, [slots.index(s) for s in range(len(seen))]]
+    del seen                                        # a third of the block's bytes
+    row_fmt = ",".join(f"{{{s}}}" for s in slots) + f",{{{block.shape[1]}}}\n"
     fmt = "{:.17g}".format
     lines = [",".join(cols) + "\n"]
     # row by row: a whole-block tolist() would hold ~4x the block as floats
     for row, flag in zip(block, trace.attack_active.astype(int).tolist()):
-        lines.append(",".join(map(fmt, row.tolist())) + f",{flag}\n")
+        lines.append(row_fmt.format(*map(fmt, row.tolist()), flag))
     text = "".join(lines)
     if path is None:
         return text
@@ -104,66 +113,67 @@ def export_csv(trace: Trace, path=None) -> str | None:
 _CH_RE = re.compile(r"^ch\.dg(\d+)->dg(\d+)\.(\w+)\.(clean|recv)$")
 
 
-def parse_csv(source) -> Trace:
-    """Rebuild a Trace from its CSV form (file path or CSV text)."""
-    if isinstance(source, str) and "\n" in source:
-        lines = source.splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError("empty CSV")
-    header = lines[0].split(",")
-    if header[0] != "t" or header[-1] != "attack_active":
-        raise TraceFormatError("CSV header must start with t and end with attack_active")
+def _bad_row(fh, width: int) -> str | None:
+    """The first row after the header that np.loadtxt rejects or that is too wide or narrow."""
+    for k, row in enumerate(fh, start=1):
+        if k > 1 and row.strip():
+            try:
+                n = np.loadtxt([row], delimiter=",", comments=None).size
+            except ValueError as exc:
+                return f"line {k}: {str(exc).replace(' at row 0,', ' at')}"
+            if n != width:
+                return f"line {k}: row width {n} does not match the header's {width}"
 
-    dg_cols, ch_cols, load_cols = [], [], []
+
+def parse_csv(source) -> Trace:
+    """Rebuild a Trace from its CSV form (file path or CSV text).  NumPy's C
+    reader rounds correctly: each value has the bits float() gives its text."""
+    text = isinstance(source, str) and "\n" in source
+    where = "CSV text" if text else str(source)
+    with (io.StringIO(source) if text else open(source)) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[0] != "t" or header[-1] != "attack_active":
+            raise TraceFormatError(
+                f"{where}: CSV header must start with t and end with attack_active")
+        try:
+            with warnings.catch_warnings():     # a header-only file has no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if data.size and data.shape[1] != len(header):
+                raise ValueError("row width does not match the header")
+        except ValueError as exc:
+            fh.seek(0)
+            raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc
+    data = data.reshape(-1, len(header))
+
+    dg_cols, ch_pos, load_cols = [], {}, []
     for pos, name in enumerate(header[1:-1], start=1):
         if name.startswith("dg"):
             dg_cols.append((pos, name))
         elif name.startswith("ch."):
             m = _CH_RE.match(name)
             if not m:
-                raise TraceFormatError(f"bad channel column {name!r}")
-            ch_cols.append((pos, int(m.group(1)) - 1, int(m.group(2)) - 1,
-                            m.group(3), m.group(4)))
+                raise TraceFormatError(f"{where}: bad channel column {name!r}")
+            key = (int(m.group(1)) - 1, int(m.group(2)) - 1, m.group(3))
+            ch_pos.setdefault(key, {})[m.group(4)] = pos
         elif name.startswith("load"):
             load_cols.append(pos)
         else:
-            raise TraceFormatError(f"unrecognized column {name!r}")
-
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:] if ln])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    if data.shape[1] != len(header):
-        raise TraceFormatError("row width does not match the header")
+            raise TraceFormatError(f"{where}: unrecognized column {name!r}")
+    if any(len(p) != 2 for p in ch_pos.values()):
+        raise TraceFormatError(f"{where}: every channel needs both a clean and a recv column")
 
     n_dg = len(dg_cols) // len(DG_SIGNALS)
     dg = {sig: np.empty((data.shape[0], n_dg)) for sig in DG_SIGNALS}
     for pos, name in dg_cols:
         num, sig = name[2:].split(".")
         dg[sig][:, int(num) - 1] = data[:, pos]
-
-    channels: list[tuple[int, int, str]] = []
-    clean_pos, recv_pos = {}, {}
-    for pos, s, d, sig, which in ch_cols:
-        key = (s, d, sig)
-        if key not in channels:
-            channels.append(key)
-        (clean_pos if which == "clean" else recv_pos)[key] = pos
-    if set(clean_pos) != set(recv_pos):
-        raise TraceFormatError("every channel needs both a clean and a recv column")
-    ch_clean = np.column_stack([data[:, clean_pos[k]] for k in channels]) \
-        if channels else np.empty((data.shape[0], 0))
-    ch_recv = np.column_stack([data[:, recv_pos[k]] for k in channels]) \
-        if channels else np.empty((data.shape[0], 0))
-
-    load_current = data[:, load_cols] if load_cols else np.empty((data.shape[0], 0))
     return Trace(
-        t=data[:, 0], dg=dg, channels=channels,
-        ch_clean=ch_clean, ch_recv=ch_recv,
+        t=data[:, 0], dg=dg, channels=list(ch_pos),
+        ch_clean=data[:, [p["clean"] for p in ch_pos.values()]],
+        ch_recv=data[:, [p["recv"] for p in ch_pos.values()]],
         load_buses=list(range(len(load_cols))),
-        load_current=load_current,
+        load_current=data[:, load_cols],
         attack_active=data[:, -1].astype(int),
     )
 

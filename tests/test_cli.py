@@ -1,4 +1,5 @@
 import json
+import shutil
 import textwrap
 
 import pytest
@@ -151,6 +152,21 @@ def test_train_missing_data_exits_1(work, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_corrupt_csv_exits_1(pipeline, work, capsys):
+    _, _, data, _ = pipeline
+    bad = work / "corrupt-data"
+    shutil.copytree(data, bad)
+    first = sorted(bad.glob("*.csv"))[0]
+    lines = first.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace(",", ",abc,", 1)
+    first.write_text("".join(lines))
+    rc = main(["train", "--data", str(bad), "--out", str(work / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {first}: line 5: could not convert string 'abc'")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("manifest, message", [
     # a KeyError and a TypeError traceback before the manifest was checked
     ('[{"id": 1}]', "run 1 field 'id' must be a string, got 1"),
@@ -246,6 +262,19 @@ GRAPH4 = "graph:\n  pinning: [1, 0, 0, 0]\n  edges: "
     (GRAPH4 + "[[1, 2], 3]\n", "graph edge 2 must be [from, to]"),
     ("plant:\n  n_bus: 1\n  dg_bus: [1]\n  dgs: [3]\n  lines: []\n  loads: []\n",
      "plant dg 1 must be a mapping"),
+    # the next four ended in a TypeError traceback
+    ("graph:\n  pinning: [[1], 0, 0, 0]\n  edges: [[1, 2], [2, 3], [3, 4], [4, 1]]\n",
+     "graph pinning entry 1 must be a number, got [1]"),
+    (GRAPH4 + "[[[1], 2], [2, 3], [3, 4], [4, 1]]\n",
+     "graph edge 1 from must be a whole number, got [1]"),
+    ("plant:\n  n_bus: 1\n  dg_bus: [[1]]\n  dgs: [{}]\n  lines: []\n  loads: []\n",
+     "plant dg_bus entry 1 must be a whole number, got [1]"),
+    ("ann_model: 3\n", "field 'ann_model' in scenario must be a string, got 3"),
+    # a fractional DG number was truncated, and an infinite bus an OverflowError
+    (GRAPH4 + "[[1.5, 2], [2, 3], [3, 4], [4, 1]]\n",
+     "graph edge 1 from must be a whole number, got 1.5"),
+    ("load_events:\n  - {t: 0.05, bus: .inf, r: 0.8, x: 0.3}\n",
+     "field 'bus' in load event 1 must be a whole number, got inf"),
 ])
 def test_malformed_graph_or_dg_entry_exits_1(work, capsys, doc, field):
     path = work / "malformed-entry.yaml"

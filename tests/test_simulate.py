@@ -220,3 +220,16 @@ def test_single_dg_without_graph_edges(tmp_path):
     assert tr.max_power_residual < 1e-9
     # the loaded DG sags below 1 pu, so its integrator raises the set-point
     assert tr.dg["v"][-1, 0] < 1.0 < tr.dg["Vn"][-1, 0]
+
+
+def test_halving_dt_halves_the_trace_change():
+    # forward Euler is first order: the sampled trace moves by O(dt), so the
+    # change from 2e-4 to 1e-4 s is about twice that from 1e-4 to 5e-5 s
+    runs = [run_scenario(short("default-nonperiodic", dt=dt)) for dt in (2e-4, 1e-4, 5e-5)]
+    for tr in runs[1:]:
+        np.testing.assert_array_equal(tr.t, runs[0].t)
+    for sig in ("v", "Vn"):
+        coarse, mid, fine = (tr.dg[sig] for tr in runs)
+        d1, d2 = np.abs(coarse - mid).max(), np.abs(mid - fine).max()
+        assert 0 < d2 < 1e-4
+        assert 1.8 < d1 / d2 < 2.2, (sig, d1, d2)

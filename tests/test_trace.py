@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mgres.datagen import MatrixSpec, gen_data
 from mgres.graph import inbound_voltage_channels
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
@@ -94,9 +97,9 @@ def test_traces_equal_detects_differences(short_trace):
     assert not traces_equal(short_trace, other)
 
 
-def test_export_matches_per_value_formatting():
-    # the normative text: every value through format(x, ".17g"), in the
-    # schema's column order, the flag as an integer
+def extreme_trace() -> Trace:
+    """Two DGs and two channels with signed zeros and values near the float
+    range's ends."""
     t = np.array([0.0, 1e-300, 1e300])
     dg = {sig: np.array([[-0.0, k + 0.1], [1e-300, -1e300], [1e300, 1.0 / 3.0]]) * (k + 1)
           for k, sig in enumerate(("v", "w", "P", "Q", "Vn", "wn"))}
@@ -104,14 +107,135 @@ def test_export_matches_per_value_formatting():
     clean = np.array([[-0.0, 2.5e-300], [1e300, 0.1], [7.0, -1e-300]])
     recv = -clean[:, ::-1]
     loads = np.array([[1e300], [-0.0], [1e-300]])
-    tr = Trace(t=t, dg=dg, channels=channels, ch_clean=clean, ch_recv=recv,
-               load_buses=[0], load_current=loads, attack_active=np.array([0, 1, 0]))
+    return Trace(t=t, dg=dg, channels=channels, ch_clean=clean, ch_recv=recv,
+                 load_buses=[0], load_current=loads, attack_active=np.array([0, 1, 0]))
+
+
+def per_value_csv(tr: Trace) -> str:
+    """The normative text: every value through format(x, ".17g"), in the
+    schema's column order, the flag as an integer."""
     lines = [",".join(column_names(tr))]
-    for r in range(3):
-        vals = [t[r]] + [dg[sig][r, i] for i in range(2)
-                         for sig in ("v", "w", "P", "Q", "Vn", "wn")]
-        vals += [x for c in range(2) for x in (clean[r, c], recv[r, c])] + [loads[r, 0]]
+    for r in range(len(tr.t)):
+        vals = [tr.t[r]] + [tr.dg[sig][r, i] for i in range(tr.n_dg)
+                            for sig in ("v", "w", "P", "Q", "Vn", "wn")]
+        vals += [x for c in range(len(tr.channels))
+                 for x in (tr.ch_clean[r, c], tr.ch_recv[r, c])]
+        vals += list(tr.load_current[r])
         lines.append(",".join(format(x, ".17g") for x in vals) + f",{tr.attack_active[r]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_matches_per_value_formatting():
+    tr = extreme_trace()
     text = export_csv(tr)
-    assert text == "\n".join(lines) + "\n"
+    assert text == per_value_csv(tr)
     assert "-0," in text and "1e+300" in text and "1e-300" in text
+
+
+def uniform_trace(values: np.ndarray) -> Trace:
+    """One DG, two channels and one load, every column set to ``values``."""
+    n = len(values)
+    col = values[:, None]
+    return Trace(t=values.copy(),
+                 dg={sig: col.copy() for sig in ("v", "w", "P", "Q", "Vn", "wn")},
+                 channels=[(0, 0, "voltage"), (0, 0, "frequency")],
+                 ch_clean=np.repeat(col, 2, axis=1), ch_recv=np.repeat(col, 2, axis=1),
+                 load_buses=[0], load_current=col.copy(),
+                 attack_active=np.arange(n) % 2)
+
+
+def test_export_keeps_columns_that_differ_only_in_bits():
+    # column pairs equal as values (or both NaN) but not as bits are each
+    # formatted from their own bits; columns equal as bits share one text
+    quiet = np.array([np.nan, 1.0, -0.0, np.inf, -np.inf])
+    payload = quiet.copy()
+    payload.view(np.uint64)[0] |= 1              # another NaN payload
+    signed = quiet.copy()
+    signed[2] = 0.0                              # +0 against -0
+    tr = uniform_trace(quiet)
+    tr.dg["w"][:, 0] = payload
+    tr.ch_recv[:, 1] = signed
+    tr.load_current[:, 0] = payload
+    text = export_csv(tr)
+    assert text == per_value_csv(tr)
+    assert "nan,nan" in text and ",-0," in text and ",0," in text and "-inf" in text
+    back = parse_csv(text)
+    assert export_csv(back) == text
+
+
+@pytest.mark.parametrize("values", [np.array([0.25, -1e-300, 3.0]), np.zeros(0)])
+def test_export_with_every_column_equal(values):
+    tr = uniform_trace(values)
+    text = export_csv(tr)
+    assert text == per_value_csv(tr)
+    assert traces_equal(parse_csv(text), tr)
+
+
+def reference_rows(text: str) -> np.ndarray:
+    """The data rows of a CSV through float() on each token."""
+    return np.array([[float(v) for v in ln.split(",")] for ln in text.splitlines()[1:] if ln])
+
+
+def csv_order(tr: Trace) -> np.ndarray:
+    """A parsed trace's columns back in the CSV's order, the flag as a float."""
+    cols = [tr.t] + [tr.dg[sig][:, i] for i in range(tr.n_dg)
+                     for sig in ("v", "w", "P", "Q", "Vn", "wn")]
+    cols += [x for c in range(len(tr.channels)) for x in (tr.ch_clean[:, c], tr.ch_recv[:, c])]
+    cols += list(tr.load_current.T) + [tr.attack_active.astype(float)]
+    return np.column_stack(cols)
+
+
+@pytest.fixture(scope="module")
+def matrix_csvs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("matrix")
+    spec = MatrixSpec(load_factors=(0.85, 1.15), alphas=(0.5,), betas=(0.5,),
+                      tau=0.2, step_time=0.1, duration=0.3)
+    entries = gen_data(str(out), spec)
+    assert all(e["status"] == "ok" for e in entries)
+    return sorted(out.glob("*.csv"))
+
+
+def test_parse_is_bit_equal_to_float_on_each_token(matrix_csvs, tmp_path):
+    assert len(matrix_csvs) == 6
+    extreme = tmp_path / "extreme.csv"
+    export_csv(extreme_trace(), extreme)
+    for path in matrix_csvs + [extreme]:
+        text = path.read_text()
+        ref = reference_rows(text)
+        for source in (str(path), text):
+            assert csv_order(parse_csv(source)).tobytes() == ref.tobytes(), path.name
+        assert export_csv(parse_csv(str(path))) == text
+
+
+def test_header_only_file_is_a_zero_row_trace(short_trace, tmp_path):
+    header = export_csv(short_trace).splitlines(keepends=True)[0]
+    path = tmp_path / "empty.csv"
+    path.write_text(header)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for back in (parse_csv(str(path)), parse_csv(header + "\n")):
+            assert len(back.t) == 0 and back.channels == short_trace.channels
+            assert back.dg["v"].shape == (0, 4) and back.ch_recv.shape == (0, 24)
+            assert back.load_current.shape == (0, 2)
+            assert export_csv(back) == header
+
+
+WIDTH = "does not match the header's 76"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.replace(",", ",x1,", 1), "line 4: could not convert string 'x1'"),
+    (lambda row: row.rsplit(",", 1)[0] + "\n", f"line 4: row width 75 {WIDTH}"),    # short
+    (lambda row: row.rstrip("\n") + ",0\n", f"line 4: row width 77 {WIDTH}"),      # long
+])
+def test_malformed_row_names_the_file_and_line(short_trace, tmp_path, edit, message):
+    lines = export_csv(short_trace).splitlines(keepends=True)
+    lines[3] = edit(lines[3])
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(TraceFormatError) as exc:
+        parse_csv(str(path))
+    assert str(exc.value).startswith(f"{path}: {message}")
+    with pytest.raises(TraceFormatError) as exc:
+        parse_csv("".join(lines))
+    assert str(exc.value).startswith(f"CSV text: {message}")
