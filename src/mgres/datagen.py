@@ -19,7 +19,7 @@ from .ann import (Dataset, DatasetError, MlpParams, TrainConfig, TrainReport,
                   build_dataset, train)
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .plant import default_model
-from .scenario import LoadEvent, ScenarioConfig, ScenarioError
+from .scenario import LoadEvent, ScenarioConfig, ScenarioError, _as
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv
 
@@ -41,14 +41,21 @@ class MatrixSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixSpec":
-        """Overrides of the defaults: lists become tuples, scalars floats."""
+        """Overrides of the defaults: lists of numbers become tuples, scalars floats."""
         if not isinstance(d, dict):
             raise ScenarioError(f"matrix must be a mapping, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ScenarioError(f"unknown matrix fields: {sorted(map(str, unknown))}")
-        return cls(**{k: tuple(v) if isinstance(v, (list, tuple)) else float(v)
-                      for k, v in d.items()})
+        spec = {}
+        for k, v in d.items():
+            what = f"matrix field {k!r}"
+            if k in ("load_factors", "alphas", "betas"):
+                spec[k] = tuple(_as(x, float, f"{what} entry {j + 1}")
+                                for j, x in enumerate(_as(v, list, what)))
+            else:
+                spec[k] = _as(v, float, what)
+        return cls(**spec)
 
 
 def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:

@@ -139,11 +139,14 @@ class NetworkSolver:
     Passive buses are eliminated by Kron reduction: their voltages are
     v_o = K v_d with K = -Y_oo^-1 Y_od, so the DG currents are Y_red v_d with
     Y_red = Y_dd + Y_do K.  Bus voltages and branch voltages (lines, then
-    loads to ground) are fixed linear maps of the DG voltages.
+    loads to ground) are fixed linear maps of the DG voltages.  ``load_bus``
+    and ``load_y`` are each load's bus and admittance, in the network's order.
     """
 
     def __init__(self, net: NetworkParams):
         ybus = build_ybus(net)
+        self.load_bus = np.array([ld.bus for ld in net.loads], dtype=int)
+        self.load_y = np.array([ld.admittance for ld in net.loads], dtype=complex)
         dg = list(net.dg_bus)
         other = sorted(set(range(net.n_bus)) - set(dg))
         bus_map = np.eye(net.n_bus, dtype=complex)[:, dg]
@@ -168,7 +171,7 @@ class NetworkSolver:
             g.append((1.0 / complex(ln.r, ln.x)).real)
         for k, ld in enumerate(net.loads, start=len(net.lines)):
             incidence[k, ld.bus] = 1.0
-            g.append(ld.admittance.real)
+        g += self.load_y.real.tolist()
         branch = incidence @ bus_map
         self.branch = np.vstack([branch, np.array(g)[:, None] * branch])
         self.n_branch = len(g)
@@ -199,6 +202,11 @@ class NetworkWorkspace:
     def bus_v(self) -> np.ndarray:
         """Complex voltage per bus, pu."""
         return self.solver.bus_map @ self.v_dg
+
+    @property
+    def load_current(self) -> np.ndarray:
+        """Current magnitude per load, pu, in the network's load order."""
+        return np.abs(self.bus_v[self.solver.load_bus] * self.solver.load_y)
 
     def use(self, net: NetworkParams) -> None:
         self.net, self.solver = net, net.solver
@@ -334,8 +342,9 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
     Deterministic: identical inputs give bit-identical outputs.  Returns
     the new state and ``ws`` (a fresh workspace when none is given), which
     holds this step's droop outputs ``vw`` = [v; w] and network solution
-    (``s_dg``, ``v_dg``, ``balance_residual``, ``bus_v``).  The next step on
-    ``ws`` overwrites them and every state but the one it is given.
+    (``s_dg``, ``v_dg``, ``balance_residual``, ``bus_v``, ``load_current``).
+    The next step on ``ws`` overwrites them and every state but the one it
+    is given.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -95,6 +95,9 @@ class ScenarioConfig:
         for ev in self.load_events:
             if ev.bus not in loads_by_bus:
                 raise ScenarioError(f"load event targets bus {ev.bus + 1} with no load")
+            if ev.r == 0 and ev.x == 0:
+                raise ScenarioError(
+                    f"load event at t={ev.t:g} s on bus {ev.bus + 1} has zero impedance")
         for spec in self.attacks:
             try:
                 resolve_channels(spec, self.graph.channels())

@@ -20,8 +20,8 @@ Each step k (t = k dt) runs, in order:
 
 Every per-step NumPy call writes its result with ``out`` into buffers built
 once per run, on same-shape operands and views made once (the exceptions are
-the attack layer's indexed scaling, on attacked steps only, and the copies
-into the record arrays on sampling steps):
+the attack layer's indexed scaling, on attacked steps only, and the load
+currents on sampling steps):
 
 - ``plant.PlantWorkspace``: two ``PlantState``s that take turns (a step reads
   one and writes the other, so the old state is still whole when the
@@ -34,10 +34,11 @@ into the record arrays on sampling steps):
 - ``ann.AnnKernel``, one per ANN-controlled DG: its feature row [r, r, v*]
   and the normalised row, hidden layer and output;
 - here: x, the (2, n) set-points, which ``secondary_update`` rewrites in
-  place once the step has recorded and consumed them, and the record arrays.
+  place once the step has recorded and consumed them, and the trace, whose
+  block (``Trace.data``) a sample enters through views made once per run.
 
-The returned trace's arrays are views of this run's record arrays, so a later
-run never changes them.
+The returned trace is this run's block, cut to the recorded samples, so a
+later run never changes it.
 """
 
 from __future__ import annotations
@@ -49,17 +50,18 @@ import numpy as np
 from . import ann as annmod
 from .attack import resolve_channels
 from .graph import SIGNALS, inbound_voltage_channels
-from .plant import DivergenceError, PlantWorkspace, apply_load_event, step_plant
+from .plant import DivergenceError, NetworkError, PlantWorkspace, apply_load_event, step_plant
 from .scenario import ScenarioConfig
 from .secondary import ConsensusMap, secondary_update
-from .trace import DG_SIGNALS, Trace
+from .trace import Trace
 
 
 def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     """Simulate one scenario and return the recorded trace.
 
     Divergence is reported on the returned trace (``diverged`` flag and
-    truncated arrays), not raised.
+    truncated arrays), not raised, and so is a network that a load event
+    after t = 0 makes singular; at t = 0 a ``NetworkError`` is raised.
     """
     if "ann" in config.controllers and ann_params is None:
         if config.ann_model_path is None:
@@ -89,15 +91,12 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             ann_kernels.append((i, annmod.AnnKernel(ann_params, v_ref, idx)))
 
     stride, n_steps = config.sample_stride, config.n_steps
-    n_samples = n_steps // stride + 1
-
-    # preallocated record arrays; rec_dg rows follow DG_SIGNALS
-    rec_t = np.zeros(n_samples)
-    rec_dg = np.zeros((n_samples, len(DG_SIGNALS), n))
-    rec_clean = np.zeros((n_samples, len(channels)))
-    rec_recv = np.zeros_like(rec_clean)
-    rec_load = np.zeros((n_samples, len(model.network.loads)))
-    rec_att = np.zeros(n_samples, dtype=int)
+    trace = Trace.empty(n_steps // stride + 1, n, channels, len(model.network.loads))
+    trace.v_ref, trace.w_ref = config.v_ref, config.w_ref
+    rec_t, rec_att = trace.t, trace.attack_active
+    rec_clean, rec_recv, rec_load = trace.ch_clean, trace.ch_recv, trace.load_current
+    # adjacent pairs of DG_SIGNALS: [v, w], [P, Q], [V_n, w_n]
+    rec_vw, rec_pq, rec_sp = (trace.dg_block[:, :, k:k + 2] for k in (0, 2, 4))
 
     x = np.empty(len(channels) + n)
     recv, weighted_p = x[:len(channels)], x[len(channels):]
@@ -105,10 +104,9 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     ws = PlantWorkspace(model, dt)
     state = model.initial_state()
     setpoints = np.array([np.full(n, config.v_ref), np.full(n, config.w_ref)])
+    vw_t, sp_t = ws.vw.T, setpoints.T           # (n, 2) per DG
     events = list(config.load_events)
     next_event = events[0].t if events else math.inf
-    load_y = np.array([ld.admittance for ld in model.network.loads])
-    load_bus = np.array([ld.bus for ld in model.network.loads], dtype=int)
 
     diverged_time = None
     max_residual = 0.0
@@ -120,13 +118,17 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             while events and events[0].t <= t + 1e-12:
                 ev = events.pop(0)
                 model = apply_load_event(model, ev.bus, ev.r, ev.x)
-            load_y = np.array([ld.admittance for ld in model.network.loads])
             next_event = events[0].t if events else math.inf
 
         try:
             new_state, out = step_plant(model, state, setpoints, dt, t, ws)
         except DivergenceError as exc:
             diverged_time = exc.t
+            break
+        except NetworkError:    # only a load epoch's first solve raises it
+            if k == 0:          # the scenario's own network: a config error
+                raise
+            diverged_time = t
             break
         if out.balance_residual > max_residual:
             max_residual = out.balance_residual
@@ -143,11 +145,11 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
 
         if record:
             rec_t[sample] = t
-            rec_dg[sample, 0:2] = out.vw
-            rec_dg[sample, 2:4] = state.pq
-            rec_dg[sample, 4:6] = setpoints
+            rec_vw[sample] = vw_t
+            rec_pq[sample] = state.pq_t
+            rec_sp[sample] = sp_t
             rec_recv[sample] = recv
-            rec_load[sample] = np.abs(out.bus_v[load_bus] * load_y)
+            rec_load[sample] = out.load_current
             rec_att[sample] = int(any(s.active(t) for s, _ in attacks))
             sample += 1
 
@@ -163,13 +165,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
 
         state = new_state
 
-    return Trace(
-        t=rec_t[:sample],
-        dg={sig: rec_dg[:sample, j] for j, sig in enumerate(DG_SIGNALS)},
-        channels=channels, ch_clean=rec_clean[:sample], ch_recv=rec_recv[:sample],
-        load_buses=list(load_bus), load_current=rec_load[:sample],
-        attack_active=rec_att[:sample],
-        v_ref=config.v_ref, w_ref=config.w_ref,
-        diverged=diverged_time is not None, diverged_time=diverged_time,
-        max_power_residual=max_residual,
-    )
+    trace.data, trace.attack_active = trace.data[:sample], rec_att[:sample]
+    trace.diverged, trace.diverged_time = diverged_time is not None, diverged_time
+    trace.max_power_residual = max_residual
+    return trace

@@ -7,7 +7,9 @@ CSV schema (bit-exact, one column per recorded quantity):
     load{k}.I, attack_active
 
 Values are decimal with 17 significant digits, rows ordered by time, so
-export -> parse -> export is byte-identical.
+export -> parse -> export is byte-identical.  A ``Trace`` holds the float
+columns as one block in this order: a run records into it, ``export_csv``
+formats it and ``parse_csv`` wraps it once the header matches.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -31,13 +34,12 @@ class TraceFormatError(ValueError):
 
 @dataclass
 class Trace:
-    t: np.ndarray                                # (N,)
-    dg: dict[str, np.ndarray]                    # signal -> (N, n_dg)
+    """Recorded columns as one float block, ``data``, in the CSV's column order
+    (``attack_active`` aside); ``t``, ``dg[sig]``, ``ch_clean``, ``ch_recv``
+    and ``load_current`` are views of it."""
+    data: np.ndarray                             # (N, W)
+    n_dg: int
     channels: list[tuple[int, int, str]]         # (src, dst, signal)
-    ch_clean: np.ndarray                         # (N, C)
-    ch_recv: np.ndarray                          # (N, C)
-    load_buses: list[int]
-    load_current: np.ndarray                     # (N, K)
     attack_active: np.ndarray                    # (N,) 0/1
     # run metadata; not part of the CSV schema
     v_ref: float | None = None
@@ -46,9 +48,44 @@ class Trace:
     diverged_time: float | None = None
     max_power_residual: float = 0.0
 
+    @classmethod
+    def empty(cls, rows: int, n_dg: int, channels: list[tuple[int, int, str]],
+              n_load: int) -> Trace:
+        """A zero-filled trace of ``rows`` samples with this layout."""
+        width = 1 + len(DG_SIGNALS) * n_dg + 2 * len(channels) + n_load
+        return cls(np.zeros((rows, width)), n_dg, list(channels), np.zeros(rows, dtype=int))
+
     @property
-    def n_dg(self) -> int:
-        return self.dg["v"].shape[1]
+    def _ch(self) -> int:                        # first channel column
+        return 1 + len(DG_SIGNALS) * self.n_dg
+
+    @property
+    def _load(self) -> int:                      # first load column
+        return self._ch + 2 * len(self.channels)
+
+    @property
+    def t(self) -> np.ndarray:                   # (N,)
+        return self.data[:, 0]
+
+    @property
+    def dg_block(self) -> np.ndarray:            # (N, n_dg, len(DG_SIGNALS))
+        return self.data[:, 1:self._ch].reshape(len(self.data), self.n_dg, len(DG_SIGNALS))
+
+    @property
+    def dg(self) -> dict[str, np.ndarray]:      # signal -> (N, n_dg)
+        return dict(zip(DG_SIGNALS, self.dg_block.transpose(2, 0, 1)))
+
+    @property
+    def ch_clean(self) -> np.ndarray:            # (N, C)
+        return self.data[:, self._ch:self._load:2]
+
+    @property
+    def ch_recv(self) -> np.ndarray:             # (N, C)
+        return self.data[:, self._ch + 1:self._load:2]
+
+    @property
+    def load_current(self) -> np.ndarray:        # (N, K)
+        return self.data[:, self._load:]
 
 
 def dg1_voltage_triple(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -68,7 +105,7 @@ def column_names(trace: Trace) -> list[str]:
     for (s, d, sig) in trace.channels:
         cols.append(f"ch.dg{s + 1}->dg{d + 1}.{sig}.clean")
         cols.append(f"ch.dg{s + 1}->dg{d + 1}.{sig}.recv")
-    for k in range(len(trace.load_buses)):
+    for k in range(trace.load_current.shape[1]):
         cols.append(f"load{k + 1}.I")
     cols.append("attack_active")
     return cols
@@ -78,27 +115,17 @@ def export_csv(trace: Trace, path=None) -> str | None:
     """Write the trace in the normative CSV schema; returns the text when no
     path is given."""
     cols = column_names(trace)
-    # one float block in the CSV's column order, attack_active aside
-    block = np.empty((len(trace.t), len(cols) - 1))
-    block[:, 0] = trace.t
-    ch = 1 + len(DG_SIGNALS) * trace.n_dg           # first channel column
-    for k, sig in enumerate(DG_SIGNALS):
-        block[:, 1 + k:ch:len(DG_SIGNALS)] = trace.dg[sig]
-    ld = ch + 2 * len(trace.channels)               # first load column
-    block[:, ch:ld:2] = trace.ch_clean
-    block[:, ch + 1:ld:2] = trace.ch_recv
-    block[:, ld:] = trace.load_current
     # a channel repeats the DG signal it carries: key columns by their bytes (-0
     # and 0, or two NaN payloads, differ) and format each distinct one once a row
     seen: dict[bytes, int] = {}                     # a column's bits -> its slot
-    slots = [seen.setdefault(col.tobytes(), len(seen)) for col in block.T]
-    block = block[:, [slots.index(s) for s in range(len(seen))]]
-    del seen                                        # a third of the block's bytes
-    row_fmt = ",".join(f"{{{s}}}" for s in slots) + f",{{{block.shape[1]}}}\n"
+    slots = [seen.setdefault(col.tobytes(), len(seen)) for col in trace.data.T]
+    distinct = trace.data[:, [slots.index(s) for s in range(len(seen))]]
+    del seen                                        # a third of the data's bytes
+    row_fmt = ",".join(f"{{{s}}}" for s in slots) + f",{{{distinct.shape[1]}}}\n"
     fmt = "{:.17g}".format
     lines = [",".join(cols) + "\n"]
     # row by row: a whole-block tolist() would hold ~4x the block as floats
-    for row, flag in zip(block, trace.attack_active.astype(int).tolist()):
+    for row, flag in zip(distinct, trace.attack_active.astype(int).tolist()):
         lines.append(row_fmt.format(*map(fmt, row.tolist()), flag))
     text = "".join(lines)
     if path is None:
@@ -110,7 +137,9 @@ def export_csv(trace: Trace, path=None) -> str | None:
     return None
 
 
-_CH_RE = re.compile(r"^ch\.dg(\d+)->dg(\d+)\.(\w+)\.(clean|recv)$")
+_CH_RE = re.compile(r"^ch\.dg(\d+)->dg(\d+)\.(\w+)\.clean$")
+# the kind of column a name prefix announces, for the header check's message
+_KINDS = (("ch.", "channel "), ("dg", "DG "), ("load", "load "))
 
 
 def _bad_row(fh, width: int) -> str | None:
@@ -146,48 +175,22 @@ def parse_csv(source) -> Trace:
             raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc
     data = data.reshape(-1, len(header))
 
-    dg_cols, ch_pos, load_cols = [], {}, []
-    for pos, name in enumerate(header[1:-1], start=1):
-        if name.startswith("dg"):
-            dg_cols.append((pos, name))
-        elif name.startswith("ch."):
-            m = _CH_RE.match(name)
-            if not m:
-                raise TraceFormatError(f"{where}: bad channel column {name!r}")
-            key = (int(m.group(1)) - 1, int(m.group(2)) - 1, m.group(3))
-            ch_pos.setdefault(key, {})[m.group(4)] = pos
-        elif name.startswith("load"):
-            load_cols.append(pos)
-        else:
-            raise TraceFormatError(f"{where}: unrecognized column {name!r}")
-    if any(len(p) != 2 for p in ch_pos.values()):
-        raise TraceFormatError(f"{where}: every channel needs both a clean and a recv column")
-
-    n_dg = len(dg_cols) // len(DG_SIGNALS)
-    dg = {sig: np.empty((data.shape[0], n_dg)) for sig in DG_SIGNALS}
-    for pos, name in dg_cols:
-        num, sig = name[2:].split(".")
-        dg[sig][:, int(num) - 1] = data[:, pos]
-    return Trace(
-        t=data[:, 0], dg=dg, channels=list(ch_pos),
-        ch_clean=data[:, [p["clean"] for p in ch_pos.values()]],
-        ch_recv=data[:, [p["recv"] for p in ch_pos.values()]],
-        load_buses=list(range(len(load_cols))),
-        load_current=data[:, load_cols],
-        attack_active=data[:, -1].astype(int),
-    )
+    # the layout the header announces; any name out of place fails the check
+    names = header[1:-1]
+    n_dg = sum(name.startswith("dg") for name in names) // len(DG_SIGNALS)
+    channels = [(int(m[1]) - 1, int(m[2]) - 1, m[3]) for m in map(_CH_RE.match, names) if m]
+    trace = Trace(data[:, :-1], n_dg, channels, data[:, -1].astype(int))
+    expected = column_names(trace)
+    if header != expected:
+        k, (got, want) = next((k, pair) for k, pair in enumerate(zip_longest(header, expected))
+                              if pair[0] != pair[1])
+        kind = next((noun for prefix, noun in _KINDS if str(got).startswith(prefix)), "")
+        raise TraceFormatError(f"{where}: bad {kind}column {got!r} at position {k + 1}, "
+                               f"expected {want!r}")
+    return trace
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:
     """Exact equality of the recorded columns (metadata excluded)."""
-    if a.channels != b.channels or len(a.load_buses) != len(b.load_buses):
-        return False
-    if not np.array_equal(a.t, b.t):
-        return False
-    for sig in DG_SIGNALS:
-        if not np.array_equal(a.dg[sig], b.dg[sig]):
-            return False
-    return (np.array_equal(a.ch_clean, b.ch_clean)
-            and np.array_equal(a.ch_recv, b.ch_recv)
-            and np.array_equal(a.load_current, b.load_current)
+    return (column_names(a) == column_names(b) and np.array_equal(a.data, b.data)
             and np.array_equal(a.attack_active, b.attack_active))

@@ -314,12 +314,12 @@ def make_trace(n_samples, attacked, vn1, clean=None, recv=None, v_ref=1.0):
         clean = np.tile([1.0, 1.01, 1.02], (n_samples, 1))
     if recv is None:
         recv = clean * (1.5 if attacked else 1.0)
-    dg = {sig: np.zeros((n_samples, 4)) for sig in ("v", "w", "P", "Q", "Vn", "wn")}
-    dg["Vn"][:, 0] = vn1
-    return Trace(t=t, dg=dg, channels=channels, ch_clean=clean, ch_recv=recv,
-                 load_buses=[0, 2], load_current=np.zeros((n_samples, 2)),
-                 attack_active=np.full(n_samples, int(attacked)),
-                 v_ref=v_ref, w_ref=2 * np.pi * 60)
+    tr = Trace.empty(n_samples, 4, channels, 2)
+    tr.t[:], tr.ch_clean[:], tr.ch_recv[:] = t, clean, recv
+    tr.dg["Vn"][:, 0] = vn1
+    tr.attack_active[:] = int(attacked)
+    tr.v_ref, tr.w_ref = v_ref, 2 * np.pi * 60
+    return tr
 
 
 def test_build_dataset_rows_and_pairing():

@@ -152,19 +152,39 @@ def test_train_missing_data_exits_1(work, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_train_corrupt_csv_exits_1(pipeline, work, capsys):
+@pytest.mark.parametrize("line, old, new, message", [
+    (4, ",", ",abc,", "line 5: could not convert string 'abc'"),
+    # a KeyError traceback before the header was checked
+    (0, "dg1.v", "dg1.foo", "bad DG column 'dg1.foo' at position 2, expected 'dg1.v'"),
+], ids=["row", "header"])
+def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, message):
     _, _, data, _ = pipeline
-    bad = work / "corrupt-data"
+    bad = work / f"corrupt-data-{line}"
     shutil.copytree(data, bad)
     first = sorted(bad.glob("*.csv"))[0]
     lines = first.read_text().splitlines(keepends=True)
-    lines[4] = lines[4].replace(",", ",abc,", 1)
+    lines[line] = lines[line].replace(old, new, 1)
     first.write_text("".join(lines))
     rc = main(["train", "--data", str(bad), "--out", str(work / "m.txt")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {first}: line 5: could not convert string 'abc'")
+    assert err.startswith(f"error: {first}: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a TypeError traceback, and two specs that failed only later
+    ("tau: null\n", "matrix field 'tau' must be a number, got None"),
+    ("duration: [1]\n", "matrix field 'duration' must be a number, got [1]"),
+    ("alphas: 3\n", "matrix field 'alphas' must be a list, got 3"),
+])
+def test_malformed_matrix_exits_1(work, capsys, doc, message):
+    path = work / "bad-matrix.yaml"
+    path.write_text(doc)
+    out = work / "unwritten-data"
+    assert main(["gen-data", "--matrix", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("manifest, message", [
@@ -282,6 +302,31 @@ def test_malformed_graph_or_dg_entry_exits_1(work, capsys, doc, field):
     assert main(["graph-info", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+ONE_DG_YAML = ("duration: 0.05\nplant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{}]\n"
+               "  lines: [{from: 1, to: 2, r: 0.05, x: 0.10}]\n"
+               "  loads: [{bus: 2, r: 0.8, x: 0.3}]\n"
+               "load_events:\n  - {t: 0.02, bus: 2, r: %g, x: %g}\n")
+
+
+def test_singular_network_at_a_load_event_exits_2(work, capsys):
+    # the new load cancels the line's admittance; this raised 'singular admittance
+    # system' with exit 1 and wrote no trace
+    path = work / "singular-event.yaml"
+    path.write_text(ONE_DG_YAML % (-0.05, -0.10))
+    out = work / "singular-event.csv"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "diverged at t=0.020000s" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 1 + 20    # samples up to 0.019 s
+
+
+def test_zero_impedance_load_event_exits_1(work, capsys):
+    path = work / "zero-event.yaml"
+    path.write_text(ONE_DG_YAML % (0, 0))
+    assert main(["simulate", "--scenario", str(path), "--out", str(work / "z.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: load event at t=0.02 s on bus 2 has zero impedance\n")
 
 
 def test_resonant_passive_bus_exits_1(work, capsys):

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgres.ann import TrainConfig
 from mgres.datagen import (MatrixSpec, dataset_from_dir, gen_data, load_runs,
@@ -50,6 +51,25 @@ def test_matrix_spec_from_dict():
         MatrixSpec.from_dict([{"tau": 0.4}])
     with pytest.raises(ScenarioError, match=r"unknown matrix fields: \['1', 'a'\]"):
         MatrixSpec.from_dict({1: 2, "a": 3})
+
+
+SCALARS = st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats()
+MATRIX_FIELDS = ["load_factors", "alphas", "betas", "freq_hz", "tau", "step_time",
+                 "duration", "seed"]
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from(MATRIX_FIELDS),
+                       SCALARS | st.lists(SCALARS | st.lists(SCALARS, max_size=2),
+                                          max_size=3)))
+def test_matrix_spec_from_dict_raises_only_scenario_error(d):
+    try:
+        spec = MatrixSpec.from_dict(d)
+    except ScenarioError:
+        return
+    for name in MATRIX_FIELDS[:3]:
+        assert all(isinstance(x, float) for x in getattr(spec, name))
+    assert all(isinstance(getattr(spec, name), float) for name in MATRIX_FIELDS[3:-1])
 
 
 def test_gen_data_outputs(data_dir):

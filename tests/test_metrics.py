@@ -10,18 +10,15 @@ W60 = 2 * math.pi * 60
 
 
 def make_trace(t, v1, attack_from=None, v_others=1.0, w=W60):
-    n = len(t)
-    dg = {sig: np.zeros((n, 4)) for sig in ("v", "w", "P", "Q", "Vn", "wn")}
-    dg["v"][:] = v_others
-    dg["v"][:, 0] = v1
-    dg["w"][:] = w
-    active = np.zeros(n, dtype=int)
+    tr = Trace.empty(len(t), 4, [], 0)
+    tr.t[:] = t
+    tr.dg["v"][:] = v_others
+    tr.dg["v"][:, 0] = v1
+    tr.dg["w"][:] = w
     if attack_from is not None:
-        active[t >= attack_from] = 1
-    return Trace(t=t, dg=dg, channels=[], ch_clean=np.zeros((n, 0)),
-                 ch_recv=np.zeros((n, 0)), load_buses=[],
-                 load_current=np.zeros((n, 0)), attack_active=active,
-                 v_ref=1.0, w_ref=W60)
+        tr.attack_active[t >= attack_from] = 1
+    tr.v_ref, tr.w_ref = 1.0, W60
+    return tr
 
 
 def test_no_attack_metrics():

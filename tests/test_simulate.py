@@ -9,7 +9,8 @@ from mgres import ann, attack, plant, simulate
 from mgres.ann import MlpParams, NormalizationSpec
 from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import ring_graph
-from mgres.plant import DgParams, Line, Load, MicrogridModel, NetworkParams, build_ybus
+from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
+                         build_ybus)
 from mgres.scenario import LoadEvent, ScenarioConfig, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import traces_equal
@@ -211,11 +212,16 @@ def test_passive_buses_match_full_nodal_solve(monkeypatch):
     assert tr.load_current[-1, 0] > 1.5 * tr.load_current[100, 0]  # the event took effect
 
 
-def test_single_dg_without_graph_edges(tmp_path):
-    # one DG feeding a load bus: no communication edges, only the pinning term
+def one_dg(*load_events: LoadEvent) -> ScenarioConfig:
+    """One DG on bus 0 feeding a load on bus 1 over a (0.05 + 0.10j) pu line, for 0.05 s."""
     net = NetworkParams(2, (Line(0, 1, 0.05, 0.10),), (Load(1, 0.8, 0.3),), (0,))
     model = MicrogridModel((DgParams(3.77, 0.04, 31.4),), net)
-    tr = run_scenario(ScenarioConfig("one-dg", 0.05, model, ring_graph(1)))
+    return ScenarioConfig("one-dg", 0.05, model, ring_graph(1), load_events=load_events)
+
+
+def test_single_dg_without_graph_edges(tmp_path):
+    # one DG feeding a load bus: no communication edges, only the pinning term
+    tr = run_scenario(one_dg())
     assert not tr.diverged and len(tr.t) == 51
     assert tr.max_power_residual < 1e-9
     # the loaded DG sags below 1 pu, so its integrator raises the set-point
@@ -233,3 +239,14 @@ def test_halving_dt_halves_the_trace_change():
         d1, d2 = np.abs(coarse - mid).max(), np.abs(mid - fine).max()
         assert 0 < d2 < 1e-4
         assert 1.8 < d1 / d2 < 2.2, (sig, d1, d2)
+
+
+def test_singular_network_at_a_load_event_ends_the_run():
+    # the new load cancels the line's admittance: the passive bus's Y_oo is exactly 0
+    tr = run_scenario(one_dg(LoadEvent(0.02, 1, -0.05, -0.10)))
+    assert tr.diverged and tr.diverged_time == pytest.approx(0.02, abs=1e-12)
+    assert len(tr.t) == 20 and tr.t[-1] == pytest.approx(0.019)
+    assert tr.load_current.shape == (20, 1) and np.isfinite(tr.data).all()
+    # at t = 0 the scenario's own network is at fault, not the run
+    with pytest.raises(NetworkError, match="singular admittance system"):
+        run_scenario(one_dg(LoadEvent(0.0, 1, -0.05, -0.10)))

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgres.datagen import MatrixSpec, gen_data
 from mgres.graph import inbound_voltage_channels
@@ -64,11 +65,7 @@ def test_voltage_triple_ordering(short_trace):
 
 
 def test_triple_requires_two_neighbors():
-    tr = Trace(t=np.zeros(1), dg={s: np.zeros((1, 1)) for s in
-                                  ("v", "w", "P", "Q", "Vn", "wn")},
-               channels=[(0, 0, "voltage")], ch_clean=np.zeros((1, 1)),
-               ch_recv=np.zeros((1, 1)), load_buses=[], load_current=np.zeros((1, 0)),
-               attack_active=np.zeros(1, dtype=int))
+    tr = Trace.empty(1, 1, [(0, 0, "voltage")], 0)
     with pytest.raises(TraceFormatError, match="exactly 3"):
         dg1_voltage_triple(tr)
 
@@ -84,7 +81,14 @@ def test_seventeen_digit_precision(short_trace):
     ("a,b\n", "start with t"),
     ("t,dg1.v,attack_active\n1,2\n", "row width"),
     ("t,ch.bogus,attack_active\n", "bad channel column"),
-    ("t,ch.dg1->dg2.voltage.clean,attack_active\n", "both a clean and a recv"),
+    ("t,ch.dg1->dg2.voltage.clean,attack_active\n",
+     "bad column 'attack_active' at position 3, expected 'ch.dg1->dg2.voltage.recv'"),
+    # an IndexError, a KeyError, and w ... wn left as np.empty values before the check
+    ("t,dg1.v,attack_active\n", "bad DG column 'dg1.v' at position 2, expected 'load1.I'"),
+    ("t," + ",".join(f"dg1.{s}" for s in ("v", "w", "P", "Q", "Vn", "foo")) + ",attack_active\n",
+     "bad DG column 'dg1.foo' at position 7, expected 'dg1.wn'"),
+    ("t," + "dg1.v," * 6 + "attack_active\n",
+     "bad DG column 'dg1.v' at position 3, expected 'dg1.w'"),
 ])
 def test_parse_rejects_malformed(text, msg):
     with pytest.raises(TraceFormatError, match=msg):
@@ -100,15 +104,15 @@ def test_traces_equal_detects_differences(short_trace):
 def extreme_trace() -> Trace:
     """Two DGs and two channels with signed zeros and values near the float
     range's ends."""
-    t = np.array([0.0, 1e-300, 1e300])
-    dg = {sig: np.array([[-0.0, k + 0.1], [1e-300, -1e300], [1e300, 1.0 / 3.0]]) * (k + 1)
-          for k, sig in enumerate(("v", "w", "P", "Q", "Vn", "wn"))}
-    channels = [(0, 0, "voltage"), (1, 0, "frequency")]
-    clean = np.array([[-0.0, 2.5e-300], [1e300, 0.1], [7.0, -1e-300]])
-    recv = -clean[:, ::-1]
-    loads = np.array([[1e300], [-0.0], [1e-300]])
-    return Trace(t=t, dg=dg, channels=channels, ch_clean=clean, ch_recv=recv,
-                 load_buses=[0], load_current=loads, attack_active=np.array([0, 1, 0]))
+    tr = Trace.empty(3, 2, [(0, 0, "voltage"), (1, 0, "frequency")], 1)
+    tr.t[:] = [0.0, 1e-300, 1e300]
+    for k, sig in enumerate(("v", "w", "P", "Q", "Vn", "wn")):
+        tr.dg[sig][:] = np.array([[-0.0, k + 0.1], [1e-300, -1e300], [1e300, 1.0 / 3.0]]) * (k + 1)
+    tr.ch_clean[:] = [[-0.0, 2.5e-300], [1e300, 0.1], [7.0, -1e-300]]
+    tr.ch_recv[:] = -tr.ch_clean[:, ::-1]
+    tr.load_current[:] = [[1e300], [-0.0], [1e-300]]
+    tr.attack_active[:] = [0, 1, 0]
+    return tr
 
 
 def per_value_csv(tr: Trace) -> str:
@@ -134,14 +138,10 @@ def test_export_matches_per_value_formatting():
 
 def uniform_trace(values: np.ndarray) -> Trace:
     """One DG, two channels and one load, every column set to ``values``."""
-    n = len(values)
-    col = values[:, None]
-    return Trace(t=values.copy(),
-                 dg={sig: col.copy() for sig in ("v", "w", "P", "Q", "Vn", "wn")},
-                 channels=[(0, 0, "voltage"), (0, 0, "frequency")],
-                 ch_clean=np.repeat(col, 2, axis=1), ch_recv=np.repeat(col, 2, axis=1),
-                 load_buses=[0], load_current=col.copy(),
-                 attack_active=np.arange(n) % 2)
+    tr = Trace.empty(len(values), 1, [(0, 0, "voltage"), (0, 0, "frequency")], 1)
+    tr.data[:] = values[:, None]
+    tr.attack_active[:] = np.arange(len(values)) % 2
+    return tr
 
 
 def test_export_keeps_columns_that_differ_only_in_bits():
@@ -239,3 +239,48 @@ def test_malformed_row_names_the_file_and_line(short_trace, tmp_path, edit, mess
     with pytest.raises(TraceFormatError) as exc:
         parse_csv("".join(lines))
     assert str(exc.value).startswith(f"CSV text: {message}")
+
+
+LAYOUT = column_names(Trace.empty(0, 2, [(0, 1, "voltage"), (1, 0, "frequency")], 2))
+# valid names out of place, and names no layout has
+NAMES = LAYOUT + ["dg1.foo", "dg3.v", "dg01.v", "ch.bogus", "ch.dg1->dg2.voltage",
+                  "ch.dg1->dg2.power.clean", "load", "load3.I", "x", ""]
+
+
+@st.composite
+def mixed_headers(draw):
+    """A trace header with up to three names replaced, inserted or dropped, and
+    whether it is still the header it started as."""
+    n_dg = draw(st.integers(0, 2))
+    channels = draw(st.lists(st.sampled_from([(0, 1, "voltage"), (1, 0, "frequency")]),
+                             max_size=2))
+    start = column_names(Trace.empty(0, n_dg, channels, draw(st.integers(0, 2))))
+    header = list(start)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(header) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "drop"]))
+        if edit == "replace":
+            header[k] = draw(st.sampled_from(NAMES))
+        elif edit == "insert":
+            header.insert(k, draw(st.sampled_from(NAMES)))
+        elif len(header) > 1:
+            del header[k]
+    return header, header == start
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_headers(), st.data())
+def test_header_check_rejects_or_round_trips(case, data):
+    header, unchanged = case
+    # a matching numeric row: 17-digit floats and an integer flag
+    values = data.draw(st.lists(st.floats(), min_size=len(header) - 1,
+                                max_size=len(header) - 1))
+    row = [format(x, ".17g") for x in values] + [str(data.draw(st.integers(0, 1)))]
+    text = ",".join(header) + "\n" + ",".join(row) + "\n"
+    try:
+        back = parse_csv(text)
+    except TraceFormatError:
+        assert not unchanged
+        return
+    assert column_names(back) == header
+    assert export_csv(back) == text
