@@ -15,7 +15,7 @@ its loss is bit-equal to ``mse``, the inference path's (``forward_batch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,7 +223,6 @@ def gradient(params: MlpParams, x: np.ndarray, y: np.ndarray):
 class Dataset:
     x: np.ndarray            # (N, 7)
     y: np.ndarray            # (N,)
-    scenario: list[str]      # provenance per row
     t: np.ndarray            # sample time per row, s
     attacked: np.ndarray     # bool per row
 
@@ -257,30 +256,6 @@ class TrainConfig:
             raise ValueError("max_epochs >= 1 and learning_rate > 0 required")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def from_dict(cls, d, **defaults) -> "TrainConfig":
-        """Config from a YAML mapping laid over ``defaults``; each value is
-        converted to its field's type and unknown keys are errors.  A bool is
-        no value of any field, and an int field takes no fractional value."""
-        if not isinstance(d, dict):
-            raise ValueError(f"training config must be a mapping, got {type(d).__name__}")
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        unknown = set(d) - set(kinds)
-        if unknown:
-            raise ValueError(f"unknown training config fields: {sorted(map(str, unknown))}")
-        values = dict(defaults)
-        for k, v in d.items():
-            kind = kinds[k]
-            try:
-                if isinstance(v, bool) or (
-                        kind is int and isinstance(v, float) and not v.is_integer()):
-                    raise ValueError
-                values[k] = kind(v)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"training config field {k!r} must be "
-                                 f"{kinds[k].__name__}, got {v!r}") from None
-        return cls(**values)
 
 
 @dataclass
@@ -418,7 +393,7 @@ def build_dataset(runs) -> Dataset:
     """
     from .trace import dg1_voltage_triple  # local import avoids a cycle
 
-    xs, ys, scen, ts, att = [], [], [], [], []
+    xs, ys, ts, att = [], [], [], []
     for trace, clean_trace, scenario_id in runs:
         clean, recv = dg1_voltage_triple(trace)
         target = clean_trace.dg["Vn"][:, 0]
@@ -433,20 +408,18 @@ def build_dataset(runs) -> Dataset:
         paired = np.column_stack([clean[keep], recv[keep], v_ref])
         xs.append(paired)
         ys.append(target[keep])
-        scen.extend([scenario_id] * keep.sum())
         ts.append(trace.t[keep])
         att.append(np.full(keep.sum(), is_attacked))
         if is_attacked:
             dup = np.column_stack([recv[keep], recv[keep], v_ref])
             xs.append(dup)
             ys.append(target[keep])
-            scen.extend([scenario_id + "+runtime"] * keep.sum())
             ts.append(trace.t[keep])
             att.append(np.full(keep.sum(), True))
     if not xs:
         raise DatasetError("no runs supplied")
-    return Dataset(x=np.vstack(xs), y=np.concatenate(ys), scenario=scen,
-                   t=np.concatenate(ts), attacked=np.concatenate(att))
+    return Dataset(x=np.vstack(xs), y=np.concatenate(ys), t=np.concatenate(ts),
+                   attacked=np.concatenate(att))
 
 
 # -- model persistence: self-describing flat text, >= 17 significant digits --

@@ -15,7 +15,7 @@ from . import ann as annmod
 from .datagen import MatrixSpec, gen_data, train_pipeline
 from .graph import SIGNALS
 from .metrics import compare, compute_metrics
-from .scenario import load_scenario
+from .scenario import ConfigReader, load_scenario
 from .simulate import run_scenario
 from .trace import export_csv
 
@@ -37,7 +37,7 @@ def cmd_gen_data(args) -> int:
     matrix = MatrixSpec()
     if args.matrix:
         with open(args.matrix) as fh:
-            matrix = MatrixSpec.from_dict(yaml.safe_load(fh) or {})
+            matrix = ConfigReader(yaml.safe_load(fh) or {}, "matrix").build(MatrixSpec)
     entries = gen_data(args.out_dir, matrix)
     n_ok = sum(e["status"] == "ok" for e in entries)
     print(f"{n_ok}/{len(entries)} runs ok; manifest in {args.out_dir}/manifest.json")
@@ -50,7 +50,7 @@ def cmd_train(args) -> int:
         with open(args.config) as fh:
             d = yaml.safe_load(fh) or {}
     # a seed in the config file wins over --seed
-    tc = annmod.TrainConfig.from_dict(d, seed=args.seed or 0)
+    tc = ConfigReader(d, "training config").build(annmod.TrainConfig, seed=args.seed or 0)
     params, report = train_pipeline(args.data, tc)
     annmod.save_model(params, args.out)
     print(f"trained {len(report.train_mse)} epochs; "

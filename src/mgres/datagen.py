@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .ann import (Dataset, DatasetError, MlpParams, TrainConfig, TrainReport,
                   build_dataset, train)
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .plant import default_model
-from .scenario import LoadEvent, ScenarioConfig, ScenarioError, _as
+from .scenario import LoadEvent, ScenarioConfig
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv
 
@@ -38,24 +38,6 @@ class MatrixSpec:
     tau: float = 2.0
     step_time: float = 1.0
     duration: float = 4.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MatrixSpec":
-        """Overrides of the defaults: lists of numbers become tuples, scalars floats."""
-        if not isinstance(d, dict):
-            raise ScenarioError(f"matrix must be a mapping, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ScenarioError(f"unknown matrix fields: {sorted(map(str, unknown))}")
-        spec = {}
-        for k, v in d.items():
-            what = f"matrix field {k!r}"
-            if k in ("load_factors", "alphas", "betas"):
-                spec[k] = tuple(_as(x, float, f"{what} entry {j + 1}")
-                                for j, x in enumerate(_as(v, list, what)))
-            else:
-                spec[k] = _as(v, float, what)
-        return cls(**spec)
 
 
 def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
@@ -146,10 +128,10 @@ def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
         raise DatasetError(f"{path} must hold a list of run mappings")
     for k, e in enumerate(entries, start=1):
         for name, kind in _MANIFEST_FIELDS.items():
-            if not isinstance(e.get(name), kind):
+            v = e.get(name)
+            if not isinstance(v, kind) or isinstance(v, bool):   # a bool is an int
                 noun = "a string" if kind is str else "a number"
-                raise DatasetError(f"{path}: run {k} field {name!r} must be {noun}, "
-                                   f"got {e.get(name)!r}")
+                raise DatasetError(f"{path}: run {k} field {name!r} must be {noun}, got {v!r}")
     ok = {e["id"]: e for e in entries if e["status"] == "ok"}
     traces: dict[str, Trace] = {}
     for e in ok.values():

@@ -35,10 +35,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DgParams:
-    m_p: float        # active power droop gain, rad/s per pu W
-    n_q: float        # reactive power droop gain, pu V per pu var
-    omega_c: float    # power filter cutoff, rad/s
-    rated_power: float = 1.0
+    m_p: float = 3.77      # active power droop gain, rad/s per pu W
+    n_q: float = 0.04      # reactive power droop gain, pu V per pu var
+    omega_c: float = 31.4  # power filter cutoff, rad/s
 
     def __post_init__(self):
         if self.m_p <= 0 or self.n_q <= 0 or self.omega_c <= 0:
@@ -78,6 +77,8 @@ class NetworkParams:
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "loads", tuple(self.loads))
         object.__setattr__(self, "dg_bus", tuple(self.dg_bus))
+        if self.n_bus < 1:
+            raise NetworkError(f"a network needs at least one bus, got n_bus={self.n_bus}")
         for ln in self.lines:
             if ln.bus_a == ln.bus_b:
                 raise NetworkError(f"line connects bus {ln.bus_a} to itself")
@@ -385,8 +386,8 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
 
 
 def default_model(load1: complex = 0.8 + 0.3j, load2: complex = 0.8 + 0.3j,
-                  m_p: float = 3.77, n_q: float = 0.04,
-                  omega_c: float = 31.4) -> MicrogridModel:
+                  m_p: float = DgParams.m_p, n_q: float = DgParams.n_q,
+                  omega_c: float = DgParams.omega_c) -> MicrogridModel:
     """The 4-DG desk-scale test system.
 
     Four DG buses in a ring of identical RL lines (R = 0.05 pu, X = 0.10 pu)

@@ -1,6 +1,12 @@
 """Scenario configuration: YAML schema, validation, and built-in scenarios.
 
 DG and bus numbering is 1-based in scenario files and 0-based internally.
+One ``ConfigReader`` reads every mapping of a scenario, matrix or training
+config under one type rule: a boolean is never a number, and bus and DG
+numbers, ``max_epochs`` and ``seed`` must be whole.  A key left unread is
+rejected at every level, naming it and its mapping (``unknown gains fields:
+['c_V']``).  The defaults live on the dataclasses.
+
 The built-in names reproduce the headline experiments:
 
     default              4-DG system, baseline controller, no attack
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -28,7 +34,7 @@ BUILTIN_SCENARIOS = ("default", "default-nonperiodic", "default-periodic")
 
 
 class ScenarioError(ValueError):
-    """Raised for any invalid or inconsistent scenario configuration."""
+    """Raised for any invalid or inconsistent configuration."""
 
 
 @dataclass(frozen=True)
@@ -68,10 +74,10 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration}")
-        if self.dt <= 0:
-            raise ScenarioError(f"dt must be positive, got {self.dt}")
+        for name in ("duration", "dt", "sample_period"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite, "
+                                    f"got {getattr(self, name)}")
         if self.sample_period < self.dt:
             raise ScenarioError(
                 f"sample period {self.sample_period} is below the integrator step {self.dt}")
@@ -113,94 +119,140 @@ class ScenarioConfig:
         return int(round(self.duration / self.dt))
 
 
-def _require(d: dict, key: str, where: str):
-    if not isinstance(d, dict) or key not in d:
-        raise ScenarioError(f"missing required field {key!r} in {where}")
-    return d[key]
-
-
 def _as(v, kind: type, what: str):
-    """``v`` as a float or a whole number, or as a dict, list or str; ``what``
-    names the value in the error."""
-    try:
-        if kind is float:
-            return float(v)
-        if kind is int and float(v).is_integer():
-            return int(float(v))
+    """``v`` as a float or a whole number, never from a boolean, or as an
+    instance of ``kind`` (dict, list, str or object); ``what`` names the value
+    in the error."""
+    if kind not in (int, float):
         if isinstance(v, kind):
             return v
-    except (TypeError, ValueError, OverflowError):
-        pass
+    elif not isinstance(v, bool):
+        try:
+            if kind is float:
+                return float(v)
+            if float(v).is_integer():
+                return v if isinstance(v, int) else int(float(v))
+        except (TypeError, ValueError, OverflowError):
+            pass
     noun = {float: "a number", int: "a whole number", dict: "a mapping",
             list: "a list", str: "a string"}[kind]
     raise ScenarioError(f"{what} must be {noun}, got {v!r}")
 
 
-def _field(d: dict, key: str, where: str, kind: type = float, default=None):
-    """``d[key]`` (``default``, if given, when absent) through ``_as``."""
-    v = _require(d, key, where) if default is None else d.get(key, default)
-    return _as(v, kind, f"field {key!r} in {where}")
+_REQUIRED = object()
+
+
+class ConfigReader:
+    """One mapping of a config file, named for its errors (``"gains"``,
+    ``"plant dg 2"``, ``"matrix"``, ``"training config"``, ...).
+
+    ``read`` hands out each key once through ``_as``.  ``close`` then rejects
+    the keys left unread and, after them, the required keys that were absent
+    (read as None until then), so a misspelt key is reported by its name.
+    """
+
+    def __init__(self, d, name: str):
+        self.name = name
+        self._left = dict(_as(d, dict, name))
+        self._missing: list[str] = []
+
+    def __contains__(self, key) -> bool:
+        return key in self._left
+
+    def read(self, key: str, kind: type = float, default=_REQUIRED):
+        if key in self._left:
+            return _as(self._left.pop(key), kind, f"field {key!r} in {self.name}")
+        if default is _REQUIRED:
+            self._missing.append(key)
+            return None
+        return default
+
+    def numbers(self, key: str, kind: type = float) -> tuple | None:
+        """The required list ``key``, each entry through ``_as``."""
+        items = self.read(key, list)
+        return None if items is None else tuple(
+            _as(v, kind, f"{self.name} {key} entry {j + 1}") for j, v in enumerate(items))
+
+    def frequency(self, hz_key: str, rad_key: str) -> float | None:
+        """rad/s from ``hz_key`` (Hz) or ``rad_key`` (rad/s); None if neither is given."""
+        if hz_key in self and rad_key in self:
+            raise ScenarioError(f"{self.name} takes {hz_key} or {rad_key}, not both")
+        if hz_key in self:
+            return 2.0 * math.pi * self.read(hz_key)
+        return self.read(rad_key, float, None)
+
+    def close(self) -> None:
+        if self._left:
+            raise ScenarioError(f"unknown {self.name} fields: {sorted(map(str, self._left))}")
+        if self._missing:
+            raise ScenarioError(f"missing required field {self._missing[0]!r} in {self.name}")
+
+    def build(self, cls, **defaults):
+        """The dataclass ``cls`` from the keys that name its fields, each read
+        as the type of the field's default (a tuple as a list of numbers), over
+        ``defaults`` and then the dataclass's own defaults; then ``close``."""
+        values = dict(defaults)
+        for f in fields(cls):
+            if f.name in self:
+                kind = type(f.default)
+                values[f.name] = self.numbers(f.name) if kind is tuple else self.read(f.name, kind)
+        self.close()
+        return cls(**values)
 
 
 # 1-based bus and DG numbers are whole numbers
 _INDEX_FIELDS = ("from", "to", "bus")
 
 
-def _entries(items: list, where: str, *fields: str) -> list[list]:
-    """The required numeric ``fields`` of each entry of a list, in order."""
-    return [[_field(e, f, f"{where} {k + 1}", int if f in _INDEX_FIELDS else float)
-             for f in fields] for k, e in enumerate(items)]
+def _entries(items: list, where: str, *keys: str) -> list[list]:
+    """The required numeric ``keys`` of each mapping in a list, in order."""
+    out = []
+    for k, e in enumerate(items):
+        entry = ConfigReader(e, f"{where} {k + 1}")
+        out.append([entry.read(key, int if key in _INDEX_FIELDS else float) for key in keys])
+        entry.close()
+    return out
 
 
-def _parse_attack(d: dict) -> AttackSpec:
-    target = _require(d, "target", "attack")
-    src, dst, sig = parse_target(str(target))
-    where = f"attack {target!r}"
-    kind_name = str(_require(d, "kind", where))
+def _parse_attack(d, k: int) -> AttackSpec:
+    m = ConfigReader(d, f"attack {k + 1}")
+    kind_name = m.read("kind", str, None)
     if kind_name == "nonperiodic":
-        kind = NonPeriodic(alpha=_field(d, "alpha", where))
+        args = (m.read("alpha"),)
     elif kind_name == "periodic":
-        if "freq_hz" in d:
-            omega = 2.0 * math.pi * _field(d, "freq_hz", where)
-        elif "omega" in d:
-            omega = _field(d, "omega", where)
-        else:
-            raise ScenarioError(f"periodic attack {target!r} needs freq_hz or omega")
-        kind = Periodic(beta=_field(d, "beta", where), omega=omega)
+        args = (m.read("beta"), m.frequency("freq_hz", "omega"))
     else:
-        raise ScenarioError(f"unknown attack kind {kind_name!r} (nonperiodic|periodic)")
+        raise ScenarioError(f"{m.name} kind must be nonperiodic or periodic, got {kind_name!r}")
+    target, tau, end = m.read("target", str), m.read("tau"), m.read("end", float, None)
+    m.close()
+    if None in args:
+        raise ScenarioError(f"periodic {m.name} needs freq_hz or omega")
     try:
-        return AttackSpec(src=src, dst=dst, signal=sig, kind=kind,
-                          tau=_field(d, "tau", where),
-                          end=_field(d, "end", where) if "end" in d else None)
+        src, dst, sig = parse_target(target)
+        kind = NonPeriodic(*args) if kind_name == "nonperiodic" else Periodic(*args)
+        return AttackSpec(src=src, dst=dst, signal=sig, kind=kind, tau=tau, end=end)
     except AttackConfigError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
-def _parse_plant(d: dict) -> MicrogridModel:
-    dgs = []
-    for k, e in enumerate(_field(d, "dgs", "plant", list)):
-        if not isinstance(e, dict):
-            raise ScenarioError(f"plant dg {k + 1} must be a mapping, got {e!r}")
-        where = f"plant dg {k + 1}"
-        dgs.append(DgParams(m_p=_field(e, "m_p", where, default=3.77),
-                            n_q=_field(e, "n_q", where, default=0.04),
-                            omega_c=_field(e, "omega_c", where, default=31.4)))
-    lines = tuple(Line(a - 1, b - 1, r, x) for a, b, r, x in _entries(
-        _field(d, "lines", "plant", list), "plant line", "from", "to", "r", "x"))
-    loads = tuple(Load(b - 1, r, x) for b, r, x in _entries(
-        _field(d, "loads", "plant", list), "plant load", "bus", "r", "x"))
-    dg_bus = tuple(_as(b, int, f"plant dg_bus entry {k + 1}") - 1
-                   for k, b in enumerate(_field(d, "dg_bus", "plant", list)))
-    net = NetworkParams(n_bus=_field(d, "n_bus", "plant", int), lines=lines, loads=loads,
-                        dg_bus=dg_bus)
-    return MicrogridModel(dgs=dgs, network=net)
+def _parse_plant(d) -> MicrogridModel:
+    m = ConfigReader(d, "plant")
+    n_bus, dg_bus = m.read("n_bus", int), m.numbers("dg_bus", int)
+    dgs, lines, loads = (m.read(key, list) for key in ("dgs", "lines", "loads"))
+    m.close()
+    lines = tuple(Line(a - 1, b - 1, r, x) for a, b, r, x in
+                  _entries(lines, "plant line", "from", "to", "r", "x"))
+    loads = tuple(Load(b - 1, r, x) for b, r, x in _entries(loads, "plant load", "bus", "r", "x"))
+    net = NetworkParams(n_bus=n_bus, lines=lines, loads=loads,
+                        dg_bus=tuple(b - 1 for b in dg_bus))
+    return MicrogridModel(dgs=[ConfigReader(e, f"plant dg {k + 1}").build(DgParams)
+                               for k, e in enumerate(dgs)], network=net)
 
 
-def _parse_graph(d: dict) -> CommGraph:
-    edges = _field(d, "edges", "graph", list)
-    pinning = np.array([_as(v, float, f"graph pinning entry {k + 1}")
-                        for k, v in enumerate(_field(d, "pinning", "graph", list))])
+def _parse_graph(d) -> CommGraph:
+    m = ConfigReader(d, "graph")
+    edges, pinning = m.read("edges", list), m.numbers("pinning")
+    m.close()
     n = len(pinning)
     adj = np.zeros((n, n))
     for k, e in enumerate(edges):
@@ -214,7 +266,7 @@ def _parse_graph(d: dict) -> CommGraph:
             raise ScenarioError(f"graph edge ({frm}, {to}) references an unknown DG")
         adj[to - 1, frm - 1] = w  # information flows frm -> to
     try:
-        return CommGraph(adj, pinning)
+        return CommGraph(adj, np.array(pinning))
     except GraphError as exc:
         raise ScenarioError(f"invalid communication graph: {exc}") from exc
 
@@ -222,58 +274,43 @@ def _parse_graph(d: dict) -> CommGraph:
 def from_dict(d: dict, scenario_id: str = "scenario",
               base_dir: str = ".") -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed YAML mapping."""
-    if not isinstance(d, dict):
-        raise ScenarioError("scenario file must contain a mapping at top level")
-    unknown = set(d) - {"duration", "dt", "sample_period", "references",
-                        "controller", "controllers", "ann_model", "gains",
-                        "plant", "graph", "load_events", "attacks", "id"}
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+    top = ConfigReader(d, "scenario")
+    kw = {"duration": top.read("duration"), "dt": top.read("dt", float, None),
+          "sample_period": top.read("sample_period", float, None)}
+    plant, graph = top.read("plant", dict, None), top.read("graph", dict, None)
+    refs = ConfigReader(top.read("references", dict, {}), "references")
+    gains = ConfigReader(top.read("gains", dict, {}), "gains")
+    controllers = top.read("controllers", list, None)
+    controller = top.read("controller", str, "pi")
+    ann_model = top.read("ann_model", object, None)
+    events = top.read("load_events", list, [])
+    attacks = top.read("attacks", list, [])
+    scenario_id = str(top.read("id", object, scenario_id))
+    top.close()
 
-    model = _parse_plant(d["plant"]) if "plant" in d else default_model()
-    graph = _parse_graph(d["graph"]) if "graph" in d else ring_graph(model.n)
+    kw["v_ref"] = refs.read("voltage", float, None)
+    kw["w_ref"] = refs.frequency("frequency_hz", "frequency")
+    refs.close()
+    model = default_model() if plant is None else _parse_plant(plant)
+    graph = ring_graph(model.n) if graph is None else _parse_graph(graph)
 
-    refs = _field(d, "references", "scenario", dict, {})
-    v_ref = _field(refs, "voltage", "references", default=1.0)
-    if "frequency_hz" in refs:
-        w_ref = 2.0 * math.pi * _field(refs, "frequency_hz", "references")
-    else:
-        w_ref = _field(refs, "frequency", "references", default=2.0 * math.pi * 60.0)
+    if controllers is None:   # shorthand: "ann" puts the ANN on DG1 only, the rest on baseline
+        controllers = (check_controller_name(controller),) + ("pi",) * (graph.n - 1)
+    controllers = tuple(map(str, controllers))
 
-    if "controllers" in d:
-        controllers = tuple(str(c) for c in _field(d, "controllers", "scenario", list))
-    else:
-        # shorthand: "ann" puts the ANN on DG1 only, everyone else on baseline
-        name = str(d.get("controller", "pi"))
-        check_controller_name(name)
-        controllers = (name,) + ("pi",) * (graph.n - 1) if name == "ann" \
-            else ("pi",) * graph.n
-
-    ann_model = d.get("ann_model")
     if ann_model is not None:   # an absolute path is kept as it is
-        ann_model = os.path.join(base_dir, _field(d, "ann_model", "scenario", str))
+        ann_model = os.path.join(base_dir, _as(ann_model, str, "field 'ann_model' in scenario"))
     if "ann" in controllers and ann_model is None:
         raise ScenarioError("controller 'ann' requires an ann_model file")
 
-    gains_d = _field(d, "gains", "scenario", dict, {})
-    gains = SecondaryGains(c_v=_field(gains_d, "c_v", "gains", default=5.0),
-                           c_w=_field(gains_d, "c_w", "gains", default=5.0))
-
-    events = tuple(LoadEvent(t=t, bus=b - 1, r=r, x=x) for t, b, r, x in
-                   _entries(_field(d, "load_events", "scenario", list, []),
-                            "load event", "t", "bus", "r", "x"))
-    attacks = tuple(_parse_attack(a) for a in _field(d, "attacks", "scenario", list, []))
-
     return ScenarioConfig(
-        scenario_id=str(d.get("id", scenario_id)),
-        duration=_field(d, "duration", "scenario"),
-        dt=_field(d, "dt", "scenario", default=1e-4),
-        sample_period=_field(d, "sample_period", "scenario", default=1e-3),
-        v_ref=v_ref, w_ref=w_ref,
-        model=model, graph=graph, gains=gains,
+        scenario_id=scenario_id, model=model, graph=graph,
+        gains=gains.build(SecondaryGains),
         controllers=controllers, ann_model_path=ann_model,
-        load_events=events, attacks=attacks,
-    )
+        load_events=tuple(LoadEvent(t=t, bus=b - 1, r=r, x=x) for t, b, r, x in
+                          _entries(events, "load event", "t", "bus", "r", "x")),
+        attacks=tuple(_parse_attack(a, k) for k, a in enumerate(attacks)),
+        **{key: v for key, v in kw.items() if v is not None})
 
 
 def builtin_scenario(name: str, ann_model: str | None = None,

@@ -143,15 +143,18 @@ _KINDS = (("ch.", "channel "), ("dg", "DG "), ("load", "load "))
 
 
 def _bad_row(fh, width: int) -> str | None:
-    """The first row after the header that np.loadtxt rejects or that is too wide or narrow."""
+    """The first row after the header that np.loadtxt rejects, that is too wide
+    or narrow, or whose attack_active is not 0 or 1."""
     for k, row in enumerate(fh, start=1):
         if k > 1 and row.strip():
             try:
-                n = np.loadtxt([row], delimiter=",", comments=None).size
+                values = np.loadtxt([row], delimiter=",", comments=None)
             except ValueError as exc:
                 return f"line {k}: {str(exc).replace(' at row 0,', ' at')}"
-            if n != width:
-                return f"line {k}: row width {n} does not match the header's {width}"
+            if values.size != width:
+                return f"line {k}: row width {values.size} does not match the header's {width}"
+            if values[-1] not in (0, 1):
+                return f"line {k}: attack_active must be 0 or 1, got {values[-1]:g}"
 
 
 def parse_csv(source) -> Trace:
@@ -170,6 +173,8 @@ def parse_csv(source) -> Trace:
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             if data.size and data.shape[1] != len(header):
                 raise ValueError("row width does not match the header")
+            if not np.isin(data[:, -1:], (0, 1)).all():
+                raise ValueError("attack_active is not 0 or 1")
         except ValueError as exc:
             fh.seek(0)
             raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc

@@ -6,6 +6,7 @@ from mgres.ann import (AnnKernel, Dataset, DatasetError, MlpParams, Normalizatio
                        TrainConfig, TrainingError, ann_controller, build_dataset, forward,
                        forward_batch, gradient, init_params, load_model, mse,
                        runtime_features, save_model, tansig, train)
+from mgres.scenario import ConfigReader
 from mgres.trace import Trace
 
 
@@ -119,7 +120,7 @@ def synth_dataset(n=200, seed=0):
     y = 0.5 * x[:, 0] + 0.3 * x[:, 3] + 0.2
     attacked = np.zeros(n, dtype=bool)
     attacked[n // 2:] = True
-    return Dataset(x=x, y=y, scenario=["s"] * n, t=np.zeros(n), attacked=attacked)
+    return Dataset(x=x, y=y, t=np.zeros(n), attacked=attacked)
 
 
 def test_train_learns_and_is_reproducible():
@@ -166,35 +167,41 @@ def test_fit_without_an_accepted_step_raises():
         train(synth_dataset(), TrainConfig(learning_rate=1e300, max_epochs=50))
 
 
+def train_config(d, **defaults) -> TrainConfig:
+    return ConfigReader(d, "training config").build(TrainConfig, **defaults)
+
+
 def test_train_config_from_dict():
-    tc = TrainConfig.from_dict({"learning_rate": "0.1", "max_epochs": 40}, seed=3)
+    tc = train_config({"learning_rate": "0.1", "max_epochs": 40}, seed=3)
     assert tc == TrainConfig(learning_rate=0.1, max_epochs=40, seed=3)
-    assert TrainConfig.from_dict({"seed": 5}, seed=3).seed == 5
-    assert TrainConfig.from_dict({}) == TrainConfig()
+    assert train_config({"seed": 5}, seed=3).seed == 5
+    assert train_config({}) == TrainConfig()
     with pytest.raises(ValueError, match=r"unknown training config fields: \['learning_rat'\]"):
-        TrainConfig.from_dict({"learning_rat": 0.1})
+        train_config({"learning_rat": 0.1})
     with pytest.raises(ValueError, match=r"unknown training config fields: \['1', 'a'\]"):
-        TrainConfig.from_dict({1: 2, "a": 3})
-    with pytest.raises(ValueError, match="must be a mapping, got list"):
-        TrainConfig.from_dict([{"learning_rate": 0.1}])
-    with pytest.raises(ValueError, match="'max_epochs' must be int, got None"):
-        TrainConfig.from_dict({"max_epochs": None})
+        train_config({1: 2, "a": 3})
+    with pytest.raises(ValueError, match=r"must be a mapping, got \[\{'learning_rate': 0.1\}\]"):
+        train_config([{"learning_rate": 0.1}])
+    with pytest.raises(ValueError, match="'max_epochs' in training config must be a whole number, "
+                                         "got None"):
+        train_config({"max_epochs": None})
     with pytest.raises(ValueError, match="learning_rate > 0"):
-        TrainConfig.from_dict({"learning_rate": float("nan")})
+        train_config({"learning_rate": float("nan")})
     # int(v) would train 2 epochs for 2.7 and 1 for true; a bool is no float either
-    assert TrainConfig.from_dict({"max_epochs": 40.0, "seed": 2.0}) == TrainConfig(
-        max_epochs=40, seed=2)
-    for field, value, kind in (("max_epochs", 2.7, "int"), ("max_epochs", True, "int"),
-                               ("seed", 0.5, "int"), ("seed", False, "int"),
-                               ("max_epochs", float("inf"), "int"),
-                               ("learning_rate", True, "float"),
-                               ("learning_rate", 10 ** 400, "float")):
-        with pytest.raises(ValueError, match=f"'{field}' must be {kind}, got {value!r}"):
-            TrainConfig.from_dict({field: value})
+    assert train_config({"max_epochs": 40.0, "seed": 2.0}) == TrainConfig(max_epochs=40, seed=2)
+    for field, value, kind in (("max_epochs", 2.7, "a whole number"),
+                               ("max_epochs", True, "a whole number"),
+                               ("seed", 0.5, "a whole number"), ("seed", False, "a whole number"),
+                               ("max_epochs", float("inf"), "a whole number"),
+                               ("learning_rate", True, "a number"),
+                               ("learning_rate", 10 ** 400, "a number")):
+        with pytest.raises(ValueError, match=f"'{field}' in training config must be {kind}, "
+                                             f"got {value!r}"):
+            train_config({field: value})
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        TrainConfig.from_dict({"seed": -1})
+        train_config({"seed": -1})
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
-        TrainConfig.from_dict({}, seed=-3)
+        train_config({}, seed=-3)
 
 
 def test_train_input_validation():
@@ -207,8 +214,7 @@ def test_train_input_validation():
     with pytest.raises(DatasetError, match="non-finite"):
         x = np.ones((60, 7))
         x[0, 0] = np.nan
-        Dataset(x=x, y=np.ones(60), scenario=["s"] * 60,
-                t=np.zeros(60), attacked=np.ones(60, dtype=bool))
+        Dataset(x=x, y=np.ones(60), t=np.zeros(60), attacked=np.ones(60, dtype=bool))
 
 
 def test_runtime_features_and_clamp():

@@ -115,13 +115,15 @@ def test_compare(pipeline, work, capsys):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ("- max_epochs: 40\n", "training config must be a mapping, got list"),
+    ("- max_epochs: 40\n", "training config must be a mapping, got [{'max_epochs': 40}]"),
     ("learning_rat: 0.1\n", "unknown training config fields: ['learning_rat']"),
     ("learning_rate: 1.0e+300\nmax_epochs: 20\n",
      "no step improved the validation MSE in 20 epochs"),
-    ("max_epochs: 2.7\n", "training config field 'max_epochs' must be int, got 2.7"),
-    ("max_epochs: true\n", "training config field 'max_epochs' must be int, got True"),
-    ("learning_rate: true\n", "training config field 'learning_rate' must be float, got True"),
+    ("max_epochs: 2.7\n", "field 'max_epochs' in training config must be a whole number, got 2.7"),
+    ("max_epochs: true\n",
+     "field 'max_epochs' in training config must be a whole number, got True"),
+    ("learning_rate: true\n",
+     "field 'learning_rate' in training config must be a number, got True"),
     ("seed: -1\n", "seed must be >= 0, got -1"),
 ])
 def test_bad_train_config_or_failed_fit_exits_1(pipeline, work, capsys, doc, message):
@@ -174,9 +176,11 @@ def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, messa
 
 @pytest.mark.parametrize("doc, message", [
     # a TypeError traceback, and two specs that failed only later
-    ("tau: null\n", "matrix field 'tau' must be a number, got None"),
-    ("duration: [1]\n", "matrix field 'duration' must be a number, got [1]"),
-    ("alphas: 3\n", "matrix field 'alphas' must be a list, got 3"),
+    ("tau: null\n", "field 'tau' in matrix must be a number, got None"),
+    ("duration: [1]\n", "field 'duration' in matrix must be a number, got [1]"),
+    ("alphas: 3\n", "field 'alphas' in matrix must be a list, got 3"),
+    # read as 1.0
+    ("tau: true\n", "field 'tau' in matrix must be a number, got True"),
 ])
 def test_malformed_matrix_exits_1(work, capsys, doc, message):
     path = work / "bad-matrix.yaml"
@@ -193,6 +197,9 @@ def test_malformed_matrix_exits_1(work, capsys, doc, message):
     ('{"a": 1}', "manifest.json must hold a list of run mappings"),
     ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": 1.0}]',
      "run 1 field 'w_ref' must be a number, got None"),
+    # read as 1.0: a JSON true is a Python int
+    ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": true,'
+     ' "w_ref": 377.0}]', "run 1 field 'v_ref' must be a number, got True"),
 ])
 def test_malformed_manifest_exits_1(work, capsys, manifest, message):
     data = work / "bad-manifest"
@@ -250,9 +257,9 @@ def test_malformed_scenario_exits_1(work, capsys, doc, field):
     assert err.startswith("error:") and field in err
 
 
-@pytest.mark.parametrize("value", ["[1]", "null", "abc"])
+@pytest.mark.parametrize("value", ["[1]", "null", "abc", "true"])
 def test_non_numeric_duration_exits_1(work, capsys, value):
-    # duration: [1] ended in a TypeError traceback
+    # duration: [1] ended in a TypeError traceback, and true was read as 1.0
     path = work / "bad-duration.yaml"
     path.write_text(f"duration: {value}\n")
     rc = main(["simulate", "--scenario", str(path), "--out", str(work / "m.csv")])
@@ -302,6 +309,35 @@ def test_malformed_graph_or_dg_entry_exits_1(work, capsys, doc, field):
     assert main(["graph-info", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+PLANT_2BUS = ("plant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{m_p: 3.77}]\n"
+              "  lines: [{from: 1, to: 2, r: 0.05, x: 0.1}]\n  loads: [{bus: 2, r: 0.8, x: 0.3}]\n"
+              "graph: {edges: [], pinning: [1]}\n")
+
+
+@pytest.mark.parametrize("doc, key, typo, mapping", [
+    ("references: {voltage: 1.0}\n", "voltage", "voltag", "references"),
+    ("gains: {c_v: 10}\n", "c_v", "c_V", "gains"),
+    (PLANT_2BUS, "n_bus", "nbus", "plant"),
+    (PLANT_2BUS, "m_p", "m_P", "plant dg 1"),
+    (PLANT_2BUS, "x: 0.1", "X: 0.1", "plant line 1"),
+    (PLANT_2BUS, "r: 0.8", "R: 0.8", "plant load 1"),
+    (GRAPH4 + "[[1, 2], [2, 3], [3, 4], [4, 1]]\n", "pinning", "pining", "graph"),
+    ("load_events:\n  - {t: 0.05, bus: 1, r: 0.8, x: 0.3}\n", "t:", "time:", "load event 1"),
+    ("attacks:\n  - {target: 'broadcast -> dg1.voltage', kind: nonperiodic, alpha: 0.5,"
+     " tau: 0.05, end: 0.08}\n", "end", "ends", "attack 1"),
+], ids=["references", "gains", "plant", "plant-dg", "line", "load", "graph", "load-event",
+        "attack"])
+def test_misspelt_key_exits_1(work, capsys, doc, key, typo, mapping):
+    # each was ignored, so the run used the default or failed on a missing key
+    path = work / "misspelt.yaml"
+    path.write_text("duration: 0.1\n" + doc.replace(key, typo, 1))
+    assert main(["graph-info", "--scenario", str(path)]) == 1
+    name = typo.split(":")[0]
+    assert capsys.readouterr().err == f"error: unknown {mapping} fields: [{name!r}]\n"
+    path.write_text("duration: 0.1\n" + doc)
+    assert main(["graph-info", "--scenario", str(path)]) == 0
 
 
 ONE_DG_YAML = ("duration: 0.05\nplant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{}]\n"

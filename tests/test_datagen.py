@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mgres.ann import TrainConfig
 from mgres.datagen import (MatrixSpec, dataset_from_dir, gen_data, load_runs,
                            train_pipeline, training_matrix)
-from mgres.scenario import ScenarioError
+from mgres.scenario import ConfigReader, ScenarioError
 
 TINY = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
                   tau=0.4, step_time=0.2, duration=0.8)
@@ -38,19 +38,27 @@ def test_matrix_layout():
     assert ev.t == 1.0 and ev.r == pytest.approx(0.8 / 1.15)
 
 
+def matrix_spec(d) -> MatrixSpec:
+    return ConfigReader(d, "matrix").build(MatrixSpec)
+
+
 def test_matrix_spec_from_dict():
-    spec = MatrixSpec.from_dict({"load_factors": [1.0], "tau": 0.4,
-                                 "duration": 0.8})
+    spec = matrix_spec({"load_factors": [1.0], "tau": 0.4, "duration": 0.8})
     assert spec.load_factors == (1.0,)
     assert spec.alphas == (0.25, 0.5)  # defaults survive partial overrides
     assert spec.tau == 0.4
     # no cell draws random numbers, so there is no seed to set
     with pytest.raises(ScenarioError, match=r"unknown matrix fields: \['seed'\]"):
-        MatrixSpec.from_dict({"seed": 1})
-    with pytest.raises(ScenarioError, match="matrix must be a mapping, got list"):
-        MatrixSpec.from_dict([{"tau": 0.4}])
+        matrix_spec({"seed": 1})
+    with pytest.raises(ScenarioError, match=r"matrix must be a mapping, got \[\{'tau': 0.4\}\]"):
+        matrix_spec([{"tau": 0.4}])
     with pytest.raises(ScenarioError, match=r"unknown matrix fields: \['1', 'a'\]"):
-        MatrixSpec.from_dict({1: 2, "a": 3})
+        matrix_spec({1: 2, "a": 3})
+    # a YAML boolean is no number: tau: true read as 1.0
+    with pytest.raises(ScenarioError, match="field 'tau' in matrix must be a number, got True"):
+        matrix_spec({"tau": True})
+    with pytest.raises(ScenarioError, match="matrix alphas entry 1 must be a number, got False"):
+        matrix_spec({"alphas": [False]})
 
 
 SCALARS = st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats()
@@ -64,7 +72,7 @@ MATRIX_FIELDS = ["load_factors", "alphas", "betas", "freq_hz", "tau", "step_time
                                           max_size=3)))
 def test_matrix_spec_from_dict_raises_only_scenario_error(d):
     try:
-        spec = MatrixSpec.from_dict(d)
+        spec = matrix_spec(d)
     except ScenarioError:
         return
     for name in MATRIX_FIELDS[:3]:

@@ -3,6 +3,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgres.attack import NonPeriodic, Periodic
 from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, ScenarioConfig,
@@ -93,6 +94,18 @@ def test_unknown_fields_rejected():
     # the simulator draws no random numbers, so there is no seed to set
     with pytest.raises(ScenarioError, match="unknown scenario fields: \\['seed'\\]"):
         from_dict({"duration": 1.0, "seed": 3})
+    # every nested mapping is read the same way
+    with pytest.raises(ScenarioError, match="load event 1 must be a mapping, got 'bus 1'"):
+        from_dict({"duration": 1.0, "load_events": ["bus 1"]})
+    with pytest.raises(ScenarioError, match=r"unknown gains fields: \['c_V'\]"):
+        from_dict({"duration": 1.0, "gains": {"c_V": 10}})
+    # a misspelt required key is named as unknown before the missing one
+    with pytest.raises(ScenarioError, match=r"unknown load event 1 fields: \['time'\]"):
+        from_dict({"duration": 1.0, "load_events": [{"time": 0.5, "bus": 1, "r": 0.4, "x": 0.1}]})
+    with pytest.raises(ScenarioError, match="missing required field 't' in load event 1"):
+        from_dict({"duration": 1.0, "load_events": [{"bus": 1, "r": 0.4, "x": 0.1}]})
+    with pytest.raises(ScenarioError, match="references takes frequency_hz or frequency, not both"):
+        from_dict({"duration": 1.0, "references": {"frequency_hz": 60, "frequency": 377}})
 
 
 @pytest.mark.parametrize("doc, field, where", [
@@ -106,7 +119,6 @@ def test_unknown_fields_rejected():
     ({"load_events": [{"t": 0.5, "bus": 1, "r": 0.4, "x": 0.15},
                       {"t": 0.5, "r": 0.4, "x": 0.15}]},
      "bus", "load event 2"),
-    ({"load_events": ["bus 1"]}, "t", "load event 1"),
 ])
 def test_missing_entry_fields(doc, field, where):
     with pytest.raises(ScenarioError,
@@ -119,6 +131,9 @@ def test_missing_entry_fields(doc, field, where):
     ({"dt": 0.0}, "dt must be positive"),
     ({"sample_period": 5e-5}, "below the integrator step"),
     ({"sample_period": 2.5e-4}, "integer multiple"),
+    # an OverflowError and a NaN ValueError that named no field
+    ({"sample_period": math.inf}, "sample_period must be positive and finite, got inf"),
+    ({"duration": math.nan}, "duration must be positive and finite, got nan"),
 ])
 def test_timing_validation(override, msg):
     base = {"duration": 1.0}
@@ -175,3 +190,62 @@ def test_config_is_immutable_and_sorted():
     assert [e.t for e in cfg.load_events] == [0.2, 0.7]
     with pytest.raises(Exception):
         cfg.duration = 2.0
+
+
+# documents built from the schema's keys; one value in twenty has a wrong type,
+# and one mapping in twenty has a key outside the schema (drawn as 7 of 0..19,
+# since hypothesis draws the bounds far more often than one in twenty)
+WRONG = (st.none() | st.booleans() | st.text(max_size=3) | st.integers()
+         | st.floats() | st.lists(st.integers(), max_size=2) | st.just({}))
+NUM = st.integers(-1, 4) | st.floats(-1.0, 2.0) | st.sampled_from([math.inf, -math.inf, math.nan])
+STEP = st.sampled_from([1e-4, 1e-3, 0.0, math.inf, math.nan])
+
+
+def mapping(schema: dict, required=()) -> st.SearchStrategy:
+    """Mappings with the ``required`` keys of ``schema`` and some of the others."""
+    def draw(keys, n):
+        values = {k: st.integers(0, 19).flatmap(lambda i, k=k: WRONG if i == 7 else schema[k])
+                  for k in (*required, *keys)}
+        return st.fixed_dictionaries(dict(values, typo=WRONG) if n == 7 else values)
+    optional = [k for k in schema if k not in required]
+    some = st.lists(st.sampled_from(optional), unique=True) if optional else st.just([])
+    return st.tuples(some, st.integers(0, 19)).flatmap(lambda t: draw(*t))
+
+
+def entries(*keys: str) -> st.SearchStrategy:
+    return st.lists(mapping(dict.fromkeys(keys, NUM), keys), max_size=3)
+
+
+SCENARIO = mapping({
+    "duration": NUM, "dt": STEP, "sample_period": STEP,
+    "references": mapping(dict.fromkeys(("voltage", "frequency", "frequency_hz"), NUM)),
+    "gains": mapping({"c_v": NUM, "c_w": NUM}),
+    "controller": st.sampled_from(["pi", "ann", "x"]),
+    "controllers": st.lists(st.sampled_from(["pi", "ann"]), max_size=4),
+    "ann_model": st.text(max_size=3), "id": st.text(max_size=3),
+    "plant": mapping({"n_bus": NUM, "dg_bus": st.lists(NUM, max_size=4),
+                      "dgs": st.lists(mapping(dict.fromkeys(("m_p", "n_q", "omega_c"), NUM)),
+                                      max_size=4),
+                      "lines": entries("from", "to", "r", "x"),
+                      "loads": entries("bus", "r", "x")},
+                     ("n_bus", "dg_bus", "dgs", "lines", "loads")),
+    "graph": mapping({"edges": st.lists(st.lists(NUM, max_size=3), max_size=4),
+                      "pinning": st.lists(NUM, max_size=4)}, ("edges", "pinning")),
+    "load_events": entries("t", "bus", "r", "x"),
+    "attacks": st.lists(mapping({
+        "target": st.sampled_from(["broadcast -> dg1.voltage", "dg2.voltage -> dg1", "dg1"]),
+        "kind": st.sampled_from(["nonperiodic", "periodic", "ramp"]),
+        **dict.fromkeys(("alpha", "beta", "freq_hz", "omega", "tau", "end"), NUM)},
+        ("target", "kind", "tau")), max_size=2),
+}, ("duration",))
+
+
+@settings(deadline=None, max_examples=300)
+@given(SCENARIO)
+def test_from_dict_raises_only_value_errors(d):
+    # ValueError is what the CLI turns into exit 1 (cli.CONFIG_ERRORS)
+    try:
+        cfg = from_dict(d)
+    except ValueError:
+        return
+    assert isinstance(cfg, ScenarioConfig)

@@ -89,6 +89,10 @@ def test_seventeen_digit_precision(short_trace):
      "bad DG column 'dg1.foo' at position 7, expected 'dg1.wn'"),
     ("t," + "dg1.v," * 6 + "attack_active\n",
      "bad DG column 'dg1.v' at position 3, expected 'dg1.w'"),
+    # parsed as 0, as -9223372036854775808 with a RuntimeWarning, and as 2
+    ("t,attack_active\n0,0.5\n", "CSV text: line 2: attack_active must be 0 or 1, got 0.5"),
+    ("t,attack_active\n0,nan\n", "CSV text: line 2: attack_active must be 0 or 1, got nan"),
+    ("t,attack_active\n0,0\n\n0.001,2\n", "CSV text: line 4: attack_active must be 0 or 1, got 2"),
 ])
 def test_parse_rejects_malformed(text, msg):
     with pytest.raises(TraceFormatError, match=msg):
@@ -227,6 +231,7 @@ WIDTH = "does not match the header's 76"
     (lambda row: row.replace(",", ",x1,", 1), "line 4: could not convert string 'x1'"),
     (lambda row: row.rsplit(",", 1)[0] + "\n", f"line 4: row width 75 {WIDTH}"),    # short
     (lambda row: row.rstrip("\n") + ",0\n", f"line 4: row width 77 {WIDTH}"),      # long
+    (lambda row: row.rsplit(",", 1)[0] + ",0.5\n", "line 4: attack_active must be 0 or 1"),
 ])
 def test_malformed_row_names_the_file_and_line(short_trace, tmp_path, edit, message):
     lines = export_csv(short_trace).splitlines(keepends=True)
