@@ -79,6 +79,8 @@ class NetworkParams:
         object.__setattr__(self, "dg_bus", tuple(self.dg_bus))
         if self.n_bus < 1:
             raise NetworkError(f"a network needs at least one bus, got n_bus={self.n_bus}")
+        if not self.dg_bus:
+            raise NetworkError("a network needs at least one DG, got an empty dg_bus")
         for ln in self.lines:
             if ln.bus_a == ln.bus_b:
                 raise NetworkError(f"line connects bus {ln.bus_a} to itself")

@@ -208,6 +208,9 @@ def _entries(items: list, where: str, *keys: str) -> list[list]:
     """The required numeric ``keys`` of each mapping in a list, in order."""
     out = []
     for k, e in enumerate(items):
+        if not isinstance(e, dict):   # a bare value holds none of the keys
+            raise ScenarioError(f"missing required field {keys[0]!r} in {where} {k + 1}, "
+                                f"which must be a mapping, got {e!r}")
         entry = ConfigReader(e, f"{where} {k + 1}")
         out.append([entry.read(key, int if key in _INDEX_FIELDS else float) for key in keys])
         entry.close()

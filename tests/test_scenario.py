@@ -95,8 +95,6 @@ def test_unknown_fields_rejected():
     with pytest.raises(ScenarioError, match="unknown scenario fields: \\['seed'\\]"):
         from_dict({"duration": 1.0, "seed": 3})
     # every nested mapping is read the same way
-    with pytest.raises(ScenarioError, match="load event 1 must be a mapping, got 'bus 1'"):
-        from_dict({"duration": 1.0, "load_events": ["bus 1"]})
     with pytest.raises(ScenarioError, match=r"unknown gains fields: \['c_V'\]"):
         from_dict({"duration": 1.0, "gains": {"c_V": 10}})
     # a misspelt required key is named as unknown before the missing one
@@ -119,11 +117,28 @@ def test_unknown_fields_rejected():
     ({"load_events": [{"t": 0.5, "bus": 1, "r": 0.4, "x": 0.15},
                       {"t": 0.5, "r": 0.4, "x": 0.15}]},
      "bus", "load event 2"),
+    ({"load_events": ["bus 1"]}, "t", "load event 1"),
 ])
 def test_missing_entry_fields(doc, field, where):
     with pytest.raises(ScenarioError,
                        match=f"missing required field '{field}' in {where}"):
         from_dict(dict(doc, duration=1.0))
+
+
+def test_entry_must_be_a_mapping():
+    with pytest.raises(ScenarioError, match="in load event 1, which must be a mapping, got 'bus 1'"):
+        from_dict({"duration": 1.0, "load_events": ["bus 1"]})
+    with pytest.raises(ScenarioError, match="in plant line 2, which must be a mapping, got 3"):
+        from_dict({"duration": 1.0, "plant": {"n_bus": 2, "dg_bus": [1], "dgs": [{}],
+                                              "lines": [{"from": 1, "to": 2, "r": 0.1, "x": 0.1}, 3],
+                                              "loads": []}})
+
+
+def test_plant_needs_a_dg():
+    # ring_graph(0) raised an IndexError before
+    with pytest.raises(ValueError, match="at least one DG"):
+        from_dict({"duration": 1.0, "plant": {"n_bus": 1, "dg_bus": [], "dgs": [],
+                                              "lines": [], "loads": []}})
 
 
 @pytest.mark.parametrize("override, msg", [
