@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from .ann import (Dataset, DatasetError, MlpParams, TrainConfig, TrainReport,
@@ -132,10 +133,16 @@ def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
             if not isinstance(v, kind) or isinstance(v, bool):   # a bool is an int
                 noun = "a string" if kind is str else "a number"
                 raise DatasetError(f"{path}: run {k} field {name!r} must be {noun}, got {v!r}")
+            if kind is not str and not abs(v) <= sys.float_info.max:   # nan, inf, 10**400
+                raise DatasetError(f"{path}: run {k} field {name!r} must be finite, got {v!r}")
     ok = {e["id"]: e for e in entries if e["status"] == "ok"}
     traces: dict[str, Trace] = {}
     for e in ok.values():
-        tr = parse_csv(os.path.join(data_dir, e["file"]))
+        try:
+            tr = parse_csv(os.path.join(data_dir, e["file"]))
+        except OSError as exc:   # missing, a directory, unreadable
+            raise DatasetError(f"{path}: run {e['id']!r} file {e['file']!r}: "
+                               f"{exc.strerror}") from None
         tr.v_ref = e["v_ref"]
         tr.w_ref = e["w_ref"]
         traces[e["id"]] = tr

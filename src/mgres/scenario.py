@@ -173,10 +173,14 @@ class ConfigReader:
         return None if items is None else tuple(
             _as(v, kind, f"{self.name} {key} entry {j + 1}") for j, v in enumerate(items))
 
+    def either(self, key: str, other: str) -> None:
+        """Reject a mapping that gives both of two keys that say one thing."""
+        if key in self and other in self:
+            raise ScenarioError(f"{self.name} takes {key} or {other}, not both")
+
     def frequency(self, hz_key: str, rad_key: str) -> float | None:
         """rad/s from ``hz_key`` (Hz) or ``rad_key`` (rad/s); None if neither is given."""
-        if hz_key in self and rad_key in self:
-            raise ScenarioError(f"{self.name} takes {hz_key} or {rad_key}, not both")
+        self.either(hz_key, rad_key)
         if hz_key in self:
             return 2.0 * math.pi * self.read(hz_key)
         return self.read(rad_key, float, None)
@@ -283,6 +287,7 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     plant, graph = top.read("plant", dict, None), top.read("graph", dict, None)
     refs = ConfigReader(top.read("references", dict, {}), "references")
     gains = ConfigReader(top.read("gains", dict, {}), "gains")
+    top.either("controller", "controllers")
     controllers = top.read("controllers", list, None)
     controller = top.read("controller", str, "pi")
     ann_model = top.read("ann_model", object, None)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgres import ann
 from mgres.ann import (AnnKernel, Dataset, DatasetError, MlpParams, NormalizationSpec,
@@ -101,6 +102,30 @@ def test_gradient_is_the_reference_arithmetic_bitwise():
         np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("n", [1, 3389, 9000])
+def test_fit_split_is_the_reference_arithmetic_bitwise(n):
+    # at the fit's row counts BLAS blocks its products, and one row takes
+    # numpy's matrix-vector path, whose bits depend on the layout of w1^T;
+    # the fit vector's layouts must still give the plain expressions' bits
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.9, 1.1, (n, 7))
+    y = rng.uniform(1.0, 1.05, n)
+    params = init_params(rng, NormalizationSpec.from_data(rng.uniform(0.9, 1.1, (50, 7)),
+                                                          rng.uniform(1.0, 1.05, 50)))
+    norm = params.norm
+    xn = (x - norm.x_offset) / norm.x_scale
+    h = np.tanh(xn @ params.w1.T + params.b1)
+    r = (h @ params.w2.T + params.b2)[:, 0] * norm.y_scale + norm.y_offset - y
+    d_out = (2.0 / len(y)) * r * norm.y_scale
+    d_a1 = d_out[:, None] * params.w2 * (1.0 - h * h)
+    want = (d_a1.T @ xn, d_a1.sum(axis=0), (d_out @ h)[None, :], np.array([d_out.sum()]))
+    split = ann._FitSplit(norm.normalize_x(x), y, norm)
+    assert split.loss(ann._fit_vector(params)) == mse(params, x, y)
+    for got, ref in zip(ann._fit_layers(split.gradient()), want):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_normalization_from_data():
     x = np.zeros((4, 7))
     x[:, 0] = [0.0, 1.0, 2.0, 3.0]
@@ -129,6 +154,7 @@ def test_train_learns_and_is_reproducible():
     p1, r1 = train(ds, cfg)
     p2, r2 = train(ds, cfg)
     np.testing.assert_array_equal(p1.w1, p2.w1)
+    assert p1.w1.flags.c_contiguous   # as load_model gives it: one-row products differ by layout
     assert r1.train_mse == r2.train_mse
     assert r1.best_val_mse < r1.val_mse[0]
     assert r1.best_val_mse < 1e-5
@@ -301,6 +327,44 @@ def test_malformed_model_rows_name_the_file_and_row(tmp_path, row, values, messa
     path.write_text(model_text_with(row, values))
     with pytest.raises(ValueError, match=message):
         load_model(path)
+
+
+TOKEN = st.text(max_size=4) | st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e999", "0", "-0", "1_0", "0x1p3", "mgres-mlp", "7", "10"])
+MODEL_EDIT = st.tuples(st.sampled_from(["token", "drop-token", "dup-token", "drop-row",
+                                        "dup-row"]),
+                       st.integers(0, 8), st.integers(0, 69), TOKEN)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(MODEL_EDIT, min_size=1, max_size=3))
+def test_load_model_raises_only_value_errors(tmp_path_factory, edits):
+    # a valid model text with tokens, rows or the header edited, dropped or
+    # duplicated; only ValueError escapes, which the CLI turns into exit 1
+    rows = [ln.split(" ") for ln in model_text_with(1, " ".join(["0.25"] * 70)).splitlines()]
+    for kind, row, k, token in edits:
+        line = rows[row % len(rows)] if rows else []
+        if kind == "drop-row" and rows:
+            rows.remove(line)
+        elif kind == "dup-row" and rows:
+            rows.insert(row % len(rows), list(line))
+        elif line:
+            k %= len(line)
+            if kind == "token":
+                line[k] = token
+            elif kind == "drop-token":
+                del line[k]
+            else:
+                line.insert(k, line[k])
+    path = tmp_path_factory.mktemp("model") / "fuzz.txt"
+    path.write_text("\n".join(" ".join(line) for line in rows) + "\n")
+    try:
+        params = load_model(path)
+    except ValueError:
+        return
+    for arr in (params.w1, params.b1, params.w2, params.b2, params.norm.x_offset,
+                params.norm.x_scale, params.norm.y_offset, params.norm.y_scale):
+        assert np.isfinite(arr).all()
 
 
 def test_normalization_rejects_non_finite_maps():

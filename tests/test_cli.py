@@ -200,6 +200,12 @@ def test_malformed_matrix_exits_1(work, capsys, doc, message):
     # read as 1.0: a JSON true is a Python int
     ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": true,'
      ' "w_ref": 377.0}]', "run 1 field 'v_ref' must be a number, got True"),
+    # an OverflowError traceback in build_dataset
+    ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": 1%s,'
+     ' "w_ref": 377.0}]' % ("0" * 400), "run 1 field 'v_ref' must be finite, got 1000"),
+    # an IsADirectoryError traceback in parse_csv
+    ('[{"id": "a", "file": "", "status": "ok", "clean_ref": "a", "v_ref": 1.0,'
+     ' "w_ref": 377.0}]', "run 'a' file '': Is a directory"),
 ])
 def test_malformed_manifest_exits_1(work, capsys, manifest, message):
     data = work / "bad-manifest"
@@ -363,6 +369,15 @@ def test_zero_impedance_load_event_exits_1(work, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(work / "z.csv")]) == 1
     assert capsys.readouterr().err == (
         "error: load event at t=0.02 s on bus 2 has zero impedance\n")
+
+
+def test_controller_and_controllers_exits_1(work, capsys):
+    path = work / "two-controller-keys.yaml"
+    path.write_text("duration: 0.1\ncontroller: ann\nann_model: m.txt\n"
+                    "controllers: [pi, pi, pi, pi]\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(work / "c.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: scenario takes controller or controllers, not both\n")
 
 
 def test_resonant_passive_bus_exits_1(work, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +138,45 @@ def test_gen_data_records_failures(tmp_path):
     by_status = {e["id"]: e["status"] for e in entries}
     assert by_status["load1-normal"] == "ok"
     assert by_status["load1-nonperiodic-a-0.999"].startswith("diverged")
+
+
+# a valid gen-data directory with its manifest fields edited, and one cell of
+# one CSV (header included) replaced; the oracle is that only ValueError
+# escapes, which is what the CLI turns into exit 1 (cli.CONFIG_ERRORS)
+WRONG = (st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats()
+         | st.sampled_from([10**400, "", ".", "manifest.json", "missing.csv"])
+         | st.lists(st.integers(), max_size=2) | st.just({}))
+MANIFEST_EDIT = st.tuples(st.integers(0, 2), st.sampled_from(
+    ["id", "file", "status", "clean_ref", "v_ref", "w_ref"]), st.booleans(), WRONG)
+CELL = (st.text(max_size=4) | st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e999", "0.5", "2", "-1", "1,2", "t", "dg1.v", "\n"]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(edits=st.lists(MANIFEST_EDIT, max_size=2), whole=st.integers(0, 19),
+       cell=st.tuples(st.integers(0, 2), st.integers(0, 800), st.integers(0, 60), CELL)
+       | st.none())
+def test_load_runs_raises_only_value_errors(data_dir, tmp_path_factory, edits, whole, cell):
+    work = tmp_path_factory.mktemp("fuzz")
+    source = Path(data_dir)
+    entries = json.loads((source / "manifest.json").read_text())
+    files = [e["file"] for e in entries]
+    for k, key, drop, value in edits:
+        if drop:
+            entries[k].pop(key, None)
+        else:
+            entries[k][key] = value
+    # one manifest in twenty is not a list, and one holds a run that is not a mapping
+    manifest = {7: {"runs": entries}, 8: entries[:1] + [3]}.get(whole, entries)
+    (work / "manifest.json").write_text(json.dumps(manifest))
+    for k, name in enumerate(files):
+        lines = (source / name).read_text().split("\n")
+        if cell is not None and cell[0] == k:
+            cells = lines[cell[1]].split(",")
+            cells[cell[2] % len(cells)] = cell[3]
+            lines[cell[1]] = ",".join(cells)
+        (work / name).write_text("\n".join(lines))
+    try:
+        dataset_from_dir(str(work))
+    except ValueError:
+        pass

@@ -104,6 +104,10 @@ def test_unknown_fields_rejected():
         from_dict({"duration": 1.0, "load_events": [{"bus": 1, "r": 0.4, "x": 0.1}]})
     with pytest.raises(ScenarioError, match="references takes frequency_hz or frequency, not both"):
         from_dict({"duration": 1.0, "references": {"frequency_hz": 60, "frequency": 377}})
+    # "controller: ann" beside a controllers list was dropped: the run was all-PI
+    with pytest.raises(ScenarioError, match="scenario takes controller or controllers, not both"):
+        from_dict({"duration": 1.0, "controllers": ["pi"] * 4, "controller": "ann",
+                   "ann_model": "m.txt"})
 
 
 @pytest.mark.parametrize("doc, field, where", [
