@@ -127,6 +127,7 @@ def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
         entries = json.load(fh)
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise DatasetError(f"{path} must hold a list of run mappings")
+    first: dict[str, int] = {}   # id -> number of the run that first has it
     for k, e in enumerate(entries, start=1):
         for name, kind in _MANIFEST_FIELDS.items():
             v = e.get(name)
@@ -135,6 +136,8 @@ def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
                 raise DatasetError(f"{path}: run {k} field {name!r} must be {noun}, got {v!r}")
             if kind is not str and not abs(v) <= sys.float_info.max:   # nan, inf, 10**400
                 raise DatasetError(f"{path}: run {k} field {name!r} must be finite, got {v!r}")
+        if (j := first.setdefault(e["id"], k)) != k:
+            raise DatasetError(f"{path}: runs {j} and {k} have the same id {e['id']!r}")
     ok = {e["id"]: e for e in entries if e["status"] == "ok"}
     traces: dict[str, Trace] = {}
     for e in ok.values():

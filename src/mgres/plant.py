@@ -142,8 +142,9 @@ class NetworkSolver:
     Passive buses are eliminated by Kron reduction: their voltages are
     v_o = K v_d with K = -Y_oo^-1 Y_od, so the DG currents are Y_red v_d with
     Y_red = Y_dd + Y_do K.  Bus voltages and branch voltages (lines, then
-    loads to ground) are fixed linear maps of the DG voltages.  ``load_bus``
-    and ``load_y`` are each load's bus and admittance, in the network's order.
+    loads to ground) are fixed linear maps of the DG voltages; ``stack`` =
+    [Y_red; branch maps] gives both in one product.  ``load_bus`` and
+    ``load_y`` are each load's bus and admittance, in the network's order.
     """
 
     def __init__(self, net: NetworkParams):
@@ -176,7 +177,8 @@ class NetworkSolver:
             incidence[k, ld.bus] = 1.0
         g += self.load_y.real.tolist()
         branch = incidence @ bus_map
-        self.branch = np.vstack([branch, np.array(g)[:, None] * branch])
+        self.stack = np.vstack([self.y_red, branch, np.array(g)[:, None] * branch])
+        self.y_red, self.branch = self.stack[:len(dg)], self.stack[len(dg):]
         self.n_branch = len(g)
 
 
@@ -186,20 +188,20 @@ class NetworkWorkspace:
     After a solve it holds the complex voltage ``v_dg`` and power ``s_dg``
     per DG, pu, and the relative active power mismatch ``balance_residual``;
     the next solve on this workspace rewrites them.  The workspace follows
-    the network it last solved: the branch-voltage buffer u and its halves
-    [lines and loads; conductance-scaled] are remade only when the branch
-    count changes.
+    the network it last solved: the buffer ``iu`` = [DG currents (then their
+    conjugates); branch voltages u] and the halves of u [lines and loads;
+    conductance-scaled] are remade only when the branch count changes.
     """
 
     def __init__(self, n: int):
         self.v_dg = np.empty(n, dtype=complex)   # DG voltages
-        self.i_dg = np.empty(n, dtype=complex)   # DG currents, then their conjugates
         self.s_dg = np.empty(n, dtype=complex)   # DG powers
         self.p_dg = self.s_dg.real
-        self.j = np.full(n, 1j)                  # 1j at the shape of the angles
+        self.j_delta = np.zeros(n, dtype=complex)   # j delta: the angles, real part 0
+        self.j_delta_im = self.j_delta.imag
         self.s_re_im = self.s_dg.view(np.float64).reshape(n, 2)   # [Re s, Im s] per DG
         self.balance_residual = 0.0
-        self.net = self.solver = self.u = None
+        self.net = self.solver = self.iu = None
 
     @property
     def bus_v(self) -> np.ndarray:
@@ -213,10 +215,10 @@ class NetworkWorkspace:
 
     def use(self, net: NetworkParams) -> None:
         self.net, self.solver = net, net.solver
-        nb = self.solver.n_branch
-        if self.u is None or len(self.u) != 2 * nb:
-            self.u = np.empty(2 * nb, dtype=complex)
-            self.u_lo, self.u_hi = self.u[:nb], self.u[nb:]
+        n, nb = len(self.v_dg), self.solver.n_branch
+        if self.iu is None or len(self.iu) != n + 2 * nb:
+            self.iu = np.empty(n + 2 * nb, dtype=complex)
+            self.i_dg, self.u_lo, self.u_hi = self.iu[:n], self.iu[n:n + nb], self.iu[n + nb:]
 
 
 def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
@@ -237,13 +239,12 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
     if net is not ws.net:
         ws.use(net)
     solver, v, i = ws.solver, ws.v_dg, ws.i_dg
-    np.multiply(ws.j, delta, v)
-    np.exp(v, v)
+    np.copyto(ws.j_delta_im, delta)
+    np.exp(ws.j_delta, v)
     np.multiply(vmag, v, v)
-    np.dot(solver.y_red, v, out=i)
+    np.dot(solver.stack, v, out=ws.iu)
     np.conjugate(i, i)
     np.multiply(v, i, ws.s_dg)
-    np.dot(solver.branch, v, out=ws.u)
     p_cons = np.vdot(ws.u_lo, ws.u_hi).real
     p_gen = sum(ws.p_dg.tolist())
     ws.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
@@ -253,13 +254,14 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
 class PlantState:
     """Phase angles and the filtered powers, stacked as pq = [P; Q]."""
 
-    __slots__ = ("delta", "pq", "p", "q", "pq_t")
+    __slots__ = ("delta", "pq", "p", "q", "pq_t", "pq_flat")
 
     def __init__(self, delta: np.ndarray, pq: np.ndarray):
         self.delta = delta   # (n,) phase angle per DG, rad, relative to DG1's frame
         self.pq = pq         # (2, n) filtered active and reactive power per DG, pu
         self.p, self.q = pq  # row views
         self.pq_t = pq.T     # (n, 2) view, [P, Q] per DG
+        self.pq_flat = self.pq_t.reshape(-1)   # a view when stored per DG (initial_state)
 
 
 @dataclass(frozen=True)
@@ -316,17 +318,20 @@ class PlantWorkspace(NetworkWorkspace):
     state it is given while it writes the other.  Their [P; Q] is stored
     per DG, like the complex powers, so the filter update runs on
     contiguous (n, 2) arrays; a state laid out otherwise gives the same
-    bits, only more slowly.  Every step rewrites the droop outputs ``vw`` =
-    [v; w] and the network solution, and returns the workspace as its
-    outputs.  Constants are held at the full shape of their operands, so no
-    per-step operation broadcasts.
+    bits, only more slowly.  Every step rewrites the droop terms ``droop`` =
+    [n_Q Q; m_P P] of the state it reads (into a (2, n) buffer the caller may
+    hand in), the droop outputs ``vw`` = [v; w] and the network solution,
+    and returns the workspace as its outputs.  Constants are held at the
+    full shape of their operands, so no per-step operation broadcasts.
     """
 
-    def __init__(self, model: MicrogridModel, dt: float):
+    def __init__(self, model: MicrogridModel, dt: float, droop: np.ndarray | None = None):
         n = model.n
         super().__init__(n)
         self.dgs, self.dt = model.dgs, dt
         self.states = (model.initial_state(), model.initial_state())
+        self.droop = np.empty((2, n)) if droop is None else droop
+        self.droop_q, self.droop_p = self.droop  # row views
         self.vw = np.empty((2, n))
         self.v, self.w = self.vw                 # row views
         self.n_q, self.m_p = model._gains[0].copy(), model._gains[1].copy()
@@ -339,7 +344,7 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
                ws: PlantWorkspace | None = None) -> tuple[PlantState, PlantWorkspace]:
     """Advance the plant one fixed Euler step from set-points [V_n; w_n].
 
-    Order: droop (v = V_n - n_Q q, w = w_n - m_P p) -> network solve ->
+    Order: droop ([v; w] = [V_n; w_n] - [n_Q q; m_P p]) -> network solve ->
     power filter update -> angle integration.
     Angles integrate w_i - w_1 (DG1 frame) and are wrapped to (-pi, pi].
     Deterministic: identical inputs give bit-identical outputs.  Returns
@@ -358,10 +363,11 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
     a, b = ws.states
     new = b if state is a else a
     vw = ws.vw
-    np.multiply(ws.n_q, state.q, ws.v)
-    np.multiply(ws.m_p, state.p, ws.w)
-    np.subtract(setpoints, vw, vw)
-    vl = ws.v.tolist()
+    # two row products: one (2, n) product on a reversed-row view of the state is slower
+    np.multiply(ws.n_q, state.q, ws.droop_q)
+    np.multiply(ws.m_p, state.p, ws.droop_p)
+    np.subtract(setpoints, ws.droop, vw)
+    vl, wl = vw.tolist()
     # min() is NaN-blind past the first element; the sum is not
     if not (min(vl) > 0.0 and math.isfinite(sum(vl))):
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
@@ -372,14 +378,12 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
     np.subtract(ws.s_re_im, old, pq)
     np.multiply(ws.dt_wc, pq, pq)
     np.add(old, pq, pq)
-    wl = ws.w.tolist()
     w0 = wl[0]
     new.delta[:] = [(d + dt * (x - w0) + math.pi) % _TWO_PI - math.pi
                     for d, x in zip(state.delta.tolist(), wl)]
 
     # max() is NaN-blind past the first element; the sum is not
-    p, q = new.pq.tolist()
-    pl = p + q
+    pl = new.pq_flat.tolist()
     if not (max(max(map(abs, pl)), max(vl)) <= DIVERGENCE_LIMIT
             and math.isfinite(sum(pl))):
         m = max(np.abs(new.pq).max(), max(vl))   # NaN if any entry is NaN

@@ -8,34 +8,38 @@ Each step k (t = k dt) runs, in order:
 
 1. load events due by t replace the network (a new load epoch, whose
    ``NetworkParams.solver`` is built at the next solve);
-2. ``step_plant``: droop outputs [v; w] from the set-points [V_n; w_n], the
-   network solve and the filter/angle update.  It returns the new state and
-   its workspace, which holds [v; w], the balance residual and ``bus_v``;
+2. ``step_plant``: the droop terms [n_Q Q; m_P P] of the state it reads,
+   written into the secondary layer's input vector x, the droop outputs
+   [v; w] from the set-points [V_n; w_n], the network solve and the
+   filter/angle update.  It returns the new state and its workspace, which
+   holds [v; w], the balance residual and ``bus_v``;
 3. the clean channel values are gathered from [v; w] straight into the
-   front of the secondary layer's input vector x; on a sampling step they are
-   recorded before the attack layer scales its targets in place by
-   ``AttackSpec.gain(t)``, so the channel vector is never copied;
-4. ``secondary_update`` on x, whose tail holds m_P,i P_i, gives the next
-   set-points, and each ANN-controlled DG overwrites its voltage set-point.
+   front of x; on a sampling step they are recorded before each attack
+   scales the channel vector in place by its gain vector, ``AttackSpec.gain(t)``
+   on its targets and 1.0 elsewhere, in declaration order;
+4. ``secondary_update`` on x gives the next set-points, and each
+   ANN-controlled DG overwrites its voltage set-point.
 
 Every per-step NumPy call writes its result with ``out`` into buffers built
 once per run, on same-shape operands and views made once (the exceptions are
-the attack layer's indexed scaling, on attacked steps only, and the load
-currents on sampling steps):
+an attack's refill of its gain vector's targets when ``gain(t)`` changes, and
+the load currents on sampling steps):
 
 - ``plant.PlantWorkspace``: two ``PlantState``s that take turns (a step reads
-  one and writes the other, so the old state is still whole when the
-  secondary layer reads its P), the droop outputs [v; w], the complex DG
-  voltages, currents and powers with a (n, 2) float view of the powers, the
-  branch voltages, and the constants n_Q, m_P and dt omega_c;
-- ``secondary.ConsensusMap``: the edge gathers, the per-edge sums, the
-  pinning term and the tracking error, with gains, references and pinning
-  at the (2, n) set-point shape;
+  one and writes the other, so the old state is still whole when the step
+  records it), the droop terms' row views and the droop outputs [v; w], the
+  complex DG voltages and powers with a (n, 2) float view of the powers, one
+  buffer for the DG currents and branch voltages of the stacked network
+  product, and the constants n_Q, m_P and dt omega_c;
+- ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
+  one gather of every difference's two ends, the per-edge sums and the
+  tracking error, with gains and pinning at the (2, n) set-point shape;
 - ``ann.AnnKernel``, one per ANN-controlled DG: its feature row [r, r, v*]
   and the normalised row, hidden layer and output;
-- here: x, the (2, n) set-points, which ``secondary_update`` rewrites in
-  place once the step has recorded and consumed them, and the trace, whose
-  block (``Trace.data``) a sample enters through views made once per run.
+- here: each attack's gain vector, the (2, n) set-points, which
+  ``secondary_update`` rewrites in place once the step has recorded and
+  consumed them, and the trace, whose block (``Trace.data``) a sample enters
+  through views made once per run.
 
 The returned trace is this run's block, cut to the recorded samples, so a
 later run never changes it.
@@ -72,8 +76,10 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     n = graph.n
     model = config.model
     channels = graph.channels()
-    attacks = [(spec, np.array(resolve_channels(spec, channels)))
+    # per attack: its targets and its gain vector, 1.0 off them and held[k] on them
+    attacks = [(spec, np.array(resolve_channels(spec, channels)), np.ones(len(channels)))
                for spec in config.attacks]
+    held = [1.0] * len(attacks)
     cmap = ConsensusMap(graph, channels, config.gains, config.v_ref, config.w_ref)
     # clean channel k carries [v; w].flat[gather[k]]
     gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
@@ -98,10 +104,8 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     # adjacent pairs of DG_SIGNALS: [v, w], [P, Q], [V_n, w_n]
     rec_vw, rec_pq, rec_sp = (trace.dg_block[:, :, k:k + 2] for k in (0, 2, 4))
 
-    x = np.empty(len(channels) + n)
-    recv, weighted_p = x[:len(channels)], x[len(channels):]
-    m_p = model.m_p
-    ws = PlantWorkspace(model, dt)
+    recv = cmap.recv
+    ws = PlantWorkspace(model, dt, cmap.droop)
     state = model.initial_state()
     setpoints = np.array([np.full(n, config.v_ref), np.full(n, config.w_ref)])
     vw_t, sp_t = ws.vw.T, setpoints.T           # (n, 2) per DG
@@ -138,10 +142,12 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         record = k % stride == 0
         if record:
             rec_clean[sample] = recv
-        for spec, targets in attacks:
+        for k_atk, (spec, targets, gv) in enumerate(attacks):
             g = spec.gain(t)
             if g != 1.0:
-                recv[targets] = recv[targets] * g
+                if g != held[k_atk]:
+                    gv[targets] = held[k_atk] = g
+                np.multiply(recv, gv, recv)
 
         if record:
             rec_t[sample] = t
@@ -150,16 +156,16 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             rec_sp[sample] = sp_t
             rec_recv[sample] = recv
             rec_load[sample] = out.load_current
-            rec_att[sample] = int(any(s.active(t) for s, _ in attacks))
+            rec_att[sample] = int(any(s.active(t) for s, *_ in attacks))
             sample += 1
 
         if k == n_steps:
             break
 
-        # secondary layer consumes the received (possibly corrupted) values
-        np.multiply(m_p, state.p, weighted_p)
-        # in place: this step has recorded and consumed the old set-points
-        secondary_update(cmap, x, setpoints, dt, setpoints)
+        # the secondary layer consumes the received (possibly corrupted)
+        # values and the droop terms step_plant wrote; in place: this step
+        # has recorded and consumed the old set-points
+        secondary_update(cmap, setpoints, dt, setpoints)
         for i, kernel in ann_kernels:
             setpoints[0, i] = annmod.ann_controller(kernel, recv)
 

@@ -57,6 +57,30 @@ def test_stacked_attacks_compose_in_declaration_order():
     np.testing.assert_array_equal(tr.ch_recv[:, others], tr.ch_clean[:, others])
 
 
+def test_attack_window_on_a_run_with_stacked_overlapping_attacks():
+    # DG1's inbound voltages under a constant gain on [10, 30) ms and DG2's
+    # outgoing voltages under a sinusoid on [15, 35) ms: both scale DG2 -> DG1
+    a = spec(NonPeriodic(alpha=0.3), tau=0.01, end=0.03, src="broadcast", dst=0)
+    b = spec(Periodic(beta=0.2, omega=2 * math.pi * 60.0), tau=0.015, end=0.035,
+             src=1, dst="broadcast")
+    tr = run_scenario(replace(builtin_scenario("default", duration=0.05), attacks=(a, b)))
+    both = set(resolve_channels(a, tr.channels)) & set(resolve_channels(b, tr.channels))
+    assert both == {tr.channels.index((1, 0, "voltage"))}
+    outside = (tr.t < 0.01) | (tr.t >= 0.035)
+    assert outside.sum() == 26 and not tr.attack_active[outside].any()
+    assert tr.attack_active[~outside].all()
+    assert tr.ch_recv[outside].tobytes() == tr.ch_clean[outside].tobytes()
+    for t, clean, recv in zip(tr.t[~outside], tr.ch_clean[~outside], tr.ch_recv[~outside]):
+        want = clean.copy()
+        for s in (a, b):
+            k = resolve_channels(s, tr.channels)
+            want[k] = want[k] * s.gain(t)
+        assert recv.tobytes() == want.tobytes()
+    k = sorted(both)
+    inside = ~outside & (tr.t >= 0.015) & (tr.t < 0.03)
+    assert (tr.ch_recv[inside][:, k] != tr.ch_clean[inside][:, k]).all()
+
+
 def test_matching_is_channel_precise():
     s = spec(NonPeriodic(alpha=0.5), src=0, dst=1, signal="voltage")
     assert s.matches(0, 1, "voltage")

@@ -206,6 +206,11 @@ def test_malformed_matrix_exits_1(work, capsys, doc, message):
     # an IsADirectoryError traceback in parse_csv
     ('[{"id": "a", "file": "", "status": "ok", "clean_ref": "a", "v_ref": 1.0,'
      ' "w_ref": 377.0}]', "run 'a' file '': Is a directory"),
+    # the first run was silently dropped from the dataset
+    ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": 1.0,'
+     ' "w_ref": 377.0}, {"id": "b", "file": "b.csv", "status": "ok", "clean_ref": "b",'
+     ' "v_ref": 1.0, "w_ref": 377.0}, {"id": "a", "file": "c.csv", "status": "failed",'
+     ' "clean_ref": "a", "v_ref": 1.0, "w_ref": 377.0}]', "runs 1 and 3 have the same id 'a'"),
 ])
 def test_malformed_manifest_exits_1(work, capsys, manifest, message):
     data = work / "bad-manifest"

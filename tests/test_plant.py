@@ -307,6 +307,24 @@ def test_random_networks_balance_and_reuse_bits(model):
     run_reused_and_fresh(model, 20)
 
 
+@settings(max_examples=25, deadline=None)
+@given(random_networks(), st.integers(0, 2**32 - 1))
+def test_stacked_product_has_the_bits_of_the_two_products(model, seed):
+    # one product on [Y_red; branch] fills the DG currents and the branch
+    # voltages with the bits of the separate products on unstacked copies
+    rng = np.random.default_rng(seed)
+    solver = model.network.solver
+    y_red, branch = solver.y_red.copy(), solver.branch.copy()
+    ws = NetworkWorkspace(model.n)
+    for _ in range(5):
+        sol = solve_network(rng.uniform(0.9, 1.1, model.n), rng.uniform(-0.3, 0.3, model.n),
+                            model.network, ws)
+        v = sol.v_dg
+        assert sol.i_dg.tobytes() == np.conjugate(np.dot(y_red, v)).tobytes()
+        assert sol.iu[model.n:].tobytes() == np.dot(branch, v).tobytes()
+        assert np.shares_memory(sol.u_hi, sol.iu) and len(sol.u_lo) == solver.n_branch
+
+
 def test_apply_load_event():
     model = default_model()
     bumped = apply_load_event(model, bus=0, r=0.4, x=0.15)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import CommGraph, ring_graph, tracking_errors
@@ -23,16 +24,20 @@ def update(g, v, rv, w, rw, weighted_p, v_n, w_n, v_ref=1.0, w_ref=377.0,
     rv[i, j] / rw[i, j] and its own at v[i] / w[i]; returns [V_n; w_n]."""
     channels = g.channels()
     cmap = ConsensusMap(g, channels, gains, v_ref, w_ref)
-    return secondary_update(cmap, channel_vector(channels, v, rv, w, rw, weighted_p),
-                            np.array([v_n, w_n]), dt)
+    channel_vector(cmap, channels, v, rv, w, rw, weighted_p)
+    return secondary_update(cmap, np.array([v_n, w_n]), dt)
 
 
-def channel_vector(channels, v, rv, w, rw, weighted_p):
-    """secondary_update's input x: received channel values, then m_P,i P_i."""
+def channel_vector(cmap, channels, v, rv, w, rw, weighted_p):
+    """Fill the map's input x: the received channel values, then the droop
+    terms [n_Q Q; m_P P], whose n_Q Q row the update never reads (NaN here);
+    returns x."""
     own = {"voltage": v, "frequency": w}
     other = {"voltage": rv, "frequency": rw}
-    x = [own[sig][d] if s == d else other[sig][d, s] for s, d, sig in channels]
-    return np.array(x + list(weighted_p))
+    cmap.recv[:] = [own[sig][d] if s == d else other[sig][d, s] for s, d, sig in channels]
+    cmap.droop[0] = np.nan
+    cmap.droop[1] = weighted_p
+    return cmap.x
 
 
 def received(trace, dst, signal):
@@ -127,10 +132,11 @@ def test_update_is_pure():
     g = two_dg_graph()
     channels = g.channels()
     cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0)
-    x = np.linspace(0.9, 1.1, len(channels) + 2)
+    x = cmap.x
+    x[:-2] = np.linspace(0.9, 1.1, len(channels) + 4)
     setpoints = np.array([np.ones(2), np.full(2, 377.0)])
     before, x_before = setpoints.copy(), x.copy()
-    out = secondary_update(cmap, x, setpoints, 1e-3)
+    out = secondary_update(cmap, setpoints, 1e-3)
     assert out is not setpoints
     np.testing.assert_array_equal(setpoints, before)
     np.testing.assert_array_equal(x, x_before)
@@ -154,10 +160,63 @@ def test_ring_matches_matrix_form_bitwise():
         share = (g.adjacency * (wp[:, None] - wp[None, :])).sum(axis=1)
         want = np.array([v_n - 5.0 * e_v * 1e-4, w_n - 5.0 * (e_w + share) * 1e-4])
         np.testing.assert_array_equal(update(g, v, rv, w, rw, wp, v_n, w_n, dt=1e-4), want)
-        x = channel_vector(channels, v, rv, w, rw, wp)
+        channel_vector(cmap, channels, v, rv, w, rw, wp)
         sp = np.array([v_n, w_n])
-        assert secondary_update(cmap, x, sp, 1e-4, sp) is sp
+        assert secondary_update(cmap, sp, 1e-4, sp) is sp
         assert sp.tobytes() == want.tobytes()
+
+
+@st.composite
+def pinned_digraphs(draw):
+    """Random digraphs on 1-6 DGs that every DG reaches from the reference:
+    a random in-tree from one pinned root, then extra edges and pins, with
+    weights in [0.1, 3]."""
+    n = draw(st.integers(1, 6))
+    weight = st.floats(0.1, 3.0)
+    order = draw(st.permutations(range(n)))
+    adj, pin = np.zeros((n, n)), np.zeros(n)
+    pin[order[0]] = draw(weight)
+    for k in range(1, n):
+        adj[order[k], order[draw(st.integers(0, k - 1))]] = draw(weight)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if i != j:
+            adj[i, j] = draw(weight)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        pin[i] = draw(weight)
+    return CommGraph(adj, pin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pinned_digraphs(), st.floats(0.9, 1.1), st.floats(300.0, 400.0),
+       st.floats(0.0, 2.0), st.sampled_from([1e-4, 1e-3]))
+def test_consensus_is_an_exact_fixed_point(g, v_ref, w_ref, wp, dt):
+    # every received value at its reference and equal weighted powers: every
+    # difference is exactly 0, so the set-points come back bit for bit
+    n = g.n
+    cmap = ConsensusMap(g, g.channels(), SecondaryGains(2.5, 7.0), v_ref, w_ref)
+    channel_vector(cmap, g.channels(), np.full(n, v_ref), np.full((n, n), v_ref),
+                   np.full(n, w_ref), np.full((n, n), w_ref), np.full(n, wp))
+    rng = np.random.default_rng(n)
+    sp = np.array([rng.uniform(0.9, 1.1, n), rng.uniform(370.0, 380.0, n)])
+    assert secondary_update(cmap, sp, dt).tobytes() == sp.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pinned_digraphs(), st.integers(0, 2**32 - 1))
+def test_random_digraphs_match_the_matrix_form(g, seed):
+    # the map's gathers and edge-weight product against graph.tracking_errors
+    rng, n = np.random.default_rng(seed), g.n
+    v, rv = rng.uniform(0.95, 1.05, n), rng.uniform(0.95, 1.05, (n, n))
+    w, rw = rng.uniform(376.0, 378.0, n), rng.uniform(376.0, 378.0, (n, n))
+    wp, v_n, w_n = rng.uniform(0.5, 1.0, n), rng.uniform(0.98, 1.02, n), rng.uniform(376.0, 378.0, n)
+    gains, dt = SecondaryGains(2.5, 7.0), 1e-4
+    e_v = tracking_errors(g, v, rv, 1.0)
+    e_w = tracking_errors(g, w, rw, 377.0)
+    share = (g.adjacency * (wp[:, None] - wp[None, :])).sum(axis=1)
+    got = update(g, v, rv, w, rw, wp, v_n, w_n, dt=dt, gains=gains)
+    np.testing.assert_allclose(got[0], v_n - 2.5 * e_v * dt, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], w_n - 7.0 * (e_w + share) * dt, rtol=0, atol=1e-12)
 
 
 def test_gain_and_name_validation():
@@ -171,7 +230,9 @@ def test_gain_and_name_validation():
     with pytest.raises(ValueError, match="dt"):
         update(g, np.ones(2), np.ones((2, 2)), np.ones(2), np.ones((2, 2)),
                np.zeros(2), np.ones(2), np.ones(2), dt=0.0)
-    # the map's gathers read x by index, so x must have the map's layout
+    # the map's gathers read its own x by index: 8 channels, the (2, 2) droop
+    # terms and the two references, with recv and droop views into it
     cmap = ConsensusMap(g, g.channels(), SecondaryGains(), 1.0, 377.0)
-    with pytest.raises(ValueError, match=r"x must have shape \(10,\), got \(7,\)"):
-        secondary_update(cmap, np.ones(7), np.ones((2, 2)), 1e-3)
+    assert cmap.x.shape == (14,) and cmap.x[-2:].tolist() == [1.0, 377.0]
+    assert cmap.recv.shape == (8,) and cmap.droop.shape == (2, 2)
+    assert np.shares_memory(cmap.recv, cmap.x) and np.shares_memory(cmap.droop, cmap.x)
