@@ -5,11 +5,10 @@ controller."""
 
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .ann import (AnnKernel, Dataset, MlpParams, NormalizationSpec, TrainConfig,
-                  ann_controller, build_dataset, forward, gradient,
+                  ann_controller, build_dataset, feature_channels, forward, gradient,
                   load_model, save_model, tansig, train)
 from .datagen import MatrixSpec, dataset_from_dir, gen_data, train_pipeline
-from .graph import (CommGraph, inbound_voltage_channels, ring_graph,
-                    tracking_errors, validate)
+from .graph import CommGraph, ring_graph, tracking_errors, validate
 from .metrics import Metrics, compare, compute_metrics
 from .plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
                     NetworkWorkspace, PlantState, PlantWorkspace, apply_load_event,

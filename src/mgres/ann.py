@@ -1,10 +1,12 @@
 """Resilient secondary voltage controller: a 7-10-1 regression network.
 
-Feature layout for DG1 (attacked DG): x = [v11, v12, v14, vh11, vh12, vh14, v*]
-with the clean triple first and the received (possibly corrupted) triple
-second.  At runtime the clean triple is unobservable, so the controller feeds
-the received values into both slots; training therefore includes
-duplicated-triple rows for attacked runs so the two distributions match.
+A controlled DG's inputs are its voltage triple (``feature_channels``): the
+voltage it sends itself, then its two in-neighbors'.  For DG1, the attacked
+DG, x = [v11, v12, v14, vh11, vh12, vh14, v*]: the clean triple, then the
+received (possibly corrupted) one.  At runtime the clean triple is
+unobservable, so ``AnnKernel`` feeds the received values into both slots;
+``build_dataset`` adds duplicated-triple rows for attacked runs so the two
+distributions match.
 
 Hidden layer: 10 units with tansig = 2/(1+exp(-2z)) - 1 (the hyperbolic
 tangent); output layer: purelin (affine).  Trained offline by full-batch
@@ -287,13 +289,11 @@ def gradient(params: MlpParams, x: np.ndarray, y: np.ndarray):
 class Dataset:
     x: np.ndarray            # (N, 7)
     y: np.ndarray            # (N,)
-    t: np.ndarray            # sample time per row, s
     attacked: np.ndarray     # bool per row
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        self.t = np.asarray(self.t, dtype=float)
         self.attacked = np.asarray(self.attacked, dtype=bool)
         n = self.x.shape[0]
         if self.x.shape != (n, N_IN) or self.y.shape != (n,):
@@ -403,6 +403,17 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpParams, TrainReport
     return MlpParams(*_fit_layers(best), norm), report
 
 
+def feature_channels(channels: list[tuple[int, int, str]], dg: int) -> list[int]:
+    """Indices in ``channels`` of DG ``dg``'s voltage triple: the voltage it
+    sends itself, then those of its two in-neighbors by ascending DG."""
+    inbound = sorted((s != dg, s, k) for k, (s, d, sig) in enumerate(channels)
+                     if sig == "voltage" and d == dg)
+    if len(inbound) != 3:
+        raise ValueError(f"the ANN controller on DG{dg + 1} needs exactly 3 inbound voltage "
+                         f"channels (its own and 2 in-neighbors'), got {len(inbound)}")
+    return [k for *_, k in inbound]
+
+
 def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
     """Controller input vector with the received triple in both slots."""
     r = np.asarray(received_triple, dtype=float)
@@ -412,20 +423,20 @@ def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
 
 
 class AnnKernel(_Forward):
-    """``forward_batch`` on one runtime feature row, in buffers built once per run.
+    """``forward_batch`` on DG ``dg``'s runtime feature row, in buffers built once.
 
-    The row [r, r, v*] of one controlled DG is preallocated with v* in its
-    last column; ``ann_controller`` fills [r, r] with one take from the
-    channel vector, normalises it in place and runs ``_Forward`` on (1, .)
-    buffers.  These are ``forward_batch``'s operations in its order, so the
-    set-point is bit-equal to ``forward(runtime_features(r, v*))``.
+    The row [r, r, v*] is preallocated with v* in its last column;
+    ``ann_controller`` fills [r, r] with one take of the ``feature_channels``
+    triple from the channel vector, normalises it in place and runs
+    ``_Forward`` on (1, .) buffers.  These are ``forward_batch``'s operations
+    in its order, so the set-point is bit-equal to
+    ``forward(runtime_features(r, v*))``.
     """
 
-    def __init__(self, params: MlpParams, v_ref: float, triple):
+    def __init__(self, params: MlpParams, v_ref: float,
+                 channels: list[tuple[int, int, str]], dg: int):
         super().__init__(1)
-        self.take = np.array(list(triple) * 2, dtype=int)
-        if self.take.shape != (6,):
-            raise ValueError("received triple must have length 3")
+        self.take = np.array(feature_channels(channels, dg) * 2)
         self.row = np.empty((1, N_IN))
         self.row[0, 6] = v_ref
         self.rr = self.row[0, :6]
@@ -438,8 +449,8 @@ class AnnKernel(_Forward):
 
 
 def ann_controller(kernel: AnnKernel, x: np.ndarray) -> float:
-    """Voltage set-point for the attacked DG from the received triple at
-    ``x[triple]``, clamped to [0.5, 1.5] pu."""
+    """Voltage set-point of the kernel's DG from the received channel vector
+    ``x``, clamped to [0.5, 1.5] pu."""
     x.take(kernel.take, out=kernel.rr)
     xn = kernel.xn
     np.subtract(kernel.row, kernel.x_offset, xn)
@@ -454,16 +465,14 @@ def build_dataset(runs) -> Dataset:
 
     ``runs`` is an iterable of (trace, clean_trace, scenario_id) where
     clean_trace is the matching no-attack baseline run (identical loads);
-    for a normal run trace is its own clean reference.  One paired row
-    per sample x = [clean triple, received triple, v*]; attacked runs
-    additionally contribute a duplicated-triple row matching the runtime
+    for a normal run trace is its own clean reference.  Each sample gives
+    the row [clean triple, received triple, v*] of DG1; an attacked run then
+    adds the row [received triple, received triple, v*], the runtime
     feature layout.  The first 0.1 s of every trace is discarded.
     """
-    from .trace import dg1_voltage_triple  # local import avoids a cycle
-
-    xs, ys, ts, att = [], [], [], []
+    xs, ys, att = [], [], []
     for trace, clean_trace, scenario_id in runs:
-        clean, recv = dg1_voltage_triple(trace)
+        idx = feature_channels(trace.channels, 0)
         target = clean_trace.dg["Vn"][:, 0]
         if len(target) != len(trace.t):
             raise DatasetError(
@@ -471,23 +480,16 @@ def build_dataset(runs) -> Dataset:
         if trace.v_ref is None:
             raise DatasetError(f"trace {scenario_id} is missing the voltage reference")
         keep = trace.t >= 0.1 - 1e-12
-        v_ref = np.full(keep.sum(), float(trace.v_ref))
+        recv = trace.ch_recv[:, idx][keep]
+        v_ref = np.full((len(recv), 1), float(trace.v_ref))
         is_attacked = bool(trace.attack_active.any())
-        paired = np.column_stack([clean[keep], recv[keep], v_ref])
-        xs.append(paired)
-        ys.append(target[keep])
-        ts.append(trace.t[keep])
-        att.append(np.full(keep.sum(), is_attacked))
-        if is_attacked:
-            dup = np.column_stack([recv[keep], recv[keep], v_ref])
-            xs.append(dup)
+        for first in (trace.ch_clean[:, idx][keep], recv)[:1 + is_attacked]:
+            xs.append(np.hstack([first, recv, v_ref]))
             ys.append(target[keep])
-            ts.append(trace.t[keep])
-            att.append(np.full(keep.sum(), True))
+            att.append(np.full(len(recv), is_attacked))
     if not xs:
         raise DatasetError("no runs supplied")
-    return Dataset(x=np.vstack(xs), y=np.concatenate(ys), t=np.concatenate(ts),
-                   attacked=np.concatenate(att))
+    return Dataset(x=np.vstack(xs), y=np.concatenate(ys), attacked=np.concatenate(att))
 
 
 # -- model persistence: self-describing flat text, >= 17 significant digits --

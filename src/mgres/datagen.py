@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from .ann import (Dataset, DatasetError, MlpParams, TrainConfig, TrainReport,
                   build_dataset, train)
 from .attack import AttackSpec, NonPeriodic, Periodic
+from .graph import ring_graph
 from .plant import default_model
-from .scenario import LoadEvent, ScenarioConfig
+from .scenario import LoadEvent, ScenarioConfig, ScenarioError
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv
 
@@ -40,6 +41,17 @@ class MatrixSpec:
     step_time: float = 1.0
     duration: float = 4.0
 
+    def __post_init__(self):
+        # a run id prints each value with :g; two values that print alike would
+        # share one id and one CSV, and pair attacked runs with the wrong clean run
+        for key in ("load_factors", "alphas", "betas"):
+            values = getattr(self, key)
+            names = [f"{v:g}" for v in values]
+            for j, name in enumerate(names):
+                if name in names[:j]:
+                    raise ScenarioError(f"matrix {key} {values[names.index(name)]} and "
+                                        f"{values[j]} both print as {name} in a run id")
+
 
 def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
     cases: list[tuple[str, AttackSpec | None]] = [("normal", None)]
@@ -58,8 +70,6 @@ def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
 
 def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfig, str | None]]:
     """Scenario list for gen-data: (config, id of the paired clean run)."""
-    from .graph import ring_graph
-
     out = []
     for f in spec.load_factors:
         # step the load impedances so delivered power scales roughly by f

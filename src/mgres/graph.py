@@ -109,26 +109,18 @@ def tracking_errors(graph: CommGraph, recv_self: np.ndarray,
     return diff.sum(axis=1) + graph.pinning * (recv_self - reference)
 
 
-def inbound_voltage_channels(channels: list[tuple[int, int, str]], dg: int) -> list[int]:
-    """Indices of the voltage channels feeding DG ``dg``: its self loop first,
-    then its in-neighbors by ascending source index."""
-    inbound = sorted((s != dg, s, k) for k, (s, d, sig) in enumerate(channels)
-                     if sig == "voltage" and d == dg)
-    return [k for *_, k in inbound]
-
-
-def ring_graph(n: int = 4, weight: float = 1.0, pinned: int = 0) -> CommGraph:
-    """Undirected ring 1-2-...-n-1 with unit weights and a single pinned DG.
+def ring_graph(n: int = 4) -> CommGraph:
+    """Undirected ring 1-2-...-n-1 with unit weights, DG1 pinned.
 
     The default 4-DG topology: DG1's in-neighbors are DG2 and DG4 and only
     DG1 sees the global reference.
     """
     adj = np.zeros((n, n))
     for i in range(n):
-        adj[i, (i + 1) % n] = weight
-        adj[i, (i - 1) % n] = weight
+        adj[i, (i + 1) % n] = 1.0
+        adj[i, (i - 1) % n] = 1.0
     if n == 1:
         adj[:] = 0.0
     pin = np.zeros(n)
-    pin[pinned] = 1.0
+    pin[0] = 1.0
     return CommGraph(adj, pin)

@@ -273,27 +273,10 @@ class MicrogridModel:
         object.__setattr__(self, "dgs", tuple(self.dgs))
         if len(self.dgs) != len(self.network.dg_bus):
             raise ValueError("one DgParams entry per network DG attachment required")
-        # rows n_Q, m_P, omega_c; the first two scale [q; p] in the droop law
-        gains = np.array([[d.n_q for d in self.dgs], [d.m_p for d in self.dgs],
-                          [d.omega_c for d in self.dgs]])
-        gains.setflags(write=False)
-        object.__setattr__(self, "_gains", gains)
 
     @property
     def n(self) -> int:
         return len(self.dgs)
-
-    @property
-    def m_p(self) -> np.ndarray:
-        return self._gains[1]
-
-    @property
-    def n_q(self) -> np.ndarray:
-        return self._gains[0]
-
-    @property
-    def omega_c(self) -> np.ndarray:
-        return self._gains[2]
 
     def initial_state(self) -> PlantState:
         # [P; Q] stored per DG, the layout of the complex powers (see PlantWorkspace)
@@ -334,8 +317,9 @@ class PlantWorkspace(NetworkWorkspace):
         self.droop_q, self.droop_p = self.droop  # row views
         self.vw = np.empty((2, n))
         self.v, self.w = self.vw                 # row views
-        self.n_q, self.m_p = model._gains[0].copy(), model._gains[1].copy()
-        dt_wc = dt * model._gains[2]
+        self.n_q = np.array([d.n_q for d in model.dgs])
+        self.m_p = np.array([d.m_p for d in model.dgs])
+        dt_wc = dt * np.array([d.omega_c for d in model.dgs])
         self.dt_wc = np.column_stack([dt_wc, dt_wc])   # (n, 2), per DG like [P, Q]
 
 
@@ -391,17 +375,15 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
     return new, ws
 
 
-def default_model(load1: complex = 0.8 + 0.3j, load2: complex = 0.8 + 0.3j,
-                  m_p: float = DgParams.m_p, n_q: float = DgParams.n_q,
-                  omega_c: float = DgParams.omega_c) -> MicrogridModel:
+def default_model() -> MicrogridModel:
     """The 4-DG desk-scale test system.
 
     Four DG buses in a ring of identical RL lines (R = 0.05 pu, X = 0.10 pu)
-    with RL loads at buses 1 and 3.  m_p defaults to a 1% frequency droop at
-    rated power; all parameters are per-unit and configurable.
+    with RL loads of 0.8 + j0.3 pu at buses 1 and 3, and ``DgParams``'
+    defaults on every DG (m_p is a 1% frequency droop at rated power).  A
+    scenario file's ``plant`` section describes any other system.
     """
     lines = tuple(Line(a, b, 0.05, 0.10) for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)))
-    loads = (Load(0, load1.real, load1.imag), Load(2, load2.real, load2.imag))
+    loads = (Load(0, 0.8, 0.3), Load(2, 0.8, 0.3))
     net = NetworkParams(n_bus=4, lines=lines, loads=loads, dg_bus=(0, 1, 2, 3))
-    dgs = tuple(DgParams(m_p=m_p, n_q=n_q, omega_c=omega_c) for _ in range(4))
-    return MicrogridModel(dgs=dgs, network=net)
+    return MicrogridModel(dgs=(DgParams(),) * 4, network=net)

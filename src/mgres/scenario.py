@@ -28,9 +28,10 @@ from .attack import AttackConfigError, AttackSpec, NonPeriodic, Periodic, \
     parse_target, resolve_channels
 from .graph import CommGraph, GraphError, ring_graph
 from .plant import DgParams, Line, Load, MicrogridModel, NetworkParams, default_model
-from .secondary import SecondaryGains, check_controller_name
+from .secondary import SecondaryGains
 
 BUILTIN_SCENARIOS = ("default", "default-nonperiodic", "default-periodic")
+CONTROLLER_NAMES = ("pi", "ann")   # the consensus baseline, and the MLP on a voltage set-point
 
 
 class ScenarioError(ValueError):
@@ -92,7 +93,9 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"need {self.graph.n} controller entries, got {len(self.controllers)}")
         for name in self.controllers:
-            check_controller_name(name)
+            if name not in CONTROLLER_NAMES:
+                raise ScenarioError(
+                    f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}")
         if "ann" in self.controllers and self.ann_model_path is not None:
             if not os.path.exists(self.ann_model_path):
                 raise ScenarioError(
@@ -278,6 +281,12 @@ def _parse_graph(d) -> CommGraph:
         raise ScenarioError(f"invalid communication graph: {exc}") from exc
 
 
+def _on_dg1(name: str, n: int) -> tuple[str, ...]:
+    """Controller ``name`` on DG1, the attacked DG, and the baseline on the
+    other n - 1 DGs."""
+    return (name,) + ("pi",) * (n - 1)
+
+
 def from_dict(d: dict, scenario_id: str = "scenario",
               base_dir: str = ".") -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed YAML mapping."""
@@ -302,9 +311,8 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     model = default_model() if plant is None else _parse_plant(plant)
     graph = ring_graph(model.n) if graph is None else _parse_graph(graph)
 
-    if controllers is None:   # shorthand: "ann" puts the ANN on DG1 only, the rest on baseline
-        controllers = (check_controller_name(controller),) + ("pi",) * (graph.n - 1)
-    controllers = tuple(map(str, controllers))
+    controllers = (_on_dg1(controller, graph.n) if controllers is None
+                   else tuple(map(str, controllers)))
 
     if ann_model is not None:   # an absolute path is kept as it is
         ann_model = os.path.join(base_dir, _as(ann_model, str, "field 'ann_model' in scenario"))
@@ -334,12 +342,10 @@ def builtin_scenario(name: str, ann_model: str | None = None,
         attacks = (AttackSpec(src="broadcast", dst=0, signal="voltage",
                               kind=Periodic(beta=0.5, omega=2.0 * math.pi * 60.0),
                               tau=2.0),)
-    controllers = ("pi",) * 4
-    if ann_model is not None:
-        controllers = ("ann", "pi", "pi", "pi")
     return ScenarioConfig(scenario_id=name, duration=duration,
                           model=default_model(), graph=ring_graph(4),
-                          controllers=controllers, ann_model_path=ann_model,
+                          controllers=_on_dg1("pi" if ann_model is None else "ann", 4),
+                          ann_model_path=ann_model,
                           attacks=attacks)
 
 
@@ -358,6 +364,5 @@ def load_scenario(source: str, ann_model: str | None = None) -> ScenarioConfig:
     cfg = from_dict(d, scenario_id=os.path.splitext(os.path.basename(source))[0],
                     base_dir=os.path.dirname(os.path.abspath(source)))
     if ann_model is not None:
-        cfg = replace(cfg, controllers=("ann",) + ("pi",) * (cfg.graph.n - 1),
-                      ann_model_path=ann_model)
+        cfg = replace(cfg, controllers=_on_dg1("ann", cfg.graph.n), ann_model_path=ann_model)
     return cfg

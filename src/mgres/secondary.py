@@ -10,9 +10,9 @@ active); the frequency law adds the droop-weighted active power sharing term
 
     dw_n,i/dt = -c_w * [ e_w,i + sum_j a_ij (m_P,i P_i - m_P,j P_j) ].
 
-This consensus-integral realization is the baseline named "pi" in scenario
-files; the "ann" controller replaces only DG voltage set-points (frequency
-always stays on the baseline).
+This consensus-integral realization is the baseline controller, named "pi"
+in scenario files.  A controller that replaces it replaces only a DG's
+voltage set-point: frequency always stays on the baseline.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SIGNALS, CommGraph
-
-CONTROLLER_NAMES = ("pi", "ann")
-
-
-class ControllerConfigError(ValueError):
-    """Unknown controller name."""
-
 
 @dataclass(frozen=True)
 class SecondaryGains:
@@ -112,10 +105,3 @@ def secondary_update(cmap: ConsensusMap, setpoints: np.ndarray, dt: float,
     np.multiply(cmap.gains, e, e)
     np.multiply(e, dt, e)
     return np.subtract(setpoints, e, out)
-
-
-def check_controller_name(name: str) -> str:
-    if name not in CONTROLLER_NAMES:
-        raise ControllerConfigError(
-            f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}")
-    return name

@@ -34,8 +34,9 @@ the load currents on sampling steps):
 - ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
   one gather of every difference's two ends, the per-edge sums and the
   tracking error, with gains and pinning at the (2, n) set-point shape;
-- ``ann.AnnKernel``, one per ANN-controlled DG: its feature row [r, r, v*]
-  and the normalised row, hidden layer and output;
+- ``ann.AnnKernel``, one per ANN-controlled DG, which picks that DG's
+  channels itself: its feature row [r, r, v*] and the normalised row,
+  hidden layer and output;
 - here: each attack's gain vector, the (2, n) set-points, which
   ``secondary_update`` rewrites in place once the step has recorded and
   consumed them, and the trace, whose block (``Trace.data``) a sample enters
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import ann as annmod
 from .attack import resolve_channels
-from .graph import SIGNALS, inbound_voltage_channels
+from .graph import SIGNALS
 from .plant import DivergenceError, NetworkError, PlantWorkspace, apply_load_event, step_plant
 from .scenario import ScenarioConfig
 from .secondary import ConsensusMap, secondary_update
@@ -84,17 +85,9 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     # clean channel k carries [v; w].flat[gather[k]]
     gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
 
-    dt, v_ref = config.dt, config.v_ref
-    # one kernel per ANN-controlled DG on its inbound voltage triple (self
-    # first, then by src)
-    ann_kernels: list[tuple[int, annmod.AnnKernel]] = []
-    for i, name in enumerate(config.controllers):
-        if name == "ann":
-            idx = inbound_voltage_channels(channels, i)
-            if len(idx) != 3:
-                raise ValueError(
-                    f"ANN controller on DG{i + 1} needs exactly 2 in-neighbors")
-            ann_kernels.append((i, annmod.AnnKernel(ann_params, v_ref, idx)))
+    dt = config.dt
+    ann_kernels = [(i, annmod.AnnKernel(ann_params, config.v_ref, channels, i))
+                   for i, name in enumerate(config.controllers) if name == "ann"]
 
     stride, n_steps = config.sample_stride, config.n_steps
     trace = Trace.empty(n_steps // stride + 1, n, channels, len(model.network.loads))

@@ -23,8 +23,6 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .graph import inbound_voltage_channels
-
 DG_SIGNALS = ("v", "w", "P", "Q", "Vn", "wn")
 
 
@@ -86,16 +84,6 @@ class Trace:
     @property
     def load_current(self) -> np.ndarray:        # (N, K)
         return self.data[:, self._load:]
-
-
-def dg1_voltage_triple(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Clean and received [v_11, v_1j, v_1k] series of DG1, the attacked DG."""
-    idx = inbound_voltage_channels(trace.channels, 0)
-    if len(idx) != 3:
-        raise TraceFormatError(
-            f"DG1 has {len(idx)} inbound voltage channels, the "
-            "7-input controller needs exactly 3 (self + two neighbors)")
-    return trace.ch_clean[:, idx], trace.ch_recv[:, idx]
 
 
 def column_names(trace: Trace) -> list[str]:

@@ -187,7 +187,7 @@ def test_trainer_fits_realizable_target(capsys):
     y = forward_batch(teacher, x)
     attacked = np.zeros(400, dtype=bool)
     attacked[200:] = True
-    ds = Dataset(x=x, y=y, t=np.zeros(400), attacked=attacked)
+    ds = Dataset(x=x, y=y, attacked=attacked)
     _, report = train(ds, TrainConfig(max_epochs=30000, seed=0, tolerance=1e-16))
     ok = report.best_val_mse < 1e-6
     verdict(capsys, "trainer convergence", ok,

@@ -145,7 +145,7 @@ def synth_dataset(n=200, seed=0):
     y = 0.5 * x[:, 0] + 0.3 * x[:, 3] + 0.2
     attacked = np.zeros(n, dtype=bool)
     attacked[n // 2:] = True
-    return Dataset(x=x, y=y, t=np.zeros(n), attacked=attacked)
+    return Dataset(x=x, y=y, attacked=attacked)
 
 
 def test_train_learns_and_is_reproducible():
@@ -240,7 +240,7 @@ def test_train_input_validation():
     with pytest.raises(DatasetError, match="non-finite"):
         x = np.ones((60, 7))
         x[0, 0] = np.nan
-        Dataset(x=x, y=np.ones(60), t=np.zeros(60), attacked=np.ones(60, dtype=bool))
+        Dataset(x=x, y=np.ones(60), attacked=np.ones(60, dtype=bool))
 
 
 def test_runtime_features_and_clamp():
@@ -252,10 +252,11 @@ def test_runtime_features_and_clamp():
                    NormalizationSpec(np.zeros(7), np.ones(7), 100.0, 1.0))
     lo = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2,
                    NormalizationSpec(np.zeros(7), np.ones(7), -100.0, 1.0))
-    assert ann_controller(AnnKernel(hi, 1.0, range(3)), np.ones(3)) == 1.5
-    assert ann_controller(AnnKernel(lo, 1.0, range(3)), np.ones(3)) == 0.5
-    with pytest.raises(ValueError, match="length 3"):
-        AnnKernel(hi, 1.0, range(2))
+    triple = [(0, 0, "voltage"), (1, 0, "voltage"), (2, 0, "voltage")]
+    assert ann_controller(AnnKernel(hi, 1.0, triple, 0), np.ones(3)) == 1.5
+    assert ann_controller(AnnKernel(lo, 1.0, triple, 0), np.ones(3)) == 0.5
+    with pytest.raises(ValueError, match="DG1 needs exactly 3"):
+        AnnKernel(hi, 1.0, triple[:2], 0)
 
 
 def test_controller_is_forward_on_runtime_features_bitwise():
@@ -265,12 +266,15 @@ def test_controller_is_forward_on_runtime_features_bitwise():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.9, 1.1, (200, 7))
     params = init_params(rng, NormalizationSpec.from_data(x, rng.uniform(1.0, 1.05, 200)))
+    # DG1's triple is channels 4 (its own), 0 (DG2) and 2 (DG4)
+    layout = [(1, 0, "voltage"), (1, 0, "frequency"), (3, 0, "voltage"), (2, 1, "voltage"),
+              (0, 0, "voltage")]
     triple = [4, 0, 2]
-    kernel = AnnKernel(params, 1.02, triple)
+    kernel = AnnKernel(params, 1.02, layout, 0)
     for channels in rng.uniform(0.8, 1.6, (300, 5)):
         want = min(max(forward(params, runtime_features(channels[triple], 1.02)), 0.5), 1.5)
         assert ann_controller(kernel, channels) == want
-        assert ann_controller(AnnKernel(params, 1.02, triple), channels) == want
+        assert ann_controller(AnnKernel(params, 1.02, layout, 0), channels) == want
 
 
 def test_model_round_trip_is_exact(tmp_path):
@@ -412,7 +416,6 @@ def test_build_dataset_rows_and_pairing():
     # duplicated-triple rows mirror the runtime feature layout
     dup = ds.x[202]
     np.testing.assert_allclose(dup[:3], dup[3:6])
-    assert ds.t.min() >= 0.1 - 1e-12
 
 
 def test_build_dataset_errors():

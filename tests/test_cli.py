@@ -181,6 +181,11 @@ def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, messa
     ("alphas: 3\n", "field 'alphas' in matrix must be a list, got 3"),
     # read as 1.0
     ("tau: true\n", "field 'tau' in matrix must be a number, got True"),
+    # two cells shared one id and one CSV; gen-data exited 0 and train failed later
+    ("alphas: [0.5, 0.5000001]\n",
+     "matrix alphas 0.5 and 0.5000001 both print as 0.5 in a run id"),
+    ("load_factors: [1.0, 1.0000001]\n",
+     "matrix load_factors 1.0 and 1.0000001 both print as 1 in a run id"),
 ])
 def test_malformed_matrix_exits_1(work, capsys, doc, message):
     path = work / "bad-matrix.yaml"
@@ -383,6 +388,18 @@ def test_controller_and_controllers_exits_1(work, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(work / "c.csv")]) == 1
     assert capsys.readouterr().err == (
         "error: scenario takes controller or controllers, not both\n")
+
+
+def test_ann_on_a_dg_without_two_in_neighbors_exits_1(work, capsys):
+    # DG1 hears DG2 only, so the controller has no voltage triple to read
+    (work / "ann-model.txt").write_text(model_text_with(8, "1"))
+    path = work / "one-neighbor.yaml"
+    path.write_text("duration: 0.01\ncontroller: ann\nann_model: ann-model.txt\n"
+                    + GRAPH4 + "[[2, 1], [1, 2], [2, 3], [3, 4], [4, 3]]\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(work / "n.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the ANN controller on DG1 needs exactly 3 inbound voltage channels "
+        "(its own and 2 in-neighbors'), got 2\n")
 
 
 def test_resonant_passive_bus_exits_1(work, capsys):

@@ -116,7 +116,6 @@ def test_dataset_row_count(data_dir):
     # normal contributes 701 rows, each attacked run 2 * 701
     assert len(ds) == 701 + 2 * 2 * 701
     assert ds.attacked.sum() == 4 * 701
-    assert ds.t.min() >= 0.1 - 1e-12
     # clean slots of normal rows equal the received slots
     normal_rows = ~ds.attacked
     np.testing.assert_array_equal(ds.x[normal_rows, :3], ds.x[normal_rows, 3:6])

@@ -31,12 +31,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgres.ann import (MlpParams, NormalizationSpec, TrainConfig, load_model, save_model,
-                       train)
+from mgres.ann import (MlpParams, NormalizationSpec, TrainConfig, feature_channels,
+                       load_model, save_model, train)
 from mgres.datagen import MatrixSpec, dataset_from_dir, gen_data
 from mgres.scenario import BUILTIN_SCENARIOS, builtin_scenario
 from mgres.simulate import run_scenario
-from mgres.trace import dg1_voltage_triple, export_csv
+from mgres.trace import export_csv
 from test_ann import synth_dataset
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
@@ -61,7 +61,7 @@ def record(name: str, ctrl: str) -> dict:
     if ctrl == "ann":
         cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"))
     tr = run_scenario(cfg, ann_params=PARAMS if ctrl == "ann" else None)
-    _, recv = dg1_voltage_triple(tr)
+    recv = tr.ch_recv[:, feature_channels(tr.channels, 0)]
     return {"t": tr.t[::EVERY].tolist(),
             "v": tr.dg["v"][::EVERY].tolist(),
             "Vn": tr.dg["Vn"][::EVERY].tolist(),

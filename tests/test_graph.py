@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgres.graph import (CommGraph, GraphError, inbound_voltage_channels,
-                         ring_graph, tracking_errors, validate)
+from mgres.graph import CommGraph, GraphError, ring_graph, tracking_errors, validate
 
 
 def test_default_ring_is_valid():
@@ -19,11 +18,11 @@ def test_pinned_singleton_is_valid():
 
 
 @pytest.mark.parametrize("n, adj", [
-    (1, [[0.0]]), (2, [[0.0, 2.0], [2.0, 0.0]]),
-    (3, [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0], [2.0, 2.0, 0.0]]),
+    (1, [[0.0]]), (2, [[0.0, 1.0], [1.0, 0.0]]),
+    (3, [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
 ])
 def test_small_rings(n, adj):
-    g = ring_graph(n, weight=2.0)
+    g = ring_graph(n)
     np.testing.assert_array_equal(g.adjacency, adj)
 
 
@@ -104,6 +103,3 @@ def test_channel_layout():
     assert chans[8:12] == [(1, 0, "voltage"), (1, 0, "frequency"),
                            (3, 0, "voltage"), (3, 0, "frequency")]
     assert len(chans) == 24
-    assert inbound_voltage_channels(chans, 0) == [0, 8, 10]
-    assert [chans[k] for k in inbound_voltage_channels(chans, 2)] == [
-        (2, 2, "voltage"), (1, 2, "voltage"), (3, 2, "voltage")]

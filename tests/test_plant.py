@@ -98,7 +98,7 @@ def test_network_invariants():
        st.floats(-1, 1), st.floats(-1, 1))
 def test_droop_is_affine(v_n, w_n, p, q):
     # droop outputs of every DG: v = V_n - n_Q q, w = w_n - m_P p
-    model = default_model(m_p=3.77, n_q=0.04)
+    model = default_model()
     state = PlantState(delta=np.zeros(4), pq=np.array([np.full(4, p), np.full(4, q)]))
     _, out = step_plant(model, state, setpoints(np.full(4, v_n), np.full(4, w_n)), 1e-4)
     np.testing.assert_allclose(out.v, v_n - 0.04 * q, rtol=1e-12)
@@ -275,7 +275,8 @@ def test_workspace_is_bound_to_its_dt_and_dgs():
     with pytest.raises(ValueError, match="another dt or other DGs"):
         step_plant(model, model.initial_state(), sp, 2e-4, ws=ws)
     with pytest.raises(ValueError, match="another dt or other DGs"):
-        step_plant(default_model(m_p=1.0), model.initial_state(), sp, 1e-4, ws=ws)
+        step_plant(MicrogridModel(dgs=(DgParams(m_p=1.0),) * 4, network=model.network),
+                   model.initial_state(), sp, 1e-4, ws=ws)
 
 
 @st.composite
@@ -339,9 +340,10 @@ def test_default_model_shape():
     assert model.n == 4
     assert len(model.network.lines) == 4
     assert [ld.bus for ld in model.network.loads] == [0, 2]
-    np.testing.assert_array_equal(model.m_p, np.full(4, 3.77))
-    np.testing.assert_array_equal(model.n_q, np.full(4, 0.04))
-    np.testing.assert_array_equal(model.omega_c, np.full(4, 31.4))
+    ws = PlantWorkspace(model, 1e-4)
+    np.testing.assert_array_equal(ws.m_p, np.full(4, 3.77))
+    np.testing.assert_array_equal(ws.n_q, np.full(4, 0.04))
+    np.testing.assert_array_equal(ws.dt_wc, np.full((4, 2), 1e-4 * 31.4))
 
 
 def test_dg_params_validation():

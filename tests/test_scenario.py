@@ -1,5 +1,6 @@
 import math
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,8 +165,14 @@ def test_timing_validation(override, msg):
 def test_controller_validation():
     with pytest.raises(ScenarioError, match="need 4 controller entries"):
         from_dict({"duration": 1.0, "controllers": ["pi", "pi"]})
-    with pytest.raises(Exception, match="unknown controller"):
+    with pytest.raises(ScenarioError, match="unknown controller 'fuzzy'"):
         from_dict({"duration": 1.0, "controller": "fuzzy"})
+    cfg = builtin_scenario("default")
+    for names in (("pi",) * 4, ("ann", "pi", "pi", "pi")):
+        assert replace(cfg, controllers=names).controllers == names
+    with pytest.raises(ScenarioError,
+                       match=r"^unknown controller 'pid'; expected one of \('pi', 'ann'\)$"):
+        replace(cfg, controllers=("pi", "pid", "pi", "pi"))
     with pytest.raises(ScenarioError, match="requires an ann_model"):
         from_dict({"duration": 1.0, "controller": "ann"})
 

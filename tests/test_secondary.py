@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import CommGraph, ring_graph, tracking_errors
 from mgres.scenario import builtin_scenario
-from mgres.secondary import (ConsensusMap, ControllerConfigError,
-                             SecondaryGains, check_controller_name,
-                             secondary_update)
+from mgres.secondary import ConsensusMap, SecondaryGains, secondary_update
 from mgres.simulate import run_scenario
 
 
@@ -222,10 +220,6 @@ def test_random_digraphs_match_the_matrix_form(g, seed):
 def test_gain_and_name_validation():
     with pytest.raises(ValueError):
         SecondaryGains(c_v=0.0)
-    assert check_controller_name("pi") == "pi"
-    assert check_controller_name("ann") == "ann"
-    with pytest.raises(ControllerConfigError, match="unknown controller"):
-        check_controller_name("pid")
     g = two_dg_graph()
     with pytest.raises(ValueError, match="dt"):
         update(g, np.ones(2), np.ones((2, 2)), np.ones(2), np.ones((2, 2)),

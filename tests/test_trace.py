@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgres.ann import feature_channels
 from mgres.datagen import MatrixSpec, gen_data
-from mgres.graph import inbound_voltage_channels
+from mgres.graph import ring_graph
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
-from mgres.trace import (Trace, TraceFormatError, column_names,
-                         dg1_voltage_triple, export_csv, parse_csv,
+from mgres.trace import (Trace, TraceFormatError, column_names, export_csv, parse_csv,
                          traces_equal)
 
 
@@ -56,18 +56,22 @@ def test_parsed_values_match(short_trace):
 
 
 def test_voltage_triple_ordering(short_trace):
-    idx = inbound_voltage_channels(short_trace.channels, 0)
+    idx = feature_channels(short_trace.channels, 0)
     assert [short_trace.channels[k] for k in idx] == [
         (0, 0, "voltage"), (1, 0, "voltage"), (3, 0, "voltage")]
-    clean, recv = dg1_voltage_triple(short_trace)
+    clean, recv = short_trace.ch_clean[:, idx], short_trace.ch_recv[:, idx]
     assert clean.shape == recv.shape == (len(short_trace.t), 3)
     np.testing.assert_array_equal(clean[:, 0], short_trace.dg["v"][:, 0])
+    chans = ring_graph(4).channels()
+    assert feature_channels(chans, 0) == [0, 8, 10]
+    assert [chans[k] for k in feature_channels(chans, 2)] == [
+        (2, 2, "voltage"), (1, 2, "voltage"), (3, 2, "voltage")]
 
 
 def test_triple_requires_two_neighbors():
     tr = Trace.empty(1, 1, [(0, 0, "voltage")], 0)
-    with pytest.raises(TraceFormatError, match="exactly 3"):
-        dg1_voltage_triple(tr)
+    with pytest.raises(ValueError, match="DG1 needs exactly 3"):
+        feature_channels(tr.channels, 0)
 
 
 def test_seventeen_digit_precision(short_trace):
