@@ -8,19 +8,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import yaml
+from dataclasses import replace
 
 from . import ann as annmod
 from .datagen import MatrixSpec, gen_data, train_pipeline
 from .graph import SIGNALS
 from .metrics import compare, compute_metrics
-from .scenario import ConfigReader, load_scenario
+from .scenario import ConfigReader, load_scenario, read_yaml
 from .simulate import run_scenario
 from .trace import export_csv
 
 # the package's typed config errors subclass ValueError; a failed fit raises TrainingError
-CONFIG_ERRORS = (ValueError, annmod.TrainingError, FileNotFoundError, yaml.YAMLError)
+CONFIG_ERRORS = (ValueError, annmod.TrainingError, FileNotFoundError)
 
 
 def cmd_simulate(args) -> int:
@@ -36,8 +35,7 @@ def cmd_simulate(args) -> int:
 def cmd_gen_data(args) -> int:
     matrix = MatrixSpec()
     if args.matrix:
-        with open(args.matrix) as fh:
-            matrix = ConfigReader(yaml.safe_load(fh) or {}, "matrix").build(MatrixSpec)
+        matrix = ConfigReader(read_yaml(args.matrix, "matrix") or {}, "matrix").build(MatrixSpec)
     entries = gen_data(args.out_dir, matrix)
     n_ok = sum(e["status"] == "ok" for e in entries)
     print(f"{n_ok}/{len(entries)} runs ok; manifest in {args.out_dir}/manifest.json")
@@ -45,10 +43,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    d = {}
-    if args.config:
-        with open(args.config) as fh:
-            d = yaml.safe_load(fh) or {}
+    d = (read_yaml(args.config, "training config") or {}) if args.config else {}
     # a seed in the config file wins over --seed
     tc = ConfigReader(d, "training config").build(annmod.TrainConfig, seed=args.seed or 0)
     params, report = train_pipeline(args.data, tc)
@@ -73,8 +68,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg_pi = load_scenario(args.scenario)
+    # the baseline is PI on every DG, whatever controllers the scenario names
     cfg_ann = load_scenario(args.scenario, ann_model=args.model)
+    cfg_pi = replace(cfg_ann, controllers=("pi",) * cfg_ann.graph.n, ann_model_path=None)
     t_pi = run_scenario(cfg_pi)
     t_ann = run_scenario(cfg_ann)
     report = compare(t_pi, t_ann, v_ref=cfg_pi.v_ref, w_ref=cfg_pi.w_ref)

@@ -69,7 +69,13 @@ def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
 
 
 def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfig, str | None]]:
-    """Scenario list for gen-data: (config, id of the paired clean run)."""
+    """Scenario list for gen-data: (config, id of the paired clean run).
+
+    Every cell shares one plant and one graph (both frozen, the graph's
+    arrays read-only), so the plant's initial network builds its solver
+    constants (``NetworkParams.solver``) once per matrix, not once per cell.
+    """
+    model, graph = default_model(), ring_graph(4)
     out = []
     for f in spec.load_factors:
         # step the load impedances so delivered power scales roughly by f
@@ -82,8 +88,8 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
             cfg = ScenarioConfig(
                 scenario_id=f"load{f:g}-{case_name}",
                 duration=spec.duration,
-                model=default_model(),
-                graph=ring_graph(4),
+                model=model,
+                graph=graph,
                 load_events=events,
                 attacks=(atk,) if atk is not None else (),
             )

@@ -114,6 +114,24 @@ def test_compare(pipeline, work, capsys):
     assert "ann_better_mean_eps_v" in out
 
 
+def test_compare_baseline_is_pi_whatever_the_file_names(pipeline, work):
+    # the baseline kept the file's controllers, so a controller: ann file
+    # compared the ANN with itself
+    _, _, _, model = pipeline
+    reports = {}
+    for ctrl in ("ann", "pi"):
+        path = work / f"compare-{ctrl}.yaml"
+        path.write_text(SHORT_ATTACK_YAML.replace("duration: 0.8", "duration: 1.0")
+                        + f"controller: {ctrl}\nann_model: {model}\n")
+        report = work / f"report-{ctrl}.json"
+        assert main(["compare", "--scenario", str(path), "--model", str(model),
+                     "--report", str(report)]) == 0
+        reports[ctrl] = json.loads(report.read_text())
+    assert reports["ann"]["baseline"] != reports["ann"]["ann"]
+    assert reports["ann"]["baseline"] == reports["pi"]["baseline"]
+    assert reports["ann"]["ann"] == reports["pi"]["ann"]
+
+
 @pytest.mark.parametrize("doc, message", [
     ("- max_epochs: 40\n", "training config must be a mapping, got [{'max_epochs': 40}]"),
     ("learning_rat: 0.1\n", "unknown training config fields: ['learning_rat']"),
@@ -194,6 +212,38 @@ def test_malformed_matrix_exits_1(work, capsys, doc, message):
     assert main(["gen-data", "--matrix", str(path), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# each command's YAML file, with the arguments that let it be read
+YAML_COMMANDS = {
+    "simulate": (["simulate", "--out", "unwritten.csv", "--scenario"], "duration: [1.0\n"),
+    "gen-data": (["gen-data", "--out-dir", "unwritten-data", "--matrix"],
+                 "load_factors: [1.0\n"),
+    "train": (["train", "--data", "no-data", "--out", "unwritten.txt", "--config"],
+              "max_epochs: [40\n"),
+}
+
+
+@pytest.mark.parametrize("command", YAML_COMMANDS)
+def test_malformed_yaml_exits_1(work, capsys, command):
+    # gen-data and train printed PyYAML's four-line message, simulate the
+    # same four lines after "cannot parse <path>:"
+    args, doc = YAML_COMMANDS[command]
+    path = work / f"unparsable-{command}.yaml"
+    path.write_text(doc)
+    assert main(args + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {path}: line 2, column 1: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command, what", [("simulate", "scenario"), ("gen-data", "matrix"),
+                                           ("train", "training config")])
+def test_yaml_path_is_a_directory_exits_1(work, capsys, command, what):
+    # an IsADirectoryError traceback
+    args, _ = YAML_COMMANDS[command]
+    assert main(args + [str(work)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read {what} {work}: Is a directory\n"
 
 
 @pytest.mark.parametrize("manifest, message", [

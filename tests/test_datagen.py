@@ -10,6 +10,7 @@ from mgres.ann import TrainConfig
 from mgres.datagen import (MatrixSpec, dataset_from_dir, gen_data, load_runs,
                            train_pipeline, training_matrix)
 from mgres.scenario import ConfigReader, ScenarioError
+from test_golden import GEN_MATRIX
 
 TINY = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
                   tau=0.4, step_time=0.2, duration=0.8)
@@ -37,6 +38,19 @@ def test_matrix_layout():
     # the load step scales both load impedances by 1/f at the step time
     ev = cfg.load_events[0]
     assert ev.t == 1.0 and ev.r == pytest.approx(0.8 / 1.15)
+
+
+def test_matrix_cells_share_one_plant_and_graph(tmp_path):
+    cells = [cfg for cfg, _ in training_matrix(MatrixSpec())]
+    assert all(cfg.model is cells[0].model and cfg.graph is cells[0].graph for cfg in cells)
+    # the cells share the plant's network solver too, and write the same bytes
+    first, second = tmp_path / "first", tmp_path / "second"
+    gen_data(str(first), GEN_MATRIX)
+    gen_data(str(second), GEN_MATRIX)
+    names = sorted(p.name for p in first.iterdir())
+    assert len(names) == 11 and names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def matrix_spec(d) -> MatrixSpec:

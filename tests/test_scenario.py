@@ -1,15 +1,18 @@
 import math
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from mgres.ann import TrainConfig
 from mgres.attack import NonPeriodic, Periodic
+from mgres.datagen import MatrixSpec
 from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, ScenarioConfig,
                             ScenarioError, builtin_scenario, from_dict,
-                            load_scenario)
+                            load_scenario, read_yaml)
 
 
 def test_builtin_names():
@@ -68,7 +71,6 @@ YAML_FULL = textwrap.dedent("""\
 
 
 def test_yaml_full_round(tmp_path):
-    import yaml
     cfg = from_dict(yaml.safe_load(YAML_FULL), scenario_id="full")
     assert cfg.gains.c_v == 4.0 and cfg.gains.c_w == 6.0
     assert cfg.graph.adjacency[2, 1] == 0.5  # dg2 -> dg3 edge, 0-based [to, from]
@@ -207,6 +209,24 @@ def test_load_scenario_unknown_source(tmp_path):
         load_scenario(str(bad))
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"duration: [unclosed\n", "line 2, column 1: "),
+    (b"- !!python/object:os.system {}\n",   # a safe loader builds no Python object
+     "line 1, column 3: could not determine a constructor for the tag"),
+    (b"duration: \x07\n", "unacceptable character #x0007"),   # a control character
+    (b"duration: \xff\n", "unacceptable character #x00ff"),   # not UTF-8
+    (b"duration: 2001-13-45\n", "month must be in 1..12"),    # a ValueError in the constructor
+    (b"duration: !!int one\n", "invalid literal for int() with base 10: 'one'"),
+])
+def test_read_yaml_errors_are_one_line(tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    with pytest.raises(ScenarioError) as exc:
+        read_yaml(str(path), "scenario")
+    assert str(exc.value).startswith(f"cannot parse {path}: {message}")
+    assert "\n" not in str(exc.value)
+
+
 def test_config_is_immutable_and_sorted():
     cfg = ScenarioConfig(
         scenario_id="x", duration=1.0,
@@ -223,7 +243,8 @@ def test_config_is_immutable_and_sorted():
 # since hypothesis draws the bounds far more often than one in twenty)
 WRONG = (st.none() | st.booleans() | st.text(max_size=3) | st.integers()
          | st.floats() | st.lists(st.integers(), max_size=2) | st.just({}))
-NUM = st.integers(-1, 4) | st.floats(-1.0, 2.0) | st.sampled_from([math.inf, -math.inf, math.nan])
+NUM = st.integers(-1, 4) | st.floats(-1.0, 2.0) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 10**400])
 STEP = st.sampled_from([1e-4, 1e-3, 0.0, math.inf, math.nan])
 
 
@@ -275,3 +296,53 @@ def test_from_dict_raises_only_value_errors(d):
     except ValueError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+# the other two YAML documents: a gen-data matrix and a training config
+DOCUMENT = SCENARIO | st.sampled_from([MatrixSpec, TrainConfig]).flatmap(
+    lambda cls: mapping({f.name: st.lists(NUM, max_size=3) if isinstance(f.default, tuple)
+                         else NUM for f in fields(cls)}))
+
+
+def same(a, b) -> bool:
+    """a == b with nan equal to nan, and 1 never equal to 1.0 or True."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b or (a != a and b != b)
+
+
+@pytest.fixture(scope="module")
+def yaml_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("yaml") / "doc.yaml"
+
+
+@settings(deadline=None, max_examples=200)
+@given(DOCUMENT, st.booleans())
+def test_read_yaml_builds_what_the_pure_python_loader_builds(yaml_file, d, flow):
+    # read_yaml parses with libyaml when PyYAML has it
+    text = yaml.safe_dump(d, default_flow_style=flow)
+    yaml_file.write_text(text)
+    assert same(read_yaml(str(yaml_file), "scenario"), yaml.load(text, Loader=yaml.SafeLoader))
+
+
+EDIT = st.tuples(st.integers(0, 10**6), st.sampled_from(["insert", "drop", "replace"]),
+                 st.sampled_from(list(":-[]{},#&*!|>'\"%@`?\t\n ")) | st.characters())
+
+
+@settings(deadline=None, max_examples=300)
+@given(DOCUMENT, st.booleans(), st.lists(EDIT, min_size=1, max_size=4))
+def test_read_yaml_raises_only_scenario_error(yaml_file, d, flow, edits):
+    text = yaml.safe_dump(d, default_flow_style=flow)
+    for pos, op, char in edits:
+        k = pos % (len(text) + 1)
+        text = text[:k] + ("" if op == "drop" else char) + text[k + (op != "insert"):]
+    # a lone surrogate is written as the bytes of no UTF-8 character
+    yaml_file.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        read_yaml(str(yaml_file), "scenario")
+    except ScenarioError as exc:
+        assert str(yaml_file) in str(exc) and "\n" not in str(exc)
