@@ -133,21 +133,23 @@ class _Forward:
     is then b1 repeated ``block`` times, so numpy's inner loop runs over
     10 * block entries rather than 10, at about half the cost.  Each entry
     still gets one rounded add.  The rows past ``rows`` pad the last block
-    and no product reads them.
+    and no product reads them.  ``b2`` is added out of place, from ``pre`` =
+    h w2^T into ``out``: NumPy's in-place add on one entry costs twice as much.
     """
 
-    def __init__(self, rows: int, block: int = 1):
+    def __init__(self, rows: int, block: int = 1, pre: np.ndarray | None = None):
         self.hb = np.zeros((-(-rows // block), N_HIDDEN * block))
         self.h = self.hb.reshape(-1, N_HIDDEN)[:rows]
+        self.pre = np.empty((rows, 1)) if pre is None else pre   # h w2^T
         self.out = np.empty((rows, 1))
 
     def run(self, xn, w1t, b1, w2t, b2) -> np.ndarray:
-        h, hb, out = self.h, self.hb, self.out
-        np.dot(xn, w1t, out=h)
+        h, hb, pre, out = self.h, self.hb, self.pre, self.out
+        xn.dot(w1t, h)
         np.add(hb, b1, hb)
         np.tanh(hb, hb)                     # tansig
-        np.dot(h, w2t, out=out)
-        np.add(out, b2, out)
+        h.dot(w2t, pre)
+        np.add(pre, b2, out)
         return out
 
 
@@ -229,13 +231,13 @@ class _FitSplit(_Forward):
 
     def __init__(self, xn: np.ndarray, y: np.ndarray, norm: NormalizationSpec):
         n = xn.shape[0]
-        super().__init__(n, self.BLOCK)
+        self.r = np.empty(n)               # h w2^T, then the residual, then d_out
+        super().__init__(n, self.BLOCK, self.r[:, None])
         self.xn, self.y, self.norm = xn, y, norm
         self.w2 = None
         self.b1 = np.empty(self.BLOCK * N_HIDDEN)        # b1, repeated per block row
         self.b1_rows = self.b1.reshape(self.BLOCK, N_HIDDEN)
         self.d = np.empty((n, N_HIDDEN))   # d_h, then d_a1
-        self.r = np.empty(n)               # residual, then d_out
         self.r2 = np.empty(n)
         self.g = np.empty(_B2.stop)
         self.g_w1 = np.empty((N_HIDDEN, N_IN))

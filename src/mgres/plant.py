@@ -153,7 +153,7 @@ class NetworkSolver:
         self.load_y = np.array([ld.admittance for ld in net.loads], dtype=complex)
         dg = list(net.dg_bus)
         other = sorted(set(range(net.n_bus)) - set(dg))
-        bus_map = np.eye(net.n_bus, dtype=complex)[:, dg]
+        bus_map = np.eye(net.n_bus, dtype=complex)[:, dg].copy()   # C order, as in stack
         self.y_red = ybus[np.ix_(dg, dg)]
         if other:
             try:
@@ -191,6 +191,9 @@ class NetworkWorkspace:
     the network it last solved: the buffer ``iu`` = [DG currents (then their
     conjugates); branch voltages u] and the halves of u [lines and loads;
     conductance-scaled] are remade only when the branch count changes.
+    Their float views make the consumed power sum_b g_b |u_b|^2 one real dot,
+    not a complex ``np.vdot``.  ``load_current`` reads u's load rows, the load
+    buses' voltages, with ``bus_v``'s bits: ``bus_map`` is in C order too.
     """
 
     def __init__(self, n: int):
@@ -211,7 +214,7 @@ class NetworkWorkspace:
     @property
     def load_current(self) -> np.ndarray:
         """Current magnitude per load, pu, in the network's load order."""
-        return np.abs(self.bus_v[self.solver.load_bus] * self.solver.load_y)
+        return np.abs(self.u_load * self.solver.load_y)
 
     def use(self, net: NetworkParams) -> None:
         self.net, self.solver = net, net.solver
@@ -219,6 +222,8 @@ class NetworkWorkspace:
         if self.iu is None or len(self.iu) != n + 2 * nb:
             self.iu = np.empty(n + 2 * nb, dtype=complex)
             self.i_dg, self.u_lo, self.u_hi = self.iu[:n], self.iu[n:n + nb], self.iu[n + nb:]
+            self.u_lo_f, self.u_hi_f = self.u_lo.view(np.float64), self.u_hi.view(np.float64)
+        self.u_load = self.u_lo[nb - len(self.solver.load_y):]
 
 
 def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
@@ -239,13 +244,13 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
     if net is not ws.net:
         ws.use(net)
     solver, v, i = ws.solver, ws.v_dg, ws.i_dg
-    np.copyto(ws.j_delta_im, delta)
+    ws.j_delta_im[:] = delta
     np.exp(ws.j_delta, v)
     np.multiply(vmag, v, v)
-    np.dot(solver.stack, v, out=ws.iu)
+    solver.stack.dot(v, ws.iu)
     np.conjugate(i, i)
     np.multiply(v, i, ws.s_dg)
-    p_cons = np.vdot(ws.u_lo, ws.u_hi).real
+    p_cons = ws.u_lo_f.dot(ws.u_hi_f)
     p_gen = sum(ws.p_dg.tolist())
     ws.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
     return ws
@@ -368,7 +373,7 @@ def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
 
     # max() is NaN-blind past the first element; the sum is not
     pl = new.pq_flat.tolist()
-    if not (max(max(map(abs, pl)), max(vl)) <= DIVERGENCE_LIMIT
+    if not (max(max(pl), -min(pl), max(vl)) <= DIVERGENCE_LIMIT
             and math.isfinite(sum(pl))):
         m = max(np.abs(new.pq).max(), max(vl))   # NaN if any entry is NaN
         raise DivergenceError(t, f"state magnitude {m:.3g} exceeded {DIVERGENCE_LIMIT} pu")

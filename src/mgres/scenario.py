@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -295,9 +295,10 @@ def _on_dg1(name: str, n: int) -> tuple[str, ...]:
     return (name,) + ("pi",) * (n - 1)
 
 
-def from_dict(d: dict, scenario_id: str = "scenario",
-              base_dir: str = ".") -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed YAML mapping."""
+def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
+              ann_model: str | None = None) -> ScenarioConfig:
+    """Build and validate a ScenarioConfig from a parsed YAML mapping; an
+    ``ann_model`` replaces its controllers (ANN on DG1) and model path unchecked."""
     top = ConfigReader(d, "scenario")
     kw = {"duration": top.read("duration"), "dt": top.read("dt", float, None),
           "sample_period": top.read("sample_period", float, None)}
@@ -307,7 +308,7 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     top.either("controller", "controllers")
     controllers = top.read("controllers", list, None)
     controller = top.read("controller", str, "pi")
-    ann_model = top.read("ann_model", object, None)
+    file_model = top.read("ann_model", object, None)
     events = top.read("load_events", list, [])
     attacks = top.read("attacks", list, [])
     scenario_id = str(top.read("id", object, scenario_id))
@@ -322,8 +323,10 @@ def from_dict(d: dict, scenario_id: str = "scenario",
     controllers = (_on_dg1(controller, graph.n) if controllers is None
                    else tuple(map(str, controllers)))
 
-    if ann_model is not None:   # an absolute path is kept as it is
-        ann_model = os.path.join(base_dir, _as(ann_model, str, "field 'ann_model' in scenario"))
+    if ann_model is not None:
+        controllers = _on_dg1("ann", graph.n)
+    elif file_model is not None:   # an absolute path is kept as it is
+        ann_model = os.path.join(base_dir, _as(file_model, str, "field 'ann_model' in scenario"))
     if "ann" in controllers and ann_model is None:
         raise ScenarioError("controller 'ann' requires an ann_model file")
 
@@ -390,9 +393,6 @@ def load_scenario(source: str, ann_model: str | None = None) -> ScenarioConfig:
     if not os.path.exists(source):
         raise ScenarioError(f"scenario {source!r} is neither a built-in name "
                             f"({', '.join(BUILTIN_SCENARIOS)}) nor a file")
-    cfg = from_dict(read_yaml(source, "scenario"),
-                    scenario_id=os.path.splitext(os.path.basename(source))[0],
-                    base_dir=os.path.dirname(os.path.abspath(source)))
-    if ann_model is not None:
-        cfg = replace(cfg, controllers=_on_dg1("ann", cfg.graph.n), ann_model_path=ann_model)
-    return cfg
+    return from_dict(read_yaml(source, "scenario"),
+                     scenario_id=os.path.splitext(os.path.basename(source))[0],
+                     base_dir=os.path.dirname(os.path.abspath(source)), ann_model=ann_model)

@@ -98,7 +98,7 @@ def secondary_update(cmap: ConsensusMap, setpoints: np.ndarray, dt: float,
     cmap.x.take(cmap.ends, out=cmap.x_ends, mode="clip")
     diff, own, e = cmap.diff, cmap.diff_own, cmap.e
     np.subtract(diff, cmap.x_ends[1], diff)
-    np.dot(cmap.diff_edges, cmap.weights, out=cmap.sums)
+    cmap.diff_edges.dot(cmap.weights, cmap.sums)
     np.multiply(cmap.pinning, own, own)
     np.add(cmap.sums_vw, own, e)
     np.add(cmap.e_w, cmap.sums_p, cmap.e_w)

@@ -12,7 +12,7 @@ Each step k (t = k dt) runs, in order:
    written into the secondary layer's input vector x, the droop outputs
    [v; w] from the set-points [V_n; w_n], the network solve and the
    filter/angle update.  It returns the new state and its workspace, which
-   holds [v; w], the balance residual and ``bus_v``;
+   holds [v; w], the balance residual and the load currents;
 3. the clean channel values are gathered from [v; w] straight into the
    front of x; on a sampling step they are recorded before each attack
    scales the channel vector in place by its gain vector, ``AttackSpec.gain(t)``
@@ -23,20 +23,23 @@ Each step k (t = k dt) runs, in order:
 Every per-step NumPy call writes its result with ``out`` into buffers built
 once per run, on same-shape operands and views made once (the exceptions are
 an attack's refill of its gain vector's targets when ``gain(t)`` changes, and
-the load currents on sampling steps):
+the load currents on sampling steps).  No call takes a slow path: products
+are ``a.dot(b, out)``, copies slice assignments (no Python-level dispatch),
+|u|^2 sums real dots on float views (no complex ``np.vdot``), and no ufunc
+writes in place to a one-entry array:
 
 - ``plant.PlantWorkspace``: two ``PlantState``s that take turns (a step reads
   one and writes the other, so the old state is still whole when the step
   records it), the droop terms' row views and the droop outputs [v; w], the
-  complex DG voltages and powers with a (n, 2) float view of the powers, one
-  buffer for the DG currents and branch voltages of the stacked network
-  product, and the constants n_Q, m_P and dt omega_c;
+  complex DG voltages and powers with a (n, 2) float view of the powers, the
+  stacked network product's DG currents and branch voltages (with float and
+  load-row views), and the constants n_Q, m_P and dt omega_c;
 - ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
   one gather of every difference's two ends, the per-edge sums and the
   tracking error, with gains and pinning at the (2, n) set-point shape;
 - ``ann.AnnKernel``, one per ANN-controlled DG, which picks that DG's
   channels itself: its feature row [r, r, v*] and the normalised row,
-  hidden layer and output;
+  hidden layer, output before its bias and output;
 - here: each attack's gain vector, the (2, n) set-points, which
   ``secondary_update`` rewrites in place once the step has recorded and
   consumed them, and the trace, whose block (``Trace.data``) a sample enters

@@ -132,6 +132,24 @@ def test_compare_baseline_is_pi_whatever_the_file_names(pipeline, work):
     assert reports["ann"]["ann"] == reports["pi"]["ann"]
 
 
+def test_model_flag_replaces_a_stale_file_model(pipeline, work, capsys):
+    # the file's model path was checked before --model replaced it, so a
+    # stale one ended evaluate and compare with exit 1 even with a valid --model
+    _, _, _, model = pipeline
+    stale = work / "stale-model.yaml"
+    stale.write_text("duration: 0.6\ncontroller: ann\nann_model: gone.txt\n")
+    for command, out_flag in (("evaluate", "--out"), ("compare", "--report")):
+        out = work / f"stale-{command}.out"
+        assert main([command, "--scenario", str(stale), "--model", str(model),
+                     out_flag, str(out)]) == 0
+        assert out.exists()
+    capsys.readouterr()
+    # without --model the file's own path is the model, and it is checked
+    assert main(["simulate", "--scenario", str(stale), "--out", str(work / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ANN model file not found:") and "gone.txt" in err
+
+
 @pytest.mark.parametrize("doc, message", [
     ("- max_epochs: 40\n", "training config must be a mapping, got [{'max_epochs': 40}]"),
     ("learning_rat: 0.1\n", "unknown training config fields: ['learning_rat']"),

@@ -32,3 +32,38 @@ def test_only_scenario_imports_yaml():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if "yaml" in imported_packages(node)}
     assert sorted(found) == ["scenario.py"]
+
+
+# functions on the per-step path of the closed loop, by qualified name
+STEP_PATH = {"step_plant", "solve_network", "secondary_update", "ann_controller",
+             "_Forward.run"}
+# numpy functions that pass through a Python-level __array_function__ wrapper
+# (np.vdot on complex operands is slower still); ndarray methods, slice
+# assignment or a real dot on float views do the same work without it
+DISPATCHERS = {"dot", "vdot", "copyto", "matmul", "concatenate"}
+
+
+def functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_step_path_calls_no_numpy_dispatcher():
+    seen, found = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in functions(ast.parse(path.read_text(), str(path))):
+            if name in STEP_PATH:
+                seen.add(name)
+                found |= {f"{path.name}:{node.lineno} np.{node.func.attr}"
+                          for node in ast.walk(fn) if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and node.func.attr in DISPATCHERS
+                          and isinstance(node.func.value, ast.Name)
+                          and node.func.value.id in ("np", "numpy")}
+    assert seen == STEP_PATH
+    assert sorted(found) == []

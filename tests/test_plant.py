@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mgres import simulate
 from mgres.graph import ring_graph
 from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
                          NetworkError, NetworkParams, NetworkWorkspace, PlantState,
                          PlantWorkspace, apply_load_event, build_ybus, default_model,
                          solve_network, step_plant)
-from mgres.scenario import ScenarioConfig
+from mgres.scenario import LoadEvent, ScenarioConfig
 from mgres.simulate import run_scenario
 
 
@@ -144,16 +147,23 @@ def test_angle_integrates_relative_frequency_and_wraps():
     assert -np.pi < new.delta[1] <= np.pi
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_guard():
     model = default_model()
-    bad = PlantState(delta=np.zeros(4), pq=np.array([np.zeros(4), np.full(4, 100.0)]))
     sp = setpoints(np.full(4, 1.0), np.full(4, 377.0))
-    with pytest.raises(DivergenceError):
-        step_plant(model, bad, sp, 1e-4, t=0.25)
-    try:
-        step_plant(model, bad, sp, 1e-4, t=0.25)
-    except DivergenceError as exc:
-        assert exc.t == 0.25
+    for row, value, message in [
+        (1, 100.0, "non-positive or non-finite droop voltage"),   # v = 1 - n_Q Q < 0
+        # a large negative P or Q leaves v positive and reaches the magnitude
+        # guard, whose bound must cover -min(P, Q) as well as max(P, Q)
+        (0, -100.0, "state magnitude 99.7 exceeded"),
+        (1, -100.0, "state magnitude 99.7 exceeded"),
+        (0, -np.inf, "state magnitude nan exceeded"),
+    ]:
+        pq = np.zeros((2, 4))
+        pq[row] = value
+        with pytest.raises(DivergenceError, match=message) as exc:
+            step_plant(model, PlantState(np.zeros(4), pq), sp, 1e-4, t=0.25)
+        assert exc.value.t == 0.25
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -324,6 +334,35 @@ def test_stacked_product_has_the_bits_of_the_two_products(model, seed):
         assert sol.i_dg.tobytes() == np.conjugate(np.dot(y_red, v)).tobytes()
         assert sol.iu[model.n:].tobytes() == np.dot(branch, v).tobytes()
         assert np.shares_memory(sol.u_hi, sol.iu) and len(sol.u_lo) == solver.n_branch
+
+
+@settings(max_examples=15, deadline=None)
+@given(random_networks())
+@example(six_bus_model())
+def test_load_currents_and_residual_from_the_stacked_product(model):
+    # the recorded load currents are read from the load rows of the branch
+    # voltages, and the consumed power is one real dot on float views of
+    # them: the currents have the bits that the bus voltages give, and the
+    # residual moves from the complex vdot's only by rounding
+    want = []
+
+    def step(*args, **kw):
+        new, ws = step_plant(*args, **kw)
+        solver = ws.solver
+        want.append(np.abs(ws.bus_v[solver.load_bus] * solver.load_y))
+        p_gen = sum(ws.p_dg.tolist())
+        ref = abs(p_gen - np.vdot(ws.u_lo, ws.u_hi).real) / max(1.0, abs(p_gen))
+        assert abs(ws.balance_residual - ref) <= 1e-15
+        assert ws.balance_residual < 1e-9
+        return new, ws
+
+    ld = model.network.loads[0]   # a new load epoch halfway
+    cfg = ScenarioConfig("loads", 0.004, model, ring_graph(model.n), sample_period=2e-4,
+                         load_events=(LoadEvent(0.002, ld.bus, 2 * ld.r, ld.x),))
+    with mock.patch.object(simulate, "step_plant", step):
+        tr = run_scenario(cfg)
+    assert not tr.diverged and len(want) == 41
+    assert tr.load_current.tobytes() == np.array(want[::2]).tobytes()
 
 
 def test_apply_load_event():
