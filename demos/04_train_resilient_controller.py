@@ -15,8 +15,8 @@ in under a minute.  The full-scale pipeline is:
 import os
 import tempfile
 
-from mgres import MatrixSpec, TrainConfig, gen_data, save_model
-from mgres.datagen import dataset_from_dir, train_pipeline
+from mgres import MatrixSpec, TrainConfig, build_dataset, gen_data, save_model, train
+from mgres.datagen import load_runs
 
 work = tempfile.mkdtemp(prefix="mgres-demo-")
 data_dir = os.path.join(work, "data")
@@ -26,11 +26,11 @@ tiny = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
 entries = gen_data(data_dir, tiny)
 print(f"generated {len(entries)} runs in {data_dir}")
 
-ds = dataset_from_dir(data_dir)
+ds = build_dataset(load_runs(data_dir))
 print(f"dataset: {len(ds)} rows, {int(ds.attacked.sum())} from attacked runs")
 print("feature layout: [v11, v12, v14, vh11, vh12, vh14, v*]")
 
-params, report = train_pipeline(data_dir, TrainConfig(max_epochs=300))
+params, report = train(ds, TrainConfig(max_epochs=300))
 print(f"trained {len(report.train_mse)} epochs "
       f"({sum(report.accepted)} accepted steps)")
 print(f"train MSE {report.train_mse[-1]:.3e}, "

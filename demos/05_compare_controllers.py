@@ -14,9 +14,9 @@ import json
 import os
 import tempfile
 
-from mgres import MatrixSpec, TrainConfig, builtin_scenario, compare, \
-    gen_data, run_scenario, save_model
-from mgres.datagen import train_pipeline
+from mgres import MatrixSpec, TrainConfig, build_dataset, builtin_scenario, compare, \
+    gen_data, run_scenario, save_model, train
+from mgres.datagen import load_runs
 
 work = tempfile.mkdtemp(prefix="mgres-demo-")
 data_dir = os.path.join(work, "data")
@@ -25,7 +25,7 @@ model_path = os.path.join(work, "model.txt")
 # quick-turnaround training (see demo 04 for the narrated version)
 gen_data(data_dir, MatrixSpec(load_factors=(0.85, 1.0, 1.15),
                               tau=0.6, step_time=0.3, duration=1.2))
-params, report = train_pipeline(data_dir, TrainConfig(max_epochs=400))
+params, report = train(build_dataset(load_runs(data_dir)), TrainConfig(max_epochs=400))
 save_model(params, model_path)
 print(f"model ready (validation MSE {report.best_val_mse:.2e})\n")
 

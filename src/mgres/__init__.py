@@ -7,11 +7,11 @@ from .attack import AttackSpec, NonPeriodic, Periodic
 from .ann import (AnnKernel, Dataset, MlpParams, NormalizationSpec, TrainConfig,
                   ann_controller, build_dataset, feature_channels, forward, gradient,
                   load_model, save_model, tansig, train)
-from .datagen import MatrixSpec, dataset_from_dir, gen_data, train_pipeline
+from .datagen import MatrixSpec, gen_data
 from .graph import CommGraph, ring_graph, tracking_errors, validate
 from .metrics import Metrics, compare, compute_metrics
 from .plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
-                    NetworkWorkspace, PlantState, PlantWorkspace, apply_load_event,
+                    NetworkWorkspace, PlantWorkspace, apply_load_event,
                     default_model, solve_network, step_plant)
 from .scenario import LoadEvent, ScenarioConfig, builtin_scenario, load_scenario
 from .secondary import ConsensusMap, SecondaryGains, secondary_update

@@ -453,7 +453,7 @@ class AnnKernel(_Forward):
 def ann_controller(kernel: AnnKernel, x: np.ndarray) -> float:
     """Voltage set-point of the kernel's DG from the received channel vector
     ``x``, clamped to [0.5, 1.5] pu."""
-    x.take(kernel.take, out=kernel.rr)
+    x.take(kernel.take, out=kernel.rr, mode="clip")   # in range: "clip" skips a copy
     xn = kernel.xn
     np.subtract(kernel.row, kernel.x_offset, xn)
     np.divide(xn, kernel.x_scale, xn)

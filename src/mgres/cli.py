@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from . import ann as annmod
-from .datagen import MatrixSpec, gen_data, train_pipeline
+from .datagen import MatrixSpec, gen_data, load_runs
 from .graph import SIGNALS
 from .metrics import compare, compute_metrics
 from .scenario import ConfigReader, load_scenario, read_yaml
@@ -46,7 +46,7 @@ def cmd_train(args) -> int:
     d = (read_yaml(args.config, "training config") or {}) if args.config else {}
     # a seed in the config file wins over --seed
     tc = ConfigReader(d, "training config").build(annmod.TrainConfig, seed=args.seed or 0)
-    params, report = train_pipeline(args.data, tc)
+    params, report = annmod.train(annmod.build_dataset(load_runs(args.data)), tc)
     annmod.save_model(params, args.out)
     print(f"trained {len(report.train_mse)} epochs; "
           f"best validation MSE {report.best_val_mse:.3e} "

@@ -16,8 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .ann import (Dataset, DatasetError, MlpParams, TrainConfig, TrainReport,
-                  build_dataset, train)
+from .ann import DatasetError
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .graph import ring_graph
 from .plant import default_model
@@ -173,12 +172,3 @@ def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
         runs.append((traces[e["id"]], traces[ref], e["id"]))
     return runs
 
-
-def dataset_from_dir(data_dir: str) -> Dataset:
-    return build_dataset(load_runs(data_dir))
-
-
-def train_pipeline(data_dir: str,
-                   config: TrainConfig = TrainConfig()) -> tuple[MlpParams, TrainReport]:
-    """Dataset assembly plus offline training, end to end."""
-    return train(dataset_from_dir(data_dir), config)

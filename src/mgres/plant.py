@@ -227,7 +227,7 @@ class NetworkWorkspace:
 
 
 def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
-                  ws: NetworkWorkspace | None = None) -> NetworkWorkspace:
+                  ws: NetworkWorkspace) -> NetworkWorkspace:
     """Solve the phasor network for per-DG injected complex power.
 
     DG buses are fixed voltage sources vmag * exp(j delta); the remaining
@@ -235,12 +235,10 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
     residual is the relative mismatch between generated active power and
     load consumption plus line losses, the latter summed over the branch
     voltages of the full network.  Returns ``ws`` with the solution written
-    into it (a fresh workspace when none is given).
+    into it.
     """
     if not min(vmag.tolist()) > 0.0:
         raise NetworkError("DG voltage magnitudes must be positive")
-    if ws is None:
-        ws = NetworkWorkspace(len(vmag))
     if net is not ws.net:
         ws.use(net)
     solver, v, i = ws.solver, ws.v_dg, ws.i_dg
@@ -254,19 +252,6 @@ def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
     p_gen = sum(ws.p_dg.tolist())
     ws.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
     return ws
-
-
-class PlantState:
-    """Phase angles and the filtered powers, stacked as pq = [P; Q]."""
-
-    __slots__ = ("delta", "pq", "p", "q", "pq_t", "pq_flat")
-
-    def __init__(self, delta: np.ndarray, pq: np.ndarray):
-        self.delta = delta   # (n,) phase angle per DG, rad, relative to DG1's frame
-        self.pq = pq         # (2, n) filtered active and reactive power per DG, pu
-        self.p, self.q = pq  # row views
-        self.pq_t = pq.T     # (n, 2) view, [P, Q] per DG
-        self.pq_flat = self.pq_t.reshape(-1)   # a view when stored per DG (initial_state)
 
 
 @dataclass(frozen=True)
@@ -283,10 +268,6 @@ class MicrogridModel:
     def n(self) -> int:
         return len(self.dgs)
 
-    def initial_state(self) -> PlantState:
-        # [P; Q] stored per DG, the layout of the complex powers (see PlantWorkspace)
-        return PlantState(delta=np.zeros(self.n), pq=np.zeros((self.n, 2)).T)
-
 
 def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> MicrogridModel:
     """Replace the load impedance at a bus; takes effect at the next solve."""
@@ -300,84 +281,82 @@ def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> Mic
 
 
 class PlantWorkspace(NetworkWorkspace):
-    """Buffers of ``step_plant`` for one model's DGs and one dt, built once per run.
+    """The plant of one run: its state, dt and DG constants, and the buffers
+    of ``step_plant``.
 
-    Two ``PlantState``s take turns as the next state, so a step reads the
-    state it is given while it writes the other.  Their [P; Q] is stored
-    per DG, like the complex powers, so the filter update runs on
-    contiguous (n, 2) arrays; a state laid out otherwise gives the same
-    bits, only more slowly.  Every step rewrites the droop terms ``droop`` =
-    [n_Q Q; m_P P] of the state it reads (into a (2, n) buffer the caller may
-    hand in), the droop outputs ``vw`` = [v; w] and the network solution,
-    and returns the workspace as its outputs.  Constants are held at the
-    full shape of their operands, so no per-step operation broadcasts.
+    The state is the phase angle per DG ``delta`` and the filtered powers
+    ``pq_t`` = [P, Q] per DG, (n, 2) like the complex powers, so the filter
+    update runs on contiguous arrays; ``pq`` = [P; Q] and its rows ``p`` and
+    ``q`` are views of it.  Each step updates the state in place and
+    rewrites the droop terms [n_Q Q; m_P P] of the state it reads (into the
+    (2, n) ``droop`` the caller hands in), the droop outputs ``vw`` = [v; w]
+    and the network solution.  Constants are held at the full shape of
+    their operands, so no per-step operation broadcasts.
     """
 
-    def __init__(self, model: MicrogridModel, dt: float, droop: np.ndarray | None = None):
+    def __init__(self, model: MicrogridModel, dt: float, droop: np.ndarray):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         n = model.n
         super().__init__(n)
-        self.dgs, self.dt = model.dgs, dt
-        self.states = (model.initial_state(), model.initial_state())
-        self.droop = np.empty((2, n)) if droop is None else droop
-        self.droop_q, self.droop_p = self.droop  # row views
+        self.dt = dt
+        self.delta = np.zeros(n)       # phase angle per DG, rad, relative to DG1's frame
+        self.pq_t = np.zeros((n, 2))   # filtered [P, Q] per DG, pu
+        self.pq = self.pq_t.T
+        self.p, self.q = self.pq       # row views
+        self.pq_flat = self.pq_t.reshape(-1)
+        self.inc = np.empty((n, 2))    # the filter's increment
+        self.droop = droop
+        self.droop_q, self.droop_p = droop   # row views
         self.vw = np.empty((2, n))
-        self.v, self.w = self.vw                 # row views
+        self.v, self.w = self.vw             # row views
         self.n_q = np.array([d.n_q for d in model.dgs])
         self.m_p = np.array([d.m_p for d in model.dgs])
         dt_wc = dt * np.array([d.omega_c for d in model.dgs])
         self.dt_wc = np.column_stack([dt_wc, dt_wc])   # (n, 2), per DG like [P, Q]
 
 
-def step_plant(model: MicrogridModel, state: PlantState, setpoints: np.ndarray,
-               dt: float, t: float = 0.0,
-               ws: PlantWorkspace | None = None) -> tuple[PlantState, PlantWorkspace]:
-    """Advance the plant one fixed Euler step from set-points [V_n; w_n].
+def step_plant(ws: PlantWorkspace, net: NetworkParams, setpoints: np.ndarray,
+               t: float) -> PlantWorkspace:
+    """Advance the plant state in ``ws`` one fixed Euler step of ``ws.dt``
+    from set-points [V_n; w_n] on the network ``net``.
 
     Order: droop ([v; w] = [V_n; w_n] - [n_Q q; m_P p]) -> network solve ->
     power filter update -> angle integration.
     Angles integrate w_i - w_1 (DG1 frame) and are wrapped to (-pi, pi].
     Deterministic: identical inputs give bit-identical outputs.  Returns
-    the new state and ``ws`` (a fresh workspace when none is given), which
-    holds this step's droop outputs ``vw`` = [v; w] and network solution
-    (``s_dg``, ``v_dg``, ``balance_residual``, ``bus_v``, ``load_current``).
-    The next step on ``ws`` overwrites them and every state but the one it
-    is given.
+    ``ws``, which holds the new state, this step's droop outputs ``vw`` =
+    [v; w] and network solution (``s_dg``, ``v_dg``, ``balance_residual``,
+    ``bus_v``, ``load_current``) until the next step overwrites them.  A
+    ``DivergenceError`` leaves the state as far as the step got.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if ws is None:
-        ws = PlantWorkspace(model, dt)
-    elif ws.dt != dt or ws.dgs is not model.dgs:
-        raise ValueError("workspace was built for another dt or other DGs")
-    a, b = ws.states
-    new = b if state is a else a
     vw = ws.vw
     # two row products: one (2, n) product on a reversed-row view of the state is slower
-    np.multiply(ws.n_q, state.q, ws.droop_q)
-    np.multiply(ws.m_p, state.p, ws.droop_p)
+    np.multiply(ws.n_q, ws.q, ws.droop_q)
+    np.multiply(ws.m_p, ws.p, ws.droop_p)
     np.subtract(setpoints, ws.droop, vw)
     vl, wl = vw.tolist()
     # min() is NaN-blind past the first element; the sum is not
     if not (min(vl) > 0.0 and math.isfinite(sum(vl))):
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
 
-    solve_network(ws.v, state.delta, model.network, ws)
-    # the filter update per DG, on (n, 2) [P, Q] views
-    old, pq = state.pq_t, new.pq_t
-    np.subtract(ws.s_re_im, old, pq)
-    np.multiply(ws.dt_wc, pq, pq)
-    np.add(old, pq, pq)
-    w0 = wl[0]
-    new.delta[:] = [(d + dt * (x - w0) + math.pi) % _TWO_PI - math.pi
-                    for d, x in zip(state.delta.tolist(), wl)]
+    solve_network(ws.v, ws.delta, net, ws)
+    # the filter update per DG, in place on (n, 2) [P, Q] arrays
+    pq, inc = ws.pq_t, ws.inc
+    np.subtract(ws.s_re_im, pq, inc)
+    np.multiply(ws.dt_wc, inc, inc)
+    np.add(pq, inc, pq)
+    dt, w0 = ws.dt, wl[0]
+    ws.delta[:] = [(d + dt * (x - w0) + math.pi) % _TWO_PI - math.pi
+                   for d, x in zip(ws.delta.tolist(), wl)]
 
     # max() is NaN-blind past the first element; the sum is not
-    pl = new.pq_flat.tolist()
+    pl = ws.pq_flat.tolist()
     if not (max(max(pl), -min(pl), max(vl)) <= DIVERGENCE_LIMIT
             and math.isfinite(sum(pl))):
-        m = max(np.abs(new.pq).max(), max(vl))   # NaN if any entry is NaN
+        m = max(np.abs(pq).max(), max(vl))   # NaN if any entry is NaN
         raise DivergenceError(t, f"state magnitude {m:.3g} exceeded {DIVERGENCE_LIMIT} pu")
-    return new, ws
+    return ws
 
 
 def default_model() -> MicrogridModel:

@@ -35,7 +35,7 @@ class SecondaryGains:
 
 class ConsensusMap:
     """Constants and buffers of ``secondary_update`` for one graph, channel
-    list, gain set and reference pair, built once per run.
+    list, gain set, reference pair and dt, built once per run.
 
     The map owns the update's input x = [received channel values in the
     order of ``channels``, n_Q,i Q_i and m_P,i P_i per DG, v_ref, w_ref] and
@@ -44,13 +44,15 @@ class ConsensusMap:
     and one subtract forms every difference: (vh_ii - vh_ij) for both signals
     and (m_P,i P_i - m_P,j P_j) per edge j -> i, then (vh_ii - ref) per DG.
     One (E, n) product with the edge weights a_ij sums the edge terms per
-    destination DG.  Gains and pinning are held at the (2, n) shape of the
-    set-points, so no operation broadcasts, and every result lands in a
+    destination DG.  Gains, pinning and dt are held at the (2, n) shape of
+    the set-points, so no operation broadcasts, and every result lands in a
     buffer owned by the map.
     """
 
     def __init__(self, graph: CommGraph, channels: list[tuple[int, int, str]],
-                 gains: SecondaryGains, v_ref: float, w_ref: float):
+                 gains: SecondaryGains, v_ref: float, w_ref: float, dt: float):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         n, c = graph.n, len(channels)
         pos = {ch: k for k, ch in enumerate(channels)}
         self.x = np.empty(c + 2 * n + 2)
@@ -70,6 +72,7 @@ class ConsensusMap:
             self.weights[k, d] = graph.adjacency[d, s]
         self.pinning = np.array([graph.pinning, graph.pinning])
         self.gains = np.array([np.full(n, gains.c_v), np.full(n, gains.c_w)])
+        self.dt = np.full((2, n), dt)
         self.x_ends = np.empty(self.ends.shape)
         self.diff, e3 = self.x_ends[0], 3 * len(edges)   # head - tail, in place
         self.diff_edges = self.diff[:e3].reshape(3, len(edges))
@@ -80,19 +83,13 @@ class ConsensusMap:
         self.e_w = self.e[1]
 
 
-def secondary_update(cmap: ConsensusMap, setpoints: np.ndarray, dt: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """One forward-Euler step of both set-point integrators.
+def secondary_update(cmap: ConsensusMap, setpoints: np.ndarray) -> None:
+    """One forward-Euler step of both set-point integrators, in place.
 
     setpoints is (2, n) [V_n; w_n]; the input is the map's ``x``, laid out
     as ``ConsensusMap`` describes.  The new set-points, a pure function of
-    x and the set-points, are written to ``out`` (a fresh array when none is
-    given; it may be ``setpoints`` itself) and returned.  x is only read.
+    x and the set-points, overwrite ``setpoints``.  x is only read.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if out is None:
-        out = np.empty_like(setpoints)
     # the indices are in range for the map's x, so mode "clip" only skips
     # take's buffered copy
     cmap.x.take(cmap.ends, out=cmap.x_ends, mode="clip")
@@ -103,5 +100,5 @@ def secondary_update(cmap: ConsensusMap, setpoints: np.ndarray, dt: float,
     np.add(cmap.sums_vw, own, e)
     np.add(cmap.e_w, cmap.sums_p, cmap.e_w)
     np.multiply(cmap.gains, e, e)
-    np.multiply(e, dt, e)
-    return np.subtract(setpoints, e, out)
+    np.multiply(e, cmap.dt, e)
+    np.subtract(setpoints, e, setpoints)

@@ -8,16 +8,18 @@ Each step k (t = k dt) runs, in order:
 
 1. load events due by t replace the network (a new load epoch, whose
    ``NetworkParams.solver`` is built at the next solve);
-2. ``step_plant``: the droop terms [n_Q Q; m_P P] of the state it reads,
+2. on a sampling step, the filtered powers [P, Q] are recorded: the step
+   then updates them in place;
+3. ``step_plant``: the droop terms [n_Q Q; m_P P] of the plant state,
    written into the secondary layer's input vector x, the droop outputs
    [v; w] from the set-points [V_n; w_n], the network solve and the
-   filter/angle update.  It returns the new state and its workspace, which
-   holds [v; w], the balance residual and the load currents;
-3. the clean channel values are gathered from [v; w] straight into the
+   in-place filter/angle update.  Its workspace holds [v; w], the balance
+   residual and the load currents;
+4. the clean channel values are gathered from [v; w] straight into the
    front of x; on a sampling step they are recorded before each attack
    scales the channel vector in place by its gain vector, ``AttackSpec.gain(t)``
    on its targets and 1.0 elsewhere, in declaration order;
-4. ``secondary_update`` on x gives the next set-points, and each
+5. ``secondary_update`` on x rewrites the set-points in place, and each
    ANN-controlled DG overwrites its voltage set-point.
 
 Every per-step NumPy call writes its result with ``out`` into buffers built
@@ -28,21 +30,21 @@ are ``a.dot(b, out)``, copies slice assignments (no Python-level dispatch),
 |u|^2 sums real dots on float views (no complex ``np.vdot``), and no ufunc
 writes in place to a one-entry array:
 
-- ``plant.PlantWorkspace``: two ``PlantState``s that take turns (a step reads
-  one and writes the other, so the old state is still whole when the step
-  records it), the droop terms' row views and the droop outputs [v; w], the
-  complex DG voltages and powers with a (n, 2) float view of the powers, the
-  stacked network product's DG currents and branch voltages (with float and
-  load-row views), and the constants n_Q, m_P and dt omega_c;
+- ``plant.PlantWorkspace``: the plant state (angles and the (n, 2) filtered
+  powers, with [P; Q] row views) and the filter's increment, the droop
+  terms' row views and the droop outputs [v; w], the complex DG voltages
+  and powers with a (n, 2) float view of the powers, the stacked network
+  product's DG currents and branch voltages (with float and load-row
+  views), and the constants dt, n_Q, m_P and dt omega_c;
 - ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
   one gather of every difference's two ends, the per-edge sums and the
-  tracking error, with gains and pinning at the (2, n) set-point shape;
+  tracking error, with gains, pinning and dt at the (2, n) set-point shape;
 - ``ann.AnnKernel``, one per ANN-controlled DG, which picks that DG's
   channels itself: its feature row [r, r, v*] and the normalised row,
   hidden layer, output before its bias and output;
 - here: each attack's gain vector, the (2, n) set-points, which
-  ``secondary_update`` rewrites in place once the step has recorded and
-  consumed them, and the trace, whose block (``Trace.data``) a sample enters
+  ``secondary_update`` rewrites once the step has recorded and consumed
+  them, and the trace, whose block (``Trace.data``) a sample enters
   through views made once per run.
 
 The returned trace is this run's block, cut to the recorded samples, so a
@@ -84,11 +86,10 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     attacks = [(spec, np.array(resolve_channels(spec, channels)), np.ones(len(channels)))
                for spec in config.attacks]
     held = [1.0] * len(attacks)
-    cmap = ConsensusMap(graph, channels, config.gains, config.v_ref, config.w_ref)
+    dt = config.dt
+    cmap = ConsensusMap(graph, channels, config.gains, config.v_ref, config.w_ref, dt)
     # clean channel k carries [v; w].flat[gather[k]]
     gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
-
-    dt = config.dt
     ann_kernels = [(i, annmod.AnnKernel(ann_params, config.v_ref, channels, i))
                    for i, name in enumerate(config.controllers) if name == "ann"]
 
@@ -102,9 +103,8 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
 
     recv = cmap.recv
     ws = PlantWorkspace(model, dt, cmap.droop)
-    state = model.initial_state()
     setpoints = np.array([np.full(n, config.v_ref), np.full(n, config.w_ref)])
-    vw_t, sp_t = ws.vw.T, setpoints.T           # (n, 2) per DG
+    vw_t, pq_t, sp_t = ws.vw.T, ws.pq_t, setpoints.T   # (n, 2) per DG
     events = list(config.load_events)
     next_event = events[0].t if events else math.inf
 
@@ -120,8 +120,11 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
                 model = apply_load_event(model, ev.bus, ev.r, ev.x)
             next_event = events[0].t if events else math.inf
 
+        record = k % stride == 0
+        if record:   # a step updates P and Q in place; a diverged step's row is cut
+            rec_pq[sample] = pq_t
         try:
-            new_state, out = step_plant(model, state, setpoints, dt, t, ws)
+            step_plant(ws, model.network, setpoints, t)
         except DivergenceError as exc:
             diverged_time = exc.t
             break
@@ -130,12 +133,11 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
                 raise
             diverged_time = t
             break
-        if out.balance_residual > max_residual:
-            max_residual = out.balance_residual
+        if ws.balance_residual > max_residual:
+            max_residual = ws.balance_residual
 
         # gather is in range by construction; "clip" skips the buffered copy of "raise"
-        out.vw.take(gather, out=recv, mode="clip")
-        record = k % stride == 0
+        ws.vw.take(gather, out=recv, mode="clip")
         if record:
             rec_clean[sample] = recv
         for k_atk, (spec, targets, gv) in enumerate(attacks):
@@ -148,10 +150,9 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         if record:
             rec_t[sample] = t
             rec_vw[sample] = vw_t
-            rec_pq[sample] = state.pq_t
             rec_sp[sample] = sp_t
             rec_recv[sample] = recv
-            rec_load[sample] = out.load_current
+            rec_load[sample] = ws.load_current
             rec_att[sample] = int(any(s.active(t) for s, *_ in attacks))
             sample += 1
 
@@ -161,11 +162,9 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         # the secondary layer consumes the received (possibly corrupted)
         # values and the droop terms step_plant wrote; in place: this step
         # has recorded and consumed the old set-points
-        secondary_update(cmap, setpoints, dt, setpoints)
+        secondary_update(cmap, setpoints)
         for i, kernel in ann_kernels:
             setpoints[0, i] = annmod.ann_controller(kernel, recv)
-
-        state = new_state
 
     trace.data, trace.attack_active = trace.data[:sample], rec_att[:sample]
     trace.diverged, trace.diverged_time = diverged_time is not None, diverged_time

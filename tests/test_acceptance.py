@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from mgres.ann import (Dataset, MlpParams, TrainConfig, gradient, init_params,
-                       forward_batch, load_model, mse, save_model, train)
-from mgres.datagen import MatrixSpec, gen_data, train_pipeline
+from mgres.ann import (Dataset, MlpParams, TrainConfig, build_dataset, gradient,
+                       init_params, forward_batch, load_model, mse, save_model, train)
+from mgres.datagen import MatrixSpec, gen_data, load_runs
 from mgres.metrics import compute_metrics
-from mgres.plant import Line, Load, NetworkParams, solve_network
+from mgres.plant import Line, Load, NetworkParams, NetworkWorkspace, solve_network
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import export_csv, parse_csv, traces_equal
@@ -37,7 +37,7 @@ def pipeline(tmp_path_factory):
     gen_s = time.monotonic() - t0
 
     t0 = time.monotonic()
-    params, report = train_pipeline(str(data_dir), TrainConfig(seed=0))
+    params, report = train(build_dataset(load_runs(str(data_dir))), TrainConfig(seed=0))
     train_s = time.monotonic() - t0
     save_model(params, model_path)
 
@@ -146,7 +146,7 @@ def test_gradient_against_finite_differences(capsys):
 def test_network_solver_oracle(pipeline, capsys):
     net = NetworkParams(n_bus=2, lines=(Line(0, 1, 0.05, 0.10),),
                         loads=(Load(1, 0.8, 0.3),), dg_bus=(0,))
-    sol = solve_network(np.array([1.0]), np.array([0.0]), net)
+    sol = solve_network(np.array([1.0]), np.array([0.0]), net, NetworkWorkspace(1))
     z_line, z_load = 0.05 + 0.10j, 0.8 + 0.3j
     v1 = z_load / (z_line + z_load)
     s_dg = np.conj((1.0 - v1) / z_line)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgres.ann import TrainConfig
-from mgres.datagen import (MatrixSpec, dataset_from_dir, gen_data, load_runs,
-                           train_pipeline, training_matrix)
+from mgres.ann import TrainConfig, build_dataset, train
+from mgres.datagen import MatrixSpec, gen_data, load_runs, training_matrix
 from mgres.scenario import ConfigReader, ScenarioError
 from test_golden import GEN_MATRIX
 
@@ -125,7 +124,7 @@ def test_load_runs_pairs_attacked_with_clean(data_dir):
 
 
 def test_dataset_row_count(data_dir):
-    ds = dataset_from_dir(data_dir)
+    ds = build_dataset(load_runs(data_dir))
     # 0.8 s at 1 ms = 801 samples, 701 after the 0.1 s discard;
     # normal contributes 701 rows, each attacked run 2 * 701
     assert len(ds) == 701 + 2 * 2 * 701
@@ -137,7 +136,7 @@ def test_dataset_row_count(data_dir):
 
 
 def test_train_pipeline_runs(data_dir, tmp_path):
-    params, report = train_pipeline(data_dir, TrainConfig(max_epochs=40, seed=0))
+    params, report = train(build_dataset(load_runs(data_dir)), TrainConfig(max_epochs=40, seed=0))
     assert len(report.train_mse) <= 40
     assert report.best_val_mse < report.val_mse[0]
     assert np.isfinite(params.w1).all()
@@ -190,6 +189,6 @@ def test_load_runs_raises_only_value_errors(data_dir, tmp_path_factory, edits, w
             lines[cell[1]] = ",".join(cells)
         (work / name).write_text("\n".join(lines))
     try:
-        dataset_from_dir(str(work))
+        build_dataset(load_runs(str(work)))
     except ValueError:
         pass

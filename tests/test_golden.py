@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgres.ann import (MlpParams, NormalizationSpec, TrainConfig, feature_channels,
-                       load_model, save_model, train)
-from mgres.datagen import MatrixSpec, dataset_from_dir, gen_data
+from mgres.ann import (MlpParams, NormalizationSpec, TrainConfig, build_dataset,
+                       feature_channels, load_model, save_model, train)
+from mgres.datagen import MatrixSpec, gen_data, load_runs
 from mgres.scenario import BUILTIN_SCENARIOS, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import export_csv
@@ -77,7 +77,7 @@ def fit_dataset(name: str, work: Path):
     if name == "synth":
         return synth_dataset()
     gen_data(str(work), GEN_MATRIX)
-    return dataset_from_dir(str(work))
+    return build_dataset(load_runs(str(work)))
 
 
 def record_fit(name: str, work: Path) -> dict:

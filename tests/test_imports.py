@@ -53,17 +53,28 @@ def functions(tree: ast.Module):
                         if isinstance(fn, ast.FunctionDef))
 
 
+def slow_calls(fn: ast.FunctionDef):
+    """Each call in fn to a numpy dispatcher, or to ``.take`` without mode "clip"
+    (whose default mode "raise" copies through a buffer when given ``out``)."""
+    for node in ast.walk(fn):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        attr, owner = node.func.attr, node.func.value
+        if (attr in DISPATCHERS and isinstance(owner, ast.Name)
+                and owner.id in ("np", "numpy")):
+            yield node.lineno, f"np.{attr}"
+        elif attr == "take" and not any(
+                kw.arg == "mode" and isinstance(kw.value, ast.Constant)
+                and kw.value.value == "clip" for kw in node.keywords):
+            yield node.lineno, ".take without mode=\"clip\""
+
+
 def test_step_path_calls_no_numpy_dispatcher():
     seen, found = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for name, fn in functions(ast.parse(path.read_text(), str(path))):
             if name in STEP_PATH:
                 seen.add(name)
-                found |= {f"{path.name}:{node.lineno} np.{node.func.attr}"
-                          for node in ast.walk(fn) if isinstance(node, ast.Call)
-                          and isinstance(node.func, ast.Attribute)
-                          and node.func.attr in DISPATCHERS
-                          and isinstance(node.func.value, ast.Name)
-                          and node.func.value.id in ("np", "numpy")}
+                found |= {f"{path.name}:{line} {what}" for line, what in slow_calls(fn)}
     assert seen == STEP_PATH
     assert sorted(found) == []

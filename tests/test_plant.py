@@ -7,15 +7,30 @@ from hypothesis import example, given, settings, strategies as st
 from mgres import simulate
 from mgres.graph import ring_graph
 from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
-                         NetworkError, NetworkParams, NetworkWorkspace, PlantState,
-                         PlantWorkspace, apply_load_event, build_ybus, default_model,
-                         solve_network, step_plant)
+                         NetworkError, NetworkParams, NetworkWorkspace, PlantWorkspace,
+                         apply_load_event, build_ybus, default_model, solve_network,
+                         step_plant)
 from mgres.scenario import LoadEvent, ScenarioConfig
 from mgres.simulate import run_scenario
 
 
 def setpoints(v_n, w_n):
     return np.array([v_n, w_n])
+
+
+def solve(vmag, delta, net):
+    """solve_network on a new workspace."""
+    return solve_network(vmag, delta, net, NetworkWorkspace(len(vmag)))
+
+
+def plant_ws(model, dt=1e-4, delta=None, pq=None):
+    """A new plant workspace, its state set to ``delta`` and [P; Q] where given."""
+    ws = PlantWorkspace(model, dt, np.empty((2, model.n)))
+    if delta is not None:
+        ws.delta[:] = delta
+    if pq is not None:
+        ws.pq[:] = pq
+    return ws
 
 
 def two_bus_net(load=Load(1, 0.8, 0.3)):
@@ -37,7 +52,7 @@ def test_ybus_two_bus_by_hand():
 def test_two_bus_voltage_divider_oracle():
     # series line + shunt load: independent closed-form solution
     net = two_bus_net()
-    sol = solve_network(np.array([1.0]), np.array([0.0]), net)
+    sol = solve(np.array([1.0]), np.array([0.0]), net)
     z_line, z_load = 0.05 + 0.10j, 0.8 + 0.3j
     v1 = z_load / (z_line + z_load)
     s_dg = 1.0 * np.conj((1.0 - v1) / z_line)
@@ -52,20 +67,20 @@ def test_power_balance_random_operating_points():
     for _ in range(20):
         vmag = rng.uniform(0.9, 1.1, 4)
         delta = rng.uniform(-0.3, 0.3, 4)
-        sol = solve_network(vmag, delta, model.network)
+        sol = solve(vmag, delta, model.network)
         assert sol.balance_residual < 1e-9
 
 
 def test_all_dg_buses_needs_no_reduction():
     # every bus holds a DG: the reduced system is empty but powers still balance
     model = default_model()
-    sol = solve_network(np.ones(4), np.zeros(4), model.network)
+    sol = solve(np.ones(4), np.zeros(4), model.network)
     assert sol.balance_residual < 1e-9
     assert np.allclose(np.abs(sol.bus_v), 1.0)
 
 
 def test_equal_voltages_share_load_symmetrically():
-    sol = solve_network(np.ones(4), np.zeros(4), default_model().network)
+    sol = solve(np.ones(4), np.zeros(4), default_model().network)
     # ring + identical loads at buses 1 and 3 => DG pairs (1,3) and (2,4) match
     assert sol.s_dg[0] == pytest.approx(sol.s_dg[2], abs=1e-12)
     assert sol.s_dg[1] == pytest.approx(sol.s_dg[3], abs=1e-12)
@@ -74,14 +89,14 @@ def test_equal_voltages_share_load_symmetrically():
 def test_solver_input_validation():
     net = two_bus_net()
     with pytest.raises(NetworkError, match="positive"):
-        solve_network(np.array([0.0]), np.array([0.0]), net)
+        solve(np.array([0.0]), np.array([0.0]), net)
 
 
 def test_resonant_passive_bus_is_singular():
     # j0.1 line in series with a -j0.1 load: Y_oo is exactly zero
     net = NetworkParams(2, (Line(0, 1, 0.0, 0.1),), (Load(1, 0.0, -0.1),), (0,))
     with pytest.raises(NetworkError, match="singular"):
-        solve_network(np.array([1.0]), np.array([0.0]), net)
+        solve(np.array([1.0]), np.array([0.0]), net)
 
 
 def test_network_invariants():
@@ -102,8 +117,8 @@ def test_network_invariants():
 def test_droop_is_affine(v_n, w_n, p, q):
     # droop outputs of every DG: v = V_n - n_Q q, w = w_n - m_P p
     model = default_model()
-    state = PlantState(delta=np.zeros(4), pq=np.array([np.full(4, p), np.full(4, q)]))
-    _, out = step_plant(model, state, setpoints(np.full(4, v_n), np.full(4, w_n)), 1e-4)
+    out = plant_ws(model, pq=[np.full(4, p), np.full(4, q)])
+    step_plant(out, model.network, setpoints(np.full(4, v_n), np.full(4, w_n)), 0.0)
     np.testing.assert_allclose(out.v, v_n - 0.04 * q, rtol=1e-12)
     np.testing.assert_allclose(out.w, w_n - 3.77 * p, rtol=1e-12)
 
@@ -111,24 +126,23 @@ def test_droop_is_affine(v_n, w_n, p, q):
 def test_step_is_deterministic():
     model = default_model()
     sp = setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60))
-    s1, o1 = step_plant(model, model.initial_state(), sp, 1e-4)
-    s2, o2 = step_plant(model, model.initial_state(), sp, 1e-4)
-    assert np.array_equal(s1.p, s2.p) and np.array_equal(s1.q, s2.q)
-    assert np.array_equal(s1.delta, s2.delta)
+    o1 = step_plant(plant_ws(model), model.network, sp, 0.0)
+    o2 = step_plant(plant_ws(model), model.network, sp, 0.0)
+    assert np.array_equal(o1.p, o2.p) and np.array_equal(o1.q, o2.q)
+    assert np.array_equal(o1.delta, o2.delta)
     assert np.array_equal(o1.v, o2.v) and np.array_equal(o1.w, o2.w)
-    # two calls without a workspace compare two results, not one buffer with itself
-    for a, b in ((s1.pq, s2.pq), (s1.delta, s2.delta), (o1.vw, o2.vw),
+    # two workspaces compare two results, not one buffer with itself
+    for a, b in ((o1.pq, o2.pq), (o1.delta, o2.delta), (o1.vw, o2.vw),
                  (o1.s_dg, o2.s_dg)):
         assert not np.shares_memory(a, b)
 
 
 def test_step_filter_update_matches_hand_formula():
     model = default_model()
-    state = model.initial_state()
     dt = 1e-4
-    new, out = step_plant(model, state, setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60)),
-                          dt)
-    sol = solve_network(out.v, state.delta, model.network)
+    new = step_plant(plant_ws(model, dt), model.network,
+                     setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60)), 0.0)
+    sol = solve(new.v, np.zeros(4), model.network)   # the angles before the step
     np.testing.assert_allclose(new.p, dt * 31.4 * sol.s_dg.real, rtol=1e-12)
     np.testing.assert_allclose(new.q, dt * 31.4 * sol.s_dg.imag, rtol=1e-12)
     # equal frequencies => angles frozen in the DG1 frame
@@ -137,11 +151,10 @@ def test_step_filter_update_matches_hand_formula():
 
 def test_angle_integrates_relative_frequency_and_wraps():
     model = default_model()
-    state = PlantState(delta=np.array([0.0, np.pi - 1e-3, 0.0, 0.0]),
-                       pq=np.zeros((2, 4)))
+    new = plant_ws(model, delta=[0.0, np.pi - 1e-3, 0.0, 0.0])
     w_n = np.array([0.0, 100.0, 0.0, 0.0]) + 2 * np.pi * 60
-    new, out = step_plant(model, state, setpoints(np.full(4, 1.0), w_n), dt=1e-4)
-    d1 = np.pi - 1e-3 + 1e-4 * (out.w[1] - out.w[0])
+    step_plant(new, model.network, setpoints(np.full(4, 1.0), w_n), 0.0)
+    d1 = np.pi - 1e-3 + 1e-4 * (new.w[1] - new.w[0])
     assert d1 > np.pi  # crosses the branch cut
     assert new.delta[1] == pytest.approx(d1 - 2 * np.pi, abs=1e-12)
     assert -np.pi < new.delta[1] <= np.pi
@@ -162,7 +175,7 @@ def test_divergence_guard():
         pq = np.zeros((2, 4))
         pq[row] = value
         with pytest.raises(DivergenceError, match=message) as exc:
-            step_plant(model, PlantState(np.zeros(4), pq), sp, 1e-4, t=0.25)
+            step_plant(plant_ws(model, pq=pq), model.network, sp, t=0.25)
         assert exc.value.t == 0.25
 
 
@@ -173,8 +186,8 @@ def test_non_finite_droop_voltage_is_caught_at_any_dg(bad, dg):
     v_n = np.full(4, 1.0)
     v_n[dg] = bad
     with pytest.raises(DivergenceError, match="non-finite droop voltage") as exc:
-        step_plant(model, model.initial_state(), setpoints(v_n, np.full(4, 377.0)),
-                   1e-4, t=0.125)
+        step_plant(plant_ws(model), model.network, setpoints(v_n, np.full(4, 377.0)),
+                   t=0.125)
     assert exc.value.t == 0.125
 
 
@@ -189,7 +202,7 @@ def test_non_finite_filtered_power_is_caught_at_any_dg(bad, dg):
     pq[0, dg] = bad
     sp = setpoints(np.full(4, 1.0), np.full(4, 377.0))
     with pytest.raises(DivergenceError, match="state magnitude nan exceeded") as exc:
-        step_plant(model, PlantState(np.zeros(4), pq), sp, 1e-4, t=0.375)
+        step_plant(plant_ws(model, pq=pq), model.network, sp, t=0.375)
     assert exc.value.t == 0.375
 
 
@@ -202,29 +215,26 @@ def six_bus_model():
 
 
 def assert_same_step(got, want):
-    (s1, o1), (s2, o2) = got, want
-    for a, b in ((s1.delta, s2.delta), (s1.pq, s2.pq), (o1.vw, o2.vw),
-                 (o1.s_dg, o2.s_dg), (o1.v_dg, o2.v_dg), (o1.bus_v, o2.bus_v)):
+    for a, b in ((got.delta, want.delta), (got.pq, want.pq), (got.vw, want.vw),
+                 (got.s_dg, want.s_dg), (got.v_dg, want.v_dg), (got.bus_v, want.bus_v)):
         assert a.tobytes() == b.tobytes()
-    assert o1.balance_residual == o2.balance_residual
+    assert got.balance_residual == want.balance_residual
 
 
 def run_reused_and_fresh(model, n_steps, events=None, dt=1e-4):
-    """Step one state on one reused workspace and compare every step with the
-    same step, from a copy of the same state, on a fresh workspace."""
+    """Step one reused workspace and compare every step with the same step
+    on a fresh workspace seeded with a copy of its state."""
     events = events or {}
-    ws = PlantWorkspace(model, dt)
-    state = model.initial_state()
+    ws = plant_ws(model, dt)
     sp = setpoints(np.linspace(0.99, 1.02, model.n), np.linspace(376.0, 378.0, model.n))
     for k in range(n_steps):
         if k in events:
             model = apply_load_event(model, *events[k])
-        copy = PlantState(state.delta.copy(), state.pq.copy())
-        got = step_plant(model, state, sp, dt, k * dt, ws)
-        assert_same_step(got, step_plant(model, copy, sp, dt, k * dt))
-        assert got[1].balance_residual < 1e-9
-        state = got[0]
-    return state
+        fresh = plant_ws(model, dt, ws.delta.copy(), ws.pq.copy())
+        step_plant(ws, model.network, sp, k * dt)
+        assert_same_step(ws, step_plant(fresh, model.network, sp, k * dt))
+        assert ws.balance_residual < 1e-9
+    return ws
 
 
 @pytest.mark.parametrize("model, event", [
@@ -244,28 +254,20 @@ def test_network_workspace_follows_the_branch_count():
     chord = NetworkParams(4, ring.lines + (Line(0, 2, 0.1, 0.2),), ring.loads, ring.dg_bus)
     for net in (ring, chord, ring):
         sol = solve_network(vmag, delta, net, ws)
-        want = solve_network(vmag, delta, net)
+        want = solve(vmag, delta, net)
         assert sol.s_dg.tobytes() == want.s_dg.tobytes()
         assert sol.balance_residual == want.balance_residual < 1e-9
     # no branch at all: one DG alone on its bus
-    lone = solve_network(np.ones(1), np.zeros(1), NetworkParams(1, (), (), (0,)))
+    lone = solve(np.ones(1), np.zeros(1), NetworkParams(1, (), (), (0,)))
     assert lone.s_dg[0] == 0 and lone.balance_residual == 0.0
 
 
 def test_solve_and_step_return_their_workspace():
     model = default_model()
-    vmag, delta = np.ones(4), np.zeros(4)
     ws = NetworkWorkspace(4)
-    assert solve_network(vmag, delta, model.network, ws) is ws
-    fresh = solve_network(vmag, delta, model.network)
-    assert isinstance(fresh, NetworkWorkspace) and fresh is not ws
-    assert fresh.s_dg.tobytes() == ws.s_dg.tobytes()
-    pws = PlantWorkspace(model, 1e-4)
-    sp = setpoints(np.ones(4), np.full(4, 377.0))
-    new, out = step_plant(model, model.initial_state(), sp, 1e-4, ws=pws)
-    assert out is pws and new in pws.states
-    _, out = step_plant(model, model.initial_state(), sp, 1e-4)
-    assert isinstance(out, PlantWorkspace) and out is not pws
+    assert solve_network(np.ones(4), np.zeros(4), model.network, ws) is ws
+    pws = plant_ws(model)
+    assert step_plant(pws, model.network, setpoints(np.ones(4), np.full(4, 377.0)), 0.0) is pws
 
 
 def test_each_network_builds_its_solver_once():
@@ -276,17 +278,6 @@ def test_each_network_builds_its_solver_once():
     assert bumped.solver is bumped.solver
     assert bumped.solver is not net.solver
     assert not np.array_equal(bumped.solver.y_red, net.solver.y_red)
-
-
-def test_workspace_is_bound_to_its_dt_and_dgs():
-    model = default_model()
-    ws = PlantWorkspace(model, 1e-4)
-    sp = setpoints(np.ones(4), np.full(4, 377.0))
-    with pytest.raises(ValueError, match="another dt or other DGs"):
-        step_plant(model, model.initial_state(), sp, 2e-4, ws=ws)
-    with pytest.raises(ValueError, match="another dt or other DGs"):
-        step_plant(MicrogridModel(dgs=(DgParams(m_p=1.0),) * 4, network=model.network),
-                   model.initial_state(), sp, 1e-4, ws=ws)
 
 
 @st.composite
@@ -347,14 +338,14 @@ def test_load_currents_and_residual_from_the_stacked_product(model):
     want = []
 
     def step(*args, **kw):
-        new, ws = step_plant(*args, **kw)
+        ws = step_plant(*args, **kw)
         solver = ws.solver
         want.append(np.abs(ws.bus_v[solver.load_bus] * solver.load_y))
         p_gen = sum(ws.p_dg.tolist())
         ref = abs(p_gen - np.vdot(ws.u_lo, ws.u_hi).real) / max(1.0, abs(p_gen))
         assert abs(ws.balance_residual - ref) <= 1e-15
         assert ws.balance_residual < 1e-9
-        return new, ws
+        return ws
 
     ld = model.network.loads[0]   # a new load epoch halfway
     cfg = ScenarioConfig("loads", 0.004, model, ring_graph(model.n), sample_period=2e-4,
@@ -379,7 +370,7 @@ def test_default_model_shape():
     assert model.n == 4
     assert len(model.network.lines) == 4
     assert [ld.bus for ld in model.network.loads] == [0, 2]
-    ws = PlantWorkspace(model, 1e-4)
+    ws = plant_ws(model)
     np.testing.assert_array_equal(ws.m_p, np.full(4, 3.77))
     np.testing.assert_array_equal(ws.n_q, np.full(4, 0.04))
     np.testing.assert_array_equal(ws.dt_wc, np.full((4, 2), 1e-4 * 31.4))
@@ -391,3 +382,5 @@ def test_dg_params_validation():
     with pytest.raises(ValueError):
         MicrogridModel(dgs=(DgParams(3.77, 0.04, 31.4),),
                        network=default_model().network)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        plant_ws(default_model(), dt=0.0)

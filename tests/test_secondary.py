@@ -21,9 +21,11 @@ def update(g, v, rv, w, rw, weighted_p, v_n, w_n, v_ref=1.0, w_ref=377.0,
     """secondary_update with DG i's received copy of DG j's signal at
     rv[i, j] / rw[i, j] and its own at v[i] / w[i]; returns [V_n; w_n]."""
     channels = g.channels()
-    cmap = ConsensusMap(g, channels, gains, v_ref, w_ref)
+    cmap = ConsensusMap(g, channels, gains, v_ref, w_ref, dt)
     channel_vector(cmap, channels, v, rv, w, rw, weighted_p)
-    return secondary_update(cmap, np.array([v_n, w_n]), dt)
+    setpoints = np.array([v_n, w_n])
+    secondary_update(cmap, setpoints)
+    return setpoints
 
 
 def channel_vector(cmap, channels, v, rv, w, rw, weighted_p):
@@ -129,15 +131,19 @@ def test_power_sharing_term():
 def test_update_is_pure():
     g = two_dg_graph()
     channels = g.channels()
-    cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0)
+    # the new set-points are a function of x and the old set-points only,
+    # and x is only read
+    cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0, 1e-3)
     x = cmap.x
     x[:-2] = np.linspace(0.9, 1.1, len(channels) + 4)
     setpoints = np.array([np.ones(2), np.full(2, 377.0)])
-    before, x_before = setpoints.copy(), x.copy()
-    out = secondary_update(cmap, setpoints, 1e-3)
-    assert out is not setpoints
-    np.testing.assert_array_equal(setpoints, before)
+    first, x_before = setpoints.copy(), x.copy()
+    secondary_update(cmap, first)
+    assert not np.array_equal(first, setpoints)
     np.testing.assert_array_equal(x, x_before)
+    again = setpoints.copy()
+    secondary_update(cmap, again)
+    assert again.tobytes() == first.tobytes()
 
 
 def test_ring_matches_matrix_form_bitwise():
@@ -146,7 +152,7 @@ def test_ring_matches_matrix_form_bitwise():
     # map's buffers are reused and the set-points are updated in place
     g = ring_graph(4)
     channels = g.channels()
-    cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0)
+    cmap = ConsensusMap(g, channels, SecondaryGains(), 1.0, 377.0, 1e-4)
     rng = np.random.default_rng(3)
     for _ in range(3):
         v, w = rng.uniform(0.95, 1.05, 4), rng.uniform(376.0, 378.0, 4)
@@ -160,7 +166,7 @@ def test_ring_matches_matrix_form_bitwise():
         np.testing.assert_array_equal(update(g, v, rv, w, rw, wp, v_n, w_n, dt=1e-4), want)
         channel_vector(cmap, channels, v, rv, w, rw, wp)
         sp = np.array([v_n, w_n])
-        assert secondary_update(cmap, sp, 1e-4, sp) is sp
+        secondary_update(cmap, sp)
         assert sp.tobytes() == want.tobytes()
 
 
@@ -192,12 +198,14 @@ def test_consensus_is_an_exact_fixed_point(g, v_ref, w_ref, wp, dt):
     # every received value at its reference and equal weighted powers: every
     # difference is exactly 0, so the set-points come back bit for bit
     n = g.n
-    cmap = ConsensusMap(g, g.channels(), SecondaryGains(2.5, 7.0), v_ref, w_ref)
+    cmap = ConsensusMap(g, g.channels(), SecondaryGains(2.5, 7.0), v_ref, w_ref, dt)
     channel_vector(cmap, g.channels(), np.full(n, v_ref), np.full((n, n), v_ref),
                    np.full(n, w_ref), np.full((n, n), w_ref), np.full(n, wp))
     rng = np.random.default_rng(n)
     sp = np.array([rng.uniform(0.9, 1.1, n), rng.uniform(370.0, 380.0, n)])
-    assert secondary_update(cmap, sp, dt).tobytes() == sp.tobytes()
+    before = sp.tobytes()
+    secondary_update(cmap, sp)
+    assert sp.tobytes() == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,7 +234,7 @@ def test_gain_and_name_validation():
                np.zeros(2), np.ones(2), np.ones(2), dt=0.0)
     # the map's gathers read its own x by index: 8 channels, the (2, 2) droop
     # terms and the two references, with recv and droop views into it
-    cmap = ConsensusMap(g, g.channels(), SecondaryGains(), 1.0, 377.0)
+    cmap = ConsensusMap(g, g.channels(), SecondaryGains(), 1.0, 377.0, 1e-4)
     assert cmap.x.shape == (14,) and cmap.x[-2:].tolist() == [1.0, 377.0]
     assert cmap.recv.shape == (8,) and cmap.droop.shape == (2, 2)
     assert np.shares_memory(cmap.recv, cmap.x) and np.shares_memory(cmap.droop, cmap.x)

@@ -148,6 +148,22 @@ def test_divergence_is_reported_not_raised():
     assert len(tr.t) == 240
 
 
+def test_diverged_run_keeps_the_rows_of_a_run_cut_before_it():
+    # P and Q are recorded before the step that updates them in place; the
+    # row begun by the step that diverges is cut, and every recorded row
+    # has the bits of a run that ends at the last recorded sample
+    atk = AttackSpec(src="broadcast", dst=0, signal="voltage",
+                     kind=NonPeriodic(alpha=-0.999), tau=0.05)
+    cfg = short(duration=0.5, attacks=(atk,))
+    tr = run_scenario(cfg)
+    cut = run_scenario(replace(cfg, duration=float(tr.t[-1])))
+    assert tr.diverged and not cut.diverged
+    assert len(cut.t) == len(tr.t) == 240
+    assert traces_equal(tr, cut)
+    # the first row holds the state before the first step: filters at rest
+    assert not tr.dg["P"][0].any() and not tr.dg["Q"][0].any() and tr.dg["P"][1].all()
+
+
 def test_trace_carries_run_metadata():
     tr = run_scenario(short(duration=0.02))
     assert tr.v_ref == 1.0
@@ -191,7 +207,7 @@ def test_passive_buses_match_full_nodal_solve(monkeypatch):
     solves = []
     inner = plant.solve_network
 
-    def recorded(vmag, delta, network, ws=None):
+    def recorded(vmag, delta, network, ws):
         solves.append((vmag.copy(), delta.copy(), network))
         return inner(vmag, delta, network, ws)
 
