@@ -1,12 +1,12 @@
 """Resilient secondary voltage controller: a 7-10-1 regression network.
 
-A controlled DG's inputs are its voltage triple (``feature_channels``): the
-voltage it sends itself, then its two in-neighbors'.  For DG1, the attacked
-DG, x = [v11, v12, v14, vh11, vh12, vh14, v*]: the clean triple, then the
-received (possibly corrupted) one.  At runtime the clean triple is
-unobservable, so ``AnnKernel`` feeds the received values into both slots;
-``build_dataset`` adds duplicated-triple rows for attacked runs so the two
-distributions match.
+The input row is the table ``FEATURES``, one source name per column; for
+DG1, the attacked DG, x = [v11, v12, v14, vh11, vh12, vh14, v*]: the received
+voltage triple (``feature_channels``: its own, then its in-neighbors'), twice,
+and v*.  ``ConsensusMap.positions`` resolves it onto the secondary layer's
+input x, the one source of ``AnnKernel``'s row; ``build_dataset`` onto a
+trace's columns, where the paired rows read the first triple from the clean
+channels (unobservable at run time) and attacked runs add runtime rows.
 
 Hidden layer: 10 units with tansig = 2/(1+exp(-2z)) - 1 (the hyperbolic
 tangent); output layer: purelin (affine).  Trained offline by full-batch
@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-N_IN = 7
+TRIPLE = ("recv.own", "recv.nb1", "recv.nb2")   # in feature_channels' order
+FEATURES = TRIPLE + TRIPLE + ("v_ref",)   # the input row, one source per column
+N_IN = len(FEATURES)
 N_HIDDEN = 10
 SETPOINT_MIN = 0.5   # pu clamp on the emitted voltage set-point
 SETPOINT_MAX = 1.5
@@ -425,23 +427,20 @@ def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
 
 
 class AnnKernel(_Forward):
-    """``forward_batch`` on DG ``dg``'s runtime feature row, in buffers built once.
+    """``forward_batch`` on one runtime feature row, in buffers built once.
 
-    The row [r, r, v*] is preallocated with v* in its last column;
-    ``ann_controller`` fills [r, r] with one take of the ``feature_channels``
-    triple from the channel vector, normalises it in place and runs
-    ``_Forward`` on (1, .) buffers.  These are ``forward_batch``'s operations
-    in its order, so the set-point is bit-equal to
+    ``positions`` holds each ``FEATURES`` column's position in the secondary
+    layer's input x (``ConsensusMap.positions``).  ``ann_controller`` fills
+    the row with one take from x, v* included, normalises it in place and
+    runs ``_Forward`` on (1, .) buffers.  These are ``forward_batch``'s
+    operations in its order, so the set-point is bit-equal to
     ``forward(runtime_features(r, v*))``.
     """
 
-    def __init__(self, params: MlpParams, v_ref: float,
-                 channels: list[tuple[int, int, str]], dg: int):
+    def __init__(self, params: MlpParams, positions):
         super().__init__(1)
-        self.take = np.array(feature_channels(channels, dg) * 2)
+        self.idx = np.array([positions])
         self.row = np.empty((1, N_IN))
-        self.row[0, 6] = v_ref
-        self.rr = self.row[0, :6]
         self.x_offset = params.norm.x_offset[None, :]
         self.x_scale = params.norm.x_scale[None, :]
         self.w1t, self.b1 = params.w1.T, params.b1[None, :]
@@ -451,9 +450,9 @@ class AnnKernel(_Forward):
 
 
 def ann_controller(kernel: AnnKernel, x: np.ndarray) -> float:
-    """Voltage set-point of the kernel's DG from the received channel vector
+    """Voltage set-point of the kernel's DG from the secondary layer's input
     ``x``, clamped to [0.5, 1.5] pu."""
-    x.take(kernel.take, out=kernel.rr, mode="clip")   # in range: "clip" skips a copy
+    x.take(kernel.idx, out=kernel.row, mode="clip")   # in range: "clip" skips a copy
     xn = kernel.xn
     np.subtract(kernel.row, kernel.x_offset, xn)
     np.divide(xn, kernel.x_scale, xn)
@@ -467,14 +466,14 @@ def build_dataset(runs) -> Dataset:
 
     ``runs`` is an iterable of (trace, clean_trace, scenario_id) where
     clean_trace is the matching no-attack baseline run (identical loads);
-    for a normal run trace is its own clean reference.  Each sample gives
-    the row [clean triple, received triple, v*] of DG1; an attacked run then
-    adds the row [received triple, received triple, v*], the runtime
-    feature layout.  The first 0.1 s of every trace is discarded.
+    for a normal run trace is its own clean reference.  ``FEATURES`` is
+    resolved for DG1 onto the trace: a received voltage onto its ``ch_recv``
+    column, v_ref onto ``trace.v_ref``.  Each sample gives a paired row,
+    whose first triple reads ``ch_clean`` instead; an attacked run then adds
+    the runtime row.  The first 0.1 s of every trace is discarded.
     """
     xs, ys, att = [], [], []
     for trace, clean_trace, scenario_id in runs:
-        idx = feature_channels(trace.channels, 0)
         target = clean_trace.dg["Vn"][:, 0]
         if len(target) != len(trace.t):
             raise DatasetError(
@@ -482,13 +481,16 @@ def build_dataset(runs) -> Dataset:
         if trace.v_ref is None:
             raise DatasetError(f"trace {scenario_id} is missing the voltage reference")
         keep = trace.t >= 0.1 - 1e-12
-        recv = trace.ch_recv[:, idx][keep]
-        v_ref = np.full((len(recv), 1), float(trace.v_ref))
+        col = dict(zip(TRIPLE, feature_channels(trace.channels, 0)))
         is_attacked = bool(trace.attack_active.any())
-        for first in (trace.ch_clean[:, idx][keep], recv)[:1 + is_attacked]:
-            xs.append(np.hstack([first, recv, v_ref]))
+        for first in (trace.ch_clean, trace.ch_recv)[:1 + is_attacked]:
+            x = np.empty((np.count_nonzero(keep), N_IN))
+            for j, name in enumerate(FEATURES):
+                ch = first if j < len(TRIPLE) else trace.ch_recv
+                x[:, j] = trace.v_ref if name == "v_ref" else ch[:, col[name]][keep]
+            xs.append(x)
             ys.append(target[keep])
-            att.append(np.full(len(recv), is_attacked))
+            att.append(np.full(len(x), is_attacked))
     if not xs:
         raise DatasetError("no runs supplied")
     return Dataset(x=np.vstack(xs), y=np.concatenate(ys), attacked=np.concatenate(att))

@@ -60,9 +60,7 @@ class AttackSpec:
             raise AttackConfigError("src and dst cannot both be broadcast")
 
     def active(self, t: float) -> bool:
-        if t < self.tau:
-            return False
-        return self.end is None or t < self.end
+        return t >= self.tau and (self.end is None or t < self.end)
 
     def gain(self, t: float) -> float:
         """Multiplier on the clean value at time t: h(u) = gain(t) * u."""
@@ -73,13 +71,8 @@ class AttackSpec:
         return 1.0 + self.kind.beta * math.sin(self.kind.omega * t)
 
     def matches(self, src: int, dst: int, signal: str) -> bool:
-        if signal != self.signal:
-            return False
-        if self.src != BROADCAST and self.src != src:
-            return False
-        if self.dst != BROADCAST and self.dst != dst:
-            return False
-        return True
+        return signal == self.signal and self.src in (BROADCAST, src) \
+            and self.dst in (BROADCAST, dst)
 
 
 _TARGET_RE = re.compile(r"^\s*(dg(\d+)\.(\w+)|broadcast)\s*->\s*(dg(\d+)(\.(\w+))?|broadcast)\s*$")

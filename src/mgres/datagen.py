@@ -115,10 +115,8 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
         }
         try:
             trace = run_scenario(cfg)
-            if trace.diverged:
-                entry["status"] = f"diverged at t={trace.diverged_time:.6f}"
-            else:
-                entry["status"] = "ok"
+            entry["status"] = (f"diverged at t={trace.diverged_time:.6f}" if trace.diverged
+                               else "ok")
             export_csv(trace, os.path.join(out_dir, entry["file"]))
         except Exception as exc:  # keep going; record the failure
             entry["status"] = f"error: {exc}"
@@ -164,11 +162,7 @@ def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
         tr.v_ref = e["v_ref"]
         tr.w_ref = e["w_ref"]
         traces[e["id"]] = tr
-    runs = []
-    for e in ok.values():
-        ref = e["clean_ref"]
-        if ref not in traces:
-            continue  # clean counterpart failed; skip the attacked run
-        runs.append((traces[e["id"]], traces[ref], e["id"]))
-    return runs
+    # an attacked run whose clean counterpart failed is skipped
+    return [(traces[e["id"]], traces[e["clean_ref"]], e["id"])
+            for e in ok.values() if e["clean_ref"] in traces]
 

@@ -109,6 +109,7 @@ class ComparisonReport:
                 "steady_frequency_error_hz": list(m.steady_frequency_error_hz),
                 "settling_time": m.settling_time,
                 "diverged": m.diverged,
+                "diverged_time": m.diverged_time,
             }
         return {
             "baseline": side(self.baseline),
@@ -123,10 +124,12 @@ class ComparisonReport:
 
 def compare(trace_pi: Trace, trace_ann: Trace, v_ref: float | None = None,
             w_ref: float | None = None) -> ComparisonReport:
-    """Side-by-side metrics for the same scenario run with both controllers."""
-    if not np.array_equal(trace_pi.attack_active, trace_ann.attack_active) \
-            or len(trace_pi.t) != len(trace_ann.t) \
-            or not np.array_equal(trace_pi.t, trace_ann.t):
+    """Side-by-side metrics for the same scenario run with both controllers;
+    a run cut at its divergence holds a prefix of the other's samples."""
+    short, full = sorted((trace_pi, trace_ann), key=lambda tr: len(tr.t))
+    m = len(short.t)
+    if not (short.diverged or m == len(full.t)) or not np.array_equal(short.t, full.t[:m]) \
+            or not np.array_equal(short.attack_active, full.attack_active[:m]):
         raise MetricsError("traces come from different scenarios "
                            "(mismatched time base or attack schedule)")
     m_pi = compute_metrics(trace_pi, v_ref, w_ref)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ann import TRIPLE, feature_channels
 from .graph import SIGNALS, CommGraph
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ class ConsensusMap:
         if dt <= 0:
             raise ValueError("dt must be positive")
         n, c = graph.n, len(channels)
+        self.channels = channels
         pos = {ch: k for k, ch in enumerate(channels)}
         self.x = np.empty(c + 2 * n + 2)
         self.x[-2:] = v_ref, w_ref
@@ -81,6 +83,12 @@ class ConsensusMap:
         self.sums_vw, self.sums_p = self.sums[:2], self.sums[2]
         self.e = np.empty((2, n))
         self.e_w = self.e[1]
+
+    def positions(self, names, dg: int) -> list[int]:
+        """The x position of each named source of DG ``dg``: a received voltage
+        of its triple (``ann.TRIPLE``, by ``feature_channels``) or "v_ref"."""
+        at = dict(zip(TRIPLE, feature_channels(self.channels, dg)), v_ref=len(self.x) - 2)
+        return [at[name] for name in names]
 
 
 def secondary_update(cmap: ConsensusMap, setpoints: np.ndarray) -> None:

@@ -39,9 +39,9 @@ writes in place to a one-entry array:
 - ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
   one gather of every difference's two ends, the per-edge sums and the
   tracking error, with gains, pinning and dt at the (2, n) set-point shape;
-- ``ann.AnnKernel``, one per ANN-controlled DG, which picks that DG's
-  channels itself: its feature row [r, r, v*] and the normalised row,
-  hidden layer, output before its bias and output;
+- ``ann.AnnKernel``, one per ANN-controlled DG: the x positions of the
+  ``ann.FEATURES`` table (``ConsensusMap.positions``), its feature row
+  [r, r, v*] taken from x, the normalised row, hidden layer and outputs;
 - here: each attack's gain vector, the (2, n) set-points, which
   ``secondary_update`` rewrites once the step has recorded and consumed
   them, and the trace, whose block (``Trace.data``) a sample enters
@@ -90,7 +90,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     cmap = ConsensusMap(graph, channels, config.gains, config.v_ref, config.w_ref, dt)
     # clean channel k carries [v; w].flat[gather[k]]
     gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
-    ann_kernels = [(i, annmod.AnnKernel(ann_params, config.v_ref, channels, i))
+    ann_kernels = [(i, annmod.AnnKernel(ann_params, cmap.positions(annmod.FEATURES, i)))
                    for i, name in enumerate(config.controllers) if name == "ann"]
 
     stride, n_steps = config.sample_stride, config.n_steps
@@ -101,7 +101,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     # adjacent pairs of DG_SIGNALS: [v, w], [P, Q], [V_n, w_n]
     rec_vw, rec_pq, rec_sp = (trace.dg_block[:, :, k:k + 2] for k in (0, 2, 4))
 
-    recv = cmap.recv
+    x, recv = cmap.x, cmap.recv
     ws = PlantWorkspace(model, dt, cmap.droop)
     setpoints = np.array([np.full(n, config.v_ref), np.full(n, config.w_ref)])
     vw_t, pq_t, sp_t = ws.vw.T, ws.pq_t, setpoints.T   # (n, 2) per DG
@@ -164,7 +164,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         # has recorded and consumed the old set-points
         secondary_update(cmap, setpoints)
         for i, kernel in ann_kernels:
-            setpoints[0, i] = annmod.ann_controller(kernel, recv)
+            setpoints[0, i] = annmod.ann_controller(kernel, x)
 
     trace.data, trace.attack_active = trace.data[:sample], rec_att[:sample]
     trace.diverged, trace.diverged_time = diverged_time is not None, diverged_time

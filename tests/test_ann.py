@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgres import ann
-from mgres.ann import (AnnKernel, Dataset, DatasetError, MlpParams, NormalizationSpec,
-                       TrainConfig, TrainingError, ann_controller, build_dataset, forward,
-                       forward_batch, gradient, init_params, load_model, mse,
-                       runtime_features, save_model, tansig, train)
-from mgres.scenario import ConfigReader
+from mgres.ann import (FEATURES, AnnKernel, Dataset, DatasetError, MlpParams,
+                       NormalizationSpec, TrainConfig, TrainingError, ann_controller,
+                       build_dataset, forward, forward_batch, gradient, init_params,
+                       load_model, mse, runtime_features, save_model, tansig, train)
+from mgres.graph import ring_graph
+from mgres.scenario import ConfigReader, builtin_scenario
+from mgres.secondary import ConsensusMap, SecondaryGains
+from mgres.simulate import run_scenario
 from mgres.trace import Trace
 
 
@@ -252,11 +257,15 @@ def test_runtime_features_and_clamp():
                    NormalizationSpec(np.zeros(7), np.ones(7), 100.0, 1.0))
     lo = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2,
                    NormalizationSpec(np.zeros(7), np.ones(7), -100.0, 1.0))
-    triple = [(0, 0, "voltage"), (1, 0, "voltage"), (2, 0, "voltage")]
-    assert ann_controller(AnnKernel(hi, 1.0, triple, 0), np.ones(3)) == 1.5
-    assert ann_controller(AnnKernel(lo, 1.0, triple, 0), np.ones(3)) == 0.5
+    g = ring_graph(4)
+    cmap = ConsensusMap(g, g.channels(), SecondaryGains(), 1.0, 377.0, 1e-4)
+    cmap.recv[:] = 1.0
+    at = cmap.positions(FEATURES, 0)
+    assert ann_controller(AnnKernel(hi, at), cmap.x) == 1.5
+    assert ann_controller(AnnKernel(lo, at), cmap.x) == 0.5
+    two = [ch for ch in g.channels() if ch != (1, 0, "voltage")]
     with pytest.raises(ValueError, match="DG1 needs exactly 3"):
-        AnnKernel(hi, 1.0, triple[:2], 0)
+        ConsensusMap(g, two, SecondaryGains(), 1.0, 377.0, 1e-4).positions(FEATURES, 0)
 
 
 def test_controller_is_forward_on_runtime_features_bitwise():
@@ -266,15 +275,19 @@ def test_controller_is_forward_on_runtime_features_bitwise():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.9, 1.1, (200, 7))
     params = init_params(rng, NormalizationSpec.from_data(x, rng.uniform(1.0, 1.05, 200)))
-    # DG1's triple is channels 4 (its own), 0 (DG2) and 2 (DG4)
-    layout = [(1, 0, "voltage"), (1, 0, "frequency"), (3, 0, "voltage"), (2, 1, "voltage"),
-              (0, 0, "voltage")]
-    triple = [4, 0, 2]
-    kernel = AnnKernel(params, 1.02, layout, 0)
-    for channels in rng.uniform(0.8, 1.6, (300, 5)):
+    # the map's channels in a shuffled order: DG1's triple is its own voltage,
+    # then DG2's and DG4's, wherever they sit in x
+    g = ring_graph(4)
+    layout = [g.channels()[k] for k in rng.permutation(len(g.channels()))]
+    triple = [layout.index((s, 0, "voltage")) for s in (0, 1, 3)]
+    cmap = ConsensusMap(g, layout, SecondaryGains(), 1.02, 377.0, 1e-4)
+    kernel = AnnKernel(params, cmap.positions(FEATURES, 0))
+    for channels in rng.uniform(0.8, 1.6, (300, len(layout))):
+        cmap.recv[:] = channels
+        cmap.droop[:] = rng.uniform(-1.0, 1.0, cmap.droop.shape)   # read by no feature
         want = min(max(forward(params, runtime_features(channels[triple], 1.02)), 0.5), 1.5)
-        assert ann_controller(kernel, channels) == want
-        assert ann_controller(AnnKernel(params, 1.02, layout, 0), channels) == want
+        assert ann_controller(kernel, cmap.x) == want
+        assert ann_controller(AnnKernel(params, cmap.positions(FEATURES, 0)), cmap.x) == want
 
 
 def test_model_round_trip_is_exact(tmp_path):
@@ -416,6 +429,26 @@ def test_build_dataset_rows_and_pairing():
     # duplicated-triple rows mirror the runtime feature layout
     dup = ds.x[202]
     np.testing.assert_allclose(dup[:3], dup[3:6])
+
+
+def test_kernel_row_is_the_runtime_row_of_build_dataset_bitwise():
+    # run time and training resolve one table: the row the kernel takes from
+    # each recorded sample's x is the dataset's runtime-layout row
+    cfg = builtin_scenario("default-nonperiodic", duration=0.3)
+    cfg = replace(cfg, attacks=tuple(replace(a, tau=0.15) for a in cfg.attacks))
+    attacked = run_scenario(cfg)
+    ds = build_dataset([(attacked, run_scenario(replace(cfg, attacks=())), "attacked")])
+    paired, runtime = np.split(ds.x, 2)
+    assert (paired[:, :3] != runtime[:, :3]).any()
+    cmap = ConsensusMap(cfg.graph, attacked.channels, cfg.gains, cfg.v_ref, cfg.w_ref, cfg.dt)
+    cmap.droop[:] = np.nan   # read by no feature
+    kernel = AnnKernel(init_params(np.random.default_rng(0)), cmap.positions(FEATURES, 0))
+    recorded = attacked.ch_recv[attacked.t >= 0.1 - 1e-12]
+    assert len(recorded) == len(runtime)
+    for recv, row in zip(recorded, runtime):
+        cmap.recv[:] = recv
+        ann_controller(kernel, cmap.x)
+        assert kernel.row[0].tobytes() == row.tobytes()
 
 
 def test_build_dataset_errors():

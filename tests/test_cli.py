@@ -132,6 +132,31 @@ def test_compare_baseline_is_pi_whatever_the_file_names(pipeline, work):
     assert reports["ann"]["ann"] == reports["pi"]["ann"]
 
 
+NEIGHBOR_ATTACK_YAML = textwrap.dedent("""\
+    duration: 0.55
+    attacks:
+      - {target: "dg2.voltage -> dg1", kind: nonperiodic, alpha: 0.5, tau: 0.05}
+      - {target: "dg4.voltage -> dg1", kind: nonperiodic, alpha: 0.5, tau: 0.05}
+    """)
+
+
+def test_compare_reports_a_diverged_baseline_and_exits_2(pipeline, work, capsys):
+    # DG1's own channel is clean and both neighbors' read half: PI diverges
+    # about 0.49 s after the onset and its trace is cut there, which compare
+    # took for a different scenario (exit 1, no report).  The onset at 0.05 s
+    # leaves the cut trace the 0.5 s that its steady window needs.
+    _, _, _, model = pipeline
+    path, report = work / "neighbors.yaml", work / "neighbors.json"
+    path.write_text(NEIGHBOR_ATTACK_YAML)
+    assert main(["compare", "--scenario", str(path), "--model", str(model),
+                 "--report", str(report)]) == 2
+    d = json.loads(report.read_text())
+    assert d["baseline"]["diverged"] is True
+    assert 0.5 < d["baseline"]["diverged_time"] < 0.55
+    assert d["baseline"]["eps_v_post_mean"] is None
+    assert "report written" in capsys.readouterr().out
+
+
 def test_model_flag_replaces_a_stale_file_model(pipeline, work, capsys):
     # the file's model path was checked before --model replaced it, so a
     # stale one ended evaluate and compare with exit 1 even with a valid --model

@@ -13,10 +13,12 @@ Regenerate both fixtures (only when a change to the results is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-Print the SHA-256 of the CSVs of the six 4 s built-in runs (each built-in
-scenario with the baseline controller, then with the benchmark's ANN
-fixture ``perfbench/fixtures/model.txt`` on DG1), to check that a change
-keeps every trace byte-identical, with
+Check that a change keeps every trace byte-identical: the SHA-256 of the
+CSVs of the six 4 s built-in runs (each built-in scenario with the baseline
+controller, then with the benchmark's ANN fixture
+``perfbench/fixtures/model.txt`` on DG1) are printed and compared with
+``fixtures/golden_digests.json``; the exit status is 1, naming each run,
+when any differs.  ``--record`` rewrites that fixture too.
 
     PYTHONPATH=src python tests/test_golden.py --digests
 """
@@ -41,6 +43,8 @@ from test_ann import synth_dataset
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
 FIT_FIXTURE = Path(__file__).parent / "fixtures" / "golden_train.json"
+DIGEST_FIXTURE = Path(__file__).parent / "fixtures" / "golden_digests.json"
+DIGEST_MODEL = Path(__file__).parent.parent / "perfbench" / "fixtures" / "model.txt"
 DURATION = 1.0
 TAU = 0.5
 EVERY = 20  # samples of 1 ms
@@ -130,9 +134,13 @@ def csv_digests(model_path: Path) -> list[tuple[str, str]]:
 
 
 if __name__ == "__main__" and "--digests" in sys.argv:
-    model = Path(__file__).parent.parent / "perfbench" / "fixtures" / "model.txt"
-    for run, digest in csv_digests(model):
-        print(f"{run:28s} {digest}")
+    want = json.loads(DIGEST_FIXTURE.read_text())
+    got = dict(csv_digests(DIGEST_MODEL))
+    for run, digest in got.items():
+        print(f"{run:28s} {digest}" + ("" if want.get(run) == digest else "  differs"))
+    differ = [run for run in {**want, **got} if want.get(run) != got.get(run)]
+    if differ:
+        sys.exit(f"digests differ from {DIGEST_FIXTURE.name}: {', '.join(differ)}")
 
 if __name__ == "__main__" and "--record" in sys.argv:
     FIXTURE.parent.mkdir(exist_ok=True)
@@ -143,3 +151,6 @@ if __name__ == "__main__" and "--record" in sys.argv:
         fits = {name: record_fit(name, Path(work) / name) for name in FITS}
     FIT_FIXTURE.write_text(json.dumps(fits, indent=1) + "\n")
     print(f"wrote {len(fits)} fits to {FIT_FIXTURE}")
+    digests = dict(csv_digests(DIGEST_MODEL))
+    DIGEST_FIXTURE.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGEST_FIXTURE}")

@@ -106,3 +106,26 @@ def test_compare_rejects_mismatched_runs():
     c = make_trace(t[:-1], np.ones(len(t) - 1), attack_from=2.0)
     with pytest.raises(MetricsError, match="different scenarios"):
         compare(a, c)
+
+
+def test_compare_accepts_a_run_cut_at_its_divergence():
+    t = np.arange(0, 4.001, 1e-3)
+    ann = make_trace(t, np.where(t >= 2.0, 1.002, 1.0), attack_from=2.0)
+    cut = t < 2.42
+    pi = make_trace(t[cut], np.where(t[cut] >= 2.0, 0.7, 1.0), attack_from=2.0)
+    pi.diverged, pi.diverged_time = True, 2.42
+    rep = compare(pi, ann)
+    d = rep.as_dict()
+    assert (d["baseline"]["diverged"], d["baseline"]["diverged_time"]) == (True, 2.42)
+    assert (d["ann"]["diverged"], d["ann"]["diverged_time"]) == (False, None)
+    assert d["baseline"]["eps_v_post_mean"] is None   # cut before the post-attack window
+    assert rep.ann_within_limits and not rep.ann_better_mean_eps_v
+    assert compare(ann, pi).as_dict()["ann"]["diverged_time"] == 2.42
+    # the cut run's own samples must still match the other's
+    pi.attack_active[-1] = 0
+    with pytest.raises(MetricsError, match="different scenarios"):
+        compare(pi, ann)
+    pi.attack_active[-1] = 1
+    pi.t[-1] += 1e-3
+    with pytest.raises(MetricsError, match="different scenarios"):
+        compare(pi, ann)
