@@ -16,7 +16,8 @@ Regenerate both fixtures (only when a change to the results is intended) with
 Check that a change keeps every trace byte-identical: the SHA-256 of the
 CSVs of the six 4 s built-in runs (each built-in scenario with the baseline
 controller, then with the benchmark's ANN fixture
-``perfbench/fixtures/model.txt`` on DG1) are printed and compared with
+``perfbench/fixtures/model.txt`` on DG1) and of each CSV that gen_data
+writes for ``GEN_MATRIX`` are printed and compared with
 ``fixtures/golden_digests.json``; the exit status is 1, naming each run,
 when any differs.  ``--record`` rewrites that fixture too.
 
@@ -119,7 +120,8 @@ def test_matches_golden_fit(tmp_path, name):
 
 
 def csv_digests(model_path: Path) -> list[tuple[str, str]]:
-    """(run name, SHA-256 of its CSV) for the six 4 s built-in runs."""
+    """(run name, SHA-256 of its CSV) for the six 4 s built-in runs, then for
+    the cells of ``GEN_MATRIX`` (``gen-data/<id>``) as gen_data writes them."""
     params = load_model(model_path)
     out = []
     for ctrl in ("pi", "ann"):
@@ -130,6 +132,10 @@ def csv_digests(model_path: Path) -> list[tuple[str, str]]:
             tr = run_scenario(cfg, ann_params=params if ctrl == "ann" else None)
             out.append((f"{name}/{ctrl}",
                         hashlib.sha256(export_csv(tr).encode()).hexdigest()))
+    with tempfile.TemporaryDirectory() as work:
+        for e in gen_data(work, GEN_MATRIX):
+            out.append((f"gen-data/{e['id']}",
+                        hashlib.sha256(Path(work, e["file"]).read_bytes()).hexdigest()))
     return out
 
 
@@ -137,7 +143,7 @@ if __name__ == "__main__" and "--digests" in sys.argv:
     want = json.loads(DIGEST_FIXTURE.read_text())
     got = dict(csv_digests(DIGEST_MODEL))
     for run, digest in got.items():
-        print(f"{run:28s} {digest}" + ("" if want.get(run) == digest else "  differs"))
+        print(f"{run:36s} {digest}" + ("" if want.get(run) == digest else "  differs"))
     differ = [run for run in {**want, **got} if want.get(run) != got.get(run)]
     if differ:
         sys.exit(f"digests differ from {DIGEST_FIXTURE.name}: {', '.join(differ)}")
