@@ -6,6 +6,15 @@ step load changes are crossed with {normal, non-periodic alpha in
 voltage feedback, attack onset at t = 2 s.  Every attacked run is paired
 with the normal run at the same load level, which supplies the clean
 reference targets for training.
+
+Before the onset an attacked run is bit for bit its load level's normal
+run: every gain is 1.0, so no channel is scaled.  ``gen_data`` therefore
+simulates that stretch once per load level.  The normal run hands out its
+state at the fork step, the last sample step before any attack of its level
+acts, and each attacked run resumes from there (``ScenarioConfig.start``).
+Its CSV is the normal run's rows before the fork followed by its own: the
+bytes of a run from t = 0.  On the default matrix that skips 40 % of the
+plant steps.
 """
 
 from __future__ import annotations
@@ -14,7 +23,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .ann import DatasetError
 from .attack import AttackSpec, NonPeriodic, Periodic
@@ -96,15 +107,46 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
     return out
 
 
+def _fork_step(cfg: ScenarioConfig) -> int:
+    """The last sample step at or before the first step k at which an attack
+    of ``cfg`` is active at t = k dt (or the last step, if none is).  Up to
+    that step every gain is 1.0, so the run is its normal cell's run."""
+    first = cfg.last_step
+    for spec in cfg.attacks:
+        k = max(0, math.ceil(spec.tau / cfg.dt) - 1)
+        while k < first and not spec.active(k * cfg.dt):
+            k += 1
+        first = min(first, k)
+    return first - first % cfg.sample_stride
+
+
+def _resume(normal: Trace, cfg: ScenarioConfig) -> Trace:
+    """The run of ``cfg`` from the fork of its normal cell's run ``normal``:
+    the normal rows before the fork, then the resumed run's."""
+    trace = run_scenario(replace(cfg, start=normal.fork))
+    m = normal.fork.step // cfg.sample_stride
+    return replace(trace, data=np.concatenate((normal.data[:m], trace.data)),
+                   attack_active=np.concatenate((normal.attack_active[:m],
+                                                 trace.attack_active)))
+
+
 def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     """Run the scenario matrix and write one CSV per run plus a manifest.
 
-    Failures are recorded per run in the manifest; partial output is kept.
+    Attacked cells resume from their normal cell's fork (module docstring);
+    one whose normal cell failed, diverged before the fork or forks at
+    step 0 runs in full.  Failures are recorded per run in the manifest; partial output is kept.
     Returns the manifest entries.
     """
     os.makedirs(out_dir, exist_ok=True)
+    cells = training_matrix(matrix)
+    fork_at: dict[str, int] = {}   # normal cell id -> its attacked cells' fork step
+    for cfg, clean_id in cells:
+        if clean_id is not None:
+            fork_at[clean_id] = min(fork_at.get(clean_id, cfg.last_step), _fork_step(cfg))
+    forks: dict[str, Trace] = {}   # normal cell id -> its run, when it forked
     entries = []
-    for cfg, clean_id in training_matrix(matrix):
+    for cfg, clean_id in cells:
         entry = {
             "id": cfg.scenario_id,
             "file": cfg.scenario_id + ".csv",
@@ -114,7 +156,13 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
             "w_ref": cfg.w_ref,
         }
         try:
-            trace = run_scenario(cfg)
+            if clean_id in forks:
+                trace = _resume(forks[clean_id], cfg)
+            else:
+                # a fork at step 0 shares nothing
+                trace = run_scenario(cfg, fork_step=fork_at.get(cfg.scenario_id) or None)
+                if trace.fork is not None:   # its attacked cells follow it: keep one
+                    forks = {cfg.scenario_id: trace}
             entry["status"] = (f"diverged at t={trace.diverged_time:.6f}" if trace.diverged
                                else "ok")
             export_csv(trace, os.path.join(out_dir, entry["file"]))

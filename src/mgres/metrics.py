@@ -3,7 +3,8 @@
 The headline quantity is the voltage tracking error of the attacked DG,
 eps_v(t) = |v_1(t) - v*|.  Post-attack statistics start 0.5 s after the
 attack onset so the mitigation transient of either controller is excluded;
-steady-state statistics average over the final 0.5 s of the trace.
+steady-state statistics average over the final 0.5 s of the trace, or over
+the whole of a diverged trace that is shorter.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def compute_metrics(trace: Trace, v_ref: float | None = None,
     if v_ref is None or w_ref is None:
         raise MetricsError("references are required (not carried by CSV traces)")
     span = trace.t[-1] - trace.t[0]
-    if STEADY_WINDOW > span:
+    if STEADY_WINDOW > span and not trace.diverged:   # a run cut short: its whole span
         raise MetricsError(
             f"steady window {STEADY_WINDOW}s exceeds trace span {span:.3f}s")
 
@@ -95,7 +96,8 @@ def compute_metrics(trace: Trace, v_ref: float | None = None,
 class ComparisonReport:
     baseline: Metrics
     ann: Metrics
-    ann_better_mean_eps_v: bool    # strictly smaller post-attack mean eps_v
+    ann_better_mean_eps_v: bool    # strictly smaller post-attack mean eps_v, or the
+                                   # baseline diverged and the ANN did not
     ann_within_limits: bool        # post-attack |v_1 - v*| stays in the 2% band
     ann_smaller_ripple: bool
 
@@ -136,9 +138,10 @@ def compare(trace_pi: Trace, trace_ann: Trace, v_ref: float | None = None,
     m_ann = compute_metrics(trace_ann, v_ref, w_ref)
     vr = v_ref if v_ref is not None else trace_ann.v_ref
 
-    better = (m_ann.eps_v_post_mean is not None
-              and m_pi.eps_v_post_mean is not None
-              and m_ann.eps_v_post_mean < m_pi.eps_v_post_mean)
+    # a baseline that diverged loses to an ANN that held, whatever its window saw
+    better = m_ann.eps_v_post_mean is not None and (
+        (m_pi.diverged and not m_ann.diverged)
+        or (m_pi.eps_v_post_mean is not None and m_ann.eps_v_post_mean < m_pi.eps_v_post_mean))
     within = (m_ann.eps_v_post_max is not None
               and m_ann.eps_v_post_max < 0.02 * vr)
     smaller_ripple = (m_ann.voltage_ripple is not None

@@ -59,6 +59,23 @@ class LoadEvent:
 
 
 @dataclass(frozen=True)
+class RunStart:
+    """The state of a run before its sample step ``step``: the phase angle
+    per DG, the filtered [P, Q] per DG and the set-points [V_n per DG],
+    [w_n per DG].  A run that starts here goes on as the run it was taken
+    from did, bit for bit."""
+    step: int
+    delta: tuple[float, ...]
+    pq: tuple[tuple[float, float], ...]
+    setpoints: tuple[tuple[float, ...], tuple[float, ...]]
+
+    @classmethod
+    def flat(cls, n: int, v_ref: float, w_ref: float) -> RunStart:
+        """Step 0 at rest: zero angles and powers, set-points at the references."""
+        return cls(0, (0.0,) * n, ((0.0, 0.0),) * n, ((float(v_ref),) * n, (float(w_ref),) * n))
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     scenario_id: str
     duration: float
@@ -73,6 +90,7 @@ class ScenarioConfig:
     sample_period: float = 1e-3
     load_events: tuple[LoadEvent, ...] = ()
     attacks: tuple[AttackSpec, ...] = ()
+    start: RunStart | None = None              # None: the flat start at step 0
 
     def __post_init__(self):
         object.__setattr__(self, "controllers",
@@ -120,14 +138,34 @@ class ScenarioConfig:
                 resolve_channels(spec, self.graph.channels())
             except AttackConfigError as exc:
                 raise ScenarioError(str(exc)) from exc
+        if (s := self.start) is None:
+            return
+        n, last = self.graph.n, self.last_step
+        if isinstance(s.step, bool) or not isinstance(s.step, int) or not 0 <= s.step <= last:
+            raise ScenarioError(f"run start step {s.step!r} must be a whole number "
+                                f"in [0, {last}]")
+        if s.step % self.sample_stride:
+            raise ScenarioError(f"run start step {s.step} is not a sample step "
+                                f"(every {self.sample_stride} steps)")
+        if (len(s.delta), len(s.pq), len(s.setpoints)) != (n, n, 2) \
+                or any(len(row) != 2 for row in s.pq) \
+                or any(len(row) != n for row in s.setpoints):
+            raise ScenarioError(f"run start must hold {n} angles, {n} [P, Q] pairs "
+                                f"and [V_n] and [w_n] rows of {n}")
 
     @property
     def sample_stride(self) -> int:
         return int(round(self.sample_period / self.dt))
 
     @property
-    def n_steps(self) -> int:
+    def last_step(self) -> int:
+        """The step at t = duration."""
         return int(round(self.duration / self.dt))
+
+    @property
+    def n_steps(self) -> int:
+        """Steps this run simulates after its first: from its start to ``last_step``."""
+        return self.last_step - (self.start.step if self.start is not None else 0)
 
 
 def _as(v, kind: type, what: str):

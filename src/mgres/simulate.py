@@ -4,6 +4,15 @@ One scenario is one strictly sequential fixed-step simulation; the trace is
 decimated to the configured sampling period.  Everything is deterministic:
 the same configuration produces byte-identical CSV output.
 
+A run starts from ``config.start``, a ``scenario.RunStart``: the angles,
+filtered powers and set-points before its sample step ``step`` (None is the
+flat start at step 0, on the same path).  Steps keep their absolute k, so t,
+the rows and the load epochs have the bits of a run from step 0; the first
+step applies every load event due by its t.  With ``fork_step`` the run
+hands out its own ``RunStart`` before that sample step as ``Trace.fork``,
+taken on the sampling branch (no per-step work): a run started there
+repeats this run's rows from that step on, bit for bit.
+
 Each step k (t = k dt) runs, in order:
 
 1. load events due by t replace the network (a new load epoch, whose
@@ -61,13 +70,18 @@ from . import ann as annmod
 from .attack import resolve_channels
 from .graph import SIGNALS
 from .plant import DivergenceError, NetworkError, PlantWorkspace, apply_load_event, step_plant
-from .scenario import ScenarioConfig
+from .scenario import RunStart, ScenarioConfig
 from .secondary import ConsensusMap, secondary_update
 from .trace import Trace
 
 
-def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
+def run_scenario(config: ScenarioConfig, ann_params=None, fork_step: int | None = None) -> Trace:
     """Simulate one scenario and return the recorded trace.
+
+    The run starts from ``config.start`` (the flat start at step 0 when it
+    is None) and records the sample steps from there on.  With ``fork_step``,
+    a sample step of the run, the trace's ``fork`` is the ``RunStart`` taken
+    before that step, or None if the run diverged before it.
 
     Divergence is reported on the returned trace (``diverged`` flag and
     truncated arrays), not raised, and so is a network that a load event
@@ -93,8 +107,14 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     ann_kernels = [(i, annmod.AnnKernel(ann_params, cmap.positions(annmod.FEATURES, i)))
                    for i, name in enumerate(config.controllers) if name == "ann"]
 
-    stride, n_steps = config.sample_stride, config.n_steps
-    trace = Trace.empty(n_steps // stride + 1, n, channels, len(model.network.loads))
+    stride, last = config.sample_stride, config.last_step
+    start = config.start or RunStart.flat(n, config.v_ref, config.w_ref)
+    if fork_step is not None and not (start.step <= fork_step <= last
+                                      and fork_step % stride == 0):
+        raise ValueError(f"fork step {fork_step} is not a sample step of steps "
+                         f"{start.step} to {last}")
+    trace = Trace.empty(last // stride - start.step // stride + 1, n, channels,
+                        len(model.network.loads))
     trace.v_ref, trace.w_ref = config.v_ref, config.w_ref
     rec_t, rec_att = trace.t, trace.attack_active
     rec_clean, rec_recv, rec_load = trace.ch_clean, trace.ch_recv, trace.load_current
@@ -103,7 +123,8 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
 
     x, recv = cmap.x, cmap.recv
     ws = PlantWorkspace(model, dt, cmap.droop)
-    setpoints = np.array([np.full(n, config.v_ref), np.full(n, config.w_ref)])
+    ws.delta[:], ws.pq_t[:] = start.delta, start.pq
+    setpoints = np.array(start.setpoints)
     vw_t, pq_t, sp_t = ws.vw.T, ws.pq_t, setpoints.T   # (n, 2) per DG
     events = list(config.load_events)
     next_event = events[0].t if events else math.inf
@@ -112,7 +133,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
     max_residual = 0.0
     sample = 0
 
-    for k in range(n_steps + 1):
+    for k in range(start.step, last + 1):
         t = k * dt
         if next_event <= t + 1e-12:
             while events and events[0].t <= t + 1e-12:
@@ -123,6 +144,10 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
         record = k % stride == 0
         if record:   # a step updates P and Q in place; a diverged step's row is cut
             rec_pq[sample] = pq_t
+            if k == fork_step:
+                trace.fork = RunStart(k, tuple(ws.delta.tolist()),
+                                      tuple(map(tuple, pq_t.tolist())),
+                                      tuple(map(tuple, setpoints.tolist())))
         try:
             step_plant(ws, model.network, setpoints, t)
         except DivergenceError as exc:
@@ -156,7 +181,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None) -> Trace:
             rec_att[sample] = int(any(s.active(t) for s, *_ in attacks))
             sample += 1
 
-        if k == n_steps:
+        if k == last:
             break
 
         # the secondary layer consumes the received (possibly corrupted)

@@ -20,8 +20,12 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .scenario import RunStart
 
 DG_SIGNALS = ("v", "w", "P", "Q", "Vn", "wn")
 
@@ -45,6 +49,7 @@ class Trace:
     diverged: bool = False
     diverged_time: float | None = None
     max_power_residual: float = 0.0
+    fork: RunStart | None = None                 # the state run_scenario was asked for
 
     @classmethod
     def empty(cls, rows: int, n_dg: int, channels: list[tuple[int, int, str]],

@@ -154,6 +154,24 @@ def test_compare_reports_a_diverged_baseline_and_exits_2(pipeline, work, capsys)
     assert d["baseline"]["diverged"] is True
     assert 0.5 < d["baseline"]["diverged_time"] < 0.55
     assert d["baseline"]["eps_v_post_mean"] is None
+    assert d["ann"]["diverged"] is False and d["ann"]["eps_v_post_mean"] is not None
+    assert d["verdicts"]["ann_better_mean_eps_v"] is True   # PI diverged, the ANN held
+    assert "report written" in capsys.readouterr().out
+
+
+def test_compare_reports_a_baseline_that_diverges_inside_its_steady_window(
+        pipeline, work, capsys):
+    # with the onset at t = 0, PI diverges at about 0.49 s, before its trace
+    # spans the 0.5 s steady window: compare exited 1 with no report
+    _, _, _, model = pipeline
+    path, report = work / "neighbors-at-0.yaml", work / "neighbors-at-0.json"
+    path.write_text(NEIGHBOR_ATTACK_YAML.replace("0.55", "1.0").replace("tau: 0.05", "tau: 0"))
+    assert main(["compare", "--scenario", str(path), "--model", str(model),
+                 "--report", str(report)]) == 2
+    d = json.loads(report.read_text())
+    assert d["baseline"]["diverged"] is True and d["baseline"]["diverged_time"] < 0.5
+    assert d["ann"]["diverged"] is False
+    assert d["verdicts"]["ann_better_mean_eps_v"] is True
     assert "report written" in capsys.readouterr().out
 
 

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgres import datagen
 from mgres.ann import TrainConfig, build_dataset, train
 from mgres.datagen import MatrixSpec, gen_data, load_runs, training_matrix
 from mgres.scenario import ConfigReader, ScenarioError
+from mgres.simulate import run_scenario
+from mgres.trace import export_csv
 from test_golden import GEN_MATRIX
 
 TINY = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
@@ -50,6 +53,55 @@ def test_matrix_cells_share_one_plant_and_graph(tmp_path):
     assert len(names) == 11 and names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# (matrix, the first step each attacked cell simulates, or None for a full run)
+FORK_MATRICES = {
+    # the benchmark's seed-1 draw: onset at step 2000, a sample step
+    "perfbench": (MatrixSpec(load_factors=(1.007, 1.27), alphas=(0.286, 0.487),
+                             betas=(0.328, 0.356), freq_hz=61.311, step_time=0.1,
+                             tau=0.2, duration=0.4), 2000),
+    # first active at step 2004: the fork is the sample step before it
+    "onset off a sample": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
+                                      tau=0.20037, step_time=0.1, duration=0.3), 2000),
+    # first active at step 2009: one step later would fork at 2010, after it
+    "onset a step before a sample": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,),
+                                                betas=(0.5,), tau=0.20085, step_time=0.1,
+                                                duration=0.3), 2000),
+    # an onset at t = 0 leaves no stretch to share
+    "onset at 0": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
+                              tau=0.0, step_time=0.1, duration=0.3), None),
+    # no attack acts before the end: the attacked cells simulate the last step
+    "onset after the end": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
+                                       tau=0.35, step_time=0.1, duration=0.3), 3000),
+    # the normal cell diverges at 0.0765 s, before the fork
+    "diverged before the fork": (MatrixSpec(load_factors=(25.0,), alphas=(0.5,),
+                                            betas=(0.5,), tau=0.2, step_time=0.05,
+                                            duration=0.3), None),
+}
+
+
+@pytest.mark.parametrize("name", FORK_MATRICES)
+def test_gen_data_writes_the_csv_of_each_straight_run(tmp_path, monkeypatch, name):
+    spec, first = FORK_MATRICES[name]
+    starts = {}
+    inner = datagen.run_scenario
+
+    def recorded(cfg, *args, **kwargs):
+        starts[cfg.scenario_id] = cfg.start and cfg.start.step
+        return inner(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(datagen, "run_scenario", recorded)
+    entries = {e["id"]: e for e in gen_data(str(tmp_path), spec)}
+    for cfg, clean_id in training_matrix(spec):
+        straight = run_scenario(cfg)
+        e = entries[cfg.scenario_id]
+        assert (tmp_path / e["file"]).read_text() == export_csv(straight), cfg.scenario_id
+        assert e["status"] == ("ok" if not straight.diverged
+                               else f"diverged at t={straight.diverged_time:.6f}")
+        assert starts[cfg.scenario_id] == (None if clean_id is None else first)
+    if name == "diverged before the fork":
+        assert all(e["status"] == "diverged at t=0.076500" for e in entries.values())
 
 
 def matrix_spec(d) -> MatrixSpec:

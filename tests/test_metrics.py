@@ -84,6 +84,40 @@ def test_metric_input_validation():
         compute_metrics(make_trace(np.zeros(0), v1=np.zeros(0)))
 
 
+def test_a_run_that_diverged_inside_the_steady_window_takes_its_whole_span():
+    t = np.arange(0, 0.493, 1e-3)
+    tr = make_trace(t, np.where(t >= 0.3, 1.05, 1.0), attack_from=0.0)
+    tr.diverged, tr.diverged_time = True, 0.4921
+    m = compute_metrics(tr)
+    assert m.diverged and m.eps_v_post_mean is None and m.settling_time is None
+    assert m.steady_voltage_error_pct[0] == pytest.approx(100 * 0.05 * (t >= 0.3).mean())
+    assert m.steady_voltage_error_pct[1:].max() == 0.0
+    tr.diverged = False   # the same short trace from a run that ended there
+    with pytest.raises(MetricsError, match="steady window"):
+        compute_metrics(tr)
+
+
+def test_compare_verdict_on_a_diverged_baseline():
+    # PI diverged before its post-attack window: the ANN that held is better
+    t = np.arange(0, 1.001, 1e-3)
+    ann = make_trace(t, np.where(t > 0, 1.003, 1.0), attack_from=0.0)
+    cut = t < 0.492
+    pi = make_trace(t[cut], np.where(t[cut] > 0, 0.8, 1.0), attack_from=0.0)
+    pi.diverged, pi.diverged_time = True, 0.4921
+    rep = compare(pi, ann)
+    assert rep.baseline.eps_v_post_mean is None and rep.ann.eps_v_post_mean is not None
+    assert rep.ann_better_mean_eps_v
+    # both diverged: no verdict for the ANN, as before
+    ann_cut = make_trace(t[:700], np.where(t[:700] > 0, 1.003, 1.0), attack_from=0.0)
+    ann_cut.diverged, ann_cut.diverged_time = True, 0.7
+    assert not compare(pi, ann_cut).ann_better_mean_eps_v
+    # an ANN with no post-attack window gets none either
+    no_window = make_trace(t, np.ones_like(t))
+    pi_quiet = make_trace(t[cut], np.ones(cut.sum()))
+    pi_quiet.diverged, pi_quiet.diverged_time = True, 0.4921
+    assert not compare(pi_quiet, no_window).ann_better_mean_eps_v
+
+
 def test_compare_verdicts():
     t = np.arange(0, 4.001, 1e-3)
     v_pi = np.where(t >= 2.0, 0.7, 1.0)           # big sag under attack
@@ -119,7 +153,7 @@ def test_compare_accepts_a_run_cut_at_its_divergence():
     assert (d["baseline"]["diverged"], d["baseline"]["diverged_time"]) == (True, 2.42)
     assert (d["ann"]["diverged"], d["ann"]["diverged_time"]) == (False, None)
     assert d["baseline"]["eps_v_post_mean"] is None   # cut before the post-attack window
-    assert rep.ann_within_limits and not rep.ann_better_mean_eps_v
+    assert rep.ann_within_limits and rep.ann_better_mean_eps_v   # the ANN held, PI did not
     assert compare(ann, pi).as_dict()["ann"]["diverged_time"] == 2.42
     # the cut run's own samples must still match the other's
     pi.attack_active[-1] = 0

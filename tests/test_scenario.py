@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mgres.ann import TrainConfig
 from mgres.attack import NonPeriodic, Periodic
 from mgres.datagen import MatrixSpec
-from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, ScenarioConfig,
+from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, RunStart, ScenarioConfig,
                             ScenarioError, builtin_scenario, from_dict,
                             load_scenario, read_yaml)
 
@@ -162,6 +162,37 @@ def test_timing_validation(override, msg):
     base.update(override)
     with pytest.raises(ScenarioError, match=msg):
         from_dict(base)
+
+
+FLAT = RunStart.flat(4, 1.0, 2 * math.pi * 60)
+
+
+@pytest.mark.parametrize("start, msg", [
+    (replace(FLAT, step=5), r"run start step 5 is not a sample step \(every 10 steps\)"),
+    (replace(FLAT, step=-10), r"run start step -10 must be a whole number in \[0, 10000\]"),
+    (replace(FLAT, step=10010), r"run start step 10010 must be a whole number in \[0, 10000\]"),
+    (replace(FLAT, step=20.0), r"run start step 20.0 must be a whole number"),
+    (replace(FLAT, step=True), r"run start step True must be a whole number"),
+    (replace(FLAT, delta=(0.0,) * 3), "run start must hold 4 angles, 4 \\[P, Q\\] pairs"),
+    (replace(FLAT, pq=((0.0, 0.0),) * 5), "run start must hold 4 angles"),
+    (replace(FLAT, pq=((0.0, 0.0, 0.0),) * 4), "run start must hold 4 angles"),
+    (replace(FLAT, setpoints=FLAT.setpoints[:1]), "run start must hold 4 angles"),
+    (replace(FLAT, setpoints=((1.0,) * 3, FLAT.setpoints[1])), "run start must hold 4 angles"),
+])
+def test_run_start_validation(start, msg):
+    cfg = builtin_scenario("default", duration=1.0)
+    with pytest.raises(ScenarioError, match=msg):
+        replace(cfg, start=start)
+
+
+def test_a_run_start_shortens_the_run():
+    cfg = builtin_scenario("default", duration=1.0)
+    assert cfg.start is None and cfg.n_steps == cfg.last_step == 10000
+    for step in (0, 2500, 10000):
+        resumed = replace(cfg, start=replace(FLAT, step=step))
+        assert (resumed.last_step, resumed.n_steps) == (10000, 10000 - step)
+    assert FLAT.setpoints == ((1.0,) * 4, (2 * math.pi * 60,) * 4)
+    assert all(type(x) is float for row in RunStart.flat(2, 1, 377).setpoints for x in row)
 
 
 def test_controller_validation():

@@ -11,9 +11,10 @@ from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import ring_graph
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
                          build_ybus)
-from mgres.scenario import LoadEvent, ScenarioConfig, builtin_scenario
+from mgres.scenario import LoadEvent, RunStart, ScenarioConfig, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import traces_equal
+from test_golden import PARAMS
 from test_plant import six_bus_model
 
 
@@ -266,3 +267,64 @@ def test_singular_network_at_a_load_event_ends_the_run():
     # at t = 0 the scenario's own network is at fault, not the run
     with pytest.raises(NetworkError, match="singular admittance system"):
         run_scenario(one_dg(LoadEvent(0.0, 1, -0.05, -0.10)))
+
+
+# (built-in scenario, controller on DG1, fork step): onset at 0.15 s (step
+# 1500), load events at 0.05 and 0.25 s; a fork at step 2000 is taken after
+# the attack began to scale, so the resumed run refills its gain vector
+RESUME_CASES = [("default-nonperiodic", "pi", 1000), ("default-periodic", "pi", 1000),
+                ("default-nonperiodic", "ann", 1000), ("default-periodic", "ann", 1000),
+                ("default-periodic", "pi", 2000), ("default-periodic", "ann", 2000)]
+
+
+@pytest.mark.parametrize("name, ctrl, fork", RESUME_CASES)
+def test_a_resumed_run_repeats_the_straight_run_from_its_fork(name, ctrl, fork):
+    cfg = short(name, duration=0.3, controllers=(ctrl, "pi", "pi", "pi"),
+                load_events=(LoadEvent(0.05, 0, 0.6, 0.2), LoadEvent(0.25, 2, 1.0, 0.4)))
+    cfg = replace(cfg, attacks=tuple(replace(a, tau=0.15) for a in cfg.attacks))
+    params = PARAMS if ctrl == "ann" else None
+    straight = run_scenario(cfg, ann_params=params, fork_step=fork)
+    assert straight.fork.step == fork and not straight.diverged
+    resumed = run_scenario(replace(cfg, start=straight.fork), ann_params=params)
+    m = fork // cfg.sample_stride
+    assert len(resumed.t) == 301 - m and resumed.fork is None
+    assert resumed.data.tobytes() == straight.data[m:].tobytes()
+    np.testing.assert_array_equal(resumed.attack_active, straight.attack_active[m:])
+    assert (resumed.diverged, resumed.diverged_time) == (False, None)
+    assert 0 < resumed.max_power_residual < 1e-9
+
+
+def test_a_resumed_run_diverges_where_the_straight_run_does():
+    atk = AttackSpec(src="broadcast", dst=0, signal="voltage",
+                     kind=NonPeriodic(alpha=-0.999), tau=0.05)
+    cfg = short(duration=0.5, attacks=(atk,))
+    straight = run_scenario(cfg, fork_step=1000)
+    resumed = run_scenario(replace(cfg, start=straight.fork))
+    assert (resumed.diverged, resumed.diverged_time) == (True, straight.diverged_time)
+    assert straight.diverged_time == 0.2398
+    assert resumed.data.tobytes() == straight.data[100:].tobytes()
+    np.testing.assert_array_equal(resumed.attack_active, straight.attack_active[100:])
+    # the run diverged before step 3000, so it has no state to hand out there
+    assert run_scenario(cfg, fork_step=3000).fork is None
+
+
+def test_the_flat_start_is_the_fork_at_step_0():
+    cfg = short(duration=0.01)
+    tr = run_scenario(cfg, fork_step=0)
+    assert tr.fork == RunStart.flat(4, cfg.v_ref, cfg.w_ref)
+    assert traces_equal(run_scenario(replace(cfg, start=tr.fork)), tr)
+    # a fork at the last step: the resumed run is that step alone
+    last = run_scenario(cfg, fork_step=100).fork
+    assert last.step == 100 and replace(cfg, start=last).n_steps == 0
+    one = run_scenario(replace(cfg, start=last))
+    assert one.data.tobytes() == tr.data[-1:].tobytes()
+
+
+def test_fork_step_must_be_a_sample_step_of_the_run():
+    cfg = short(duration=0.01)
+    for bad in (5, -10, 110):
+        with pytest.raises(ValueError, match=f"fork step {bad} is not a sample step"):
+            run_scenario(cfg, fork_step=bad)
+    resumed = replace(cfg, start=run_scenario(cfg, fork_step=50).fork)
+    with pytest.raises(ValueError, match="not a sample step of steps 50 to 100"):
+        run_scenario(resumed, fork_step=40)
