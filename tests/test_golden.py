@@ -17,7 +17,8 @@ Check that a change keeps every trace byte-identical: the SHA-256 of the
 CSVs of the six 4 s built-in runs (each built-in scenario with the baseline
 controller, then with the benchmark's ANN fixture
 ``perfbench/fixtures/model.txt`` on DG1) and of each CSV that gen_data
-writes for ``GEN_MATRIX`` are printed and compared with
+writes for ``GEN_MATRIX`` and for ``GEN_MATRIX_EARLY`` are printed and
+compared with
 ``fixtures/golden_digests.json``; the exit status is 1, naming each run,
 when any differs.  ``--record`` rewrites that fixture too.
 
@@ -74,6 +75,9 @@ def record(name: str, ctrl: str) -> dict:
 
 
 GEN_MATRIX = MatrixSpec(load_factors=(0.85, 1.15), duration=0.35, step_time=0.1, tau=0.2)
+# the attack onset before the load step: the cells of one attack case share
+# their run up to the load step across load factors
+GEN_MATRIX_EARLY = replace(GEN_MATRIX, tau=0.05)
 FITS = {"synth": TrainConfig(max_epochs=300, seed=1),
         "gen-data": TrainConfig(max_epochs=200, tolerance=0.0)}
 
@@ -121,7 +125,8 @@ def test_matches_golden_fit(tmp_path, name):
 
 def csv_digests(model_path: Path) -> list[tuple[str, str]]:
     """(run name, SHA-256 of its CSV) for the six 4 s built-in runs, then for
-    the cells of ``GEN_MATRIX`` (``gen-data/<id>``) as gen_data writes them."""
+    the cells of ``GEN_MATRIX`` (``gen-data/<id>``) and of ``GEN_MATRIX_EARLY``
+    (``gen-data-early/<id>``) as gen_data writes them."""
     params = load_model(model_path)
     out = []
     for ctrl in ("pi", "ann"):
@@ -132,10 +137,11 @@ def csv_digests(model_path: Path) -> list[tuple[str, str]]:
             tr = run_scenario(cfg, ann_params=params if ctrl == "ann" else None)
             out.append((f"{name}/{ctrl}",
                         hashlib.sha256(export_csv(tr).encode()).hexdigest()))
-    with tempfile.TemporaryDirectory() as work:
-        for e in gen_data(work, GEN_MATRIX):
-            out.append((f"gen-data/{e['id']}",
-                        hashlib.sha256(Path(work, e["file"]).read_bytes()).hexdigest()))
+    for prefix, spec in (("gen-data", GEN_MATRIX), ("gen-data-early", GEN_MATRIX_EARLY)):
+        with tempfile.TemporaryDirectory() as work:
+            for e in gen_data(work, spec):
+                out.append((f"{prefix}/{e['id']}",
+                            hashlib.sha256(Path(work, e["file"]).read_bytes()).hexdigest()))
     return out
 
 
@@ -143,7 +149,7 @@ if __name__ == "__main__" and "--digests" in sys.argv:
     want = json.loads(DIGEST_FIXTURE.read_text())
     got = dict(csv_digests(DIGEST_MODEL))
     for run, digest in got.items():
-        print(f"{run:36s} {digest}" + ("" if want.get(run) == digest else "  differs"))
+        print(f"{run:42s} {digest}" + ("" if want.get(run) == digest else "  differs"))
     differ = [run for run in {**want, **got} if want.get(run) != got.get(run)]
     if differ:
         sys.exit(f"digests differ from {DIGEST_FIXTURE.name}: {', '.join(differ)}")
