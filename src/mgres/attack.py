@@ -29,15 +29,28 @@ class AttackConfigError(ValueError):
     """Raised when an attack spec does not match the scenario's channel set."""
 
 
+def _finite(kind, *names: str) -> None:
+    """Reject a non-finite parameter of an attack kind, naming it."""
+    for name in names:
+        if not math.isfinite(v := getattr(kind, name)):
+            raise AttackConfigError(f"attack {name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class NonPeriodic:
     alpha: float
+
+    def __post_init__(self):
+        _finite(self, "alpha")
 
 
 @dataclass(frozen=True)
 class Periodic:
     beta: float
     omega: float  # rad/s
+
+    def __post_init__(self):
+        _finite(self, "beta", "omega")
 
 
 @dataclass(frozen=True)
@@ -52,10 +65,11 @@ class AttackSpec:
     def __post_init__(self):
         if self.signal not in SIGNALS:
             raise AttackConfigError(f"unknown signal kind {self.signal!r}")
-        if self.tau < 0:
-            raise AttackConfigError(f"attack start tau must be >= 0, got {self.tau}")
-        if self.end is not None and self.end <= self.tau:
-            raise AttackConfigError(f"attack end {self.end} must exceed tau {self.tau}")
+        if not 0 <= self.tau < math.inf:
+            raise AttackConfigError(f"attack start tau must be finite and >= 0, got {self.tau}")
+        if self.end is not None and not self.tau < self.end < math.inf:
+            raise AttackConfigError(f"attack end {self.end} must be finite and exceed "
+                                    f"tau {self.tau}")
         if self.src == BROADCAST and self.dst == BROADCAST:
             raise AttackConfigError("src and dst cannot both be broadcast")
 

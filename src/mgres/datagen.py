@@ -7,14 +7,19 @@ voltage feedback, attack onset at t = 2 s.  Every attacked run is paired
 with the normal run at the same load level, which supplies the clean
 reference targets for training.
 
-Before the onset an attacked run is bit for bit its load level's normal
-run: every gain is 1.0, so no channel is scaled.  ``gen_data`` therefore
-simulates that stretch once per load level.  The normal run hands out its
-state at the fork step, the last sample step before any attack of its level
-acts, and each attacked run resumes from there (``ScenarioConfig.start``).
-Its CSV is the normal run's rows before the fork followed by its own: the
-bytes of a run from t = 0.  On the default matrix that skips 40 % of the
-plant steps.
+Cells of one matrix differ only in their load events and attacks, so two
+cells run bit for bit alike up to the first step at which an attack that
+only one of them has acts, or at which the load events applied so far
+differ (``_shared_until``).  ``gen_data`` therefore resumes each cell from
+the earlier cell whose run it matches longest (``ScenarioConfig.start``):
+that run hands out its state at the last sample step of the shared stretch
+(``run_scenario``'s ``fork_steps``), and the cell's CSV is that run's CSV up
+to the fork, copied as text, followed by the cell's own rows (the head of
+``export_csv``): the bytes of a run from t = 0.  On the default matrix a
+later load factor's normal cell resumes from the first load factor's at the
+load step, and each attacked cell from its own load factor's normal cell at
+the onset: 560 025 plant steps instead of 1 000 025, and 56 025 formatted
+rows instead of 100 025.
 """
 
 from __future__ import annotations
@@ -24,14 +29,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
+from itertools import islice
 
 from .ann import DatasetError
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .graph import ring_graph
 from .plant import default_model
-from .scenario import LoadEvent, ScenarioConfig, ScenarioError
+from .scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv
 
@@ -39,6 +43,17 @@ DEFAULT_LOAD_FACTORS = (0.7, 0.85, 1.0, 1.15, 1.3)
 DEFAULT_ALPHAS = (0.25, 0.5)
 DEFAULT_BETAS = (0.25, 0.5)
 BASE_LOAD = 0.8 + 0.3j
+
+
+# what each number of a matrix must be, and its test
+_MATRIX_RANGES = {
+    "load_factors": ("positive and finite", lambda v: 0 < v < math.inf),
+    "alphas": ("finite", math.isfinite),
+    "betas": ("finite", math.isfinite),
+    "freq_hz": ("positive and finite", lambda v: 0 < v < math.inf),
+    "tau": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "step_time": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,11 @@ class MatrixSpec:
     duration: float = 4.0
 
     def __post_init__(self):
+        for key, (rule, ok) in _MATRIX_RANGES.items():
+            value = getattr(self, key)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not ok(v):
+                    raise ScenarioError(f"matrix {key} must be {rule}, got {v}")
         # a run id prints each value with :g; two values that print alike would
         # share one id and one CSV, and pair attacked runs with the wrong clean run
         for key in ("load_factors", "alphas", "betas"):
@@ -81,9 +101,11 @@ def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
 def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfig, str | None]]:
     """Scenario list for gen-data: (config, id of the paired clean run).
 
-    Every cell shares one plant and one graph (both frozen, the graph's
-    arrays read-only), so the plant's initial network builds its solver
-    constants (``NetworkParams.solver``) once per matrix, not once per cell.
+    The cells differ only in their load events and attacks, which is what
+    ``gen_data``'s resume plan assumes.  Every cell shares one plant and one
+    graph (both frozen, the graph's arrays read-only), so the plant's initial
+    network builds its solver constants (``NetworkParams.solver``) once per
+    matrix, not once per cell.
     """
     model, graph = default_model(), ring_graph(4)
     out = []
@@ -107,46 +129,76 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
     return out
 
 
-def _fork_step(cfg: ScenarioConfig) -> int:
-    """The last sample step at or before the first step k at which an attack
-    of ``cfg`` is active at t = k dt (or the last step, if none is).  Up to
-    that step every gain is 1.0, so the run is its normal cell's run."""
-    first = cfg.last_step
-    for spec in cfg.attacks:
-        k = max(0, math.ceil(spec.tau / cfg.dt) - 1)
-        while k < first and not spec.active(k * cfg.dt):
-            k += 1
-        first = min(first, k)
-    return first - first % cfg.sample_stride
+def _first_step(t: float, due, dt: float, limit: int) -> int:
+    """The first step k, at most ``limit``, at which ``due(k * dt)`` holds,
+    searched from the step before t / dt: none before it can be due."""
+    k = max(0, math.ceil(min(t / dt, limit)) - 1)
+    while k < limit and not due(k * dt):
+        k += 1
+    return k
 
 
-def _resume(normal: Trace, cfg: ScenarioConfig) -> Trace:
-    """The run of ``cfg`` from the fork of its normal cell's run ``normal``:
-    the normal rows before the fork, then the resumed run's."""
-    trace = run_scenario(replace(cfg, start=normal.fork))
-    m = normal.fork.step // cfg.sample_stride
-    return replace(trace, data=np.concatenate((normal.data[:m], trace.data)),
-                   attack_active=np.concatenate((normal.attack_active[:m],
-                                                 trace.attack_active)))
+def _common(a: tuple, b: tuple) -> int:
+    """The length of the common prefix of two tuples."""
+    return next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _shared_until(a: ScenarioConfig, b: ScenarioConfig) -> int:
+    """The last sample step at or before the first step k at which the matrix
+    cells ``a`` and ``b`` can differ (their last step if they cannot).
+
+    Two events end the shared stretch: an attack that only one of them has
+    (past the common prefix of their attack lists, since gains multiply in
+    order) is active at t = k dt, or the load events applied by step k (the
+    run's ``t + 1e-12`` rule) differ.  Up to that step both runs apply the
+    same events and scale their channels by the same gains, so they are one
+    run bit for bit.
+    """
+    dt, first = a.dt, a.last_step
+    j = _common(a.attacks, b.attacks)
+    for spec in a.attacks[j:] + b.attacks[j:]:
+        first = _first_step(spec.tau, spec.active, dt, first)
+    j = _common(a.load_events, b.load_events)
+    for ev in a.load_events[j:j + 1] + b.load_events[j:j + 1]:
+        first = _first_step(ev.t - 1e-12, lambda t, ev=ev: ev.t <= t + 1e-12, dt, first)
+    return first - first % a.sample_stride
+
+
+def _plan(cells: list[ScenarioConfig]) -> list[tuple[int, int | None]]:
+    """(start step, index of the source cell) per cell, in matrix order: the
+    source is the earlier cell with the longest shared stretch among those
+    that start at or before its end, and (0, None) is a full run."""
+    plan: list[tuple[int, int | None]] = []
+    for cfg in cells:
+        best: tuple[int, int | None] = (0, None)
+        for i, src in enumerate(cells[:len(plan)]):
+            step = _shared_until(src, cfg)
+            if step > best[0] and plan[i][0] <= step:
+                best = (step, i)
+        plan.append(best)
+    return plan
 
 
 def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     """Run the scenario matrix and write one CSV per run plus a manifest.
 
-    Attacked cells resume from their normal cell's fork (module docstring);
-    one whose normal cell failed, diverged before the fork or forks at
-    step 0 runs in full.  Failures are recorded per run in the manifest; partial output is kept.
-    Returns the manifest entries.
+    Each cell resumes from its planned source's fork (module docstring); one
+    whose source failed or diverged before the fork runs in full.  Failures
+    are recorded per run in the manifest; partial output is kept.  Each
+    entry also records the steps the cell simulated and the cell and step it
+    resumed from (``resumed_from``, null for a full run).  Returns the
+    manifest entries.
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = training_matrix(matrix)
-    fork_at: dict[str, int] = {}   # normal cell id -> its attacked cells' fork step
-    for cfg, clean_id in cells:
-        if clean_id is not None:
-            fork_at[clean_id] = min(fork_at.get(clean_id, cfg.last_step), _fork_step(cfg))
-    forks: dict[str, Trace] = {}   # normal cell id -> its run, when it forked
+    plan = _plan([cfg for cfg, _ in cells])
+    wanted: list[set[int]] = [set() for _ in cells]   # the fork steps later cells take
+    for step, src in plan:
+        if src is not None:
+            wanted[src].add(step)
+    forks: list[dict[int, RunStart]] = []   # per cell, the forks its run handed out
     entries = []
-    for cfg, clean_id in cells:
+    for (cfg, clean_id), (step, src), fork_steps in zip(cells, plan, wanted):
         entry = {
             "id": cfg.scenario_id,
             "file": cfg.scenario_id + ".csv",
@@ -154,18 +206,25 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
             "clean_ref": clean_id if clean_id is not None else cfg.scenario_id,
             "v_ref": cfg.v_ref,
             "w_ref": cfg.w_ref,
+            "resumed_from": None,
+            "steps": 0,
         }
+        forks.append({})
         try:
-            if clean_id in forks:
-                trace = _resume(forks[clean_id], cfg)
-            else:
-                # a fork at step 0 shares nothing
-                trace = run_scenario(cfg, fork_step=fork_at.get(cfg.scenario_id) or None)
-                if trace.fork is not None:   # its attacked cells follow it: keep one
-                    forks = {cfg.scenario_id: trace}
+            fork = forks[src].get(step) if src is not None else None
+            head = ""
+            if fork is not None:
+                cfg = replace(cfg, start=fork)
+                with open(os.path.join(out_dir, entries[src]["file"])) as fh:
+                    head = "".join(islice(fh, step // cfg.sample_stride + 1))
+                entry["resumed_from"] = {"id": entries[src]["id"], "step": step}
+            trace = run_scenario(cfg, fork_steps=fork_steps)
+            end = round(trace.diverged_time / cfg.dt) if trace.diverged else cfg.last_step
+            entry["steps"] = end - (fork.step if fork is not None else 0) + 1
             entry["status"] = (f"diverged at t={trace.diverged_time:.6f}" if trace.diverged
                                else "ok")
-            export_csv(trace, os.path.join(out_dir, entry["file"]))
+            export_csv(trace, os.path.join(out_dir, entry["file"]), head=head)
+            forks[-1] = trace.forks   # a cell whose CSV was not written hands out none
         except Exception as exc:  # keep going; record the failure
             entry["status"] = f"error: {exc}"
         entries.append(entry)

@@ -54,8 +54,8 @@ class LoadEvent:
     x: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ScenarioError(f"load event time must be >= 0, got {self.t}")
+        if not 0 <= self.t < math.inf:
+            raise ScenarioError(f"load event time t must be finite and >= 0, got {self.t}")
 
 
 @dataclass(frozen=True)

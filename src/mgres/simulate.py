@@ -8,10 +8,10 @@ A run starts from ``config.start``, a ``scenario.RunStart``: the angles,
 filtered powers and set-points before its sample step ``step`` (None is the
 flat start at step 0, on the same path).  Steps keep their absolute k, so t,
 the rows and the load epochs have the bits of a run from step 0; the first
-step applies every load event due by its t.  With ``fork_step`` the run
-hands out its own ``RunStart`` before that sample step as ``Trace.fork``,
-taken on the sampling branch (no per-step work): a run started there
-repeats this run's rows from that step on, bit for bit.
+step applies every load event due by its t.  For each sample step in
+``fork_steps`` the run hands out its own ``RunStart`` before that step in
+``Trace.forks``, taken on the sampling branch (no per-step work): a run
+started there repeats this run's rows from that step on, bit for bit.
 
 Each step k (t = k dt) runs, in order:
 
@@ -75,13 +75,14 @@ from .secondary import ConsensusMap, secondary_update
 from .trace import Trace
 
 
-def run_scenario(config: ScenarioConfig, ann_params=None, fork_step: int | None = None) -> Trace:
+def run_scenario(config: ScenarioConfig, ann_params=None, fork_steps=()) -> Trace:
     """Simulate one scenario and return the recorded trace.
 
     The run starts from ``config.start`` (the flat start at step 0 when it
-    is None) and records the sample steps from there on.  With ``fork_step``,
-    a sample step of the run, the trace's ``fork`` is the ``RunStart`` taken
-    before that step, or None if the run diverged before it.
+    is None) and records the sample steps from there on.  ``fork_steps`` are
+    sample steps of the run; the trace's ``forks`` maps each one that the
+    run reached to the ``RunStart`` taken before it (a run that diverged
+    before a step has no entry for it).
 
     Divergence is reported on the returned trace (``diverged`` flag and
     truncated arrays), not raised, and so is a network that a load event
@@ -109,10 +110,11 @@ def run_scenario(config: ScenarioConfig, ann_params=None, fork_step: int | None 
 
     stride, last = config.sample_stride, config.last_step
     start = config.start or RunStart.flat(n, config.v_ref, config.w_ref)
-    if fork_step is not None and not (start.step <= fork_step <= last
-                                      and fork_step % stride == 0):
-        raise ValueError(f"fork step {fork_step} is not a sample step of steps "
-                         f"{start.step} to {last}")
+    fork_steps = set(fork_steps)
+    for fork in fork_steps:
+        if not (start.step <= fork <= last and fork % stride == 0):
+            raise ValueError(f"fork step {fork} is not a sample step of steps "
+                             f"{start.step} to {last}")
     trace = Trace.empty(last // stride - start.step // stride + 1, n, channels,
                         len(model.network.loads))
     trace.v_ref, trace.w_ref = config.v_ref, config.w_ref
@@ -144,10 +146,10 @@ def run_scenario(config: ScenarioConfig, ann_params=None, fork_step: int | None 
         record = k % stride == 0
         if record:   # a step updates P and Q in place; a diverged step's row is cut
             rec_pq[sample] = pq_t
-            if k == fork_step:
-                trace.fork = RunStart(k, tuple(ws.delta.tolist()),
-                                      tuple(map(tuple, pq_t.tolist())),
-                                      tuple(map(tuple, setpoints.tolist())))
+            if k in fork_steps:
+                trace.forks[k] = RunStart(k, tuple(ws.delta.tolist()),
+                                          tuple(map(tuple, pq_t.tolist())),
+                                          tuple(map(tuple, setpoints.tolist())))
         try:
             step_plant(ws, model.network, setpoints, t)
         except DivergenceError as exc:

@@ -18,7 +18,7 @@ import io
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import TYPE_CHECKING
 
@@ -49,7 +49,8 @@ class Trace:
     diverged: bool = False
     diverged_time: float | None = None
     max_power_residual: float = 0.0
-    fork: RunStart | None = None                 # the state run_scenario was asked for
+    # the states run_scenario was asked for, by the sample step they precede
+    forks: dict[int, RunStart] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, rows: int, n_dg: int, channels: list[tuple[int, int, str]],
@@ -104,10 +105,18 @@ def column_names(trace: Trace) -> list[str]:
     return cols
 
 
-def export_csv(trace: Trace, path=None) -> str | None:
+def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
     """Write the trace in the normative CSV schema; returns the text when no
-    path is given."""
-    cols = column_names(trace)
+    path is given.
+
+    A non-empty ``head`` is the CSV text, header line first, whose rows the
+    trace's rows continue: it is written as it is, in place of the header,
+    so rows that a run shares with an earlier one are copied rather than
+    formatted again.  Its first line must be the trace's header.
+    """
+    header = ",".join(column_names(trace)) + "\n"
+    if head and not head.startswith(header):
+        raise ValueError("CSV head's first line is not the trace's header")
     # a channel repeats the DG signal it carries: key columns by their bytes (-0
     # and 0, or two NaN payloads, differ) and format each distinct one once a row
     seen: dict[bytes, int] = {}                     # a column's bits -> its slot
@@ -116,7 +125,7 @@ def export_csv(trace: Trace, path=None) -> str | None:
     del seen                                        # a third of the data's bytes
     row_fmt = ",".join(f"{{{s}}}" for s in slots) + f",{{{distinct.shape[1]}}}\n"
     fmt = "{:.17g}".format
-    lines = [",".join(cols) + "\n"]
+    lines = [head or header]
     # row by row: a whole-block tolist() would hold ~4x the block as floats
     for row, flag in zip(distinct, trace.attack_active.astype(int).tolist()):
         lines.append(row_fmt.format(*map(fmt, row.tolist()), flag))

@@ -107,6 +107,18 @@ def test_invalid_specs():
         spec(NonPeriodic(0.5), tau=2.0, end=1.0)
     with pytest.raises(AttackConfigError, match="broadcast"):
         spec(NonPeriodic(0.5), src="broadcast", dst="broadcast")
+    for tau in (math.nan, math.inf):
+        with pytest.raises(AttackConfigError, match="tau must be finite"):
+            spec(NonPeriodic(0.5), tau=tau)
+    for end in (math.nan, math.inf):
+        with pytest.raises(AttackConfigError, match="end .* must be finite"):
+            spec(NonPeriodic(0.5), tau=2.0, end=end)
+    with pytest.raises(AttackConfigError, match="alpha must be finite"):
+        NonPeriodic(math.nan)
+    with pytest.raises(AttackConfigError, match="beta must be finite"):
+        Periodic(-math.inf, 377.0)
+    with pytest.raises(AttackConfigError, match="omega must be finite"):
+        Periodic(0.5, math.nan)
 
 
 @pytest.mark.parametrize("target, expect", [

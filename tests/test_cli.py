@@ -265,6 +265,15 @@ def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, messa
      "matrix alphas 0.5 and 0.5000001 both print as 0.5 in a run id"),
     ("load_factors: [1.0, 1.0000001]\n",
      "matrix load_factors 1.0 and 1.0000001 both print as 1 in a run id"),
+    # a ZeroDivisionError traceback, 5/5 runs "ok" on negative impedances, an
+    # OverflowError traceback, 5/5 "ok" with no load step, and exit 2 "diverged"
+    ("load_factors: [0]\n", "matrix load_factors must be positive and finite, got 0.0"),
+    ("load_factors: [-1.0]\n", "matrix load_factors must be positive and finite, got -1.0"),
+    ("tau: .inf\n", "matrix tau must be finite and >= 0, got inf"),
+    ("step_time: .nan\n", "matrix step_time must be finite and >= 0, got nan"),
+    ("betas: [.nan]\n", "matrix betas must be finite, got nan"),
+    ("alphas: [-.inf]\n", "matrix alphas must be finite, got -inf"),
+    ("freq_hz: 0\n", "matrix freq_hz must be positive and finite, got 0.0"),
 ])
 def test_malformed_matrix_exits_1(work, capsys, doc, message):
     path = work / "bad-matrix.yaml"
@@ -273,6 +282,35 @@ def test_malformed_matrix_exits_1(work, capsys, doc, message):
     assert main(["gen-data", "--matrix", str(path), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def attack_doc(kind: str = "nonperiodic, alpha: 0.5", tau: str = "0.01", end: str = "") -> str:
+    return ("attacks:\n  - {target: \"broadcast -> dg1.voltage\", "
+            f"kind: {kind}, tau: {tau}{end and ', end: ' + end}}}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the first two ran with exit 0, no attack rows and no load step; a NaN
+    # gain made a config error look like a divergence (exit 2)
+    ("load_events:\n  - {t: .nan, bus: 1, r: 0.8, x: 0.3}\n",
+     "load event time t must be finite and >= 0, got nan"),
+    (attack_doc(tau=".nan"), "attack start tau must be finite and >= 0, got nan"),
+    (attack_doc(tau=".inf"), "attack start tau must be finite and >= 0, got inf"),
+    (attack_doc(end=".nan"), "attack end nan must be finite and exceed tau 0.01"),
+    (attack_doc(end=".inf"), "attack end inf must be finite and exceed tau 0.01"),
+    (attack_doc(kind="nonperiodic, alpha: .nan"), "attack alpha must be finite, got nan"),
+    (attack_doc(kind="periodic, beta: .nan, freq_hz: 60"), "attack beta must be finite, got nan"),
+    (attack_doc(kind="periodic, beta: 0.5, omega: .inf"), "attack omega must be finite, got inf"),
+    (attack_doc(kind="periodic, beta: 0.5, freq_hz: .nan"),
+     "attack omega must be finite, got nan"),
+])
+def test_non_finite_scenario_value_exits_1(work, capsys, doc, message):
+    path = work / "non-finite.yaml"
+    path.write_text("duration: 0.05\n" + doc)
+    rc = main(["simulate", "--scenario", str(path), "--out", str(work / "unwritten.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (work / "unwritten.csv").exists()
 
 
 # each command's YAML file, with the arguments that let it be read

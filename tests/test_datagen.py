@@ -55,35 +55,64 @@ def test_matrix_cells_share_one_plant_and_graph(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-# (matrix, the first step each attacked cell simulates, or None for a full run)
+# (matrix, the first step each cell simulates in matrix order, None for a full
+# run; the plant steps of the matrix; those of a plan that resumes attacked
+# cells only from their own load factor's normal cell at the onset, which the
+# plan must never exceed)
+FULL_AND_4 = (None, 2000, 2000, 2000, 2000)
 FORK_MATRICES = {
-    # the benchmark's seed-1 draw: onset at step 2000, a sample step
+    # the benchmark's seed-1 draw: onset at step 2000, a sample step; the second
+    # normal cell resumes from the first at the load step
     "perfbench": (MatrixSpec(load_factors=(1.007, 1.27), alphas=(0.286, 0.487),
                              betas=(0.328, 0.356), freq_hz=61.311, step_time=0.1,
-                             tau=0.2, duration=0.4), 2000),
+                             tau=0.2, duration=0.4),
+                  FULL_AND_4 + (1000, 2000, 2000, 2000, 2000), 23010, 24010),
     # first active at step 2004: the fork is the sample step before it
     "onset off a sample": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
-                                      tau=0.20037, step_time=0.1, duration=0.3), 2000),
+                                      tau=0.20037, step_time=0.1, duration=0.3),
+                           (None, 2000, 2000), 5003, 5003),
     # first active at step 2009: one step later would fork at 2010, after it
     "onset a step before a sample": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,),
                                                 betas=(0.5,), tau=0.20085, step_time=0.1,
-                                                duration=0.3), 2000),
+                                                duration=0.3),
+                                     (None, 2000, 2000), 5003, 5003),
     # an onset at t = 0 leaves no stretch to share
     "onset at 0": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
-                              tau=0.0, step_time=0.1, duration=0.3), None),
+                              tau=0.0, step_time=0.1, duration=0.3),
+                   (None, None, None), 9003, 9003),
     # no attack acts before the end: the attacked cells simulate the last step
     "onset after the end": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
-                                       tau=0.35, step_time=0.1, duration=0.3), 3000),
+                                       tau=0.35, step_time=0.1, duration=0.3),
+                            (None, 3000, 3000), 3003, 3003),
     # the normal cell diverges at 0.0765 s, before the fork
     "diverged before the fork": (MatrixSpec(load_factors=(25.0,), alphas=(0.5,),
                                             betas=(0.5,), tau=0.2, step_time=0.05,
-                                            duration=0.3), None),
+                                            duration=0.3),
+                                 (None, None, None), 2298, 2298),
+    # the onset before the load step: a later load factor's cell of each attack
+    # case resumes from the first load factor's cell of that case at the load step
+    "onset before the load step": (MatrixSpec(load_factors=(0.85, 1.0, 1.15), tau=0.05,
+                                              step_time=0.1, duration=0.3),
+                                   (None,) + (500,) * 4 + (1000,) * 10, 33015, 39015),
+    # the onset at the load step: every later cell resumes there
+    "onset at the load step": (MatrixSpec(load_factors=(0.85, 1.15), tau=0.15,
+                                          step_time=0.15, duration=0.3),
+                               (None,) + (1500,) * 9, 16510, 18010),
+    # load events applied at step 0 leave the load factors nothing to share
+    "load step at 0": (MatrixSpec(load_factors=(0.85, 1.15), tau=0.1, step_time=0.0,
+                                  duration=0.2),
+                       (None, 1000, 1000, 1000, 1000) * 2, 12010, 12010),
+    # load factor 25 diverges at 0.1236 s: its normal cell resumes at the load
+    # step, but hands out no fork at the onset, so its attacked cells run in full
+    "a load factor that diverges": (MatrixSpec(load_factors=(1.0, 25.0), tau=0.2,
+                                               step_time=0.1, duration=0.3),
+                                    FULL_AND_4 + (1000,) + (None,) * 4, 12190, 13190),
 }
 
 
 @pytest.mark.parametrize("name", FORK_MATRICES)
 def test_gen_data_writes_the_csv_of_each_straight_run(tmp_path, monkeypatch, name):
-    spec, first = FORK_MATRICES[name]
+    spec, first, steps, onset_only_steps = FORK_MATRICES[name]
     starts = {}
     inner = datagen.run_scenario
 
@@ -93,13 +122,18 @@ def test_gen_data_writes_the_csv_of_each_straight_run(tmp_path, monkeypatch, nam
 
     monkeypatch.setattr(datagen, "run_scenario", recorded)
     entries = {e["id"]: e for e in gen_data(str(tmp_path), spec)}
-    for cfg, clean_id in training_matrix(spec):
+    cells = training_matrix(spec)
+    assert len(cells) == len(first)
+    for (cfg, _), start in zip(cells, first):
         straight = run_scenario(cfg)
         e = entries[cfg.scenario_id]
         assert (tmp_path / e["file"]).read_text() == export_csv(straight), cfg.scenario_id
         assert e["status"] == ("ok" if not straight.diverged
                                else f"diverged at t={straight.diverged_time:.6f}")
-        assert starts[cfg.scenario_id] == (None if clean_id is None else first)
+        assert starts[cfg.scenario_id] == start, cfg.scenario_id
+        assert (e["resumed_from"] is None if start is None
+                else e["resumed_from"]["step"] == start)
+    assert sum(e["steps"] for e in entries.values()) == steps <= onset_only_steps
     if name == "diverged before the fork":
         assert all(e["status"] == "diverged at t=0.076500" for e in entries.values())
 
@@ -155,7 +189,7 @@ def test_gen_data_outputs(data_dir):
         assert os.path.exists(os.path.join(data_dir, e["file"]))
         assert e["v_ref"] == 1.0
         assert set(e) == {"id", "file", "attacked", "clean_ref", "v_ref",
-                          "w_ref", "status"}
+                          "w_ref", "resumed_from", "steps", "status"}
     normal = next(e for e in entries if not e["attacked"])
     assert normal["clean_ref"] == normal["id"]
     attacked = [e for e in entries if e["attacked"]]

@@ -283,11 +283,11 @@ def test_a_resumed_run_repeats_the_straight_run_from_its_fork(name, ctrl, fork):
                 load_events=(LoadEvent(0.05, 0, 0.6, 0.2), LoadEvent(0.25, 2, 1.0, 0.4)))
     cfg = replace(cfg, attacks=tuple(replace(a, tau=0.15) for a in cfg.attacks))
     params = PARAMS if ctrl == "ann" else None
-    straight = run_scenario(cfg, ann_params=params, fork_step=fork)
-    assert straight.fork.step == fork and not straight.diverged
-    resumed = run_scenario(replace(cfg, start=straight.fork), ann_params=params)
+    straight = run_scenario(cfg, ann_params=params, fork_steps=(fork,))
+    assert straight.forks[fork].step == fork and not straight.diverged
+    resumed = run_scenario(replace(cfg, start=straight.forks[fork]), ann_params=params)
     m = fork // cfg.sample_stride
-    assert len(resumed.t) == 301 - m and resumed.fork is None
+    assert len(resumed.t) == 301 - m and resumed.forks == {}
     assert resumed.data.tobytes() == straight.data[m:].tobytes()
     np.testing.assert_array_equal(resumed.attack_active, straight.attack_active[m:])
     assert (resumed.diverged, resumed.diverged_time) == (False, None)
@@ -298,23 +298,25 @@ def test_a_resumed_run_diverges_where_the_straight_run_does():
     atk = AttackSpec(src="broadcast", dst=0, signal="voltage",
                      kind=NonPeriodic(alpha=-0.999), tau=0.05)
     cfg = short(duration=0.5, attacks=(atk,))
-    straight = run_scenario(cfg, fork_step=1000)
-    resumed = run_scenario(replace(cfg, start=straight.fork))
+    straight = run_scenario(cfg, fork_steps=(1000, 3000))
+    resumed = run_scenario(replace(cfg, start=straight.forks[1000]))
     assert (resumed.diverged, resumed.diverged_time) == (True, straight.diverged_time)
     assert straight.diverged_time == 0.2398
     assert resumed.data.tobytes() == straight.data[100:].tobytes()
     np.testing.assert_array_equal(resumed.attack_active, straight.attack_active[100:])
     # the run diverged before step 3000, so it has no state to hand out there
-    assert run_scenario(cfg, fork_step=3000).fork is None
+    assert straight.forks.keys() == {1000}
 
 
 def test_the_flat_start_is_the_fork_at_step_0():
     cfg = short(duration=0.01)
-    tr = run_scenario(cfg, fork_step=0)
-    assert tr.fork == RunStart.flat(4, cfg.v_ref, cfg.w_ref)
-    assert traces_equal(run_scenario(replace(cfg, start=tr.fork)), tr)
+    # one run hands out several forks
+    tr = run_scenario(cfg, fork_steps=(100, 0))
+    assert tr.forks.keys() == {0, 100}
+    assert tr.forks[0] == RunStart.flat(4, cfg.v_ref, cfg.w_ref)
+    assert traces_equal(run_scenario(replace(cfg, start=tr.forks[0])), tr)
     # a fork at the last step: the resumed run is that step alone
-    last = run_scenario(cfg, fork_step=100).fork
+    last = tr.forks[100]
     assert last.step == 100 and replace(cfg, start=last).n_steps == 0
     one = run_scenario(replace(cfg, start=last))
     assert one.data.tobytes() == tr.data[-1:].tobytes()
@@ -324,7 +326,7 @@ def test_fork_step_must_be_a_sample_step_of_the_run():
     cfg = short(duration=0.01)
     for bad in (5, -10, 110):
         with pytest.raises(ValueError, match=f"fork step {bad} is not a sample step"):
-            run_scenario(cfg, fork_step=bad)
-    resumed = replace(cfg, start=run_scenario(cfg, fork_step=50).fork)
+            run_scenario(cfg, fork_steps=(50, bad))
+    resumed = replace(cfg, start=run_scenario(cfg, fork_steps=(50,)).forks[50])
     with pytest.raises(ValueError, match="not a sample step of steps 50 to 100"):
-        run_scenario(resumed, fork_step=40)
+        run_scenario(resumed, fork_steps=(40,))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ def test_export_matches_per_value_formatting():
     text = export_csv(tr)
     assert text == per_value_csv(tr)
     assert "-0," in text and "1e+300" in text and "1e-300" in text
+
+
+def test_export_continues_a_head_of_rows(short_trace):
+    text = export_csv(short_trace)
+    lines = text.splitlines(keepends=True)
+    tail = replace(short_trace, data=short_trace.data[5:],
+                   attack_active=short_trace.attack_active[5:])
+    assert export_csv(tail, head="".join(lines[:6])) == text
+    # the head's first line must be the trace's header
+    for head in ("".join(lines[1:6]), text.replace("dg1.v,", "dg1.V,", 1),
+                 text.replace("attack_active", "attack_active,x", 1)):
+        with pytest.raises(ValueError, match="first line is not the trace's header"):
+            export_csv(tail, head=head)
 
 
 def uniform_trace(values: np.ndarray) -> Trace:
