@@ -320,8 +320,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.split < 1:
             raise ValueError("split must be in (0, 1)")
-        if self.max_epochs < 1 or not self.learning_rate > 0:
-            raise ValueError("max_epochs >= 1 and learning_rate > 0 required")
+        if self.max_epochs < 1 or not 0 < self.learning_rate < np.inf:
+            raise ValueError("max_epochs >= 1 and a finite learning_rate > 0 required")
+        if not np.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -514,8 +516,15 @@ def save_model(params: MlpParams, path) -> None:
 
 
 def load_model(path) -> MlpParams:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """The model in the file ``path``; a file that cannot be read or holds no
+    valid model raises a ValueError of one line that names it."""
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except FileNotFoundError:
+        raise ValueError(f"ANN model file not found: {path}") from None
+    except OSError as exc:   # a directory, unreadable
+        raise ValueError(f"cannot read model file {path}: {exc.strerror}") from None
     if not lines:
         raise ValueError(f"model file {path} is empty")
     header = lines[0].split()

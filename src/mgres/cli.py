@@ -18,17 +18,20 @@ from .scenario import ConfigReader, load_scenario, read_yaml
 from .simulate import run_scenario
 from .trace import export_csv
 
-# the package's typed config errors subclass ValueError; a failed fit raises TrainingError
-CONFIG_ERRORS = (ValueError, annmod.TrainingError, FileNotFoundError)
+# typed config errors subclass ValueError, a failed fit raises TrainingError, a bad path OSError
+CONFIG_ERRORS = (ValueError, annmod.TrainingError, OSError)
 
 
 def cmd_simulate(args) -> int:
-    trace = run_scenario(load_scenario(args.scenario))
+    # evaluate is simulate with the ANN of --model on DG1, and reports its steady error
+    trace = run_scenario(load_scenario(args.scenario, ann_model=args.model))
     export_csv(trace, args.out)
     if trace.diverged:
         print(f"diverged at t={trace.diverged_time:.6f}s; partial trace in {args.out}")
         return 2
-    print(f"wrote {len(trace.t)} samples to {args.out}")
+    steady = "" if args.model is None else (
+        f"; steady voltage error {compute_metrics(trace).steady_voltage_error_pct.max():.3f}%")
+    print(f"wrote {len(trace.t)} samples to {args.out}{steady}")
     return 0
 
 
@@ -54,23 +57,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_scenario(args.scenario, ann_model=args.model)
-    trace = run_scenario(cfg)
-    export_csv(trace, args.out)
-    if trace.diverged:
-        print(f"diverged at t={trace.diverged_time:.6f}s; partial trace in {args.out}")
-        return 2
-    m = compute_metrics(trace)
-    print(f"wrote {len(trace.t)} samples to {args.out}; "
-          f"steady voltage error {m.steady_voltage_error_pct.max():.3f}%")
-    return 0
-
-
 def cmd_compare(args) -> int:
     # the baseline is PI on every DG, whatever controllers the scenario names
     cfg_ann = load_scenario(args.scenario, ann_model=args.model)
-    cfg_pi = replace(cfg_ann, controllers=("pi",) * cfg_ann.graph.n, ann_model_path=None)
+    cfg_pi = replace(cfg_ann, controllers=("pi",) * cfg_ann.graph.n, ann_model=None)
     t_pi = run_scenario(cfg_pi)
     t_ann = run_scenario(cfg_ann)
     report = compare(t_pi, t_ann, v_ref=cfg_pi.v_ref, w_ref=cfg_pi.w_ref)
@@ -108,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a scenario, write the trace CSV")
     scen_arg(sp)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_simulate, model=None)
 
     sp = sub.add_parser("gen-data", help="run the training scenario matrix")
     sp.add_argument("--matrix", default=None, help="YAML matrix description")
@@ -126,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_arg(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_evaluate)
+    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("compare", help="run PI and ANN on one scenario, report verdicts")
     scen_arg(sp)

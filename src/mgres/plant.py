@@ -40,8 +40,9 @@ class DgParams:
     omega_c: float = 31.4  # power filter cutoff, rad/s
 
     def __post_init__(self):
-        if self.m_p <= 0 or self.n_q <= 0 or self.omega_c <= 0:
-            raise ValueError("droop gains and filter cutoff must be positive")
+        for name in ("m_p", "n_q", "omega_c"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"DG {name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,15 @@ class NetworkParams:
             for b in (ln.bus_a, ln.bus_b):
                 if not 0 <= b < self.n_bus:
                     raise NetworkError(f"line endpoint bus {b} does not exist")
-            if ln.r < 0 or ln.x <= 0:
-                raise NetworkError(f"line {ln.bus_a}-{ln.bus_b} needs r >= 0 and x > 0")
+            if not (0 <= ln.r < math.inf and 0 < ln.x < math.inf):
+                raise NetworkError(f"line {ln.bus_a}-{ln.bus_b} needs finite r >= 0 and "
+                                   f"x > 0, got r={ln.r}, x={ln.x}")
         for ld in self.loads:
             if not 0 <= ld.bus < self.n_bus:
                 raise NetworkError(f"load bus {ld.bus} does not exist")
+            if not (math.isfinite(ld.r) and math.isfinite(ld.x)):
+                raise NetworkError(f"load at bus {ld.bus} needs finite r and x, "
+                                   f"got r={ld.r}, x={ld.x}")
         for b in self.dg_bus:
             if not 0 <= b < self.n_bus:
                 raise NetworkError(f"DG bus {b} does not exist")

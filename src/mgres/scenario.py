@@ -15,7 +15,8 @@ numbers, ``max_epochs`` and ``seed`` must be whole.  A key left unread is
 rejected at every level, naming it and its mapping (``unknown gains fields:
 ['c_V']``).  The defaults live on the dataclasses.
 
-The built-in names reproduce the headline experiments:
+The built-in names reproduce the headline experiments, each a document that
+``builtin_scenario`` hands to ``from_dict``:
 
     default              4-DG system, baseline controller, no attack
     default-nonperiodic  constant-multiple FDI (alpha = 0.5) on DG1's
@@ -32,13 +33,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
+from .ann import MlpParams, load_model
 from .attack import AttackConfigError, AttackSpec, NonPeriodic, Periodic, \
     parse_target, resolve_channels
 from .graph import CommGraph, GraphError, ring_graph
 from .plant import DgParams, Line, Load, MicrogridModel, NetworkParams, default_model
 from .secondary import SecondaryGains
 
-BUILTIN_SCENARIOS = ("default", "default-nonperiodic", "default-periodic")
+# the attacks of each built-in scenario, as a scenario file writes them
+_DG1_FDI = {"target": "broadcast -> dg1.voltage", "tau": 2.0}
+_BUILTIN_ATTACKS = {"default": [],
+                    "default-nonperiodic": [dict(_DG1_FDI, kind="nonperiodic", alpha=0.5)],
+                    "default-periodic": [dict(_DG1_FDI, kind="periodic", beta=0.5, freq_hz=60.0)]}
+BUILTIN_SCENARIOS = tuple(_BUILTIN_ATTACKS)
 CONTROLLER_NAMES = ("pi", "ann")   # the consensus baseline, and the MLP on a voltage set-point
 
 
@@ -56,6 +63,8 @@ class LoadEvent:
     def __post_init__(self):
         if not 0 <= self.t < math.inf:
             raise ScenarioError(f"load event time t must be finite and >= 0, got {self.t}")
+        if not (math.isfinite(self.r) and math.isfinite(self.x)):
+            raise ScenarioError(f"load event r and x must be finite, got r={self.r}, x={self.x}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ class ScenarioConfig:
     graph: CommGraph
     gains: SecondaryGains = SecondaryGains()
     controllers: tuple[str, ...] = ()          # per DG, "pi" | "ann"
-    ann_model_path: str | None = None
+    ann_model: MlpParams | None = None         # the model of every "ann" DG
     v_ref: float = 1.0
     w_ref: float = 2.0 * math.pi * 60.0
     dt: float = 1e-4
@@ -101,10 +110,9 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("duration", "dt", "sample_period"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ScenarioError(f"{name} must be positive and finite, "
-                                    f"got {getattr(self, name)}")
+        for name in ("duration", "dt", "sample_period", "v_ref", "w_ref"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite, got {v}")
         if self.sample_period < self.dt:
             raise ScenarioError(
                 f"sample period {self.sample_period} is below the integrator step {self.dt}")
@@ -122,10 +130,8 @@ class ScenarioConfig:
             if name not in CONTROLLER_NAMES:
                 raise ScenarioError(
                     f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}")
-        if "ann" in self.controllers and self.ann_model_path is not None:
-            if not os.path.exists(self.ann_model_path):
-                raise ScenarioError(
-                    f"ANN model file not found: {self.ann_model_path}")
+        if "ann" in self.controllers and self.ann_model is None:
+            raise ScenarioError("controller 'ann' requires an ann_model file")
         loads_by_bus = {ld.bus for ld in self.model.network.loads}
         for ev in self.load_events:
             if ev.bus not in loads_by_bus:
@@ -327,16 +333,11 @@ def _parse_graph(d) -> CommGraph:
         raise ScenarioError(f"invalid communication graph: {exc}") from exc
 
 
-def _on_dg1(name: str, n: int) -> tuple[str, ...]:
-    """Controller ``name`` on DG1, the attacked DG, and the baseline on the
-    other n - 1 DGs."""
-    return (name,) + ("pi",) * (n - 1)
-
-
 def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
               ann_model: str | None = None) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed YAML mapping; an
-    ``ann_model`` replaces its controllers (ANN on DG1) and model path unchecked."""
+    """Build and validate a ScenarioConfig from a parsed YAML mapping.  An
+    ``ann_model`` path replaces its controllers (ANN on DG1) and model file,
+    which is read here, once, into the config when some DG runs ``"ann"``."""
     top = ConfigReader(d, "scenario")
     kw = {"duration": top.read("duration"), "dt": top.read("dt", float, None),
           "sample_period": top.read("sample_period", float, None)}
@@ -358,20 +359,21 @@ def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
     model = default_model() if plant is None else _parse_plant(plant)
     graph = ring_graph(model.n) if graph is None else _parse_graph(graph)
 
-    controllers = (_on_dg1(controller, graph.n) if controllers is None
-                   else tuple(map(str, controllers)))
-
-    if ann_model is not None:
-        controllers = _on_dg1("ann", graph.n)
+    if ann_model is not None:   # the ANN on DG1, the attacked DG
+        controller, controllers = "ann", None
     elif file_model is not None:   # an absolute path is kept as it is
         ann_model = os.path.join(base_dir, _as(file_model, str, "field 'ann_model' in scenario"))
-    if "ann" in controllers and ann_model is None:
-        raise ScenarioError("controller 'ann' requires an ann_model file")
+    controllers = ((controller,) + ("pi",) * (graph.n - 1) if controllers is None
+                   else tuple(map(str, controllers)))
+    if "ann" in controllers and ann_model is not None:
+        try:
+            kw["ann_model"] = load_model(ann_model)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
 
     return ScenarioConfig(
         scenario_id=scenario_id, model=model, graph=graph,
-        gains=gains.build(SecondaryGains),
-        controllers=controllers, ann_model_path=ann_model,
+        gains=gains.build(SecondaryGains), controllers=controllers,
         load_events=tuple(LoadEvent(t=t, bus=b - 1, r=r, x=x) for t, b, r, x in
                           _entries(events, "load event", "t", "bus", "r", "x")),
         attacks=tuple(_parse_attack(a, k) for k, a in enumerate(attacks)),
@@ -380,22 +382,13 @@ def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
 
 def builtin_scenario(name: str, ann_model: str | None = None,
                      duration: float = 4.0) -> ScenarioConfig:
+    """The built-in scenario ``name``, built by ``from_dict`` from its
+    document; an ``ann_model`` path puts the ANN on DG1."""
     if name not in BUILTIN_SCENARIOS:
         raise ScenarioError(f"unknown built-in scenario {name!r}; "
                             f"available: {BUILTIN_SCENARIOS}")
-    attacks: tuple[AttackSpec, ...] = ()
-    if name == "default-nonperiodic":
-        attacks = (AttackSpec(src="broadcast", dst=0, signal="voltage",
-                              kind=NonPeriodic(alpha=0.5), tau=2.0),)
-    elif name == "default-periodic":
-        attacks = (AttackSpec(src="broadcast", dst=0, signal="voltage",
-                              kind=Periodic(beta=0.5, omega=2.0 * math.pi * 60.0),
-                              tau=2.0),)
-    return ScenarioConfig(scenario_id=name, duration=duration,
-                          model=default_model(), graph=ring_graph(4),
-                          controllers=_on_dg1("pi" if ann_model is None else "ann", 4),
-                          ann_model_path=ann_model,
-                          attacks=attacks)
+    return from_dict({"duration": duration, "attacks": _BUILTIN_ATTACKS[name]},
+                     scenario_id=name, ann_model=ann_model)
 
 
 # libyaml parses a short scenario file about seven times faster than the

@@ -30,8 +30,9 @@ class SecondaryGains:
     c_w: float = 5.0   # frequency consensus integral gain, 1/s
 
     def __post_init__(self):
-        if self.c_v <= 0 or self.c_w <= 0:
-            raise ValueError("secondary gains must be positive")
+        for name in ("c_v", "c_w"):
+            if not 0 < (v := getattr(self, name)) < np.inf:
+                raise ValueError(f"secondary gain {name} must be positive and finite, got {v}")
 
 
 class ConsensusMap:

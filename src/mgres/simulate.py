@@ -2,7 +2,9 @@
 
 One scenario is one strictly sequential fixed-step simulation; the trace is
 decimated to the configured sampling period.  Everything is deterministic:
-the same configuration produces byte-identical CSV output.
+the same configuration produces byte-identical CSV output.  The config holds
+all a run needs, the ANN model of its ``"ann"`` DGs included
+(``ScenarioConfig.ann_model``), so a run opens no file.
 
 A run starts from ``config.start``, a ``scenario.RunStart``: the angles,
 filtered powers and set-points before its sample step ``step`` (None is the
@@ -75,7 +77,7 @@ from .secondary import ConsensusMap, secondary_update
 from .trace import Trace
 
 
-def run_scenario(config: ScenarioConfig, ann_params=None, fork_steps=()) -> Trace:
+def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     """Simulate one scenario and return the recorded trace.
 
     The run starts from ``config.start`` (the flat start at step 0 when it
@@ -88,11 +90,6 @@ def run_scenario(config: ScenarioConfig, ann_params=None, fork_steps=()) -> Trac
     truncated arrays), not raised, and so is a network that a load event
     after t = 0 makes singular; at t = 0 a ``NetworkError`` is raised.
     """
-    if "ann" in config.controllers and ann_params is None:
-        if config.ann_model_path is None:
-            raise ValueError("scenario uses the ANN controller but no model was given")
-        ann_params = annmod.load_model(config.ann_model_path)
-
     graph = config.graph
     n = graph.n
     model = config.model
@@ -105,7 +102,7 @@ def run_scenario(config: ScenarioConfig, ann_params=None, fork_steps=()) -> Trac
     cmap = ConsensusMap(graph, channels, config.gains, config.v_ref, config.w_ref, dt)
     # clean channel k carries [v; w].flat[gather[k]]
     gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
-    ann_kernels = [(i, annmod.AnnKernel(ann_params, cmap.positions(annmod.FEATURES, i)))
+    ann_kernels = [(i, annmod.AnnKernel(config.ann_model, cmap.positions(annmod.FEATURES, i)))
                    for i, name in enumerate(config.controllers) if name == "ann"]
 
     stride, last = config.sample_stride, config.last_step

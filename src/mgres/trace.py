@@ -135,7 +135,11 @@ def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:   # path is a directory, say
+        os.remove(tmp)
+        raise
     return None
 
 

@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from mgres import cli
 from mgres.cli import main
 from test_ann import model_text_with
 
@@ -204,6 +205,9 @@ def test_model_flag_replaces_a_stale_file_model(pipeline, work, capsys):
     ("learning_rate: true\n",
      "field 'learning_rate' in training config must be a number, got True"),
     ("seed: -1\n", "seed must be >= 0, got -1"),
+    # ran every epoch, then "lower the learning rate"; a NaN tolerance was accepted
+    ("learning_rate: .inf\n", "max_epochs >= 1 and a finite learning_rate > 0 required"),
+    ("tolerance: .nan\n", "tolerance must be finite, got nan"),
 ])
 def test_bad_train_config_or_failed_fit_exits_1(pipeline, work, capsys, doc, message):
     _, _, data, _ = pipeline
@@ -289,6 +293,13 @@ def attack_doc(kind: str = "nonperiodic, alpha: 0.5", tau: str = "0.01", end: st
             f"kind: {kind}, tau: {tau}{end and ', end: ' + end}}}\n")
 
 
+def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -> str:
+    return (f"plant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{{m_p: {m_p}}}]\n"
+            f"  lines: [{{from: 1, to: 2, r: {line_r}, x: 0.1}}]\n"
+            f"  loads: [{{bus: 2, r: {load_r}, x: 0.3}}]\ngraph: {{edges: [], pinning: [1]}}\n")
+
+
+@pytest.mark.filterwarnings("error")   # a non-finite value ran into NumPy warnings
 @pytest.mark.parametrize("doc, message", [
     # the first two ran with exit 0, no attack rows and no load step; a NaN
     # gain made a config error look like a divergence (exit 2)
@@ -303,6 +314,17 @@ def attack_doc(kind: str = "nonperiodic, alpha: 0.5", tau: str = "0.01", end: st
     (attack_doc(kind="periodic, beta: 0.5, omega: .inf"), "attack omega must be finite, got inf"),
     (attack_doc(kind="periodic, beta: 0.5, freq_hz: .nan"),
      "attack omega must be finite, got nan"),
+    # each of these ran and exited 2, "diverged" at t = 0 or at the event
+    ("references: {voltage: .nan}\n", "v_ref must be positive and finite, got nan"),
+    ("references: {voltage: -1.0}\n", "v_ref must be positive and finite, got -1.0"),
+    ("references: {frequency_hz: .inf}\n", "w_ref must be positive and finite, got inf"),
+    ("gains: {c_v: .nan}\n", "secondary gain c_v must be positive and finite, got nan"),
+    ("gains: {c_v: .inf}\n", "secondary gain c_v must be positive and finite, got inf"),
+    ("load_events:\n  - {t: 0.02, bus: 1, r: .nan, x: 0.3}\n",
+     "load event r and x must be finite, got r=nan, x=0.3"),
+    (one_dg_plant(line_r=".nan"), "line 0-1 needs finite r >= 0 and x > 0, got r=nan, x=0.1"),
+    (one_dg_plant(load_r=".nan"), "load at bus 1 needs finite r and x, got r=nan, x=0.3"),
+    (one_dg_plant(m_p=".nan"), "DG m_p must be positive and finite, got nan"),
 ])
 def test_non_finite_scenario_value_exits_1(work, capsys, doc, message):
     path = work / "non-finite.yaml"
@@ -374,6 +396,51 @@ def test_malformed_manifest_exits_1(work, capsys, manifest, message):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["simulate --out", "gen-data --out-dir", "--model",
+                                  "ann_model"])
+def test_a_path_that_is_not_a_regular_file_exits_1(work, capsys, case):
+    # each ended in an IsADirectoryError or FileExistsError traceback, and
+    # simulate left <dir>.tmp behind
+    short, a_dir, a_file = work / "short.yaml", work / "a-dir", work / "a-file"
+    short.write_text("duration: 0.01\n")
+    a_dir.mkdir(exist_ok=True)
+    a_file.write_text("")
+    (work / "dir-model.yaml").write_text(f"duration: 0.01\ncontroller: ann\nann_model: {a_dir}\n")
+    args, message = {
+        "simulate --out": (["simulate", "--scenario", str(short), "--out", str(a_dir)],
+                           "Is a directory"),
+        "gen-data --out-dir": (["gen-data", "--out-dir", str(a_file)], "File exists"),
+        "--model": (["evaluate", "--scenario", str(short), "--model", str(a_dir),
+                     "--out", str(work / "unwritten.csv")],
+                    f"cannot read model file {a_dir}: Is a directory"),
+        "ann_model": (["simulate", "--scenario", str(work / "dir-model.yaml"),
+                       "--out", str(work / "unwritten.csv")],
+                      f"cannot read model file {a_dir}: Is a directory"),
+    }[case]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (work / "a-dir.tmp").exists() and not (work / "unwritten.csv").exists()
+
+
+def test_compare_reads_the_model_before_it_simulates(work, capsys, monkeypatch):
+    # the 4 s baseline ran first, and only then was the model read
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_scenario(*args, **kwargs)
+
+    run_scenario = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", counted)
+    bad, report = work / "malformed-model.txt", work / "unwritten-report.json"
+    bad.write_text(model_text_with(1, "1 2 3 4 5"))
+    assert main(["compare", "--scenario", "default", "--model", str(bad),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: model file {bad}: value row 1")
+    assert calls == [] and not report.exists()
 
 
 def test_evaluate_empty_model_exits_1(work, capsys):

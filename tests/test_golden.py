@@ -65,8 +65,8 @@ def record(name: str, ctrl: str) -> dict:
     cfg = builtin_scenario(name, duration=DURATION)
     cfg = replace(cfg, attacks=tuple(replace(a, tau=TAU) for a in cfg.attacks))
     if ctrl == "ann":
-        cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"))
-    tr = run_scenario(cfg, ann_params=PARAMS if ctrl == "ann" else None)
+        cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"), ann_model=PARAMS)
+    tr = run_scenario(cfg)
     recv = tr.ch_recv[:, feature_channels(tr.channels, 0)]
     return {"t": tr.t[::EVERY].tolist(),
             "v": tr.dg["v"][::EVERY].tolist(),
@@ -133,8 +133,8 @@ def csv_digests(model_path: Path) -> list[tuple[str, str]]:
         for name in BUILTIN_SCENARIOS:
             cfg = builtin_scenario(name, duration=4.0)
             if ctrl == "ann":
-                cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"))
-            tr = run_scenario(cfg, ann_params=params if ctrl == "ann" else None)
+                cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"), ann_model=params)
+            tr = run_scenario(cfg)
             out.append((f"{name}/{ctrl}",
                         hashlib.sha256(export_csv(tr).encode()).hexdigest()))
     for prefix, spec in (("gen-data", GEN_MATRIX), ("gen-data-early", GEN_MATRIX_EARLY)):

@@ -34,6 +34,21 @@ def test_only_scenario_imports_yaml():
     assert sorted(found) == ["scenario.py"]
 
 
+def calls(path: Path, name: str) -> bool:
+    """Whether the module at ``path`` calls a function or method ``name``."""
+    return any(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(path.read_text(), str(path))))
+
+
+def test_only_scenario_reads_a_model_and_a_run_opens_no_file():
+    # the config owns the ANN model: scenario.from_dict reads it once, when
+    # the scenario is built, so a run neither loads a model nor opens a file
+    assert sorted(path.name for path in SRC.glob("*.py") if calls(path, "load_model")) \
+        == ["scenario.py"]
+    assert not calls(SRC / "simulate.py", "open")
+
+
 # functions on the per-step path of the closed loop, by qualified name
 STEP_PATH = {"step_plant", "solve_network", "secondary_update", "ann_controller",
              "_Forward.run"}

@@ -7,12 +7,14 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from mgres.ann import TrainConfig
+from mgres.ann import MlpParams, TrainConfig, load_model
 from mgres.attack import NonPeriodic, Periodic
 from mgres.datagen import MatrixSpec
 from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, RunStart, ScenarioConfig,
                             ScenarioError, builtin_scenario, from_dict,
                             load_scenario, read_yaml)
+from test_ann import model_text_with
+from test_golden import PARAMS
 
 
 def test_builtin_names():
@@ -46,9 +48,11 @@ def test_builtin_attack_scenarios():
 
 def test_ann_model_wiring(tmp_path):
     model = tmp_path / "m.txt"
-    model.write_text("mgres-mlp 1 7 10 1\n" + "\n".join("0" for _ in range(8)))
+    model.write_text(model_text_with(8, "1"))
     cfg = builtin_scenario("default-nonperiodic", ann_model=str(model))
     assert cfg.controllers == ("ann", "pi", "pi", "pi")
+    assert isinstance(cfg.ann_model, MlpParams)
+    assert cfg.ann_model.w1.tobytes() == load_model(model).w1.tobytes()
     with pytest.raises(ScenarioError, match="not found"):
         builtin_scenario("default", ann_model=str(tmp_path / "missing.txt"))
 
@@ -202,7 +206,7 @@ def test_controller_validation():
         from_dict({"duration": 1.0, "controller": "fuzzy"})
     cfg = builtin_scenario("default")
     for names in (("pi",) * 4, ("ann", "pi", "pi", "pi")):
-        assert replace(cfg, controllers=names).controllers == names
+        assert replace(cfg, controllers=names, ann_model=PARAMS).controllers == names
     with pytest.raises(ScenarioError,
                        match=r"^unknown controller 'pid'; expected one of \('pi', 'ann'\)$"):
         replace(cfg, controllers=("pi", "pid", "pi", "pi"))

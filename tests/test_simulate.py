@@ -11,7 +11,7 @@ from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import ring_graph
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
                          build_ybus)
-from mgres.scenario import LoadEvent, RunStart, ScenarioConfig, builtin_scenario
+from mgres.scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import traces_equal
 from test_golden import PARAMS
@@ -51,8 +51,7 @@ def test_trace_outlives_the_next_run():
     first = run_scenario(short(duration=0.05))
     kept = copy.deepcopy(first)
     run_scenario(short("default-nonperiodic", duration=0.05,
-                       controllers=("ann", "pi", "pi", "pi")),
-                 ann_params=const_model(1.1))
+                       controllers=("ann", "pi", "pi", "pi"), ann_model=const_model(1.1)))
     assert traces_equal(first, kept)
     for a, b in ((first.dg["v"], kept.dg["v"]), (first.ch_recv, kept.ch_recv)):
         assert a.tobytes() == b.tobytes()
@@ -105,8 +104,9 @@ def test_attack_corrupts_received_channels_only():
 
 
 def test_ann_overrides_only_dg1_voltage_setpoint():
-    cfg = short(duration=0.05, controllers=("ann", "pi", "pi", "pi"))
-    tr = run_scenario(cfg, ann_params=const_model(1.23))
+    cfg = short(duration=0.05, controllers=("ann", "pi", "pi", "pi"),
+                ann_model=const_model(1.23))
+    tr = run_scenario(cfg)
     # sample 0 is recorded before the first controller update
     np.testing.assert_allclose(tr.dg["Vn"][1:, 0], 1.23, rtol=1e-12)
     # frequency set-points and the other DGs stay on the consensus integrator
@@ -115,15 +115,16 @@ def test_ann_overrides_only_dg1_voltage_setpoint():
 
 
 def test_ann_output_is_clamped():
-    cfg = short(duration=0.02, controllers=("ann", "pi", "pi", "pi"))
-    tr = run_scenario(cfg, ann_params=const_model(7.0))
+    cfg = short(duration=0.02, controllers=("ann", "pi", "pi", "pi"),
+                ann_model=const_model(7.0))
+    tr = run_scenario(cfg)
     np.testing.assert_allclose(tr.dg["Vn"][1:, 0], 1.5)
 
 
 def test_ann_without_model_is_an_error():
-    cfg = short(duration=0.02, controllers=("ann", "pi", "pi", "pi"))
-    with pytest.raises(ValueError, match="no model"):
-        run_scenario(cfg)
+    # the config owns the model: the error comes when it is built, before a run
+    with pytest.raises(ScenarioError, match="requires an ann_model"):
+        short(duration=0.02, controllers=("ann", "pi", "pi", "pi"))
 
 
 def test_load_event_changes_operating_point():
@@ -192,8 +193,9 @@ def test_layer_call_counts(monkeypatch, name, n_ann):
         counting(monkeypatch, owner, attr, counts)
     cfg = short(name, duration=0.05)
     cfg = replace(cfg, attacks=tuple(replace(a, tau=0.02) for a in cfg.attacks),
-                  controllers=("ann",) * n_ann + ("pi",) * (4 - n_ann))
-    tr = run_scenario(cfg, ann_params=const_model(1.0) if n_ann else None)
+                  controllers=("ann",) * n_ann + ("pi",) * (4 - n_ann),
+                  ann_model=const_model(1.0) if n_ann else None)
+    tr = run_scenario(cfg)
     n = cfg.n_steps
     assert n == 500 and not tr.diverged
     assert counts == {"step_plant": n + 1, "solve_network": n + 1,
@@ -280,12 +282,12 @@ RESUME_CASES = [("default-nonperiodic", "pi", 1000), ("default-periodic", "pi", 
 @pytest.mark.parametrize("name, ctrl, fork", RESUME_CASES)
 def test_a_resumed_run_repeats_the_straight_run_from_its_fork(name, ctrl, fork):
     cfg = short(name, duration=0.3, controllers=(ctrl, "pi", "pi", "pi"),
+                ann_model=PARAMS if ctrl == "ann" else None,
                 load_events=(LoadEvent(0.05, 0, 0.6, 0.2), LoadEvent(0.25, 2, 1.0, 0.4)))
     cfg = replace(cfg, attacks=tuple(replace(a, tau=0.15) for a in cfg.attacks))
-    params = PARAMS if ctrl == "ann" else None
-    straight = run_scenario(cfg, ann_params=params, fork_steps=(fork,))
+    straight = run_scenario(cfg, fork_steps=(fork,))
     assert straight.forks[fork].step == fork and not straight.diverged
-    resumed = run_scenario(replace(cfg, start=straight.forks[fork]), ann_params=params)
+    resumed = run_scenario(replace(cfg, start=straight.forks[fork]))
     m = fork // cfg.sample_stride
     assert len(resumed.t) == 301 - m and resumed.forks == {}
     assert resumed.data.tobytes() == straight.data[m:].tobytes()
