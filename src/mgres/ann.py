@@ -42,7 +42,7 @@ def tansig(z):
     return np.tanh(z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # its arrays: compared and hashed by identity
 class NormalizationSpec:
     """Per-feature affine maps: normalized = (raw - offset) / scale."""
     x_offset: np.ndarray   # (7,)
@@ -90,7 +90,7 @@ class NormalizationSpec:
         return yn * self.y_scale + self.y_offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # its arrays: compared and hashed by identity
 class MlpParams:
     w1: np.ndarray   # (10, 7)
     b1: np.ndarray   # (10,)

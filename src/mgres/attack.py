@@ -129,8 +129,10 @@ def parse_target(target: str) -> tuple[int | str, int | str, str]:
 def resolve_channels(spec: AttackSpec, channels: list[tuple[int, int, str]]) -> list[int]:
     """Indices of the channels a spec targets; error if it targets none."""
     idx = [k for k, ch in enumerate(channels) if spec.matches(*ch)]
-    if not idx:
-        raise AttackConfigError(
-            f"attack on {spec.src}->{spec.dst} ({spec.signal}) matches no channel "
-            "declared by the communication graph")
+    if not idx:   # the target as a scenario file writes it, DGs from 1
+        src, dst = (e if e == BROADCAST else f"dg{e + 1}" for e in (spec.src, spec.dst))
+        target = (f"{src} -> {dst}.{spec.signal}" if src == BROADCAST
+                  else f"{src}.{spec.signal} -> {dst}")
+        raise AttackConfigError(f"attack {target} matches no channel declared by the "
+                                "communication graph")
     return idx

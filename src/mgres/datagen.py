@@ -129,15 +129,6 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
     return out
 
 
-def _first_step(t: float, due, dt: float, limit: int) -> int:
-    """The first step k, at most ``limit``, at which ``due(k * dt)`` holds,
-    searched from the step before t / dt: none before it can be due."""
-    k = max(0, math.ceil(min(t / dt, limit)) - 1)
-    while k < limit and not due(k * dt):
-        k += 1
-    return k
-
-
 def _common(a: tuple, b: tuple) -> int:
     """The length of the common prefix of two tuples."""
     return next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
@@ -149,18 +140,15 @@ def _shared_until(a: ScenarioConfig, b: ScenarioConfig) -> int:
 
     Two events end the shared stretch: an attack that only one of them has
     (past the common prefix of their attack lists, since gains multiply in
-    order) is active at t = k dt, or the load events applied by step k (the
-    run's ``t + 1e-12`` rule) differ.  Up to that step both runs apply the
-    same events and scale their channels by the same gains, so they are one
-    run bit for bit.
+    order) is active at t = k dt, or the load events applied by step k differ
+    (steps from ``ScenarioConfig.first_step``, as the run's).  Up to that step
+    both runs apply the same events and scale their channels by the same
+    gains, so they are one run bit for bit.
     """
-    dt, first = a.dt, a.last_step
-    j = _common(a.attacks, b.attacks)
-    for spec in a.attacks[j:] + b.attacks[j:]:
-        first = _first_step(spec.tau, spec.active, dt, first)
-    j = _common(a.load_events, b.load_events)
-    for ev in a.load_events[j:j + 1] + b.load_events[j:j + 1]:
-        first = _first_step(ev.t - 1e-12, lambda t, ev=ev: ev.t <= t + 1e-12, dt, first)
+    i, j = _common(a.attacks, b.attacks), _common(a.load_events, b.load_events)
+    steps = [a.first_step(s.active, s.tau) for s in a.attacks[i:] + b.attacks[i:]]
+    steps += [a.first_step(e.due, e.t) for e in a.load_events[j:j + 1] + b.load_events[j:j + 1]]
+    first = min(steps + [a.last_step])
     return first - first % a.sample_stride
 
 

@@ -4,7 +4,8 @@ neighborhood tracking errors.
 DG i receives information from DG j iff adjacency[i, j] > 0.  A pinned DG
 (pinning[i] > 0) additionally receives the global reference.  Every DG also
 feeds its own measurement back to its local controller, so the channel set
-contains a self loop per DG on top of the digraph edges.
+contains a self loop per DG on top of the digraph edges.  Errors number DGs
+from 1, as scenario files do: a[i, j] is the edge dg(j+1) -> dg(i+1).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class GraphError(ValueError):
     """Raised when a communication graph violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # its arrays: compared and hashed by identity
 class CommGraph:
     adjacency: np.ndarray  # (n, n), a_ij > 0 iff DG i receives from DG j
     pinning: np.ndarray    # (n,),   b_i > 0 iff DG i receives the reference
@@ -72,14 +73,14 @@ def validate(graph: CommGraph) -> None:
     neg = np.argwhere(adj < 0)
     if neg.size:
         i, j = neg[0]
-        raise GraphError(f"negative weight a[{i},{j}] = {adj[i, j]}")
+        raise GraphError(f"negative weight {adj[i, j]} on edge dg{j + 1} -> dg{i + 1}")
     diag = np.flatnonzero(np.diag(adj))
     if diag.size:
         i = diag[0]
-        raise GraphError(f"nonzero diagonal a[{i},{i}] = {adj[i, i]}")
+        raise GraphError(f"nonzero diagonal weight {adj[i, i]} on edge dg{i + 1} -> dg{i + 1}")
     if (pin < 0).any():
         i = int(np.flatnonzero(pin < 0)[0])
-        raise GraphError(f"negative pinning gain b[{i}] = {pin[i]}")
+        raise GraphError(f"negative pinning gain {pin[i]} of DG {i + 1}")
     if not (pin > 0).any():
         raise GraphError("no pinned DG (all b_i are zero)")
 
@@ -94,7 +95,7 @@ def validate(graph: CommGraph) -> None:
                 frontier.append(int(i))
     if not reached.all():
         i = int(np.flatnonzero(~reached)[0])
-        raise GraphError(f"DG {i} is unreachable from the reference")
+        raise GraphError(f"DG {i + 1} is unreachable from the reference")
 
 
 def tracking_errors(graph: CommGraph, recv_self: np.ndarray,

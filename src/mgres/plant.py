@@ -9,6 +9,8 @@ and the phase angle integrators.
 All quantities are per-unit on a common base; angles are radians, frequency
 rad/s.  Angle integration is relative to DG1's frequency so that the phasor
 frame stays bounded and a true steady state has zero angle derivatives.
+Buses are 0-based indices here; errors number them from 1, as scenario
+files do.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Load:
     def admittance(self) -> complex:
         z = complex(self.r, self.x)
         if z == 0:
-            raise NetworkError(f"load at bus {self.bus} has zero impedance")
+            raise NetworkError(f"load at bus {self.bus + 1} has zero impedance")
         return 1.0 / z
 
 
@@ -84,22 +86,22 @@ class NetworkParams:
             raise NetworkError("a network needs at least one DG, got an empty dg_bus")
         for ln in self.lines:
             if ln.bus_a == ln.bus_b:
-                raise NetworkError(f"line connects bus {ln.bus_a} to itself")
+                raise NetworkError(f"line connects bus {ln.bus_a + 1} to itself")
             for b in (ln.bus_a, ln.bus_b):
                 if not 0 <= b < self.n_bus:
-                    raise NetworkError(f"line endpoint bus {b} does not exist")
+                    raise NetworkError(f"line endpoint bus {b + 1} does not exist")
             if not (0 <= ln.r < math.inf and 0 < ln.x < math.inf):
-                raise NetworkError(f"line {ln.bus_a}-{ln.bus_b} needs finite r >= 0 and "
+                raise NetworkError(f"line {ln.bus_a + 1}-{ln.bus_b + 1} needs finite r >= 0 and "
                                    f"x > 0, got r={ln.r}, x={ln.x}")
         for ld in self.loads:
             if not 0 <= ld.bus < self.n_bus:
-                raise NetworkError(f"load bus {ld.bus} does not exist")
+                raise NetworkError(f"load bus {ld.bus + 1} does not exist")
             if not (math.isfinite(ld.r) and math.isfinite(ld.x)):
-                raise NetworkError(f"load at bus {ld.bus} needs finite r and x, "
+                raise NetworkError(f"load at bus {ld.bus + 1} needs finite r and x, "
                                    f"got r={ld.r}, x={ld.x}")
         for b in self.dg_bus:
             if not 0 <= b < self.n_bus:
-                raise NetworkError(f"DG bus {b} does not exist")
+                raise NetworkError(f"DG bus {b + 1} does not exist")
         if len(set(self.dg_bus)) != len(self.dg_bus):
             raise NetworkError("each DG must sit on its own bus")
         self._check_connected()
@@ -118,7 +120,7 @@ class NetworkParams:
                     seen.add(nb)
                     frontier.append(nb)
         if len(seen) != self.n_bus:
-            missing = sorted(set(range(self.n_bus)) - seen)
+            missing = [b + 1 for b in range(self.n_bus) if b not in seen]
             raise NetworkError(f"network is not connected (isolated buses {missing})")
 
     @cached_property
@@ -282,7 +284,7 @@ def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> Mic
             loads[k] = Load(bus=bus, r=r, x=x)
             net = replace(model.network, loads=tuple(loads))
             return replace(model, network=net)
-    raise NetworkError(f"no load declared at bus {bus}")
+    raise NetworkError(f"no load declared at bus {bus + 1}")
 
 
 class PlantWorkspace(NetworkWorkspace):

@@ -66,6 +66,10 @@ class LoadEvent:
         if not (math.isfinite(self.r) and math.isfinite(self.x)):
             raise ScenarioError(f"load event r and x must be finite, got r={self.r}, x={self.x}")
 
+    def due(self, t: float) -> bool:
+        """Whether the event acts at time t; one at k dt acts on step k."""
+        return self.t <= t + 1e-12
+
 
 @dataclass(frozen=True)
 class RunStart:
@@ -167,6 +171,17 @@ class ScenarioConfig:
     def last_step(self) -> int:
         """The step at t = duration."""
         return int(round(self.duration / self.dt))
+
+    def first_step(self, due, t: float) -> int:
+        """The first step k <= last_step with ``due(k * dt)``, else last_step + 1,
+        by a walk from t / dt: ``due`` holds on one stretch from about t."""
+        dt, last = self.dt, self.last_step
+        k = math.ceil(min(t / dt, last + 1))
+        while k > 0 and due((k - 1) * dt):
+            k -= 1
+        while k <= last and not due(k * dt):
+            k += 1
+        return k
 
     @property
     def n_steps(self) -> int:

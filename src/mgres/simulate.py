@@ -10,15 +10,15 @@ A run starts from ``config.start``, a ``scenario.RunStart``: the angles,
 filtered powers and set-points before its sample step ``step`` (None is the
 flat start at step 0, on the same path).  Steps keep their absolute k, so t,
 the rows and the load epochs have the bits of a run from step 0; the first
-step applies every load event due by its t.  For each sample step in
-``fork_steps`` the run hands out its own ``RunStart`` before that step in
-``Trace.forks``, taken on the sampling branch (no per-step work): a run
-started there repeats this run's rows from that step on, bit for bit.
+step applies every load event whose step it has reached.  For each sample
+step in ``fork_steps`` the run hands out its own ``RunStart`` before that
+step in ``Trace.forks``, taken on the sampling branch (no per-step work): a
+run started there repeats this run's rows from that step on, bit for bit.
 
 Each step k (t = k dt) runs, in order:
 
-1. load events due by t replace the network (a new load epoch, whose
-   ``NetworkParams.solver`` is built at the next solve);
+1. the load events on step k (``ScenarioConfig.first_step``, once per run)
+   replace the network (a new load epoch, solver built at the next solve);
 2. on a sampling step, the filtered powers [P, Q] are recorded: the step
    then updates them in place;
 3. ``step_plant``: the droop terms [n_Q Q; m_P P] of the plant state,
@@ -63,8 +63,6 @@ later run never changes it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -125,8 +123,9 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     ws.delta[:], ws.pq_t[:] = start.delta, start.pq
     setpoints = np.array(start.setpoints)
     vw_t, pq_t, sp_t = ws.vw.T, ws.pq_t, setpoints.T   # (n, 2) per DG
-    events = list(config.load_events)
-    next_event = events[0].t if events else math.inf
+    # (step, bus, r, x) per load event, in step order, then a step never reached
+    events = [(config.first_step(ev.due, ev.t), ev.bus, ev.r, ev.x) for ev in config.load_events]
+    events.append((last + 1,))
 
     diverged_time = None
     max_residual = 0.0
@@ -134,11 +133,8 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
 
     for k in range(start.step, last + 1):
         t = k * dt
-        if next_event <= t + 1e-12:
-            while events and events[0].t <= t + 1e-12:
-                ev = events.pop(0)
-                model = apply_load_event(model, ev.bus, ev.r, ev.x)
-            next_event = events[0].t if events else math.inf
+        while k >= events[0][0]:   # from a later start, every event due by then
+            model = apply_load_event(model, *events.pop(0)[1:])
 
         record = k % stride == 0
         if record:   # a step updates P and Q in place; a diverged step's row is cut

@@ -148,8 +148,10 @@ def test_resolve_channels():
     assert resolve_channels(inb, chans) == [0, 1, 2]
     single = spec(NonPeriodic(0.5), src=1, dst=0)
     assert resolve_channels(single, chans) == [1]
-    with pytest.raises(AttackConfigError, match="matches no channel"):
+    with pytest.raises(AttackConfigError, match="attack dg3.voltage -> dg4 matches no channel"):
         resolve_channels(spec(NonPeriodic(0.5), src=2, dst=3), chans)
+    with pytest.raises(AttackConfigError, match="attack broadcast -> dg4.voltage matches no"):
+        resolve_channels(spec(NonPeriodic(0.5), src="broadcast", dst=3), chans)
 
 
 @given(st.floats(0, 10), st.floats(-2, 2), st.floats(-0.9, 0.9))

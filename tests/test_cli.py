@@ -322,8 +322,8 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
     ("gains: {c_v: .inf}\n", "secondary gain c_v must be positive and finite, got inf"),
     ("load_events:\n  - {t: 0.02, bus: 1, r: .nan, x: 0.3}\n",
      "load event r and x must be finite, got r=nan, x=0.3"),
-    (one_dg_plant(line_r=".nan"), "line 0-1 needs finite r >= 0 and x > 0, got r=nan, x=0.1"),
-    (one_dg_plant(load_r=".nan"), "load at bus 1 needs finite r and x, got r=nan, x=0.3"),
+    (one_dg_plant(line_r=".nan"), "line 1-2 needs finite r >= 0 and x > 0, got r=nan, x=0.1"),
+    (one_dg_plant(load_r=".nan"), "load at bus 2 needs finite r and x, got r=nan, x=0.3"),
     (one_dg_plant(m_p=".nan"), "DG m_p must be positive and finite, got nan"),
 ])
 def test_non_finite_scenario_value_exits_1(work, capsys, doc, message):
@@ -516,6 +516,14 @@ def test_scenario_commands_take_no_seed(command, capsys):
 GRAPH4 = "graph:\n  pinning: [1, 0, 0, 0]\n  edges: "
 
 
+def plant4(lines: str = "[{from: 1, to: 2, r: 0.05, x: 0.1}, {from: 2, to: 3, r: 0.05, x: 0.1},"
+                        " {from: 3, to: 4, r: 0.05, x: 0.1}]",
+           loads: str = "[{bus: 4, r: 0.8, x: 0.3}]") -> str:
+    """A 4-bus plant with three DGs on buses 1 to 3, a line chain and one load."""
+    return (f"plant:\n  n_bus: 4\n  dg_bus: [1, 2, 3]\n  dgs: [{{}}, {{}}, {{}}]\n"
+            f"  lines: {lines}\n  loads: {loads}\n")
+
+
 @pytest.mark.parametrize("doc, field", [
     (GRAPH4 + "[[1, 2], [1]]\n", "graph edge 2 must be [from, to]"),
     (GRAPH4 + "[[1, 2], 3]\n", "graph edge 2 must be [from, to]"),
@@ -534,6 +542,12 @@ GRAPH4 = "graph:\n  pinning: [1, 0, 0, 0]\n  edges: "
      "graph edge 1 from must be a whole number, got 1.5"),
     ("load_events:\n  - {t: 0.05, bus: .inf, r: 0.8, x: 0.3}\n",
      "field 'bus' in load event 1 must be a whole number, got inf"),
+    # the next three named the file's DG 3 and buses 5 and 4 by 0-based index
+    (GRAPH4 + "[[1, 2], [2, 1], [3, 4], [4, 3]]\n",
+     "error: invalid communication graph: DG 3 is unreachable from the reference\n"),
+    (plant4(loads="[{bus: 5, r: 0.8, x: 0.3}]"), "error: load bus 5 does not exist\n"),
+    (plant4(lines="[{from: 1, to: 2, r: 0.05, x: 0.1}, {from: 2, to: 3, r: 0.05, x: 0.1}]"),
+     "error: network is not connected (isolated buses [4])\n"),
 ])
 def test_malformed_graph_or_dg_entry_exits_1(work, capsys, doc, field):
     path = work / "malformed-entry.yaml"

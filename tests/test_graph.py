@@ -31,10 +31,17 @@ def test_disconnected_dg_is_rejected():
         CommGraph(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
+# errors number DGs from 1, as scenario files do: a[i, j] is the edge dg(j+1) -> dg(i+1)
 @pytest.mark.parametrize("adj, pin, msg", [
-    (np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), "negative weight"),
-    (np.array([[0.5, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), "diagonal"),
+    (np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 0.0]),
+     "negative weight -1.0 on edge dg2 -> dg1"),
+    (np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([1.0, 0.0]),
+     "diagonal weight 0.5 on edge dg2 -> dg2"),
     (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 0.0]), "no pinned"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]),
+     "negative pinning gain -1.0 of DG 2"),
+    (np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), np.array([1.0, 0, 0]),
+     "DG 3 is unreachable"),
 ])
 def test_invariant_violations(adj, pin, msg):
     with pytest.raises(GraphError, match=msg):

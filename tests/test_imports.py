@@ -93,3 +93,16 @@ def test_step_path_calls_no_numpy_dispatcher():
                 found |= {f"{path.name}:{line} {what}" for line, what in slow_calls(fn)}
     assert seen == STEP_PATH
     assert sorted(found) == []
+
+
+def test_scenario_alone_puts_events_and_attacks_on_steps():
+    # LoadEvent.due holds the 1e-12 s rule and ScenarioConfig.first_step the
+    # one step search; the run and gen-data's planner compare the steps it finds
+    for name in ("simulate.py", "datagen.py"):
+        tree = ast.parse((SRC / name).read_text(), name)
+        assert [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == 1e-12] == [], name
+    searches = sorted(f"{path.name}:{name}" for path in SRC.glob("*.py")
+                      for name, _ in functions(ast.parse(path.read_text(), str(path)))
+                      if "first_step" in name)
+    assert searches == ["scenario.py:ScenarioConfig.first_step"]

@@ -100,16 +100,19 @@ def test_resonant_passive_bus_is_singular():
 
 
 def test_network_invariants():
-    with pytest.raises(NetworkError, match="itself"):
+    # errors number buses from 1, as scenario files do
+    with pytest.raises(NetworkError, match="bus 1 to itself"):
         NetworkParams(2, (Line(0, 0, 0.05, 0.1),), (), (0,))
-    with pytest.raises(NetworkError, match="not connected"):
+    with pytest.raises(NetworkError, match=r"not connected \(isolated buses \[3\]\)"):
         NetworkParams(3, (Line(0, 1, 0.05, 0.1),), (), (0,))
     with pytest.raises(NetworkError, match="own bus"):
         NetworkParams(2, (Line(0, 1, 0.05, 0.1),), (), (0, 0))
     with pytest.raises(NetworkError, match="r >= 0 and x > 0"):
         NetworkParams(2, (Line(0, 1, 0.05, 0.0),), (), (0,))
-    with pytest.raises(NetworkError, match="zero impedance"):
+    with pytest.raises(NetworkError, match="load at bus 1 has zero impedance"):
         Load(0, 0.0, 0.0).admittance
+    with pytest.raises(NetworkError, match="DG bus 3 does not exist"):
+        NetworkParams(2, (Line(0, 1, 0.05, 0.1),), (), (2,))
 
 
 @given(st.floats(0.9, 1.1), st.floats(370, 380),
@@ -361,7 +364,7 @@ def test_apply_load_event():
     bumped = apply_load_event(model, bus=0, r=0.4, x=0.15)
     assert bumped.network.loads[0] == Load(0, 0.4, 0.15)
     assert model.network.loads[0] == Load(0, 0.8, 0.3)  # original untouched
-    with pytest.raises(NetworkError, match="no load"):
+    with pytest.raises(NetworkError, match="no load declared at bus 2"):
         apply_load_event(model, bus=1, r=0.4, x=0.15)
 
 

@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from mgres.ann import MlpParams, TrainConfig, load_model
-from mgres.attack import NonPeriodic, Periodic
+from mgres.attack import AttackSpec, NonPeriodic, Periodic
 from mgres.datagen import MatrixSpec
 from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, RunStart, ScenarioConfig,
                             ScenarioError, builtin_scenario, from_dict,
@@ -218,7 +218,7 @@ def test_attack_and_event_cross_validation():
     with pytest.raises(ScenarioError, match="no load"):
         from_dict({"duration": 1.0,
                    "load_events": [{"t": 0.5, "bus": 2, "r": 0.4, "x": 0.15}]})
-    with pytest.raises(ScenarioError, match="matches no channel"):
+    with pytest.raises(ScenarioError, match="attack dg3.voltage -> dg1 matches no channel"):
         # DG3 does not feed DG1 in the ring
         from_dict({"duration": 1.0,
                    "attacks": [{"target": "dg3.voltage -> dg1",
@@ -271,6 +271,54 @@ def test_config_is_immutable_and_sorted():
     assert [e.t for e in cfg.load_events] == [0.2, 0.7]
     with pytest.raises(Exception):
         cfg.duration = 2.0
+
+
+def test_configs_compare_and_hash_without_raising():
+    # the graph and the ANN model hold arrays: they compare by identity, so
+    # two configs built apart differ, and == neither raises nor compares arrays
+    cfg = builtin_scenario("default", duration=0.1)
+    assert replace(cfg) == cfg and hash(replace(cfg)) == hash(cfg)
+    assert (builtin_scenario("default", duration=0.1) == cfg) is False
+    assert (replace(PARAMS) == PARAMS) is False and PARAMS == PARAMS
+    assert len({cfg, replace(cfg, ann_model=PARAMS), replace(cfg)}) == 2
+
+
+def scanned_step(cfg: ScenarioConfig, due) -> int:
+    """The first step at which ``due`` holds, by a scan of every step."""
+    return min((k for k in range(cfg.last_step + 1) if due(k * cfg.dt)),
+               default=cfg.last_step + 1)
+
+
+@st.composite
+def timeline(draw):
+    """A config of up to 300 steps and a time at, beside or between its steps:
+    k dt or k additions of dt, moved a few 1e-13 s either way, or any time."""
+    dt = draw(st.sampled_from((5e-5, 1e-4, 2.5e-4)))
+    cfg = replace(builtin_scenario("default", duration=0.1), dt=dt, sample_period=dt,
+                  duration=draw(st.floats(dt, 300 * dt)))
+    k = draw(st.integers(0, cfg.last_step + 2))
+    how = draw(st.sampled_from(("product", "sum", "any")))
+    if how == "any":
+        return cfg, draw(st.floats(0, (cfg.last_step + 2) * dt))
+    t = k * dt if how == "product" else sum([dt] * k)
+    return cfg, max(0.0, t + draw(st.integers(-25, 25)) * 1e-13)
+
+
+@settings(deadline=None, max_examples=400)
+@given(timeline(), st.sampled_from((None, "step", "width")), st.data())
+def test_first_step_is_the_first_due_step(drawn, end_kind, data):
+    cfg, t = drawn
+    ev = LoadEvent(t, 0, 0.8, 0.3)
+    assert cfg.first_step(ev.due, ev.t) == scanned_step(cfg, ev.due)
+    # an attack from t, to its end (a step time after t, or any short width)
+    end = None
+    if end_kind == "step":
+        end = data.draw(st.integers(1, cfg.last_step + 2)) * cfg.dt + t
+    elif end_kind == "width":
+        end = t + data.draw(st.floats(1e-9, 3 * cfg.dt))
+    spec = AttackSpec(src="broadcast", dst=0, signal="voltage", kind=NonPeriodic(0.5),
+                      tau=t, end=end)
+    assert cfg.first_step(spec.active, spec.tau) == scanned_step(cfg, spec.active)
 
 
 # documents built from the schema's keys; one value in twenty has a wrong type,

@@ -260,6 +260,18 @@ def test_halving_dt_halves_the_trace_change():
         assert 1.8 < d1 / d2 < 2.2, (sig, d1, d2)
 
 
+def test_a_load_event_lands_on_the_step_it_is_due():
+    # an event 5e-13 s past step 200 is due there (LoadEvent.due), as one at
+    # exactly 200 dt is; 2e-12 s past it, the event waits for step 201
+    t = 200 * 1e-4
+    base = run_scenario(one_dg()).load_current[:, 0]
+    first_changed = {}
+    for offset in (0.0, 5e-13, 2e-12):
+        tr = run_scenario(one_dg(LoadEvent(t + offset, 1, 0.4, 0.15)))
+        first_changed[offset] = int(np.flatnonzero(tr.load_current[:, 0] != base)[0])
+    assert first_changed == {0.0: 20, 5e-13: 20, 2e-12: 21}
+
+
 def test_singular_network_at_a_load_event_ends_the_run():
     # the new load cancels the line's admittance: the passive bus's Y_oo is exactly 0
     tr = run_scenario(one_dg(LoadEvent(0.02, 1, -0.05, -0.10)))
