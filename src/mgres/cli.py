@@ -13,7 +13,7 @@ from dataclasses import replace
 from . import ann as annmod
 from .datagen import MatrixSpec, gen_data, load_runs
 from .graph import SIGNALS
-from .metrics import compare, compute_metrics
+from .metrics import check_span, compare, compute_metrics
 from .scenario import ConfigReader, load_scenario, read_yaml
 from .simulate import run_scenario
 from .trace import export_csv
@@ -22,9 +22,18 @@ from .trace import export_csv
 CONFIG_ERRORS = (ValueError, annmod.TrainingError, OSError)
 
 
+def check_steady_window(cfg) -> None:
+    """Reject, before it runs, a scenario whose trace cannot span the steady
+    window of its metrics: from t = 0 to its last sample step."""
+    check_span((cfg.last_step - cfg.last_step % cfg.sample_stride) * cfg.dt)
+
+
 def cmd_simulate(args) -> int:
     # evaluate is simulate with the ANN of --model on DG1, and reports its steady error
-    trace = run_scenario(load_scenario(args.scenario, ann_model=args.model))
+    cfg = load_scenario(args.scenario, ann_model=args.model)
+    if args.model is not None:
+        check_steady_window(cfg)
+    trace = run_scenario(cfg)
     export_csv(trace, args.out)
     if trace.diverged:
         print(f"diverged at t={trace.diverged_time:.6f}s; partial trace in {args.out}")
@@ -60,6 +69,7 @@ def cmd_train(args) -> int:
 def cmd_compare(args) -> int:
     # the baseline is PI on every DG, whatever controllers the scenario names
     cfg_ann = load_scenario(args.scenario, ann_model=args.model)
+    check_steady_window(cfg_ann)
     cfg_pi = replace(cfg_ann, controllers=("pi",) * cfg_ann.graph.n, ann_model=None)
     t_pi = run_scenario(cfg_pi)
     t_ann = run_scenario(cfg_ann)

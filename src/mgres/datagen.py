@@ -7,19 +7,16 @@ voltage feedback, attack onset at t = 2 s.  Every attacked run is paired
 with the normal run at the same load level, which supplies the clean
 reference targets for training.
 
-Cells of one matrix differ only in their load events and attacks, so two
-cells run bit for bit alike up to the first step at which an attack that
-only one of them has acts, or at which the load events applied so far
-differ (``_shared_until``).  ``gen_data`` therefore resumes each cell from
-the earlier cell whose run it matches longest (``ScenarioConfig.start``):
-that run hands out its state at the last sample step of the shared stretch
-(``run_scenario``'s ``fork_steps``), and the cell's CSV is that run's CSV up
-to the fork, copied as text, followed by the cell's own rows (the head of
-``export_csv``): the bytes of a run from t = 0.  On the default matrix a
-later load factor's normal cell resumes from the first load factor's at the
-load step, and each attacked cell from its own load factor's normal cell at
-the onset: 560 025 plant steps instead of 1 000 025, and 56 025 formatted
-rows instead of 100 025.
+``gen_data`` resumes each cell from the earlier cell whose run it matches
+longest, as ``scenario.plan_runs`` plans it: that run hands out its state at
+the last sample step of the shared stretch (``run_scenario``'s
+``fork_steps``), the cell runs from there (``ScenarioConfig.start``), and its
+CSV is that run's CSV up to the fork, copied as text, followed by the cell's
+own rows (the head of ``export_csv``): the bytes of a run from t = 0.  On the
+default matrix a later load factor's normal cell resumes from the first load
+factor's at the load step, and each attacked cell from its own load factor's
+normal cell at the onset: 560 025 plant steps instead of 1 000 025, and
+56 025 formatted rows instead of 100 025.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .ann import DatasetError
 from .attack import AttackSpec, NonPeriodic, Periodic
 from .graph import ring_graph
 from .plant import default_model
-from .scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError
+from .scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError, plan_runs
 from .simulate import run_scenario
 from .trace import Trace, export_csv, parse_csv
 
@@ -67,6 +64,8 @@ class MatrixSpec:
     duration: float = 4.0
 
     def __post_init__(self):
+        if not self.load_factors:   # no cell: train would find no run
+            raise ScenarioError("matrix load_factors must hold at least one value")
         for key, (rule, ok) in _MATRIX_RANGES.items():
             value = getattr(self, key)
             for v in value if isinstance(value, tuple) else (value,):
@@ -101,11 +100,9 @@ def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
 def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfig, str | None]]:
     """Scenario list for gen-data: (config, id of the paired clean run).
 
-    The cells differ only in their load events and attacks, which is what
-    ``gen_data``'s resume plan assumes.  Every cell shares one plant and one
-    graph (both frozen, the graph's arrays read-only), so the plant's initial
-    network builds its solver constants (``NetworkParams.solver``) once per
-    matrix, not once per cell.
+    Every cell shares one plant and one graph (both frozen, the graph's
+    arrays read-only, compared by identity), so cells can share runs and the
+    plant's initial network builds its solver constants once per matrix.
     """
     model, graph = default_model(), ring_graph(4)
     out = []
@@ -129,44 +126,6 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
     return out
 
 
-def _common(a: tuple, b: tuple) -> int:
-    """The length of the common prefix of two tuples."""
-    return next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
-def _shared_until(a: ScenarioConfig, b: ScenarioConfig) -> int:
-    """The last sample step at or before the first step k at which the matrix
-    cells ``a`` and ``b`` can differ (their last step if they cannot).
-
-    Two events end the shared stretch: an attack that only one of them has
-    (past the common prefix of their attack lists, since gains multiply in
-    order) is active at t = k dt, or the load events applied by step k differ
-    (steps from ``ScenarioConfig.first_step``, as the run's).  Up to that step
-    both runs apply the same events and scale their channels by the same
-    gains, so they are one run bit for bit.
-    """
-    i, j = _common(a.attacks, b.attacks), _common(a.load_events, b.load_events)
-    steps = [a.first_step(s.active, s.tau) for s in a.attacks[i:] + b.attacks[i:]]
-    steps += [a.first_step(e.due, e.t) for e in a.load_events[j:j + 1] + b.load_events[j:j + 1]]
-    first = min(steps + [a.last_step])
-    return first - first % a.sample_stride
-
-
-def _plan(cells: list[ScenarioConfig]) -> list[tuple[int, int | None]]:
-    """(start step, index of the source cell) per cell, in matrix order: the
-    source is the earlier cell with the longest shared stretch among those
-    that start at or before its end, and (0, None) is a full run."""
-    plan: list[tuple[int, int | None]] = []
-    for cfg in cells:
-        best: tuple[int, int | None] = (0, None)
-        for i, src in enumerate(cells[:len(plan)]):
-            step = _shared_until(src, cfg)
-            if step > best[0] and plan[i][0] <= step:
-                best = (step, i)
-        plan.append(best)
-    return plan
-
-
 def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     """Run the scenario matrix and write one CSV per run plus a manifest.
 
@@ -179,14 +138,10 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     """
     os.makedirs(out_dir, exist_ok=True)
     cells = training_matrix(matrix)
-    plan = _plan([cfg for cfg, _ in cells])
-    wanted: list[set[int]] = [set() for _ in cells]   # the fork steps later cells take
-    for step, src in plan:
-        if src is not None:
-            wanted[src].add(step)
+    plan = plan_runs([cfg for cfg, _ in cells])
     forks: list[dict[int, RunStart]] = []   # per cell, the forks its run handed out
     entries = []
-    for (cfg, clean_id), (step, src), fork_steps in zip(cells, plan, wanted):
+    for k, ((cfg, clean_id), (step, src)) in enumerate(zip(cells, plan)):
         entry = {
             "id": cfg.scenario_id,
             "file": cfg.scenario_id + ".csv",
@@ -206,7 +161,8 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
                 with open(os.path.join(out_dir, entries[src]["file"])) as fh:
                     head = "".join(islice(fh, step // cfg.sample_stride + 1))
                 entry["resumed_from"] = {"id": entries[src]["id"], "step": step}
-            trace = run_scenario(cfg, fork_steps=fork_steps)
+            # the run hands out its state at each step that a later cell resumes from
+            trace = run_scenario(cfg, fork_steps={s for s, i in plan if i == k})
             end = round(trace.diverged_time / cfg.dt) if trace.diverged else cfg.last_step
             entry["steps"] = end - (fork.step if fork is not None else 0) + 1
             entry["status"] = (f"diverged at t={trace.diverged_time:.6f}" if trace.diverged

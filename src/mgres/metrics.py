@@ -39,6 +39,12 @@ class Metrics:
     diverged_time: float | None
 
 
+def check_span(span: float) -> None:
+    """Reject a trace span, in s, shorter than the steady window."""
+    if STEADY_WINDOW > span:
+        raise MetricsError(f"steady window {STEADY_WINDOW}s exceeds trace span {span:.3f}s")
+
+
 def compute_metrics(trace: Trace, v_ref: float | None = None,
                     w_ref: float | None = None) -> Metrics:
     if len(trace.t) == 0:
@@ -47,10 +53,8 @@ def compute_metrics(trace: Trace, v_ref: float | None = None,
     w_ref = trace.w_ref if w_ref is None else w_ref
     if v_ref is None or w_ref is None:
         raise MetricsError("references are required (not carried by CSV traces)")
-    span = trace.t[-1] - trace.t[0]
-    if STEADY_WINDOW > span and not trace.diverged:   # a run cut short: its whole span
-        raise MetricsError(
-            f"steady window {STEADY_WINDOW}s exceeds trace span {span:.3f}s")
+    if not trace.diverged:   # a run cut short: its whole span
+        check_span(trace.t[-1] - trace.t[0])
 
     v = trace.dg["v"]
     w = trace.dg["w"]

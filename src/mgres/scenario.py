@@ -188,6 +188,48 @@ class ScenarioConfig:
         """Steps this run simulates after its first: from its start to ``last_step``."""
         return self.last_step - (self.start.step if self.start is not None else 0)
 
+    def shared_until(self, other: ScenarioConfig) -> int:
+        """The last sample step at or before the first step k at which this
+        run and ``other``'s can differ (their last step if they cannot); 0 if
+        they share no step past their start, as configs that differ in a field
+        but ``scenario_id``, ``load_events`` and ``attacks`` do.  Otherwise the
+        stretch ends where an attack that only one has (past the common prefix
+        of the attack lists: gains multiply in order) is active at t = k dt, or
+        where the load events applied by step k differ: up to there both runs
+        apply the same events and gains, so they are one run bit for bit.
+        """
+        if any(getattr(self, f.name) != getattr(other, f.name) for f in fields(self)
+               if f.name not in ("scenario_id", "load_events", "attacks")):
+            return 0
+        i, j = _common(self.attacks, other.attacks), _common(self.load_events, other.load_events)
+        steps = [self.first_step(s.active, s.tau) for s in self.attacks[i:] + other.attacks[i:]]
+        steps += [self.first_step(e.due, e.t)
+                  for e in self.load_events[j:j + 1] + other.load_events[j:j + 1]]
+        first = min(steps + [self.last_step])
+        first -= first % self.sample_stride
+        return first if first > (self.start.step if self.start is not None else 0) else 0
+
+
+def _common(a: tuple, b: tuple) -> int:
+    """The length of the common prefix of two tuples."""
+    return next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def plan_runs(configs: list[ScenarioConfig]) -> list[tuple[int, int | None]]:
+    """(start step, index of the source config) per config, in order, (0,
+    None) for a full run: the source is the earlier config with the longest
+    ``ScenarioConfig.shared_until``, the earliest of equals, among those whose
+    own planned start is at or before its end."""
+    plan: list[tuple[int, int | None]] = []
+    for cfg in configs:
+        best: tuple[int, int | None] = (0, None)
+        for i, src in enumerate(configs[:len(plan)]):
+            step = src.shared_until(cfg)
+            if step > best[0] and plan[i][0] <= step:
+                best = (step, i)
+        plan.append(best)
+    return plan
+
 
 def _as(v, kind: type, what: str):
     """``v`` as a float or a whole number, never from a boolean, or as an

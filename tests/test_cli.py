@@ -176,6 +176,23 @@ def test_compare_reports_a_baseline_that_diverges_inside_its_steady_window(
     assert "report written" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, out_flag", [("evaluate", "--out"), ("compare", "--report")])
+def test_a_scenario_shorter_than_the_steady_window_exits_1_before_a_run(
+        pipeline, work, capsys, monkeypatch, command, out_flag):
+    # evaluate wrote the whole CSV and compare ran both controllers, and only
+    # then did the metrics find the 0.3 s trace shorter than their 0.5 s window
+    _, _, _, model = pipeline
+    path, out = work / "short-window.yaml", work / f"short-window-{command}.out"
+    path.write_text(SHORT_ATTACK_YAML.replace("duration: 0.8", "duration: 0.3"))
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: runs.append(cfg))
+    assert main([command, "--scenario", str(path), "--model", str(model),
+                 out_flag, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: steady window 0.5s exceeds trace span 0.300s\n"
+    assert runs == [] and not out.exists()
+
+
 def test_model_flag_replaces_a_stale_file_model(pipeline, work, capsys):
     # the file's model path was checked before --model replaced it, so a
     # stale one ended evaluate and compare with exit 1 even with a valid --model
@@ -278,6 +295,8 @@ def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, messa
     ("betas: [.nan]\n", "matrix betas must be finite, got nan"),
     ("alphas: [-.inf]\n", "matrix alphas must be finite, got -inf"),
     ("freq_hz: 0\n", "matrix freq_hz must be positive and finite, got 0.0"),
+    # "0/0 runs ok", an empty manifest and exit 0; train then found no run
+    ("load_factors: []\n", "matrix load_factors must hold at least one value"),
 ])
 def test_malformed_matrix_exits_1(work, capsys, doc, message):
     path = work / "bad-matrix.yaml"

@@ -159,6 +159,10 @@ def test_matrix_spec_from_dict():
         matrix_spec({"tau": True})
     with pytest.raises(ScenarioError, match="matrix alphas entry 1 must be a number, got False"):
         matrix_spec({"alphas": [False]})
+    # no load factor is no cell: gen-data wrote an empty manifest and exited 0
+    with pytest.raises(ScenarioError, match="matrix load_factors must hold at least one value"):
+        matrix_spec({"load_factors": []})
+    assert matrix_spec({"alphas": [], "betas": []}).alphas == ()
 
 
 SCALARS = st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats()

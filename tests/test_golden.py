@@ -18,9 +18,9 @@ CSVs of the six 4 s built-in runs (each built-in scenario with the baseline
 controller, then with the benchmark's ANN fixture
 ``perfbench/fixtures/model.txt`` on DG1) and of each CSV that gen_data
 writes for ``GEN_MATRIX`` and for ``GEN_MATRIX_EARLY`` are printed and
-compared with
-``fixtures/golden_digests.json``; the exit status is 1, naming each run,
-when any differs.  ``--record`` rewrites that fixture too.
+compared with ``fixtures/golden_digests.json``; the exit status is 1, naming
+each run, when any differs.  The gen_data digests are a test too.
+``--record`` rewrites that fixture too.
 
     PYTHONPATH=src python tests/test_golden.py --digests
 """
@@ -123,10 +123,30 @@ def test_matches_golden_fit(tmp_path, name):
         assert got[key] == want[key], f"{name} {key}"
 
 
+def gen_data_digests() -> list[tuple[str, str]]:
+    """(run name, SHA-256 of its CSV) for the cells of ``GEN_MATRIX``
+    (``gen-data/<id>``) and of ``GEN_MATRIX_EARLY`` (``gen-data-early/<id>``)
+    as gen_data writes them."""
+    out = []
+    for prefix, spec in (("gen-data", GEN_MATRIX), ("gen-data-early", GEN_MATRIX_EARLY)):
+        with tempfile.TemporaryDirectory() as work:
+            for e in gen_data(work, spec):
+                out.append((f"{prefix}/{e['id']}",
+                            hashlib.sha256(Path(work, e["file"]).read_bytes()).hexdigest()))
+    return out
+
+
+def test_gen_data_csvs_match_golden_digests():
+    # the bytes gen_data writes, resumed cells and copied CSV heads included
+    want = json.loads(DIGEST_FIXTURE.read_text())
+    got = dict(gen_data_digests())
+    assert len(got) == 20
+    assert got == {run: digest for run, digest in want.items() if run.startswith("gen-data")}
+
+
 def csv_digests(model_path: Path) -> list[tuple[str, str]]:
-    """(run name, SHA-256 of its CSV) for the six 4 s built-in runs, then for
-    the cells of ``GEN_MATRIX`` (``gen-data/<id>``) and of ``GEN_MATRIX_EARLY``
-    (``gen-data-early/<id>``) as gen_data writes them."""
+    """(run name, SHA-256 of its CSV) for the six 4 s built-in runs, then
+    ``gen_data_digests``."""
     params = load_model(model_path)
     out = []
     for ctrl in ("pi", "ann"):
@@ -137,12 +157,7 @@ def csv_digests(model_path: Path) -> list[tuple[str, str]]:
             tr = run_scenario(cfg)
             out.append((f"{name}/{ctrl}",
                         hashlib.sha256(export_csv(tr).encode()).hexdigest()))
-    for prefix, spec in (("gen-data", GEN_MATRIX), ("gen-data-early", GEN_MATRIX_EARLY)):
-        with tempfile.TemporaryDirectory() as work:
-            for e in gen_data(work, spec):
-                out.append((f"{prefix}/{e['id']}",
-                            hashlib.sha256(Path(work, e["file"]).read_bytes()).hexdigest()))
-    return out
+    return out + gen_data_digests()
 
 
 if __name__ == "__main__" and "--digests" in sys.argv:

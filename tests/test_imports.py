@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import mgres
@@ -97,7 +98,7 @@ def test_step_path_calls_no_numpy_dispatcher():
 
 def test_scenario_alone_puts_events_and_attacks_on_steps():
     # LoadEvent.due holds the 1e-12 s rule and ScenarioConfig.first_step the
-    # one step search; the run and gen-data's planner compare the steps it finds
+    # one step search; the run and the run planner compare the steps it finds
     for name in ("simulate.py", "datagen.py"):
         tree = ast.parse((SRC / name).read_text(), name)
         assert [node.lineno for node in ast.walk(tree)
@@ -106,3 +107,10 @@ def test_scenario_alone_puts_events_and_attacks_on_steps():
                       for name, _ in functions(ast.parse(path.read_text(), str(path)))
                       if "first_step" in name)
     assert searches == ["scenario.py:ScenarioConfig.first_step"]
+    # the planner that gen-data reads (which runs share a stretch, and which
+    # earlier run each resumes from) is defined once, beside the timeline
+    assert not calls(SRC / "datagen.py", "first_step")
+    planners = sorted(f"{path.name}:{name}" for path in SRC.glob("*.py")
+                      for name, _ in functions(ast.parse(path.read_text(), str(path)))
+                      if re.fullmatch(r"_?(shared\w*|plan|plan_runs)", name.split(".")[-1]))
+    assert planners == ["scenario.py:ScenarioConfig.shared_until", "scenario.py:plan_runs"]

@@ -8,11 +8,14 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from mgres.ann import MlpParams, TrainConfig, load_model
-from mgres.attack import AttackSpec, NonPeriodic, Periodic
+from mgres.attack import AttackSpec, NonPeriodic, Periodic, parse_target
 from mgres.datagen import MatrixSpec
+from mgres.graph import ring_graph
 from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, RunStart, ScenarioConfig,
                             ScenarioError, builtin_scenario, from_dict,
-                            load_scenario, read_yaml)
+                            load_scenario, plan_runs, read_yaml)
+from mgres.secondary import SecondaryGains
+from mgres.simulate import run_scenario
 from test_ann import model_text_with
 from test_golden import PARAMS
 
@@ -319,6 +322,87 @@ def test_first_step_is_the_first_due_step(drawn, end_kind, data):
     spec = AttackSpec(src="broadcast", dst=0, signal="voltage", kind=NonPeriodic(0.5),
                       tau=t, end=end)
     assert cfg.first_step(spec.active, spec.tau) == scanned_step(cfg, spec.active)
+
+
+@st.composite
+def timelines(draw):
+    """Two 0.05-0.1 s configs on the default plant whose load events and
+    attacks share a drawn prefix; times fall on sample steps, on plant
+    steps, or anywhere."""
+    def time():
+        how = draw(st.sampled_from(("sample", "step", "any")))
+        if how == "any":
+            return draw(st.floats(0.0, 0.1))
+        period = 1e-3 if how == "sample" else 1e-4
+        return draw(st.integers(0, round(0.1 / period))) * period
+
+    def event():
+        return LoadEvent(time(), draw(st.sampled_from((0, 2))), draw(st.floats(0.6, 1.2)),
+                         draw(st.floats(0.2, 0.4)))
+
+    def attack():
+        kind = draw(st.sampled_from((NonPeriodic(0.5), NonPeriodic(-0.3),
+                                     Periodic(0.5, 2 * math.pi * 60))))
+        src, dst, sig = parse_target(draw(st.sampled_from(
+            ("broadcast -> dg1.voltage", "dg2.voltage -> dg1", "dg3.frequency -> dg4"))))
+        tau = time()
+        end = draw(st.none() | st.floats(1e-4, 0.05).map(lambda w: tau + w))
+        return AttackSpec(src=src, dst=dst, signal=sig, kind=kind, tau=tau, end=end)
+
+    def some(item, most):
+        return tuple(item() for _ in range(draw(st.integers(0, most))))
+
+    base = builtin_scenario("default", duration=draw(st.floats(0.05, 0.1)))
+    events, attacks = some(event, 2), some(attack, 2)
+    return tuple(replace(base, scenario_id=name, load_events=events + some(event, 2),
+                         attacks=attacks + some(attack, 2)) for name in "ab")
+
+
+@settings(deadline=None, max_examples=30)
+@given(timelines())
+def test_runs_agree_up_to_their_shared_stretch(pair):
+    a, b = pair
+    s = a.shared_until(b)
+    assert s == b.shared_until(a) and s % a.sample_stride == 0
+    ta, tb = (run_scenario(cfg, fork_steps={s}) for cfg in pair)
+    rows = s // a.sample_stride
+    assert ta.data[:rows].tobytes() == tb.data[:rows].tobytes()
+    assert ta.attack_active[:rows].tobytes() == tb.attack_active[:rows].tobytes()
+    assert ta.forks.get(s) == tb.forks.get(s)
+
+
+NONPERIODIC = builtin_scenario("default-nonperiodic", duration=0.3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("model", replace(NONPERIODIC.model, dgs=(replace(NONPERIODIC.model.dgs[0], n_q=0.002),)
+                      + NONPERIODIC.model.dgs[1:])),
+    ("graph", ring_graph(4)),   # equal, but built apart
+    ("gains", SecondaryGains(c_v=4.0)),
+    ("controllers", ("ann", "pi", "pi", "pi")),
+    ("v_ref", 1.01), ("w_ref", 2 * math.pi * 50), ("dt", 5e-5), ("sample_period", 2e-3),
+    ("duration", 0.2), ("start", replace(FLAT, step=1000)),
+])
+def test_configs_that_differ_off_the_timeline_share_no_run(field, value):
+    # the PI and ANN runs of one scenario differ from their first row, but a
+    # plan that compared only load events and attacks resumed the ANN run
+    # from PI's at the last step
+    other = replace(NONPERIODIC, scenario_id="other", **{field: value},
+                    **({"ann_model": PARAMS} if field == "controllers" else {}))
+    assert getattr(other, field) != getattr(NONPERIODIC, field)
+    assert plan_runs([NONPERIODIC, other]) == [(0, None), (0, None)]
+    assert NONPERIODIC.shared_until(other) == other.shared_until(NONPERIODIC) == 0
+    # the same config under another id shares the whole run
+    assert plan_runs([NONPERIODIC, replace(other, **{field: getattr(NONPERIODIC, field)},
+                                           ann_model=None)]) == [(0, None), (3000, 0)]
+
+
+def test_runs_from_one_start_share_no_stretch_before_it():
+    # a fork before the start is no state of either run: run_scenario rejects it
+    a = replace(NONPERIODIC, start=replace(FLAT, step=1000))
+    b = replace(a, attacks=(replace(a.attacks[0], tau=0.05),))
+    assert a.shared_until(b) == 0 and plan_runs([a, b]) == [(0, None), (0, None)]
+    assert a.shared_until(replace(b, attacks=(replace(a.attacks[0], tau=0.2),))) == 2000
 
 
 # documents built from the schema's keys; one value in twenty has a wrong type,
