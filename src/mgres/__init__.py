@@ -10,9 +10,8 @@ from .ann import (AnnKernel, Dataset, MlpParams, NormalizationSpec, TrainConfig,
 from .datagen import MatrixSpec, gen_data
 from .graph import CommGraph, ring_graph, tracking_errors, validate
 from .metrics import Metrics, compare, compute_metrics
-from .plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
-                    NetworkWorkspace, PlantWorkspace, apply_load_event,
-                    default_model, solve_network, step_plant)
+from .plant import (DgParams, Line, Load, MicrogridModel, NetworkParams, PlantWorkspace,
+                    apply_load_event, default_model, solve_network, step_plant)
 from .scenario import LoadEvent, ScenarioConfig, builtin_scenario, load_scenario
 from .secondary import ConsensusMap, SecondaryGains, secondary_update
 from .simulate import run_scenario

@@ -50,6 +50,7 @@ _MATRIX_RANGES = {
     "freq_hz": ("positive and finite", lambda v: 0 < v < math.inf),
     "tau": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "step_time": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "duration": ("positive and finite", lambda v: 0 < v < math.inf),
 }
 
 
@@ -71,6 +72,12 @@ class MatrixSpec:
             for v in value if isinstance(value, tuple) else (value,):
                 if not ok(v):
                     raise ScenarioError(f"matrix {key} must be {rule}, got {v}")
+        # an onset or a load step at or past the end leaves its cells copies of others
+        for key, what, cells in (("tau", "an attack case", self.alphas + self.betas),
+                                 ("step_time", "two or more load factors", self.load_factors[1:])):
+            if cells and (v := getattr(self, key)) >= self.duration:
+                raise ScenarioError(f"matrix {key} {v} must be less than duration "
+                                    f"{self.duration} when the matrix has {what}")
         # a run id prints each value with :g; two values that print alike would
         # share one id and one CSV, and pair attacked runs with the wrong clean run
         for key in ("load_factors", "alphas", "betas"):
@@ -136,9 +143,9 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     resumed from (``resumed_from``, null for a full run).  Returns the
     manifest entries.
     """
-    os.makedirs(out_dir, exist_ok=True)
     cells = training_matrix(matrix)
     plan = plan_runs([cfg for cfg, _ in cells])
+    os.makedirs(out_dir, exist_ok=True)
     forks: list[dict[int, RunStart]] = []   # per cell, the forks its run handed out
     entries = []
     for k, ((cfg, clean_id), (step, src)) in enumerate(zip(cells, plan)):

@@ -189,78 +189,6 @@ class NetworkSolver:
         self.n_branch = len(g)
 
 
-class NetworkWorkspace:
-    """Buffers that ``solve_network`` writes for n DGs, and its result.
-
-    After a solve it holds the complex voltage ``v_dg`` and power ``s_dg``
-    per DG, pu, and the relative active power mismatch ``balance_residual``;
-    the next solve on this workspace rewrites them.  The workspace follows
-    the network it last solved: the buffer ``iu`` = [DG currents (then their
-    conjugates); branch voltages u] and the halves of u [lines and loads;
-    conductance-scaled] are remade only when the branch count changes.
-    Their float views make the consumed power sum_b g_b |u_b|^2 one real dot,
-    not a complex ``np.vdot``.  ``load_current`` reads u's load rows, the load
-    buses' voltages, with ``bus_v``'s bits: ``bus_map`` is in C order too.
-    """
-
-    def __init__(self, n: int):
-        self.v_dg = np.empty(n, dtype=complex)   # DG voltages
-        self.s_dg = np.empty(n, dtype=complex)   # DG powers
-        self.p_dg = self.s_dg.real
-        self.j_delta = np.zeros(n, dtype=complex)   # j delta: the angles, real part 0
-        self.j_delta_im = self.j_delta.imag
-        self.s_re_im = self.s_dg.view(np.float64).reshape(n, 2)   # [Re s, Im s] per DG
-        self.balance_residual = 0.0
-        self.net = self.solver = self.iu = None
-
-    @property
-    def bus_v(self) -> np.ndarray:
-        """Complex voltage per bus, pu."""
-        return self.solver.bus_map @ self.v_dg
-
-    @property
-    def load_current(self) -> np.ndarray:
-        """Current magnitude per load, pu, in the network's load order."""
-        return np.abs(self.u_load * self.solver.load_y)
-
-    def use(self, net: NetworkParams) -> None:
-        self.net, self.solver = net, net.solver
-        n, nb = len(self.v_dg), self.solver.n_branch
-        if self.iu is None or len(self.iu) != n + 2 * nb:
-            self.iu = np.empty(n + 2 * nb, dtype=complex)
-            self.i_dg, self.u_lo, self.u_hi = self.iu[:n], self.iu[n:n + nb], self.iu[n + nb:]
-            self.u_lo_f, self.u_hi_f = self.u_lo.view(np.float64), self.u_hi.view(np.float64)
-        self.u_load = self.u_lo[nb - len(self.solver.load_y):]
-
-
-def solve_network(vmag: np.ndarray, delta: np.ndarray, net: NetworkParams,
-                  ws: NetworkWorkspace) -> NetworkWorkspace:
-    """Solve the phasor network for per-DG injected complex power.
-
-    DG buses are fixed voltage sources vmag * exp(j delta); the remaining
-    buses carry no injection and are Kron-reduced once per network.  The
-    residual is the relative mismatch between generated active power and
-    load consumption plus line losses, the latter summed over the branch
-    voltages of the full network.  Returns ``ws`` with the solution written
-    into it.
-    """
-    if not min(vmag.tolist()) > 0.0:
-        raise NetworkError("DG voltage magnitudes must be positive")
-    if net is not ws.net:
-        ws.use(net)
-    solver, v, i = ws.solver, ws.v_dg, ws.i_dg
-    ws.j_delta_im[:] = delta
-    np.exp(ws.j_delta, v)
-    np.multiply(vmag, v, v)
-    solver.stack.dot(v, ws.iu)
-    np.conjugate(i, i)
-    np.multiply(v, i, ws.s_dg)
-    p_cons = ws.u_lo_f.dot(ws.u_hi_f)
-    p_gen = sum(ws.p_dg.tolist())
-    ws.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
-    return ws
-
-
 @dataclass(frozen=True)
 class MicrogridModel:
     dgs: tuple[DgParams, ...]
@@ -276,38 +204,49 @@ class MicrogridModel:
         return len(self.dgs)
 
 
-def apply_load_event(model: MicrogridModel, bus: int, r: float, x: float) -> MicrogridModel:
-    """Replace the load impedance at a bus; takes effect at the next solve."""
-    loads = list(model.network.loads)
+def apply_load_event(net: NetworkParams, bus: int, r: float, x: float) -> NetworkParams:
+    """``net`` with the load impedance at a bus replaced."""
+    loads = list(net.loads)
     for k, ld in enumerate(loads):
         if ld.bus == bus:
             loads[k] = Load(bus=bus, r=r, x=x)
-            net = replace(model.network, loads=tuple(loads))
-            return replace(model, network=net)
+            return replace(net, loads=tuple(loads))
     raise NetworkError(f"no load declared at bus {bus + 1}")
 
 
-class PlantWorkspace(NetworkWorkspace):
-    """The plant of one run: its state, dt and DG constants, and the buffers
-    of ``step_plant``.
+class PlantWorkspace:
+    """The plant of one run: its state, dt and DG constants, the network of
+    its load epoch, and the buffers of ``step_plant`` and ``solve_network``.
 
-    The state is the phase angle per DG ``delta`` and the filtered powers
-    ``pq_t`` = [P, Q] per DG, (n, 2) like the complex powers, so the filter
-    update runs on contiguous arrays; ``pq`` = [P; Q] and its rows ``p`` and
-    ``q`` are views of it.  Each step updates the state in place and
-    rewrites the droop terms [n_Q Q; m_P P] of the state it reads (into the
-    (2, n) ``droop`` the caller hands in), the droop outputs ``vw`` = [v; w]
-    and the network solution.  Constants are held at the full shape of
-    their operands, so no per-step operation broadcasts.
+    The state is the phase angle per DG ``delta``, the imaginary part of
+    ``j_delta`` (so the solve exponentiates the angles in place), and the
+    filtered powers ``pq_t`` = [P, Q] per DG, (n, 2) like the complex powers,
+    so the filter update runs on contiguous arrays; ``pq`` = [P; Q] and its
+    rows ``p`` and ``q`` are views of it.  Each step updates the state in
+    place and rewrites the droop terms [n_Q Q; m_P P] of the state it reads
+    (into the (2, n) ``droop`` the caller hands in), the droop outputs
+    ``vw`` = [v; w] and the network solution: the complex voltage ``v_dg``
+    and power ``s_dg`` per DG, pu, and the relative active power mismatch
+    ``balance_residual``.  Constants are held at the full shape of their
+    operands, so no per-step operation broadcasts.
+
+    ``net`` is the model's network until ``use`` puts another on: a new
+    load epoch, whose first solve takes its solver (``net.solver``).  The
+    buffer ``iu`` = [DG currents (then their conjugates); branch voltages u]
+    and the halves of u [lines and loads; conductance-scaled] are remade
+    only when the branch count changes.  Their float views make the consumed
+    power sum_b g_b |u_b|^2 one real dot, not a complex ``np.vdot``.
+    ``load_current`` reads u's load rows, the load buses' voltages, with
+    ``bus_v``'s bits: ``bus_map`` is in C order too.
     """
 
     def __init__(self, model: MicrogridModel, dt: float, droop: np.ndarray):
         if dt <= 0:
             raise ValueError("dt must be positive")
         n = model.n
-        super().__init__(n)
         self.dt = dt
-        self.delta = np.zeros(n)       # phase angle per DG, rad, relative to DG1's frame
+        self.j_delta = np.zeros(n, dtype=complex)   # real part 0
+        self.delta = self.j_delta.imag   # phase angle per DG, rad, relative to DG1's frame
         self.pq_t = np.zeros((n, 2))   # filtered [P, Q] per DG, pu
         self.pq = self.pq_t.T
         self.p, self.q = self.pq       # row views
@@ -321,12 +260,66 @@ class PlantWorkspace(NetworkWorkspace):
         self.m_p = np.array([d.m_p for d in model.dgs])
         dt_wc = dt * np.array([d.omega_c for d in model.dgs])
         self.dt_wc = np.column_stack([dt_wc, dt_wc])   # (n, 2), per DG like [P, Q]
+        self.v_dg = np.empty(n, dtype=complex)   # DG voltages
+        self.s_dg = np.empty(n, dtype=complex)   # DG powers
+        self.p_dg = self.s_dg.real
+        self.s_re_im = self.s_dg.view(np.float64).reshape(n, 2)   # [Re s, Im s] per DG
+        self.balance_residual, self.iu = 0.0, None
+        self.use(model.network)
+
+    @property
+    def bus_v(self) -> np.ndarray:
+        """Complex voltage per bus, pu."""
+        return self.solver.bus_map @ self.v_dg
+
+    @property
+    def load_current(self) -> np.ndarray:
+        """Current magnitude per load, pu, in the network's load order."""
+        return np.abs(self.u_load * self.solver.load_y)
+
+    def use(self, net: NetworkParams) -> None:
+        """Run on ``net`` from the next solve on, which builds its solver."""
+        self.net, self.solver = net, None
+
+    def _open_epoch(self) -> None:
+        self.solver = self.net.solver
+        n, nb = len(self.v_dg), self.solver.n_branch
+        if self.iu is None or len(self.iu) != n + 2 * nb:
+            self.iu = np.empty(n + 2 * nb, dtype=complex)
+            self.i_dg, self.u_lo, self.u_hi = self.iu[:n], self.iu[n:n + nb], self.iu[n + nb:]
+            self.u_lo_f, self.u_hi_f = self.u_lo.view(np.float64), self.u_hi.view(np.float64)
+        self.u_load = self.u_lo[nb - len(self.solver.load_y):]
 
 
-def step_plant(ws: PlantWorkspace, net: NetworkParams, setpoints: np.ndarray,
-               t: float) -> PlantWorkspace:
+def solve_network(ws: PlantWorkspace) -> PlantWorkspace:
+    """Solve the phasor network ``ws.net`` for per-DG injected complex power.
+
+    DG buses are fixed voltage sources ``ws.v`` * exp(j ``ws.delta``); the
+    remaining buses carry no injection and are Kron-reduced once per load
+    epoch, at its first solve.  The residual is the relative mismatch
+    between generated active power and load consumption plus line losses,
+    the latter summed over the branch voltages of the full network.  Returns
+    ``ws`` with the solution written into it.
+    """
+    if not min(ws.v.tolist()) > 0.0:
+        raise NetworkError("DG voltage magnitudes must be positive")
+    if ws.solver is None:   # a load epoch's first solve
+        ws._open_epoch()
+    v, i = ws.v_dg, ws.i_dg
+    np.exp(ws.j_delta, v)
+    np.multiply(ws.v, v, v)
+    ws.solver.stack.dot(v, ws.iu)
+    np.conjugate(i, i)
+    np.multiply(v, i, ws.s_dg)
+    p_cons = ws.u_lo_f.dot(ws.u_hi_f)
+    p_gen = sum(ws.p_dg.tolist())
+    ws.balance_residual = abs(p_gen - p_cons) / max(1.0, abs(p_gen))
+    return ws
+
+
+def step_plant(ws: PlantWorkspace, setpoints: np.ndarray, t: float) -> PlantWorkspace:
     """Advance the plant state in ``ws`` one fixed Euler step of ``ws.dt``
-    from set-points [V_n; w_n] on the network ``net``.
+    from set-points [V_n; w_n] on the network ``ws.net``.
 
     Order: droop ([v; w] = [V_n; w_n] - [n_Q q; m_P p]) -> network solve ->
     power filter update -> angle integration.
@@ -347,7 +340,7 @@ def step_plant(ws: PlantWorkspace, net: NetworkParams, setpoints: np.ndarray,
     if not (min(vl) > 0.0 and math.isfinite(sum(vl))):
         raise DivergenceError(t, "non-positive or non-finite droop voltage")
 
-    solve_network(ws.v, ws.delta, net, ws)
+    solve_network(ws)
     # the filter update per DG, in place on (n, 2) [P, Q] arrays
     pq, inc = ws.pq_t, ws.inc
     np.subtract(ws.s_re_im, pq, inc)

@@ -18,7 +18,8 @@ run started there repeats this run's rows from that step on, bit for bit.
 Each step k (t = k dt) runs, in order:
 
 1. the load events on step k (``ScenarioConfig.first_step``, once per run)
-   replace the network (a new load epoch, solver built at the next solve);
+   put their network on the plant workspace (``PlantWorkspace.use``: a new
+   load epoch, whose solver the next solve builds);
 2. on a sampling step, the filtered powers [P, Q] are recorded: the step
    then updates them in place;
 3. ``step_plant``: the droop terms [n_Q Q; m_P P] of the plant state,
@@ -41,12 +42,13 @@ are ``a.dot(b, out)``, copies slice assignments (no Python-level dispatch),
 |u|^2 sums real dots on float views (no complex ``np.vdot``), and no ufunc
 writes in place to a one-entry array:
 
-- ``plant.PlantWorkspace``: the plant state (angles and the (n, 2) filtered
-  powers, with [P; Q] row views) and the filter's increment, the droop
-  terms' row views and the droop outputs [v; w], the complex DG voltages
-  and powers with a (n, 2) float view of the powers, the stacked network
-  product's DG currents and branch voltages (with float and load-row
-  views), and the constants dt, n_Q, m_P and dt omega_c;
+- ``plant.PlantWorkspace``, the one plant object: the state (angles, the
+  imaginary part of j delta, and the (n, 2) filtered powers with [P; Q]
+  row views), the filter's increment, the droop terms' row views and the
+  droop outputs [v; w], the load epoch's network and solver, the complex DG
+  voltages and powers with a (n, 2) float view of the powers, the stacked
+  network product's DG currents and branch voltages (with float and
+  load-row views), and the constants dt, n_Q, m_P and dt omega_c;
 - ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
   one gather of every difference's two ends, the per-edge sums and the
   tracking error, with gains, pinning and dt at the (2, n) set-point shape;
@@ -90,7 +92,6 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     """
     graph = config.graph
     n = graph.n
-    model = config.model
     channels = graph.channels()
     # per attack: its targets and its gain vector, 1.0 off them and held[k] on them
     attacks = [(spec, np.array(resolve_channels(spec, channels)), np.ones(len(channels)))
@@ -111,7 +112,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
             raise ValueError(f"fork step {fork} is not a sample step of steps "
                              f"{start.step} to {last}")
     trace = Trace.empty(last // stride - start.step // stride + 1, n, channels,
-                        len(model.network.loads))
+                        len(config.model.network.loads))
     trace.v_ref, trace.w_ref = config.v_ref, config.w_ref
     rec_t, rec_att = trace.t, trace.attack_active
     rec_clean, rec_recv, rec_load = trace.ch_clean, trace.ch_recv, trace.load_current
@@ -119,7 +120,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     rec_vw, rec_pq, rec_sp = (trace.dg_block[:, :, k:k + 2] for k in (0, 2, 4))
 
     x, recv = cmap.x, cmap.recv
-    ws = PlantWorkspace(model, dt, cmap.droop)
+    ws = PlantWorkspace(config.model, dt, cmap.droop)
     ws.delta[:], ws.pq_t[:] = start.delta, start.pq
     setpoints = np.array(start.setpoints)
     vw_t, pq_t, sp_t = ws.vw.T, ws.pq_t, setpoints.T   # (n, 2) per DG
@@ -134,7 +135,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     for k in range(start.step, last + 1):
         t = k * dt
         while k >= events[0][0]:   # from a later start, every event due by then
-            model = apply_load_event(model, *events.pop(0)[1:])
+            ws.use(apply_load_event(ws.net, *events.pop(0)[1:]))
 
         record = k % stride == 0
         if record:   # a step updates P and Q in place; a diverged step's row is cut
@@ -144,7 +145,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
                                           tuple(map(tuple, pq_t.tolist())),
                                           tuple(map(tuple, setpoints.tolist())))
         try:
-            step_plant(ws, model.network, setpoints, t)
+            step_plant(ws, setpoints, t)
         except DivergenceError as exc:
             diverged_time = exc.t
             break

@@ -14,7 +14,8 @@ from mgres.ann import (Dataset, MlpParams, TrainConfig, build_dataset, gradient,
                        init_params, forward_batch, load_model, mse, save_model, train)
 from mgres.datagen import MatrixSpec, gen_data, load_runs
 from mgres.metrics import compute_metrics
-from mgres.plant import Line, Load, NetworkParams, NetworkWorkspace, solve_network
+from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
+                         PlantWorkspace, solve_network)
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import export_csv, parse_csv, traces_equal
@@ -146,7 +147,9 @@ def test_gradient_against_finite_differences(capsys):
 def test_network_solver_oracle(pipeline, capsys):
     net = NetworkParams(n_bus=2, lines=(Line(0, 1, 0.05, 0.10),),
                         loads=(Load(1, 0.8, 0.3),), dg_bus=(0,))
-    sol = solve_network(np.array([1.0]), np.array([0.0]), net, NetworkWorkspace(1))
+    ws = PlantWorkspace(MicrogridModel((DgParams(),), net), 1e-4, np.empty((2, 1)))
+    ws.v[:], ws.delta[:] = 1.0, 0.0
+    sol = solve_network(ws)
     z_line, z_load = 0.05 + 0.10j, 0.8 + 0.3j
     v1 = z_load / (z_line + z_load)
     s_dg = np.conj((1.0 - v1) / z_line)

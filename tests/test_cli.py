@@ -297,6 +297,22 @@ def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, messa
     ("freq_hz: 0\n", "matrix freq_hz must be positive and finite, got 0.0"),
     # "0/0 runs ok", an empty manifest and exit 0; train then found no run
     ("load_factors: []\n", "matrix load_factors must hold at least one value"),
+    # an error that named no matrix, and an empty --out-dir left behind
+    ("duration: 0\n", "matrix duration must be positive and finite, got 0.0"),
+    ("duration: -1.0\n", "matrix duration must be positive and finite, got -1.0"),
+    ("duration: .nan\n", "matrix duration must be positive and finite, got nan"),
+    # exit 0 with attacked CSVs byte-identical to their normal cells'
+    ("{load_factors: [1.0], alphas: [0.5], betas: [], tau: 0.5, duration: 0.3}\n",
+     "matrix tau 0.5 must be less than duration 0.3 when the matrix has an attack case"),
+    # no attack acts before the end (this matrix planned attacked cells that
+    # resume from the normal cell at the last step)
+    ("{load_factors: [0.9], alphas: [0.5], betas: [0.5], tau: 0.35, step_time: 0.1, "
+     "duration: 0.3}\n",
+     "matrix tau 0.35 must be less than duration 0.3 when the matrix has an attack case"),
+    # exit 0 with two byte-identical normal CSVs under two ids
+    ("{load_factors: [1.0, 1.3], alphas: [], betas: [], step_time: 0.5, duration: 0.3}\n",
+     "matrix step_time 0.5 must be less than duration 0.3 "
+     "when the matrix has two or more load factors"),
 ])
 def test_malformed_matrix_exits_1(work, capsys, doc, message):
     path = work / "bad-matrix.yaml"

@@ -80,10 +80,6 @@ FORK_MATRICES = {
     "onset at 0": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
                               tau=0.0, step_time=0.1, duration=0.3),
                    (None, None, None), 9003, 9003),
-    # no attack acts before the end: the attacked cells simulate the last step
-    "onset after the end": (MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,),
-                                       tau=0.35, step_time=0.1, duration=0.3),
-                            (None, 3000, 3000), 3003, 3003),
     # the normal cell diverges at 0.0765 s, before the fork
     "diverged before the fork": (MatrixSpec(load_factors=(25.0,), alphas=(0.5,),
                                             betas=(0.5,), tau=0.2, step_time=0.05,

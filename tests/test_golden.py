@@ -19,8 +19,10 @@ controller, then with the benchmark's ANN fixture
 ``perfbench/fixtures/model.txt`` on DG1) and of each CSV that gen_data
 writes for ``GEN_MATRIX`` and for ``GEN_MATRIX_EARLY`` are printed and
 compared with ``fixtures/golden_digests.json``; the exit status is 1, naming
-each run, when any differs.  The gen_data digests are a test too.
-``--record`` rewrites that fixture too.
+each run, when any differs.  All 26 digests are tests too: the six built-in
+runs are shared, through one module fixture, with a step-size check that
+reruns the periodic scenario at half the step and compares its metrics.
+``--record`` rewrites ``golden_digests.json`` too.
 
     PYTHONPATH=src python tests/test_golden.py --digests
 """
@@ -38,6 +40,7 @@ import pytest
 from mgres.ann import (MlpParams, NormalizationSpec, TrainConfig, build_dataset,
                        feature_channels, load_model, save_model, train)
 from mgres.datagen import MatrixSpec, gen_data, load_runs
+from mgres.metrics import compute_metrics
 from mgres.scenario import BUILTIN_SCENARIOS, builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import export_csv
@@ -144,20 +147,59 @@ def test_gen_data_csvs_match_golden_digests():
     assert got == {run: digest for run, digest in want.items() if run.startswith("gen-data")}
 
 
+def builtin_config(name: str, ctrl: str, params: MlpParams):
+    """The 4 s built-in scenario ``name`` with the baseline controller on
+    every DG (``ctrl`` "pi"), or with the MLP ``params`` on DG1 ("ann")."""
+    cfg = builtin_scenario(name, duration=4.0)
+    if ctrl == "ann":
+        cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"), ann_model=params)
+    return cfg
+
+
+def builtin_runs(params: MlpParams) -> dict:
+    """The traces of the six 4 s built-in runs by name (``<scenario>/<ctrl>``),
+    the baseline runs first."""
+    return {f"{name}/{ctrl}": run_scenario(builtin_config(name, ctrl, params))
+            for ctrl in ("pi", "ann") for name in BUILTIN_SCENARIOS}
+
+
+def csv_digest(trace) -> str:
+    return hashlib.sha256(export_csv(trace).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def builtin_traces():
+    return builtin_runs(load_model(DIGEST_MODEL))
+
+
+def test_builtin_csvs_match_golden_digests(builtin_traces):
+    # every byte of the closed loop's output, ANN included, on the 4 s horizon
+    want = json.loads(DIGEST_FIXTURE.read_text())
+    got = {run: csv_digest(tr) for run, tr in builtin_traces.items()}
+    assert len(got) == 6
+    assert got == {run: digest for run, digest in want.items()
+                   if not run.startswith("gen-data")}
+
+
+@pytest.mark.parametrize("ctrl", ["pi", "ann"])
+def test_halving_the_step_keeps_the_metrics(builtin_traces, ctrl):
+    # the fixed Euler step of 0.1 ms has converged: at 0.05 ms the periodic
+    # attack's mean tracking error and ripple move by less than 2 %
+    coarse = builtin_traces[f"default-periodic/{ctrl}"]
+    cfg = builtin_config("default-periodic", ctrl, load_model(DIGEST_MODEL))
+    fine = run_scenario(replace(cfg, dt=cfg.dt / 2))
+    assert not (coarse.diverged or fine.diverged)
+    assert fine.t.tobytes() == coarse.t.tobytes()
+    a, b = compute_metrics(coarse), compute_metrics(fine)
+    for key in ("eps_v_post_mean", "voltage_ripple"):
+        assert getattr(b, key) == pytest.approx(getattr(a, key), rel=0.02), key
+
+
 def csv_digests(model_path: Path) -> list[tuple[str, str]]:
     """(run name, SHA-256 of its CSV) for the six 4 s built-in runs, then
     ``gen_data_digests``."""
-    params = load_model(model_path)
-    out = []
-    for ctrl in ("pi", "ann"):
-        for name in BUILTIN_SCENARIOS:
-            cfg = builtin_scenario(name, duration=4.0)
-            if ctrl == "ann":
-                cfg = replace(cfg, controllers=("ann", "pi", "pi", "pi"), ann_model=params)
-            tr = run_scenario(cfg)
-            out.append((f"{name}/{ctrl}",
-                        hashlib.sha256(export_csv(tr).encode()).hexdigest()))
-    return out + gen_data_digests()
+    runs = builtin_runs(load_model(model_path))
+    return [(run, csv_digest(tr)) for run, tr in runs.items()] + gen_data_digests()
 
 
 if __name__ == "__main__" and "--digests" in sys.argv:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from mgres import simulate
 from mgres.graph import ring_graph
 from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
-                         NetworkError, NetworkParams, NetworkWorkspace, PlantWorkspace,
+                         NetworkError, NetworkParams, PlantWorkspace,
                          apply_load_event, build_ybus, default_model, solve_network,
                          step_plant)
 from mgres.scenario import LoadEvent, ScenarioConfig
@@ -18,11 +19,6 @@ def setpoints(v_n, w_n):
     return np.array([v_n, w_n])
 
 
-def solve(vmag, delta, net):
-    """solve_network on a new workspace."""
-    return solve_network(vmag, delta, net, NetworkWorkspace(len(vmag)))
-
-
 def plant_ws(model, dt=1e-4, delta=None, pq=None):
     """A new plant workspace, its state set to ``delta`` and [P; Q] where given."""
     ws = PlantWorkspace(model, dt, np.empty((2, model.n)))
@@ -31,6 +27,21 @@ def plant_ws(model, dt=1e-4, delta=None, pq=None):
     if pq is not None:
         ws.pq[:] = pq
     return ws
+
+
+def solve_on(ws, vmag, delta, net):
+    """solve_network on ``ws`` at DG voltages ``vmag`` and angles ``delta``
+    on ``net``, which starts a new load epoch unless it is ``ws.net``."""
+    if net is not ws.net:
+        ws.use(net)
+    ws.v[:], ws.delta[:] = vmag, delta
+    return solve_network(ws)
+
+
+def solve(vmag, delta, net):
+    """solve_network on a new workspace."""
+    model = MicrogridModel((DgParams(),) * len(net.dg_bus), net)
+    return solve_on(plant_ws(model), vmag, delta, net)
 
 
 def two_bus_net(load=Load(1, 0.8, 0.3)):
@@ -121,7 +132,7 @@ def test_droop_is_affine(v_n, w_n, p, q):
     # droop outputs of every DG: v = V_n - n_Q q, w = w_n - m_P p
     model = default_model()
     out = plant_ws(model, pq=[np.full(4, p), np.full(4, q)])
-    step_plant(out, model.network, setpoints(np.full(4, v_n), np.full(4, w_n)), 0.0)
+    step_plant(out, setpoints(np.full(4, v_n), np.full(4, w_n)), 0.0)
     np.testing.assert_allclose(out.v, v_n - 0.04 * q, rtol=1e-12)
     np.testing.assert_allclose(out.w, w_n - 3.77 * p, rtol=1e-12)
 
@@ -129,8 +140,8 @@ def test_droop_is_affine(v_n, w_n, p, q):
 def test_step_is_deterministic():
     model = default_model()
     sp = setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60))
-    o1 = step_plant(plant_ws(model), model.network, sp, 0.0)
-    o2 = step_plant(plant_ws(model), model.network, sp, 0.0)
+    o1 = step_plant(plant_ws(model), sp, 0.0)
+    o2 = step_plant(plant_ws(model), sp, 0.0)
     assert np.array_equal(o1.p, o2.p) and np.array_equal(o1.q, o2.q)
     assert np.array_equal(o1.delta, o2.delta)
     assert np.array_equal(o1.v, o2.v) and np.array_equal(o1.w, o2.w)
@@ -143,7 +154,7 @@ def test_step_is_deterministic():
 def test_step_filter_update_matches_hand_formula():
     model = default_model()
     dt = 1e-4
-    new = step_plant(plant_ws(model, dt), model.network,
+    new = step_plant(plant_ws(model, dt),
                      setpoints(np.full(4, 1.0), np.full(4, 2 * np.pi * 60)), 0.0)
     sol = solve(new.v, np.zeros(4), model.network)   # the angles before the step
     np.testing.assert_allclose(new.p, dt * 31.4 * sol.s_dg.real, rtol=1e-12)
@@ -156,7 +167,7 @@ def test_angle_integrates_relative_frequency_and_wraps():
     model = default_model()
     new = plant_ws(model, delta=[0.0, np.pi - 1e-3, 0.0, 0.0])
     w_n = np.array([0.0, 100.0, 0.0, 0.0]) + 2 * np.pi * 60
-    step_plant(new, model.network, setpoints(np.full(4, 1.0), w_n), 0.0)
+    step_plant(new, setpoints(np.full(4, 1.0), w_n), 0.0)
     d1 = np.pi - 1e-3 + 1e-4 * (new.w[1] - new.w[0])
     assert d1 > np.pi  # crosses the branch cut
     assert new.delta[1] == pytest.approx(d1 - 2 * np.pi, abs=1e-12)
@@ -178,7 +189,7 @@ def test_divergence_guard():
         pq = np.zeros((2, 4))
         pq[row] = value
         with pytest.raises(DivergenceError, match=message) as exc:
-            step_plant(plant_ws(model, pq=pq), model.network, sp, t=0.25)
+            step_plant(plant_ws(model, pq=pq), sp, t=0.25)
         assert exc.value.t == 0.25
 
 
@@ -189,8 +200,7 @@ def test_non_finite_droop_voltage_is_caught_at_any_dg(bad, dg):
     v_n = np.full(4, 1.0)
     v_n[dg] = bad
     with pytest.raises(DivergenceError, match="non-finite droop voltage") as exc:
-        step_plant(plant_ws(model), model.network, setpoints(v_n, np.full(4, 377.0)),
-                   t=0.125)
+        step_plant(plant_ws(model), setpoints(v_n, np.full(4, 377.0)), t=0.125)
     assert exc.value.t == 0.125
 
 
@@ -205,7 +215,7 @@ def test_non_finite_filtered_power_is_caught_at_any_dg(bad, dg):
     pq[0, dg] = bad
     sp = setpoints(np.full(4, 1.0), np.full(4, 377.0))
     with pytest.raises(DivergenceError, match="state magnitude nan exceeded") as exc:
-        step_plant(plant_ws(model, pq=pq), model.network, sp, t=0.375)
+        step_plant(plant_ws(model, pq=pq), sp, t=0.375)
     assert exc.value.t == 0.375
 
 
@@ -232,10 +242,10 @@ def run_reused_and_fresh(model, n_steps, events=None, dt=1e-4):
     sp = setpoints(np.linspace(0.99, 1.02, model.n), np.linspace(376.0, 378.0, model.n))
     for k in range(n_steps):
         if k in events:
-            model = apply_load_event(model, *events[k])
-        fresh = plant_ws(model, dt, ws.delta.copy(), ws.pq.copy())
-        step_plant(ws, model.network, sp, k * dt)
-        assert_same_step(ws, step_plant(fresh, model.network, sp, k * dt))
+            ws.use(apply_load_event(ws.net, *events[k]))
+        fresh = plant_ws(replace(model, network=ws.net), dt, ws.delta.copy(), ws.pq.copy())
+        step_plant(ws, sp, k * dt)
+        assert_same_step(ws, step_plant(fresh, sp, k * dt))
         assert ws.balance_residual < 1e-9
     return ws
 
@@ -250,13 +260,15 @@ def test_reused_workspace_gives_the_fresh_bits(model, event):
     assert np.abs(end.pq).max() > 0
 
 
-def test_network_workspace_follows_the_branch_count():
-    ws = NetworkWorkspace(4)
+def test_plant_workspace_follows_the_branch_count():
+    model = default_model()
+    ws = plant_ws(model)
     vmag, delta = np.linspace(0.98, 1.02, 4), np.linspace(-0.02, 0.02, 4)
-    ring = default_model().network
+    ring = model.network
     chord = NetworkParams(4, ring.lines + (Line(0, 2, 0.1, 0.2),), ring.loads, ring.dg_bus)
     for net in (ring, chord, ring):
-        sol = solve_network(vmag, delta, net, ws)
+        sol = solve_on(ws, vmag, delta, net)
+        assert sol.net is net and sol.solver is net.solver
         want = solve(vmag, delta, net)
         assert sol.s_dg.tobytes() == want.s_dg.tobytes()
         assert sol.balance_residual == want.balance_residual < 1e-9
@@ -267,17 +279,17 @@ def test_network_workspace_follows_the_branch_count():
 
 def test_solve_and_step_return_their_workspace():
     model = default_model()
-    ws = NetworkWorkspace(4)
-    assert solve_network(np.ones(4), np.zeros(4), model.network, ws) is ws
+    ws = plant_ws(model)
+    assert solve_on(ws, np.ones(4), np.zeros(4), model.network) is ws
     pws = plant_ws(model)
-    assert step_plant(pws, model.network, setpoints(np.ones(4), np.full(4, 377.0)), 0.0) is pws
+    assert step_plant(pws, setpoints(np.ones(4), np.full(4, 377.0)), 0.0) is pws
 
 
 def test_each_network_builds_its_solver_once():
     model = default_model()
     net = model.network
     assert net.solver is net.solver
-    bumped = apply_load_event(model, bus=0, r=0.4, x=0.15).network
+    bumped = apply_load_event(net, bus=0, r=0.4, x=0.15)
     assert bumped.solver is bumped.solver
     assert bumped.solver is not net.solver
     assert not np.array_equal(bumped.solver.y_red, net.solver.y_red)
@@ -320,10 +332,10 @@ def test_stacked_product_has_the_bits_of_the_two_products(model, seed):
     rng = np.random.default_rng(seed)
     solver = model.network.solver
     y_red, branch = solver.y_red.copy(), solver.branch.copy()
-    ws = NetworkWorkspace(model.n)
+    ws = plant_ws(model)
     for _ in range(5):
-        sol = solve_network(rng.uniform(0.9, 1.1, model.n), rng.uniform(-0.3, 0.3, model.n),
-                            model.network, ws)
+        sol = solve_on(ws, rng.uniform(0.9, 1.1, model.n), rng.uniform(-0.3, 0.3, model.n),
+                       model.network)
         v = sol.v_dg
         assert sol.i_dg.tobytes() == np.conjugate(np.dot(y_red, v)).tobytes()
         assert sol.iu[model.n:].tobytes() == np.dot(branch, v).tobytes()
@@ -360,12 +372,12 @@ def test_load_currents_and_residual_from_the_stacked_product(model):
 
 
 def test_apply_load_event():
-    model = default_model()
-    bumped = apply_load_event(model, bus=0, r=0.4, x=0.15)
-    assert bumped.network.loads[0] == Load(0, 0.4, 0.15)
-    assert model.network.loads[0] == Load(0, 0.8, 0.3)  # original untouched
+    net = default_model().network
+    bumped = apply_load_event(net, bus=0, r=0.4, x=0.15)
+    assert bumped.loads[0] == Load(0, 0.4, 0.15)
+    assert net.loads[0] == Load(0, 0.8, 0.3)  # original untouched
     with pytest.raises(NetworkError, match="no load declared at bus 2"):
-        apply_load_event(model, bus=1, r=0.4, x=0.15)
+        apply_load_event(net, bus=1, r=0.4, x=0.15)
 
 
 def test_default_model_shape():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgres.ann import MlpParams, TrainConfig, load_model
 from mgres.attack import AttackSpec, NonPeriodic, Periodic, parse_target
-from mgres.datagen import MatrixSpec
+from mgres.datagen import MatrixSpec, training_matrix
 from mgres.graph import ring_graph
 from mgres.scenario import (BUILTIN_SCENARIOS, LoadEvent, RunStart, ScenarioConfig,
                             ScenarioError, builtin_scenario, from_dict,
@@ -403,6 +403,16 @@ def test_runs_from_one_start_share_no_stretch_before_it():
     b = replace(a, attacks=(replace(a.attacks[0], tau=0.05),))
     assert a.shared_until(b) == 0 and plan_runs([a, b]) == [(0, None), (0, None)]
     assert a.shared_until(replace(b, attacks=(replace(a.attacks[0], tau=0.2),))) == 2000
+
+
+def test_runs_whose_attacks_start_after_the_end_share_the_whole_run():
+    # no attack acts before the end, so each attacked run resumes from the
+    # normal run at its last step (a matrix that asks for this is an error)
+    spec = MatrixSpec(load_factors=(0.9,), alphas=(0.5,), betas=(0.5,), tau=0.2,
+                      step_time=0.1, duration=0.3)
+    configs = [replace(cfg, attacks=tuple(replace(a, tau=0.35) for a in cfg.attacks))
+               for cfg, _ in training_matrix(spec)]
+    assert plan_runs(configs) == [(0, None), (3000, 0), (3000, 0)]
 
 
 # documents built from the schema's keys; one value in twenty has a wrong type,

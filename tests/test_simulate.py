@@ -210,9 +210,9 @@ def test_passive_buses_match_full_nodal_solve(monkeypatch):
     solves = []
     inner = plant.solve_network
 
-    def recorded(vmag, delta, network, ws):
-        solves.append((vmag.copy(), delta.copy(), network))
-        return inner(vmag, delta, network, ws)
+    def recorded(ws):
+        solves.append((ws.v.copy(), ws.delta.copy(), ws.net))
+        return inner(ws)
 
     monkeypatch.setattr(plant, "solve_network", recorded)
     tr = run_scenario(cfg)
