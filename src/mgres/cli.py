@@ -50,8 +50,9 @@ def cmd_gen_data(args) -> int:
         matrix = ConfigReader(read_yaml(args.matrix, "matrix") or {}, "matrix").build(MatrixSpec)
     entries = gen_data(args.out_dir, matrix)
     n_ok = sum(e["status"] == "ok" for e in entries)
+    failed = any(e["status"].startswith("error:") for e in entries)
     print(f"{n_ok}/{len(entries)} runs ok; manifest in {args.out_dir}/manifest.json")
-    return 0 if n_ok == len(entries) else 2
+    return 1 if failed else 0 if n_ok == len(entries) else 2
 
 
 def cmd_train(args) -> int:

@@ -137,8 +137,8 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
     """Run the scenario matrix and write one CSV per run plus a manifest.
 
     Each cell resumes from its planned source's fork (module docstring); one
-    whose source failed or diverged before the fork runs in full.  Failures
-    are recorded per run in the manifest; partial output is kept.  Each
+    whose source failed or diverged before the fork runs in full.  A cell's
+    ValueError or OSError is its manifest status; partial output is kept.  Each
     entry also records the steps the cell simulated and the cell and step it
     resumed from (``resumed_from``, null for a full run).  Returns the
     manifest entries.
@@ -176,7 +176,7 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
                                else "ok")
             export_csv(trace, os.path.join(out_dir, entry["file"]), head=head)
             forks[-1] = trace.forks   # a cell whose CSV was not written hands out none
-        except Exception as exc:  # keep going; record the failure
+        except (ValueError, OSError) as exc:  # keep going; a programming error ends the run
             entry["status"] = f"error: {exc}"
         entries.append(entry)
     tmp = os.path.join(out_dir, "manifest.json.tmp")

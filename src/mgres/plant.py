@@ -230,14 +230,14 @@ class PlantWorkspace:
     ``balance_residual``.  Constants are held at the full shape of their
     operands, so no per-step operation broadcasts.
 
-    ``net`` is the model's network until ``use`` puts another on: a new
-    load epoch, whose first solve takes its solver (``net.solver``).  The
-    buffer ``iu`` = [DG currents (then their conjugates); branch voltages u]
-    and the halves of u [lines and loads; conductance-scaled] are remade
-    only when the branch count changes.  Their float views make the consumed
-    power sum_b g_b |u_b|^2 one real dot, not a complex ``np.vdot``.
-    ``load_current`` reads u's load rows, the load buses' voltages, with
-    ``bus_v``'s bits: ``bus_map`` is in C order too.
+    ``net`` is the network of the load epoch the plant runs on: the
+    model's, until ``use`` puts another on.  ``solver`` is always
+    ``net.solver``, and ``use`` makes the epoch's buffers with it: ``iu`` =
+    [DG currents (then their conjugates); branch voltages u] and the halves
+    of u [lines and loads; conductance-scaled].  Their float views make the
+    consumed power sum_b g_b |u_b|^2 one real dot, not a complex
+    ``np.vdot``.  ``load_current`` reads u's load rows, the load buses'
+    voltages, with ``bus_v``'s bits: ``bus_map`` is in C order too.
     """
 
     def __init__(self, model: MicrogridModel, dt: float, droop: np.ndarray):
@@ -264,7 +264,7 @@ class PlantWorkspace:
         self.s_dg = np.empty(n, dtype=complex)   # DG powers
         self.p_dg = self.s_dg.real
         self.s_re_im = self.s_dg.view(np.float64).reshape(n, 2)   # [Re s, Im s] per DG
-        self.balance_residual, self.iu = 0.0, None
+        self.balance_residual = 0.0
         self.use(model.network)
 
     @property
@@ -278,16 +278,14 @@ class PlantWorkspace:
         return np.abs(self.u_load * self.solver.load_y)
 
     def use(self, net: NetworkParams) -> None:
-        """Run on ``net`` from the next solve on, which builds its solver."""
-        self.net, self.solver = net, None
-
-    def _open_epoch(self) -> None:
-        self.solver = self.net.solver
+        """Put ``net`` on the plant: a new load epoch, whose solver (built
+        once per network) and buffers are made here.  A singular ``net``
+        raises ``NetworkError`` and leaves the plant on its old epoch."""
+        self.net, self.solver = net, net.solver
         n, nb = len(self.v_dg), self.solver.n_branch
-        if self.iu is None or len(self.iu) != n + 2 * nb:
-            self.iu = np.empty(n + 2 * nb, dtype=complex)
-            self.i_dg, self.u_lo, self.u_hi = self.iu[:n], self.iu[n:n + nb], self.iu[n + nb:]
-            self.u_lo_f, self.u_hi_f = self.u_lo.view(np.float64), self.u_hi.view(np.float64)
+        self.iu = np.empty(n + 2 * nb, dtype=complex)
+        self.i_dg, self.u_lo, self.u_hi = self.iu[:n], self.iu[n:n + nb], self.iu[n + nb:]
+        self.u_lo_f, self.u_hi_f = self.u_lo.view(np.float64), self.u_hi.view(np.float64)
         self.u_load = self.u_lo[nb - len(self.solver.load_y):]
 
 
@@ -296,15 +294,12 @@ def solve_network(ws: PlantWorkspace) -> PlantWorkspace:
 
     DG buses are fixed voltage sources ``ws.v`` * exp(j ``ws.delta``); the
     remaining buses carry no injection and are Kron-reduced once per load
-    epoch, at its first solve.  The residual is the relative mismatch
-    between generated active power and load consumption plus line losses,
-    the latter summed over the branch voltages of the full network.  Returns
-    ``ws`` with the solution written into it.
+    epoch, by ``ws.solver``.  The residual is the relative mismatch between
+    generated active power and load consumption plus line losses, the
+    latter summed over the branch voltages of the full network.  Returns
+    ``ws`` with the solution written into it.  The voltages are not
+    checked here: ``step_plant`` raises on a non-positive one first.
     """
-    if not min(ws.v.tolist()) > 0.0:
-        raise NetworkError("DG voltage magnitudes must be positive")
-    if ws.solver is None:   # a load epoch's first solve
-        ws._open_epoch()
     v, i = ws.v_dg, ws.i_dg
     np.exp(ws.j_delta, v)
     np.multiply(ws.v, v, v)

@@ -17,11 +17,11 @@ run started there repeats this run's rows from that step on, bit for bit.
 
 Each step k (t = k dt) runs, in order:
 
-1. the load events on step k (``ScenarioConfig.first_step``, once per run)
-   put their network on the plant workspace (``PlantWorkspace.use``: a new
-   load epoch, whose solver the next solve builds);
-2. on a sampling step, the filtered powers [P, Q] are recorded: the step
-   then updates them in place;
+1. on a sampling step, the filtered powers [P, Q] are recorded (the step
+   then updates them in place) and a fork step hands out its ``RunStart``;
+2. the load events on step k (``ScenarioConfig.first_step``, once per run)
+   change one network, which ``PlantWorkspace.use`` puts on the plant: a
+   new load epoch, whose solver and buffers it makes;
 3. ``step_plant``: the droop terms [n_Q Q; m_P P] of the plant state,
    written into the secondary layer's input vector x, the droop outputs
    [v; w] from the set-points [V_n; w_n], the network solve and the
@@ -45,10 +45,11 @@ writes in place to a one-entry array:
 - ``plant.PlantWorkspace``, the one plant object: the state (angles, the
   imaginary part of j delta, and the (n, 2) filtered powers with [P; Q]
   row views), the filter's increment, the droop terms' row views and the
-  droop outputs [v; w], the load epoch's network and solver, the complex DG
-  voltages and powers with a (n, 2) float view of the powers, the stacked
-  network product's DG currents and branch voltages (with float and
-  load-row views), and the constants dt, n_Q, m_P and dt omega_c;
+  droop outputs [v; w], the complex DG voltages and powers with a (n, 2)
+  float view of the powers, the constants dt, n_Q, m_P and dt omega_c, and
+  the load epoch's network and solver with the stacked network product's
+  DG currents and branch voltages (and their float and load-row views),
+  made once per load epoch by ``use``;
 - ``secondary.ConsensusMap``: x = [channels, droop terms, v_ref, w_ref], its
   one gather of every difference's two ends, the per-edge sums and the
   tracking error, with gains, pinning and dt at the (2, n) set-point shape;
@@ -87,8 +88,8 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     before a step has no entry for it).
 
     Divergence is reported on the returned trace (``diverged`` flag and
-    truncated arrays), not raised, and so is a network that a load event
-    after t = 0 makes singular; at t = 0 a ``NetworkError`` is raised.
+    truncated arrays), not raised, and so is a network that load events
+    after step 0 make singular; at step 0 a ``NetworkError`` is raised.
     """
     graph = config.graph
     n = graph.n
@@ -134,9 +135,6 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
 
     for k in range(start.step, last + 1):
         t = k * dt
-        while k >= events[0][0]:   # from a later start, every event due by then
-            ws.use(apply_load_event(ws.net, *events.pop(0)[1:]))
-
         record = k % stride == 0
         if record:   # a step updates P and Q in place; a diverged step's row is cut
             rec_pq[sample] = pq_t
@@ -145,11 +143,16 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
                                           tuple(map(tuple, pq_t.tolist())),
                                           tuple(map(tuple, setpoints.tolist())))
         try:
+            if k >= events[0][0]:   # from a later start, every event due by then
+                net = ws.net
+                while k >= events[0][0]:
+                    net = apply_load_event(net, *events.pop(0)[1:])
+                ws.use(net)
             step_plant(ws, setpoints, t)
         except DivergenceError as exc:
             diverged_time = exc.t
             break
-        except NetworkError:    # only a load epoch's first solve raises it
+        except NetworkError:    # only ws.use raises it: a singular load epoch
             if k == 0:          # the scenario's own network: a config error
                 raise
             diverged_time = t

@@ -1,6 +1,7 @@
 import json
 import shutil
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,10 @@ TINY_MATRIX_YAML = textwrap.dedent("""\
     """)
 
 TRAIN_YAML = "max_epochs: 40\n"
+
+ROOT = Path(__file__).parent.parent
+RING6 = ROOT / "tests" / "fixtures" / "ring6.yaml"
+FIXTURE_MODEL = ROOT / "perfbench" / "fixtures" / "model.txt"   # trained on the 4-DG ring
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +95,21 @@ def test_gen_data_and_train(pipeline, capsys):
     manifest = json.loads((data / "manifest.json").read_text())
     assert len(manifest) == 3
     assert model.read_text().startswith("mgres-mlp 1 7 10 1\n")
+
+
+def test_compare_on_a_six_dg_ring(tmp_path, capsys):
+    # a second topology with its own plant and graph, under the paper's
+    # attack on DG1: PI's vulnerability is gated; the 4-ring model runs as
+    # every ring DG has two in-neighbors, and its figures are reported only
+    report = tmp_path / "ring6.json"
+    assert main(["compare", "--scenario", str(RING6), "--model", str(FIXTURE_MODEL),
+                 "--report", str(report)]) == 0
+    d = json.loads(report.read_text())
+    assert d["baseline"]["eps_v_post_mean"] > 0.1
+    with capsys.disabled():
+        print(f"REPORT six-DG ring, PI mean eps_v {d['baseline']['eps_v_post_mean']:.4f} pu; "
+              f"4-ring ANN on DG1 mean eps_v {d['ann']['eps_v_post_mean']:.5f} pu, "
+              f"max {d['ann']['eps_v_post_max']:.5f} pu, verdicts {d['verdicts']}")
 
 
 def test_evaluate(pipeline, work, capsys):
@@ -321,6 +341,21 @@ def test_malformed_matrix_exits_1(work, capsys, doc, message):
     assert main(["gen-data", "--matrix", str(path), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_cell_that_cannot_be_written_exits_1(tmp_path, capsys):
+    # a directory where the clean cell's CSV goes: that cell's status is an
+    # error and the command exits 1, not 2 (divergence); the other cell is ok
+    matrix = tmp_path / "one-load.yaml"
+    matrix.write_text("load_factors: [1.0]\nalphas: [0.5]\nbetas: []\ntau: 0.1\n"
+                      "duration: 0.3\n")
+    out = tmp_path / "data"
+    (out / "load1-normal.csv").mkdir(parents=True)
+    assert main(["gen-data", "--matrix", str(matrix), "--out-dir", str(out)]) == 1
+    assert "1/2 runs ok" in capsys.readouterr().out
+    status = {e["id"]: e["status"] for e in json.loads((out / "manifest.json").read_text())}
+    assert status.pop("load1-normal").startswith("error: [Errno 21] Is a directory")
+    assert list(status.values()) == ["ok"]
 
 
 def attack_doc(kind: str = "nonperiodic, alpha: 0.5", tau: str = "0.01", end: str = "") -> str:

@@ -1,12 +1,16 @@
-"""Every name a demo imports from mgres must exist."""
+"""Every name a demo imports from mgres must exist, and demos 01-04 run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def mgres_imports(path: Path) -> list[tuple[str, str]]:
@@ -29,3 +33,15 @@ def test_demo_imports_exist(path):
     missing = [f"{mod}.{name}" for mod, name in names
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+# demo 05 trains its own model for several seconds: it stays import-only
+@pytest.mark.parametrize("path", DEMOS[:4], ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # demo 04 leaves its mkdtemp() directory behind: keep it under tmp_path
+    src = str(ROOT / "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mgres import simulate
+from mgres import plant, simulate
 from mgres.graph import ring_graph
 from mgres.plant import (DgParams, DivergenceError, Line, Load, MicrogridModel,
                          NetworkError, NetworkParams, PlantWorkspace,
@@ -97,17 +97,50 @@ def test_equal_voltages_share_load_symmetrically():
     assert sol.s_dg[1] == pytest.approx(sol.s_dg[3], abs=1e-12)
 
 
-def test_solver_input_validation():
+def resonant_net():
+    # j0.1 line in series with a -j0.1 load: Y_oo is exactly zero
+    return NetworkParams(2, (Line(0, 1, 0.0, 0.1),), (Load(1, 0.0, -0.1),), (0,))
+
+
+def test_use_opens_the_epoch():
+    # use takes the network's solver; a singular network raises there and
+    # leaves the plant on its old epoch, whose next solve has the same bits
     net = two_bus_net()
-    with pytest.raises(NetworkError, match="positive"):
-        solve(np.array([0.0]), np.array([0.0]), net)
+    ws = plant_ws(MicrogridModel((DgParams(),), net))
+    assert ws.net is net and ws.solver is ws.net.solver
+    for epoch in (apply_load_event(net, bus=1, r=0.4, x=0.15), net):
+        ws.use(epoch)
+        assert ws.net is epoch and ws.solver is ws.net.solver
+    want = solve_on(ws, np.ones(1), np.full(1, 0.1), net).s_dg.tobytes()
+    with pytest.raises(NetworkError, match="singular"):
+        ws.use(resonant_net())
+    assert ws.net is net and ws.solver is ws.net.solver
+    assert solve_network(ws).s_dg.tobytes() == want
 
 
 def test_resonant_passive_bus_is_singular():
-    # j0.1 line in series with a -j0.1 load: Y_oo is exactly zero
-    net = NetworkParams(2, (Line(0, 1, 0.0, 0.1),), (Load(1, 0.0, -0.1),), (0,))
     with pytest.raises(NetworkError, match="singular"):
-        solve(np.array([1.0]), np.array([0.0]), net)
+        solve(np.array([1.0]), np.array([0.0]), resonant_net())
+
+
+def test_same_step_load_events_open_one_epoch(monkeypatch):
+    # two events due at one step give one load epoch: the network between
+    # them builds no solver, so a run builds the model's and the epoch's
+    built = []
+
+    class CountedSolver(plant.NetworkSolver):
+        def __init__(self, net):
+            built.append(net)
+            super().__init__(net)
+
+    monkeypatch.setattr(plant, "NetworkSolver", CountedSolver)
+    model = default_model()
+    events = (LoadEvent(0.002, 0, 0.4, 0.15), LoadEvent(0.002, 2, 0.5, 0.2))
+    tr = run_scenario(ScenarioConfig("two-events", 0.004, model, ring_graph(model.n),
+                                     load_events=events))
+    assert not tr.diverged
+    net = model.network
+    assert built == [net, apply_load_event(apply_load_event(net, 0, 0.4, 0.15), 2, 0.5, 0.2)]
 
 
 def test_network_invariants():

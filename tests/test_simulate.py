@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from mgres import ann, attack, plant, simulate
 from mgres.ann import MlpParams, NormalizationSpec
 from mgres.attack import AttackSpec, NonPeriodic
-from mgres.graph import ring_graph
+from mgres.graph import CommGraph, GraphError, ring_graph
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
                          build_ybus)
 from mgres.scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError, builtin_scenario
@@ -258,6 +259,32 @@ def test_halving_dt_halves_the_trace_change():
         d1, d2 = np.abs(coarse - mid).max(), np.abs(mid - fine).max()
         assert 0 < d2 < 1e-4
         assert 1.8 < d1 / d2 < 2.2, (sig, d1, d2)
+
+
+@st.composite
+def four_dg_graphs(draw):
+    """Random 4-DG communication digraphs that ``CommGraph`` accepts: each
+    edge with probability 1/2 and weight in [0.5, 2], each DG pinned with
+    probability 0.4 and gain in [0.5, 2]."""
+    weight = st.floats(0.5, 2.0)
+    adj = [[draw(weight) if i != j and draw(st.booleans()) else 0.0 for j in range(4)]
+           for i in range(4)]
+    pin = [draw(weight) if draw(st.integers(0, 4)) < 2 else 0.0 for _ in range(4)]
+    try:
+        return CommGraph(np.array(adj), np.array(pin))
+    except GraphError:
+        reject()
+
+
+# weights stay >= 0.5: a 4-DG chain of weight-0.1 edges ends a 2 s run 1.24 %
+# off, too close to the band; these graphs' worst was 0.67 % over 60 draws
+@settings(max_examples=20, deadline=None)
+@given(four_dg_graphs())
+def test_pi_reaches_the_reference_on_any_pinned_graph(graph):
+    cfg = replace(builtin_scenario("default", duration=2.0), graph=graph)
+    tr = run_scenario(cfg)
+    assert not tr.diverged
+    assert (np.abs(tr.dg["v"][-1] - cfg.v_ref) <= 0.02 * cfg.v_ref).all()
 
 
 def test_a_load_event_lands_on_the_step_it_is_due():
