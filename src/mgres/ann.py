@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .trace import write_text
+
 TRIPLE = ("recv.own", "recv.nb1", "recv.nb2")   # in feature_channels' order
 FEATURES = TRIPLE + TRIPLE + ("v_ref",)   # the input row, one source per column
 N_IN = len(FEATURES)
@@ -500,19 +502,20 @@ def build_dataset(runs) -> Dataset:
 
 # -- model persistence: self-describing flat text, >= 17 significant digits --
 
+# the first line: format name and version, then the layer widths
+_MODEL_HEADER = f"mgres-mlp 1 {N_IN} {N_HIDDEN} 1"
 # the value rows after the header, in file order, and their lengths
 _MODEL_ROWS = {"w1": N_HIDDEN * N_IN, "b1": N_HIDDEN, "w2": N_HIDDEN, "b2": 1,
                "x_offset": N_IN, "x_scale": N_IN, "y_offset": 1, "y_scale": 1}
 
 
 def save_model(params: MlpParams, path) -> None:
-    lines = [f"mgres-mlp 1 {N_IN} {N_HIDDEN} 1"]
+    lines = [_MODEL_HEADER]
     for arr in (params.w1, params.b1, params.w2, params.b2,
                 params.norm.x_offset, params.norm.x_scale,
                 np.array([params.norm.y_offset]), np.array([params.norm.y_scale])):
         lines.append(" ".join(format(v, ".17g") for v in np.ravel(arr)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> MlpParams:
@@ -527,8 +530,7 @@ def load_model(path) -> MlpParams:
         raise ValueError(f"cannot read model file {path}: {exc.strerror}") from None
     if not lines:
         raise ValueError(f"model file {path} is empty")
-    header = lines[0].split()
-    if header[:2] != ["mgres-mlp", "1"] or header[2:] != [str(N_IN), str(N_HIDDEN), "1"]:
+    if lines[0].split() != _MODEL_HEADER.split():
         raise ValueError(f"unrecognized model header: {lines[0]!r}")
     vals = []
     for k, ln in enumerate(lines[1:], start=1):

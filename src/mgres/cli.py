@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from .graph import SIGNALS
 from .metrics import check_span, compare, compute_metrics
 from .scenario import ConfigReader, load_scenario, read_yaml
 from .simulate import run_scenario
-from .trace import export_csv
+from .trace import export_csv, write_text
 
 # typed config errors subclass ValueError, a failed fit raises TrainingError, a bad path OSError
 CONFIG_ERRORS = (ValueError, annmod.TrainingError, OSError)
@@ -28,8 +29,18 @@ def check_steady_window(cfg) -> None:
     check_span((cfg.last_step - cfg.last_step % cfg.sample_stride) * cfg.dt)
 
 
+def check_output(path: str) -> None:
+    """Reject, before any run or fit, an output path that cannot be written:
+    a directory, or one whose parent directory does not exist."""
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise OSError(f"cannot write {path}: No such directory")
+
+
 def cmd_simulate(args) -> int:
     # evaluate is simulate with the ANN of --model on DG1, and reports its steady error
+    check_output(args.out)
     cfg = load_scenario(args.scenario, ann_model=args.model)
     if args.model is not None:
         check_steady_window(cfg)
@@ -56,6 +67,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    check_output(args.out)
     d = (read_yaml(args.config, "training config") or {}) if args.config else {}
     # a seed in the config file wins over --seed
     tc = ConfigReader(d, "training config").build(annmod.TrainConfig, seed=args.seed or 0)
@@ -68,17 +80,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_output(args.report)
     # the baseline is PI on every DG, whatever controllers the scenario names
     cfg_ann = load_scenario(args.scenario, ann_model=args.model)
     check_steady_window(cfg_ann)
     cfg_pi = replace(cfg_ann, controllers=("pi",) * cfg_ann.graph.n, ann_model=None)
     t_pi = run_scenario(cfg_pi)
     t_ann = run_scenario(cfg_ann)
-    report = compare(t_pi, t_ann, v_ref=cfg_pi.v_ref, w_ref=cfg_pi.w_ref)
-    with open(args.report, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2)
+    report = compare(t_pi, t_ann, v_ref=cfg_pi.v_ref, w_ref=cfg_pi.w_ref).as_dict()
+    write_text(args.report, json.dumps(report, indent=2))
     print(f"report written to {args.report}")
-    for name, val in report.as_dict()["verdicts"].items():
+    for name, val in report["verdicts"].items():
         print(f"  {name}: {val}")
     if t_pi.diverged or t_ann.diverged:
         return 2

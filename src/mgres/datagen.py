@@ -34,7 +34,7 @@ from .graph import ring_graph
 from .plant import default_model
 from .scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError, plan_runs
 from .simulate import run_scenario
-from .trace import Trace, export_csv, parse_csv
+from .trace import Trace, export_csv, parse_csv, write_text
 
 DEFAULT_LOAD_FACTORS = (0.7, 0.85, 1.0, 1.15, 1.3)
 DEFAULT_ALPHAS = (0.25, 0.5)
@@ -179,10 +179,7 @@ def gen_data(out_dir: str, matrix: MatrixSpec = MatrixSpec()) -> list[dict]:
         except (ValueError, OSError) as exc:  # keep going; a programming error ends the run
             entry["status"] = f"error: {exc}"
         entries.append(entry)
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(entries, fh, indent=2)
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    write_text(os.path.join(out_dir, "manifest.json"), json.dumps(entries, indent=2))
     return entries
 
 

@@ -10,7 +10,7 @@ the whole of a diverged trace that is shorter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .trace import Trace
 STEADY_WINDOW = 0.5        # s, averaging window for steady-state statistics
 POST_ATTACK_GUARD = 0.5    # s, transient excluded after attack onset
 SETTLE_THRESHOLD = 0.02    # fractional voltage band for settling time
+REPORT_OMITS = ("eps_v", "attack_start")   # Metrics fields the compare report leaves out
 
 
 class MetricsError(ValueError):
@@ -106,26 +107,14 @@ class ComparisonReport:
     ann_smaller_ripple: bool
 
     def as_dict(self) -> dict:
+        """The report's JSON layout: each side's ``Metrics`` fields but
+        ``REPORT_OMITS``, arrays as lists, then the verdicts."""
         def side(m: Metrics) -> dict:
-            return {
-                "eps_v_post_mean": m.eps_v_post_mean,
-                "eps_v_post_max": m.eps_v_post_max,
-                "voltage_ripple": m.voltage_ripple,
-                "steady_voltage_error_pct": list(m.steady_voltage_error_pct),
-                "steady_frequency_error_hz": list(m.steady_frequency_error_hz),
-                "settling_time": m.settling_time,
-                "diverged": m.diverged,
-                "diverged_time": m.diverged_time,
-            }
-        return {
-            "baseline": side(self.baseline),
-            "ann": side(self.ann),
-            "verdicts": {
-                "ann_better_mean_eps_v": self.ann_better_mean_eps_v,
-                "ann_within_limits": self.ann_within_limits,
-                "ann_smaller_ripple": self.ann_smaller_ripple,
-            },
-        }
+            return {f.name: v.tolist() if isinstance(v := getattr(m, f.name), np.ndarray) else v
+                    for f in fields(m) if f.name not in REPORT_OMITS}
+        return {"baseline": side(self.baseline), "ann": side(self.ann),
+                "verdicts": {f.name: getattr(self, f.name) for f in fields(self)
+                             if f.type == "bool"}}
 
 
 def compare(trace_pi: Trace, trace_ann: Trace, v_ref: float | None = None,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from .ann import MlpParams, load_model
+from .ann import MlpParams, feature_channels, load_model
 from .attack import AttackConfigError, AttackSpec, NonPeriodic, Periodic, \
     parse_target, resolve_channels
 from .graph import CommGraph, GraphError, ring_graph
@@ -143,11 +143,15 @@ class ScenarioConfig:
             if ev.r == 0 and ev.x == 0:
                 raise ScenarioError(
                     f"load event at t={ev.t:g} s on bus {ev.bus + 1} has zero impedance")
-        for spec in self.attacks:
-            try:
-                resolve_channels(spec, self.graph.channels())
-            except AttackConfigError as exc:
-                raise ScenarioError(str(exc)) from exc
+        channels = self.graph.channels()
+        try:   # each ANN DG's voltage triple, and each attack's channels
+            for i, name in enumerate(self.controllers):
+                if name == "ann":
+                    feature_channels(channels, i)
+            for spec in self.attacks:
+                resolve_channels(spec, channels)
+        except ValueError as exc:   # AttackConfigError included
+            raise ScenarioError(str(exc)) from exc
         if (s := self.start) is None:
             return
         n, last = self.graph.n, self.last_step

@@ -130,8 +130,13 @@ def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
     for row, flag in zip(distinct, trace.attack_active.astype(int).tolist()):
         lines.append(row_fmt.format(*map(fmt, row.tolist()), flag))
     text = "".join(lines)
-    if path is None:
-        return text
+    return text if path is None else write_text(path, text)
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file ``path`` whole with ``text``: it is written to
+    ``<path>.tmp`` and renamed over ``path``, so a reader never finds it cut
+    short.  Every file mgres writes goes through here."""
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -140,7 +145,6 @@ def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
     except OSError:   # path is a directory, say
         os.remove(tmp)
         raise
-    return None
 
 
 _CH_RE = re.compile(r"^ch\.dg(\d+)->dg(\d+)\.(\w+)\.clean$")

@@ -690,16 +690,49 @@ def test_controller_and_controllers_exits_1(work, capsys):
         "error: scenario takes controller or controllers, not both\n")
 
 
-def test_ann_on_a_dg_without_two_in_neighbors_exits_1(work, capsys):
+def test_ann_on_a_dg_without_two_in_neighbors_exits_1(work, capsys, monkeypatch):
     # DG1 hears DG2 only, so the controller has no voltage triple to read
-    (work / "ann-model.txt").write_text(model_text_with(8, "1"))
+    message = ("error: the ANN controller on DG1 needs exactly 3 inbound voltage channels "
+               "(its own and 2 in-neighbors'), got 2\n")
+    model = work / "ann-model.txt"
+    model.write_text(model_text_with(8, "1"))
+    graph = GRAPH4 + "[[2, 1], [1, 2], [2, 3], [3, 4], [4, 3]]\n"
     path = work / "one-neighbor.yaml"
-    path.write_text("duration: 0.01\ncontroller: ann\nann_model: ann-model.txt\n"
-                    + GRAPH4 + "[[2, 1], [1, 2], [2, 3], [3, 4], [4, 3]]\n")
+    path.write_text("duration: 0.01\ncontroller: ann\nann_model: ann-model.txt\n" + graph)
     assert main(["simulate", "--scenario", str(path), "--out", str(work / "n.csv")]) == 1
-    assert capsys.readouterr().err == (
-        "error: the ANN controller on DG1 needs exactly 3 inbound voltage channels "
-        "(its own and 2 in-neighbors'), got 2\n")
+    assert capsys.readouterr().err == message
+    # compare ran the whole PI baseline before the ANN run found it
+    monkeypatch.setattr(cli, "run_scenario", fail_if_called)
+    path, report = work / "one-neighbor-compare.yaml", work / "one-neighbor.json"
+    path.write_text("duration: 0.6\n" + graph)
+    assert main(["compare", "--scenario", str(path), "--model", str(model),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == message
+    assert not report.exists()
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("the command did work before it checked its input")
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "compare", "train"])
+@pytest.mark.parametrize("case", ["a directory", "no parent"])
+def test_an_output_path_that_cannot_be_written_exits_1_before_any_work(
+        pipeline, work, capsys, monkeypatch, command, case):
+    # the error came only after the runs (compare: both 4 s runs) or the whole fit
+    _, _, data, model = pipeline
+    out = work if case == "a directory" else work / "no" / "such" / "out"
+    monkeypatch.setattr(cli, "run_scenario", fail_if_called)
+    monkeypatch.setattr(cli.annmod, "train", fail_if_called)
+    scenario = ["--scenario", "default-nonperiodic"]
+    args = {"simulate": ["simulate", *scenario, "--out", str(out)],
+            "evaluate": ["evaluate", *scenario, "--model", str(model), "--out", str(out)],
+            "compare": ["compare", *scenario, "--model", str(model), "--report", str(out)],
+            "train": ["train", "--data", str(data), "--out", str(out)]}[command]
+    assert main(args) == 1
+    reason = "Is a directory" if case == "a directory" else "No such directory"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert not (work / "no").exists() and not Path(f"{out}.tmp").exists()
 
 
 def test_resonant_passive_bus_exits_1(work, capsys):

@@ -38,10 +38,12 @@ def test_demo_imports_exist(path):
 # demo 05 trains its own model for several seconds: it stays import-only
 @pytest.mark.parametrize("path", DEMOS[:4], ids=lambda p: p.name)
 def test_demo_runs(path, tmp_path):
-    # demo 04 leaves its mkdtemp() directory behind: keep it under tmp_path
-    src = str(ROOT / "src")
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    # a demo removes what it writes: demo 04 left its mkdtemp() directory behind
+    src, tmp = str(ROOT / "src"), tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert list(tmp.iterdir()) == []

@@ -114,3 +114,34 @@ def test_scenario_alone_puts_events_and_attacks_on_steps():
                       for name, _ in functions(ast.parse(path.read_text(), str(path)))
                       if re.fullmatch(r"_?(shared\w*|plan|plan_runs)", name.split(".")[-1]))
     assert planners == ["scenario.py:ScenarioConfig.shared_until", "scenario.py:plan_runs"]
+
+
+def writes_a_file(fn: ast.AST) -> bool:
+    """Whether fn calls ``os.replace``, or ``open`` with a mode other than a
+    read-only literal."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "replace" \
+                and getattr(func.value, "id", None) == "os":
+            return True
+        if getattr(func, "id", None) == "open":
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                return True
+    return False
+
+
+def test_only_trace_write_text_writes_a_file():
+    # every file mgres writes (trace CSV, manifest, model, compare report) is
+    # replaced whole by one writer; a module's top level writes nothing
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        writers += [f"{path.name}:{name}" for name, fn in functions(tree) if writes_a_file(fn)]
+        top = [node for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        assert not any(writes_a_file(node) for node in top), path.name
+    assert writers == ["trace.py:write_text"]

@@ -1,9 +1,12 @@
+import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgres.metrics import MetricsError, compare, compute_metrics
+from mgres.metrics import ComparisonReport, Metrics, MetricsError, compare, compute_metrics
 from mgres.trace import Trace
 
 W60 = 2 * math.pi * 60
@@ -163,3 +166,21 @@ def test_compare_accepts_a_run_cut_at_its_divergence():
     pi.t[-1] += 1e-3
     with pytest.raises(MetricsError, match="different scenarios"):
         compare(pi, ann)
+
+
+def test_report_layout_is_metrics_fields_then_verdicts():
+    t = np.arange(0, 4.001, 1e-3)
+    v_ann = np.where(t >= 2.0, np.where(np.arange(len(t)) % 2, 1.002, 0.998), 1.0)
+    v_ann[(t >= 2.0) & (t < 2.1)] = 0.97          # settles 0.1 s after the onset
+    ann = make_trace(t, v_ann, attack_from=2.0, w=W60 + 2 * np.pi * 0.05)
+    cut = t < 2.42
+    pi = make_trace(t[cut], np.where(t[cut] >= 2.0, 0.7, 1.0), attack_from=2.0)
+    pi.diverged, pi.diverged_time = True, 2.42
+    d = compare(pi, ann).as_dict()
+    side = [f.name for f in fields(Metrics) if f.name not in ("eps_v", "attack_start")]
+    assert list(d) == ["baseline", "ann", "verdicts"]
+    assert list(d["baseline"]) == list(d["ann"]) == side
+    assert list(d["verdicts"]) == [f.name for f in fields(ComparisonReport)][2:]
+    # deriving the layout moves no byte of the report
+    assert json.dumps(d, indent=2) + "\n" == (Path(__file__).parent / "fixtures"
+                                              / "compare_report.json").read_text()
