@@ -289,18 +289,6 @@ class ConfigReader:
         return None if items is None else tuple(
             _as(v, kind, f"{self.name} {key} entry {j + 1}") for j, v in enumerate(items))
 
-    def either(self, key: str, other: str) -> None:
-        """Reject a mapping that gives both of two keys that say one thing."""
-        if key in self and other in self:
-            raise ScenarioError(f"{self.name} takes {key} or {other}, not both")
-
-    def frequency(self, hz_key: str, rad_key: str) -> float | None:
-        """rad/s from ``hz_key`` (Hz) or ``rad_key`` (rad/s); None if neither is given."""
-        self.either(hz_key, rad_key)
-        if hz_key in self:
-            return 2.0 * math.pi * self.read(hz_key)
-        return self.read(rad_key, float, None)
-
     def close(self) -> None:
         if self._left:
             raise ScenarioError(f"unknown {self.name} fields: {sorted(map(str, self._left))}")
@@ -343,13 +331,15 @@ def _parse_attack(d, k: int) -> AttackSpec:
     if kind_name == "nonperiodic":
         args = (m.read("alpha"),)
     elif kind_name == "periodic":
-        args = (m.read("beta"), m.frequency("freq_hz", "omega"))
+        args = (m.read("beta"), m.read("freq_hz"))
     else:
         raise ScenarioError(f"{m.name} kind must be nonperiodic or periodic, got {kind_name!r}")
     target, tau, end = m.read("target", str), m.read("tau"), m.read("end", float, None)
     m.close()
-    if None in args:
-        raise ScenarioError(f"periodic {m.name} needs freq_hz or omega")
+    if kind_name == "periodic":   # the file gives hertz, Periodic takes rad/s
+        if not math.isfinite(hz := args[1]):
+            raise ScenarioError(f"attack freq_hz must be finite, got {hz}")
+        args = (args[0], 2.0 * math.pi * hz)
     try:
         src, dst, sig = parse_target(target)
         kind = NonPeriodic(*args) if kind_name == "nonperiodic" else Periodic(*args)
@@ -405,7 +395,8 @@ def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
     plant, graph = top.read("plant", dict, None), top.read("graph", dict, None)
     refs = ConfigReader(top.read("references", dict, {}), "references")
     gains = ConfigReader(top.read("gains", dict, {}), "gains")
-    top.either("controller", "controllers")
+    if "controller" in top and "controllers" in top:
+        raise ScenarioError("scenario takes controller or controllers, not both")
     controllers = top.read("controllers", list, None)
     controller = top.read("controller", str, "pi")
     file_model = top.read("ann_model", object, None)
@@ -415,7 +406,8 @@ def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
     top.close()
 
     kw["v_ref"] = refs.read("voltage", float, None)
-    kw["w_ref"] = refs.frequency("frequency_hz", "frequency")
+    if (hz := refs.read("frequency_hz", float, None)) is not None:
+        kw["w_ref"] = 2.0 * math.pi * hz
     refs.close()
     model = default_model() if plant is None else _parse_plant(plant)
     graph = ring_graph(model.n) if graph is None else _parse_graph(graph)

@@ -13,7 +13,7 @@ import pytest
 from mgres.ann import (Dataset, MlpParams, TrainConfig, build_dataset, gradient,
                        init_params, forward_batch, load_model, mse, save_model, train)
 from mgres.datagen import MatrixSpec, gen_data, load_runs
-from mgres.metrics import compute_metrics
+from mgres.metrics import POST_ATTACK_GUARD, compute_metrics
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
                          PlantWorkspace, solve_network)
 from mgres.scenario import builtin_scenario
@@ -25,6 +25,18 @@ def verdict(capsys, name, ok, detail):
     with capsys.disabled():
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def post_attack_eps(trace):
+    """Mean and max |v_i - v*| per DG from POST_ATTACK_GUARD after the first
+    attacked sample on, from the trace's columns."""
+    onset = trace.t[np.flatnonzero(trace.attack_active)[0]]
+    eps = np.abs(trace.dg["v"][trace.t >= onset + POST_ATTACK_GUARD] - trace.v_ref)
+    return eps.mean(axis=0), eps.max(axis=0)
+
+
+def per_dg(values) -> str:
+    return ", ".join(f"{x:.5f}" for x in values)
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +116,17 @@ def test_ann_mitigates_nonperiodic(pipeline, capsys):
             f"ann post-attack max {m_ann.eps_v_post_max:.5f} pu (<0.02), "
             f"mean eps_v improvement {ratio:.0f}x (>=2x), "
             f"pipeline {total:.0f}s (<300)")
+
+
+def test_attack_propagates_to_every_dg(pipeline, capsys):
+    # the abstract's claim: through the cooperative cyber layer the FDI on DG1
+    # moves every DG under PI, and the ANN on DG1 alone holds every DG
+    pi_mean, _ = post_attack_eps(pipeline["pi_np"])
+    _, ann_max = post_attack_eps(pipeline["ann_np"])
+    ok = pi_mean.min() > 0.1 and ann_max.max() < 0.01
+    verdict(capsys, "attack propagation", ok,
+            f"baseline post-attack mean |v_i - v*| per DG {per_dg(pi_mean)} pu (each >0.1), "
+            f"ann on DG1 post-attack max per DG {per_dg(ann_max)} pu (each <0.01)")
 
 
 def test_ann_mitigates_periodic(pipeline, capsys):

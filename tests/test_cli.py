@@ -1,12 +1,16 @@
 import json
 import shutil
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from mgres import cli
 from mgres.cli import main
+from mgres.scenario import load_scenario
+from mgres.simulate import run_scenario
+from test_acceptance import per_dg, post_attack_eps
 from test_ann import model_text_with
 
 SHORT_ATTACK_YAML = textwrap.dedent("""\
@@ -110,6 +114,43 @@ def test_compare_on_a_six_dg_ring(tmp_path, capsys):
         print(f"REPORT six-DG ring, PI mean eps_v {d['baseline']['eps_v_post_mean']:.4f} pu; "
               f"4-ring ANN on DG1 mean eps_v {d['ann']['eps_v_post_mean']:.5f} pu, "
               f"max {d['ann']['eps_v_post_max']:.5f} pu, verdicts {d['verdicts']}")
+
+
+TABLE_B_ATTACK = "  - {target: \"%s\", kind: nonperiodic, alpha: 0.3, tau: 2.0}\n"
+
+
+def test_compare_under_a_neighbor_only_attack(tmp_path, capsys):
+    # DG1's own channel is clean and both neighbors' copies to DG1 read 1.3x:
+    # PI moves, the ANN on DG1 holds
+    path, report = tmp_path / "neighbors.yaml", tmp_path / "neighbors.json"
+    path.write_text("duration: 4.0\nattacks:\n" + TABLE_B_ATTACK % "dg2.voltage -> dg1"
+                    + TABLE_B_ATTACK % "dg4.voltage -> dg1")
+    assert main(["compare", "--scenario", str(path), "--model", str(FIXTURE_MODEL),
+                 "--report", str(report)]) == 0
+    d = json.loads(report.read_text())
+    pi_mean, ann_max = d["baseline"]["eps_v_post_mean"], d["ann"]["eps_v_post_max"]
+    with capsys.disabled():
+        print(f"REPORT neighbor-only attack on DG1, PI mean eps_v {pi_mean:.4f} pu (>0.1); "
+              f"ANN on DG1 max eps_v {ann_max:.5f} pu (<0.01)")
+    assert pi_mean > 0.1 and ann_max < 0.01
+    assert d["verdicts"]["ann_better_mean_eps_v"] is True
+
+
+def test_ann_on_an_unpinned_dg_holds_every_dg(tmp_path, capsys):
+    # one channel into DG3, which the reference does not pin: under PI every DG
+    # moves; the ANN on DG3 alone keeps every DG in band
+    path = tmp_path / "unpinned.yaml"
+    path.write_text(f"duration: 4.0\ncontrollers: [pi, pi, ann, pi]\n"
+                    f"ann_model: {FIXTURE_MODEL}\nattacks:\n"
+                    + TABLE_B_ATTACK % "dg2.voltage -> dg3")
+    cfg = load_scenario(str(path))
+    pi_mean, _ = post_attack_eps(run_scenario(replace(cfg, controllers=("pi",) * 4,
+                                                      ann_model=None)))
+    _, ann_max = post_attack_eps(run_scenario(cfg))
+    with capsys.disabled():
+        print(f"REPORT attack on unpinned DG3, PI mean eps_v per DG {per_dg(pi_mean)} pu "
+              f"(each >0.1); ANN on DG3 max per DG {per_dg(ann_max)} pu (each <0.01)")
+    assert pi_mean.min() > 0.1 and ann_max.max() < 0.01
 
 
 def test_evaluate(pipeline, work, capsys):
@@ -381,9 +422,10 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
     (attack_doc(end=".inf"), "attack end inf must be finite and exceed tau 0.01"),
     (attack_doc(kind="nonperiodic, alpha: .nan"), "attack alpha must be finite, got nan"),
     (attack_doc(kind="periodic, beta: .nan, freq_hz: 60"), "attack beta must be finite, got nan"),
-    (attack_doc(kind="periodic, beta: 0.5, omega: .inf"), "attack omega must be finite, got inf"),
+    (attack_doc(kind="periodic, beta: 0.5, freq_hz: .inf"),
+     "attack freq_hz must be finite, got inf"),
     (attack_doc(kind="periodic, beta: 0.5, freq_hz: .nan"),
-     "attack omega must be finite, got nan"),
+     "attack freq_hz must be finite, got nan"),
     # each of these ran and exited 2, "diverged" at t = 0 or at the event
     ("references: {voltage: .nan}\n", "v_ref must be positive and finite, got nan"),
     ("references: {voltage: -1.0}\n", "v_ref must be positive and finite, got -1.0"),
@@ -549,6 +591,7 @@ def test_evaluate_malformed_model_exits_1(work, capsys, row, values, message):
      "field 'r' in load event 1 must be a number"),
     ("attacks: 3\n", "field 'attacks' in scenario must be a list"),
     ("controllers: 3\n", "field 'controllers' in scenario must be a list"),
+    (attack_doc(kind="periodic, beta: 0.5"), "missing required field 'freq_hz' in attack 1"),
 ])
 def test_malformed_scenario_exits_1(work, capsys, doc, field):
     path = work / "malformed.yaml"
@@ -643,8 +686,11 @@ PLANT_2BUS = ("plant:\n  n_bus: 2\n  dg_bus: [1]\n  dgs: [{m_p: 3.77}]\n"
     ("load_events:\n  - {t: 0.05, bus: 1, r: 0.8, x: 0.3}\n", "t:", "time:", "load event 1"),
     ("attacks:\n  - {target: 'broadcast -> dg1.voltage', kind: nonperiodic, alpha: 0.5,"
      " tau: 0.05, end: 0.08}\n", "end", "ends", "attack 1"),
+    # a frequency is given in hertz: the rad/s keys are unknown
+    ("references: {frequency_hz: 60}\n", "frequency_hz", "frequency", "references"),
+    (attack_doc(kind="periodic, beta: 0.5, freq_hz: 60"), "freq_hz", "omega", "attack 1"),
 ], ids=["references", "gains", "plant", "plant-dg", "line", "load", "graph", "load-event",
-        "attack"])
+        "attack", "references-rad-s", "attack-rad-s"])
 def test_misspelt_key_exits_1(work, capsys, doc, key, typo, mapping):
     # each was ignored, so the run used the default or failed on a missing key
     path = work / "misspelt.yaml"
