@@ -6,7 +6,8 @@ voltage triple (``feature_channels``: its own, then its in-neighbors'), twice,
 and v*.  ``ConsensusMap.positions`` resolves it onto the secondary layer's
 input x, the one source of ``AnnKernel``'s row; ``build_dataset`` onto a
 trace's columns, where the paired rows read the first triple from the clean
-channels (unobservable at run time) and attacked runs add runtime rows.
+channels, the source DGs' ``v`` columns (unobservable at run time), and
+attacked runs add runtime rows.
 
 Hidden layer: 10 units with tansig = 2/(1+exp(-2z)) - 1 (the hyperbolic
 tangent); output layer: purelin (affine).  Trained offline by full-batch
@@ -473,8 +474,9 @@ def build_dataset(runs) -> Dataset:
     for a normal run trace is its own clean reference.  ``FEATURES`` is
     resolved for DG1 onto the trace: a received voltage onto its ``ch_recv``
     column, v_ref onto ``trace.v_ref``.  Each sample gives a paired row,
-    whose first triple reads ``ch_clean`` instead; an attacked run then adds
-    the runtime row.  The first 0.1 s of every trace is discarded.
+    whose first triple reads ``ch_clean``, the source DGs' ``v`` columns,
+    instead; an attacked run then adds the runtime row.  The first 0.1 s of
+    every trace is discarded.
     """
     xs, ys, att = [], [], []
     for trace, clean_trace, scenario_id in runs:

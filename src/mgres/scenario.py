@@ -325,6 +325,15 @@ def _entries(items: list, where: str, *keys: str) -> list[list]:
     return out
 
 
+def _rad_s(hz: float, key: str) -> float:
+    """The file's frequency ``key``, given in hertz, in rad/s."""
+    if not math.isfinite(hz):
+        raise ScenarioError(f"{key} must be finite, got {hz}")
+    if math.isinf(w := 2.0 * math.pi * hz):
+        raise ScenarioError(f"{key} {hz} overflows in rad/s")
+    return w
+
+
 def _parse_attack(d, k: int) -> AttackSpec:
     m = ConfigReader(d, f"attack {k + 1}")
     kind_name = m.read("kind", str, None)
@@ -337,9 +346,7 @@ def _parse_attack(d, k: int) -> AttackSpec:
     target, tau, end = m.read("target", str), m.read("tau"), m.read("end", float, None)
     m.close()
     if kind_name == "periodic":   # the file gives hertz, Periodic takes rad/s
-        if not math.isfinite(hz := args[1]):
-            raise ScenarioError(f"attack freq_hz must be finite, got {hz}")
-        args = (args[0], 2.0 * math.pi * hz)
+        args = (args[0], _rad_s(args[1], "attack freq_hz"))
     try:
         src, dst, sig = parse_target(target)
         kind = NonPeriodic(*args) if kind_name == "nonperiodic" else Periodic(*args)
@@ -405,10 +412,13 @@ def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
     scenario_id = str(top.read("id", object, scenario_id))
     top.close()
 
-    kw["v_ref"] = refs.read("voltage", float, None)
-    if (hz := refs.read("frequency_hz", float, None)) is not None:
-        kw["w_ref"] = 2.0 * math.pi * hz
+    kw["v_ref"], hz = refs.read("voltage", float, None), refs.read("frequency_hz", float, None)
     refs.close()
+    for key, v in (("voltage", kw["v_ref"]), ("frequency_hz", hz)):
+        if v is not None and not 0 < v < math.inf:   # validate would name v_ref or w_ref
+            raise ScenarioError(f"references {key} must be positive and finite, got {v}")
+    if hz is not None:
+        kw["w_ref"] = _rad_s(hz, "references frequency_hz")
     model = default_model() if plant is None else _parse_plant(plant)
     graph = ring_graph(model.n) if graph is None else _parse_graph(graph)
 

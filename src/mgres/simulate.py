@@ -28,9 +28,10 @@ Each step k (t = k dt) runs, in order:
    in-place filter/angle update.  Its workspace holds [v; w], the balance
    residual and the load currents;
 4. the clean channel values are gathered from [v; w] straight into the
-   front of x; on a sampling step they are recorded before each attack
-   scales the channel vector in place by its gain vector, ``AttackSpec.gain(t)``
-   on its targets and 1.0 elsewhere, in declaration order;
+   front of x (they are not recorded: ``Trace.ch_clean`` gathers the same
+   values from the recorded [v; w]); each attack scales the channel vector
+   in place by its gain vector, ``AttackSpec.gain(t)`` on its targets and
+   1.0 elsewhere, in declaration order;
 5. ``secondary_update`` on x rewrites the set-points in place, and each
    ANN-controlled DG overwrites its voltage set-point.
 
@@ -59,7 +60,8 @@ writes in place to a one-entry array:
 - here: each attack's gain vector, the (2, n) set-points, which
   ``secondary_update`` rewrites once the step has recorded and consumed
   them, and the trace, whose block (``Trace.data``) a sample enters
-  through views made once per run.
+  through views made once per run: t, the DG columns in [v, w], [P, Q] and
+  [V_n, w_n] pairs, the received channels and the load currents.
 
 The returned trace is this run's block, cut to the recorded samples, so a
 later run never changes it.
@@ -71,11 +73,10 @@ import numpy as np
 
 from . import ann as annmod
 from .attack import resolve_channels
-from .graph import SIGNALS
 from .plant import DivergenceError, NetworkError, PlantWorkspace, apply_load_event, step_plant
 from .scenario import RunStart, ScenarioConfig
 from .secondary import ConsensusMap, secondary_update
-from .trace import Trace
+from .trace import CH_SOURCE, Trace
 
 
 def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
@@ -101,7 +102,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     dt = config.dt
     cmap = ConsensusMap(graph, channels, config.gains, config.v_ref, config.w_ref, dt)
     # clean channel k carries [v; w].flat[gather[k]]
-    gather = np.array([SIGNALS.index(sig) * n + s for s, d, sig in channels])
+    gather = np.array([CH_SOURCE[sig] * n + s for s, d, sig in channels])
     ann_kernels = [(i, annmod.AnnKernel(config.ann_model, cmap.positions(annmod.FEATURES, i)))
                    for i, name in enumerate(config.controllers) if name == "ann"]
 
@@ -116,7 +117,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
                         len(config.model.network.loads))
     trace.v_ref, trace.w_ref = config.v_ref, config.w_ref
     rec_t, rec_att = trace.t, trace.attack_active
-    rec_clean, rec_recv, rec_load = trace.ch_clean, trace.ch_recv, trace.load_current
+    rec_recv, rec_load = trace.ch_recv, trace.load_current
     # adjacent pairs of DG_SIGNALS: [v, w], [P, Q], [V_n, w_n]
     rec_vw, rec_pq, rec_sp = (trace.dg_block[:, :, k:k + 2] for k in (0, 2, 4))
 
@@ -162,8 +163,6 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
 
         # gather is in range by construction; "clip" skips the buffered copy of "raise"
         ws.vw.take(gather, out=recv, mode="clip")
-        if record:
-            rec_clean[sample] = recv
         for k_atk, (spec, targets, gv) in enumerate(attacks):
             g = spec.gain(t)
             if g != 1.0:

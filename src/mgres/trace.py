@@ -3,13 +3,14 @@
 CSV schema (bit-exact, one column per recorded quantity):
 
     t, dg{i}.v, dg{i}.w, dg{i}.P, dg{i}.Q, dg{i}.Vn, dg{i}.wn,
-    ch.dg{s}->dg{d}.{sig}.clean, ch.dg{s}->dg{d}.{sig}.recv,
-    load{k}.I, attack_active
+    ch.dg{s}->dg{d}.{sig}.recv, load{k}.I, attack_active
 
 Values are decimal with 17 significant digits, rows ordered by time, so
 export -> parse -> export is byte-identical.  A ``Trace`` holds the float
 columns as one block in this order: a run records into it, ``export_csv``
-formats it and ``parse_csv`` wraps it once the header matches.
+formats it and ``parse_csv`` wraps it once the header matches.  A channel's
+clean (pre-attack) value has no column: it is its source DG's v or w, which
+``Trace.ch_clean`` gathers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ if TYPE_CHECKING:
     from .scenario import RunStart
 
 DG_SIGNALS = ("v", "w", "P", "Q", "Vn", "wn")
+CH_SOURCE = {"voltage": 0, "frequency": 1}      # channel signal -> its DG_SIGNALS slot
 
 
 class TraceFormatError(ValueError):
@@ -37,8 +39,8 @@ class TraceFormatError(ValueError):
 @dataclass
 class Trace:
     """Recorded columns as one float block, ``data``, in the CSV's column order
-    (``attack_active`` aside); ``t``, ``dg[sig]``, ``ch_clean``, ``ch_recv``
-    and ``load_current`` are views of it."""
+    (``attack_active`` aside); ``t``, ``dg[sig]``, ``ch_recv`` and
+    ``load_current`` are views of it, ``ch_clean`` a read-only copy."""
     data: np.ndarray                             # (N, W)
     n_dg: int
     channels: list[tuple[int, int, str]]         # (src, dst, signal)
@@ -56,7 +58,7 @@ class Trace:
     def empty(cls, rows: int, n_dg: int, channels: list[tuple[int, int, str]],
               n_load: int) -> Trace:
         """A zero-filled trace of ``rows`` samples with this layout."""
-        width = 1 + len(DG_SIGNALS) * n_dg + 2 * len(channels) + n_load
+        width = 1 + len(DG_SIGNALS) * n_dg + len(channels) + n_load
         return cls(np.zeros((rows, width)), n_dg, list(channels), np.zeros(rows, dtype=int))
 
     @property
@@ -65,7 +67,7 @@ class Trace:
 
     @property
     def _load(self) -> int:                      # first load column
-        return self._ch + 2 * len(self.channels)
+        return self._ch + len(self.channels)
 
     @property
     def t(self) -> np.ndarray:                   # (N,)
@@ -80,12 +82,15 @@ class Trace:
         return dict(zip(DG_SIGNALS, self.dg_block.transpose(2, 0, 1)))
 
     @property
-    def ch_clean(self) -> np.ndarray:            # (N, C)
-        return self.data[:, self._ch:self._load:2]
+    def ch_clean(self) -> np.ndarray:            # (N, C): source DG's v or w
+        clean = self.dg_block[:, [s for s, _, _ in self.channels],
+                              [CH_SOURCE[sig] for _, _, sig in self.channels]]
+        clean.flags.writeable = False            # a copy: a write would be lost
+        return clean
 
     @property
     def ch_recv(self) -> np.ndarray:             # (N, C)
-        return self.data[:, self._ch + 1:self._load:2]
+        return self.data[:, self._ch:self._load]
 
     @property
     def load_current(self) -> np.ndarray:        # (N, K)
@@ -96,13 +101,9 @@ def column_names(trace: Trace) -> list[str]:
     cols = ["t"]
     for i in range(trace.n_dg):
         cols += [f"dg{i + 1}.{sig}" for sig in DG_SIGNALS]
-    for (s, d, sig) in trace.channels:
-        cols.append(f"ch.dg{s + 1}->dg{d + 1}.{sig}.clean")
-        cols.append(f"ch.dg{s + 1}->dg{d + 1}.{sig}.recv")
-    for k in range(trace.load_current.shape[1]):
-        cols.append(f"load{k + 1}.I")
-    cols.append("attack_active")
-    return cols
+    cols += [f"ch.dg{s + 1}->dg{d + 1}.{sig}.recv" for s, d, sig in trace.channels]
+    cols += [f"load{k + 1}.I" for k in range(trace.load_current.shape[1])]
+    return cols + ["attack_active"]
 
 
 def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
@@ -117,12 +118,13 @@ def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
     header = ",".join(column_names(trace)) + "\n"
     if head and not head.startswith(header):
         raise ValueError("CSV head's first line is not the trace's header")
-    # a channel repeats the DG signal it carries: key columns by their bytes (-0
-    # and 0, or two NaN payloads, differ) and format each distinct one once a row
+    # an unattacked channel repeats its source DG's column (21 of 24 under a
+    # one-DG attack): key columns by their bytes (-0 and 0, or two NaN payloads,
+    # differ) and format each distinct one once a row
     seen: dict[bytes, int] = {}                     # a column's bits -> its slot
     slots = [seen.setdefault(col.tobytes(), len(seen)) for col in trace.data.T]
     distinct = trace.data[:, [slots.index(s) for s in range(len(seen))]]
-    del seen                                        # a third of the data's bytes
+    del seen                                        # near half the data's bytes
     row_fmt = ",".join(f"{{{s}}}" for s in slots) + f",{{{distinct.shape[1]}}}\n"
     fmt = "{:.17g}".format
     lines = [head or header]
@@ -147,7 +149,7 @@ def write_text(path, text: str) -> None:
         raise
 
 
-_CH_RE = re.compile(r"^ch\.dg(\d+)->dg(\d+)\.(\w+)\.clean$")
+_CH_RE = re.compile(rf"^ch\.dg(\d+)->dg(\d+)\.({'|'.join(CH_SOURCE)})\.recv$")
 # the kind of column a name prefix announces, for the header check's message
 _KINDS = (("ch.", "channel "), ("dg", "DG "), ("load", "load "))
 

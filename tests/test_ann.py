@@ -402,7 +402,8 @@ def make_trace(n_samples, attacked, vn1, clean=None, recv=None, v_ref=1.0):
     if recv is None:
         recv = clean * (1.5 if attacked else 1.0)
     tr = Trace.empty(n_samples, 4, channels, 2)
-    tr.t[:], tr.ch_clean[:], tr.ch_recv[:] = t, clean, recv
+    tr.t[:], tr.ch_recv[:] = t, recv
+    tr.dg["v"][:, [0, 1, 3]] = clean            # a clean channel is its source DG's v
     tr.dg["Vn"][:, 0] = vn1
     tr.attack_active[:] = int(attacked)
     tr.v_ref, tr.w_ref = v_ref, 2 * np.pi * 60

@@ -335,6 +335,27 @@ def test_train_corrupt_csv_exits_1(pipeline, work, capsys, line, old, new, messa
     assert err.count("\n") == 1
 
 
+def test_train_on_csvs_with_clean_channel_columns_exits_1(work, capsys):
+    # gen-data once wrote each channel's clean value, a copy of its source
+    # DG's v or w column, beside the received one
+    data = work / "clean-columns"
+    data.mkdir()
+    (data / "manifest.json").write_text(
+        '[{"id": "load1-normal", "file": "load1-normal.csv", "status": "ok", "attacked": false,'
+        ' "clean_ref": "load1-normal", "v_ref": 1.0, "w_ref": 376.99111843077515}]\n')
+    csv = data / "load1-normal.csv"
+    csv.write_text("t,dg1.v,dg1.w,dg1.P,dg1.Q,dg1.Vn,dg1.wn,ch.dg1->dg1.voltage.clean,"
+                   "ch.dg1->dg1.voltage.recv,load1.I,attack_active\n"
+                   "0,1,376.99111843077515,0,0,1,376.99111843077515,1,1,0.5,0\n")
+    out = work / "clean-columns-model.txt"
+    rc = main(["train", "--data", str(data), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: bad channel column 'ch.dg1->dg1.voltage.clean' at position 8, "
+        "expected 'ch.dg1->dg1.voltage.recv'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, message", [
     # a TypeError traceback, and two specs that failed only later
     ("tau: null\n", "field 'tau' in matrix must be a number, got None"),
@@ -426,10 +447,19 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
      "attack freq_hz must be finite, got inf"),
     (attack_doc(kind="periodic, beta: 0.5, freq_hz: .nan"),
      "attack freq_hz must be finite, got nan"),
+    # finite in hertz, but 2 pi hz is not: it failed as "attack omega must be finite"
+    (attack_doc(kind="periodic, beta: 0.5, freq_hz: 1e308"),
+     "attack freq_hz 1e+308 overflows in rad/s"),
     # each of these ran and exited 2, "diverged" at t = 0 or at the event
-    ("references: {voltage: .nan}\n", "v_ref must be positive and finite, got nan"),
-    ("references: {voltage: -1.0}\n", "v_ref must be positive and finite, got -1.0"),
-    ("references: {frequency_hz: .inf}\n", "w_ref must be positive and finite, got inf"),
+    ("references: {voltage: .nan}\n",
+     "references voltage must be positive and finite, got nan"),
+    ("references: {voltage: -1.0}\n",
+     "references voltage must be positive and finite, got -1.0"),
+    ("references: {frequency_hz: .inf}\n",
+     "references frequency_hz must be positive and finite, got inf"),
+    ("references: {frequency_hz: -60}\n",
+     "references frequency_hz must be positive and finite, got -60.0"),
+    ("references: {frequency_hz: 1e308}\n", "references frequency_hz 1e+308 overflows in rad/s"),
     ("gains: {c_v: .nan}\n", "secondary gain c_v must be positive and finite, got nan"),
     ("gains: {c_v: .inf}\n", "secondary gain c_v must be positive and finite, got inf"),
     ("load_events:\n  - {t: 0.02, bus: 1, r: .nan, x: 0.3}\n",

@@ -20,8 +20,9 @@ controller, then with the benchmark's ANN fixture
 writes for ``GEN_MATRIX`` and for ``GEN_MATRIX_EARLY`` are printed and
 compared with ``fixtures/golden_digests.json``; the exit status is 1, naming
 each run, when any differs.  All 26 digests are tests too: the six built-in
-runs are shared, through one module fixture, with a step-size check that
-reruns the periodic scenario at half the step and compares its metrics.
+runs are shared, through one module fixture, with step-size checks that
+rerun the periodic scenario at half and at five times the step and compare
+its metrics.
 ``--record`` rewrites ``golden_digests.json`` too.
 
     PYTHONPATH=src python tests/test_golden.py --digests
@@ -181,18 +182,31 @@ def test_builtin_csvs_match_golden_digests(builtin_traces):
                    if not run.startswith("gen-data")}
 
 
-@pytest.mark.parametrize("ctrl", ["pi", "ann"])
-def test_halving_the_step_keeps_the_metrics(builtin_traces, ctrl):
-    # the fixed Euler step of 0.1 ms has converged: at 0.05 ms the periodic
-    # attack's mean tracking error and ripple move by less than 2 %
-    coarse = builtin_traces[f"default-periodic/{ctrl}"]
+def rerun_at_step(builtin_traces, ctrl: str, dt: float):
+    """The 4 s periodic run and its rerun at step ``dt``; neither diverges, and
+    the attack's mean tracking error and ripple move by less than 2 %."""
+    base = builtin_traces[f"default-periodic/{ctrl}"]
     cfg = builtin_config("default-periodic", ctrl, load_model(DIGEST_MODEL))
-    fine = run_scenario(replace(cfg, dt=cfg.dt / 2))
-    assert not (coarse.diverged or fine.diverged)
-    assert fine.t.tobytes() == coarse.t.tobytes()
-    a, b = compute_metrics(coarse), compute_metrics(fine)
+    other = run_scenario(replace(cfg, dt=dt))
+    assert not (base.diverged or other.diverged)
+    a, b = compute_metrics(base), compute_metrics(other)
     for key in ("eps_v_post_mean", "voltage_ripple"):
         assert getattr(b, key) == pytest.approx(getattr(a, key), rel=0.02), key
+    return base, other
+
+
+@pytest.mark.parametrize("ctrl", ["pi", "ann"])
+def test_halving_the_step_keeps_the_metrics(builtin_traces, ctrl):
+    # the fixed Euler step of 0.1 ms has converged: at 0.05 ms too
+    base, fine = rerun_at_step(builtin_traces, ctrl, 5e-5)
+    assert fine.t.tobytes() == base.t.tobytes()
+
+
+@pytest.mark.parametrize("ctrl", ["pi", "ann"])
+def test_a_five_times_coarser_step_keeps_the_metrics(builtin_traces, ctrl):
+    # and at 0.5 ms; there t = k dt puts a sample up to 4.4e-16 s off 0.1 ms's
+    base, coarse = rerun_at_step(builtin_traces, ctrl, 5e-4)
+    np.testing.assert_allclose(coarse.t, base.t, rtol=0, atol=1e-12)
 
 
 def csv_digests(model_path: Path) -> list[tuple[str, str]]:

@@ -24,11 +24,21 @@ def test_column_layout(short_trace):
     cols = column_names(short_trace)
     assert cols[0] == "t" and cols[-1] == "attack_active"
     assert cols[1:7] == ["dg1.v", "dg1.w", "dg1.P", "dg1.Q", "dg1.Vn", "dg1.wn"]
-    assert "ch.dg1->dg1.voltage.clean" in cols
+    assert not any(c.endswith(".clean") for c in cols)
     assert "ch.dg2->dg1.voltage.recv" in cols
     assert "load1.I" in cols and "load2.I" in cols
-    # 1 time + 4*6 dg + 2*2*12 channels + 2 loads + 1 flag
-    assert len(cols) == 1 + 24 + 48 + 2 + 1
+    # 1 time + 4*6 dg + 2*12 channels + 2 loads + 1 flag
+    assert len(cols) == 1 + 24 + 24 + 2 + 1
+
+
+def test_clean_channels_are_the_source_dg_columns(short_trace):
+    clean = short_trace.ch_clean
+    for k, (s, d, sig) in enumerate(short_trace.channels):
+        col = short_trace.dg["v" if sig == "voltage" else "w"][:, s]
+        assert clean[:, k].tobytes() == col.tobytes()
+    # a copy: a write would change nothing, so it raises
+    with pytest.raises(ValueError, match="read-only"):
+        short_trace.ch_clean[0, 0] = 2.0
 
 
 def test_round_trip_is_byte_identical(short_trace, tmp_path):
@@ -86,8 +96,15 @@ def test_seventeen_digit_precision(short_trace):
     ("a,b\n", "start with t"),
     ("t,dg1.v,attack_active\n1,2\n", "row width"),
     ("t,ch.bogus,attack_active\n", "bad channel column"),
+    # a channel carries a DG's voltage or frequency, nothing else
+    ("t,ch.dg1->dg2.power.recv,attack_active\n",
+     "bad channel column 'ch.dg1->dg2.power.recv' at position 2, expected 'load1.I'"),
     ("t,ch.dg1->dg2.voltage.clean,attack_active\n",
-     "bad column 'attack_active' at position 3, expected 'ch.dg1->dg2.voltage.recv'"),
+     "bad channel column 'ch.dg1->dg2.voltage.clean' at position 2, expected 'load1.I'"),
+    # the clean column of a CSV written before channels were recorded once
+    ("t,ch.dg1->dg2.voltage.clean,ch.dg1->dg2.voltage.recv,attack_active\n",
+     "bad channel column 'ch.dg1->dg2.voltage.clean' at position 2, "
+     "expected 'ch.dg1->dg2.voltage.recv'"),
     # an IndexError, a KeyError, and w ... wn left as np.empty values before the check
     ("t,dg1.v,attack_active\n", "bad DG column 'dg1.v' at position 2, expected 'load1.I'"),
     ("t," + ",".join(f"dg1.{s}" for s in ("v", "w", "P", "Q", "Vn", "foo")) + ",attack_active\n",
@@ -117,8 +134,7 @@ def extreme_trace() -> Trace:
     tr.t[:] = [0.0, 1e-300, 1e300]
     for k, sig in enumerate(("v", "w", "P", "Q", "Vn", "wn")):
         tr.dg[sig][:] = np.array([[-0.0, k + 0.1], [1e-300, -1e300], [1e300, 1.0 / 3.0]]) * (k + 1)
-    tr.ch_clean[:] = [[-0.0, 2.5e-300], [1e300, 0.1], [7.0, -1e-300]]
-    tr.ch_recv[:] = -tr.ch_clean[:, ::-1]
+    tr.ch_recv[:] = [[-2.5e-300, 0.0], [-0.1, -1e300], [1e-300, -7.0]]
     tr.load_current[:] = [[1e300], [-0.0], [1e-300]]
     tr.attack_active[:] = [0, 1, 0]
     return tr
@@ -131,8 +147,7 @@ def per_value_csv(tr: Trace) -> str:
     for r in range(len(tr.t)):
         vals = [tr.t[r]] + [tr.dg[sig][r, i] for i in range(tr.n_dg)
                             for sig in ("v", "w", "P", "Q", "Vn", "wn")]
-        vals += [x for c in range(len(tr.channels))
-                 for x in (tr.ch_clean[r, c], tr.ch_recv[r, c])]
+        vals += list(tr.ch_recv[r])
         vals += list(tr.load_current[r])
         lines.append(",".join(format(x, ".17g") for x in vals) + f",{tr.attack_active[r]}")
     return "\n".join(lines) + "\n"
@@ -202,8 +217,7 @@ def csv_order(tr: Trace) -> np.ndarray:
     """A parsed trace's columns back in the CSV's order, the flag as a float."""
     cols = [tr.t] + [tr.dg[sig][:, i] for i in range(tr.n_dg)
                      for sig in ("v", "w", "P", "Q", "Vn", "wn")]
-    cols += [x for c in range(len(tr.channels)) for x in (tr.ch_clean[:, c], tr.ch_recv[:, c])]
-    cols += list(tr.load_current.T) + [tr.attack_active.astype(float)]
+    cols += list(tr.ch_recv.T) + list(tr.load_current.T) + [tr.attack_active.astype(float)]
     return np.column_stack(cols)
 
 
@@ -242,13 +256,13 @@ def test_header_only_file_is_a_zero_row_trace(short_trace, tmp_path):
             assert export_csv(back) == header
 
 
-WIDTH = "does not match the header's 76"
+WIDTH = "does not match the header's 52"
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda row: row.replace(",", ",x1,", 1), "line 4: could not convert string 'x1'"),
-    (lambda row: row.rsplit(",", 1)[0] + "\n", f"line 4: row width 75 {WIDTH}"),    # short
-    (lambda row: row.rstrip("\n") + ",0\n", f"line 4: row width 77 {WIDTH}"),      # long
+    (lambda row: row.rsplit(",", 1)[0] + "\n", f"line 4: row width 51 {WIDTH}"),    # short
+    (lambda row: row.rstrip("\n") + ",0\n", f"line 4: row width 53 {WIDTH}"),      # long
     (lambda row: row.rsplit(",", 1)[0] + ",0.5\n", "line 4: attack_active must be 0 or 1"),
 ])
 def test_malformed_row_names_the_file_and_line(short_trace, tmp_path, edit, message):
@@ -267,7 +281,8 @@ def test_malformed_row_names_the_file_and_line(short_trace, tmp_path, edit, mess
 LAYOUT = column_names(Trace.empty(0, 2, [(0, 1, "voltage"), (1, 0, "frequency")], 2))
 # valid names out of place, and names no layout has
 NAMES = LAYOUT + ["dg1.foo", "dg3.v", "dg01.v", "ch.bogus", "ch.dg1->dg2.voltage",
-                  "ch.dg1->dg2.power.clean", "load", "load3.I", "x", ""]
+                  "ch.dg1->dg2.power.clean", "ch.dg1->dg2.power.recv", "load", "load3.I",
+                  "x", ""]
 
 
 @st.composite
