@@ -18,7 +18,8 @@ its loss is bit-equal to ``mse``, the inference path's (``forward_batch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -386,24 +387,21 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpParams, TrainReport
         for epoch in range(config.max_epochs):
             cand = w - lr * grads
             cand_loss = fit.loss(cand)
-            if not cand_loss <= loss:   # a NaN candidate is rejected too
+            if accepted := cand_loss <= loss:   # a NaN candidate is rejected
+                improvement = loss - cand_loss
+                w, loss, grads = cand, cand_loss, fit.gradient()
+                lr *= 1.2
+                v_loss = val.loss(w)
+            else:
                 lr *= 0.5
-                report.train_mse.append(loss)
-                report.val_mse.append(v_loss)
-                report.accepted.append(False)
-                continue
-            improvement = loss - cand_loss
-            w, loss, grads = cand, cand_loss, fit.gradient()
-            lr *= 1.2
-            v_loss = val.loss(w)
             report.train_mse.append(loss)
             report.val_mse.append(v_loss)
-            report.accepted.append(True)
-            if v_loss < report.best_val_mse:
+            report.accepted.append(accepted)
+            if accepted and v_loss < report.best_val_mse:
                 report.best_val_mse = v_loss
                 report.best_epoch = epoch
                 best = w
-            if improvement < config.tolerance:
+            if accepted and improvement < config.tolerance:
                 break
     if report.best_epoch < 0:
         raise TrainingError(
@@ -506,17 +504,15 @@ def build_dataset(runs) -> Dataset:
 
 # the first line: format name and version, then the layer widths
 _MODEL_HEADER = f"mgres-mlp 1 {N_IN} {N_HIDDEN} 1"
-# the value rows after the header, in file order, and their lengths
-_MODEL_ROWS = {"w1": N_HIDDEN * N_IN, "b1": N_HIDDEN, "w2": N_HIDDEN, "b2": 1,
-               "x_offset": N_IN, "x_scale": N_IN, "y_offset": 1, "y_scale": 1}
+# the value rows after the header, in file order, and the shape each is read into
+_MODEL_ROWS = {"w1": (N_HIDDEN, N_IN), "b1": (N_HIDDEN,), "w2": (1, N_HIDDEN), "b2": (1,),
+               "x_offset": (N_IN,), "x_scale": (N_IN,), "y_offset": (), "y_scale": ()}
 
 
 def save_model(params: MlpParams, path) -> None:
-    lines = [_MODEL_HEADER]
-    for arr in (params.w1, params.b1, params.w2, params.b2,
-                params.norm.x_offset, params.norm.x_scale,
-                np.array([params.norm.y_offset]), np.array([params.norm.y_scale])):
-        lines.append(" ".join(format(v, ".17g") for v in np.ravel(arr)))
+    values = vars(params) | vars(params.norm)   # each row's value by its name
+    lines = [_MODEL_HEADER] + [" ".join(format(v, ".17g") for v in np.ravel(values[name]))
+                               for name in _MODEL_ROWS]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -534,21 +530,20 @@ def load_model(path) -> MlpParams:
         raise ValueError(f"model file {path} is empty")
     if lines[0].split() != _MODEL_HEADER.split():
         raise ValueError(f"unrecognized model header: {lines[0]!r}")
-    vals = []
-    for k, ln in enumerate(lines[1:], start=1):
+    if len(lines) - 1 != len(_MODEL_ROWS):
+        raise ValueError(f"model file has {len(lines) - 1} value rows, expected {len(_MODEL_ROWS)}")
+    vals = {}
+    for k, (ln, (name, shape)) in enumerate(zip(lines[1:], _MODEL_ROWS.items()), start=1):
         try:
-            vals.append(np.array([float(v) for v in ln.split()]))
+            row = np.array([float(v) for v in ln.split()])
         except ValueError as exc:
             raise ValueError(f"model file {path}: value row {k}: {exc}") from None
-    if len(vals) != 8:
-        raise ValueError(f"model file has {len(vals)} value rows, expected 8")
-    for k, (name, row) in enumerate(zip(_MODEL_ROWS, vals), start=1):
-        if len(row) != _MODEL_ROWS[name]:
+        if len(row) != math.prod(shape):
             raise ValueError(f"model file {path}: value row {k} ({name}) has "
-                             f"{len(row)} values, expected {_MODEL_ROWS[name]}")
+                             f"{len(row)} values, expected {math.prod(shape)}")
+        vals[name] = row.reshape(shape) if shape else float(row[0])
     try:
-        norm = NormalizationSpec(vals[4], vals[5], float(vals[6][0]), float(vals[7][0]))
-        return MlpParams(w1=vals[0].reshape(N_HIDDEN, N_IN), b1=vals[1],
-                         w2=vals[2].reshape(1, N_HIDDEN), b2=vals[3], norm=norm)
+        norm = NormalizationSpec(*(vals.pop(f.name) for f in fields(NormalizationSpec)))
+        return MlpParams(**vals, norm=norm)
     except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from None

@@ -84,7 +84,7 @@ def cmd_compare(args) -> int:
     # the baseline is PI on every DG, whatever controllers the scenario names
     cfg_ann = load_scenario(args.scenario, ann_model=args.model)
     check_steady_window(cfg_ann)
-    cfg_pi = replace(cfg_ann, controllers=("pi",) * cfg_ann.graph.n, ann_model=None)
+    cfg_pi = replace(cfg_ann, controllers=None, ann_model=None)
     t_pi = run_scenario(cfg_pi)
     t_ann = run_scenario(cfg_ann)
     report = compare(t_pi, t_ann, v_ref=cfg_pi.v_ref, w_ref=cfg_pi.w_ref).as_dict()

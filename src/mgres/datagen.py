@@ -90,18 +90,12 @@ class MatrixSpec:
 
 
 def _attack_cases(spec: MatrixSpec) -> list[tuple[str, AttackSpec | None]]:
-    cases: list[tuple[str, AttackSpec | None]] = [("normal", None)]
-    for a in spec.alphas:
-        cases.append((f"nonperiodic-a{a:g}",
-                      AttackSpec(src="broadcast", dst=0, signal="voltage",
-                                 kind=NonPeriodic(alpha=a), tau=spec.tau)))
-    for b in spec.betas:
-        cases.append((f"periodic-b{b:g}",
-                      AttackSpec(src="broadcast", dst=0, signal="voltage",
-                                 kind=Periodic(beta=b,
-                                               omega=2 * math.pi * spec.freq_hz),
-                                 tau=spec.tau)))
-    return cases
+    kinds = ([(f"nonperiodic-a{a:g}", NonPeriodic(alpha=a)) for a in spec.alphas]
+             + [(f"periodic-b{b:g}", Periodic(beta=b, omega=2 * math.pi * spec.freq_hz))
+                for b in spec.betas])
+    return [("normal", None)] + [
+        (name, AttackSpec(src="broadcast", dst=0, signal="voltage", kind=kind, tau=spec.tau))
+        for name, kind in kinds]
 
 
 def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfig, str | None]]:
@@ -115,10 +109,8 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
     out = []
     for f in spec.load_factors:
         # step the load impedances so delivered power scales roughly by f
-        events = (LoadEvent(t=spec.step_time, bus=0,
-                            r=BASE_LOAD.real / f, x=BASE_LOAD.imag / f),
-                  LoadEvent(t=spec.step_time, bus=2,
-                            r=BASE_LOAD.real / f, x=BASE_LOAD.imag / f))
+        events = tuple(LoadEvent(t=spec.step_time, bus=bus, r=BASE_LOAD.real / f,
+                                 x=BASE_LOAD.imag / f) for bus in (0, 2))
         clean_id = f"load{f:g}-normal"
         for case_name, atk in _attack_cases(spec):
             cfg = ScenarioConfig(

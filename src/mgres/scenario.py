@@ -15,6 +15,12 @@ numbers, ``max_epochs`` and ``seed`` must be whole.  A key left unread is
 rejected at every level, naming it and its mapping (``unknown gains fields:
 ['c_V']``).  The defaults live on the dataclasses.
 
+A scenario states each setting once.  ``controllers`` is the one key for the
+controller of each DG; without it (``ScenarioConfig.controllers`` None) every
+DG runs PI.  Every frequency is given in hertz, positive and finite.  A graph
+edge has a positive weight and is given once.  An error in the plant, the
+graph or an attack is a ``ScenarioError`` that keeps its component's text.
+
 The built-in names reproduce the headline experiments, each a document that
 ``builtin_scenario`` hands to ``from_dict``:
 
@@ -95,7 +101,7 @@ class ScenarioConfig:
     model: MicrogridModel
     graph: CommGraph
     gains: SecondaryGains = SecondaryGains()
-    controllers: tuple[str, ...] = ()          # per DG, "pi" | "ann"
+    controllers: tuple[str, ...] | None = None  # per DG, "pi" | "ann"; None: PI on every DG
     ann_model: MlpParams | None = None         # the model of every "ann" DG
     v_ref: float = 1.0
     w_ref: float = 2.0 * math.pi * 60.0
@@ -106,8 +112,8 @@ class ScenarioConfig:
     start: RunStart | None = None              # None: the flat start at step 0
 
     def __post_init__(self):
-        object.__setattr__(self, "controllers",
-                           tuple(self.controllers) or ("pi",) * self.graph.n)
+        object.__setattr__(self, "controllers", ("pi",) * self.graph.n
+                           if self.controllers is None else tuple(self.controllers))
         object.__setattr__(self, "load_events",
                            tuple(sorted(self.load_events, key=lambda e: e.t)))
         object.__setattr__(self, "attacks", tuple(self.attacks))
@@ -327,8 +333,8 @@ def _entries(items: list, where: str, *keys: str) -> list[list]:
 
 def _rad_s(hz: float, key: str) -> float:
     """The file's frequency ``key``, given in hertz, in rad/s."""
-    if not math.isfinite(hz):
-        raise ScenarioError(f"{key} must be finite, got {hz}")
+    if not 0 < hz < math.inf:
+        raise ScenarioError(f"{key} must be positive and finite, got {hz}")
     if math.isinf(w := 2.0 * math.pi * hz):
         raise ScenarioError(f"{key} {hz} overflows in rad/s")
     return w
@@ -360,13 +366,17 @@ def _parse_plant(d) -> MicrogridModel:
     n_bus, dg_bus = m.read("n_bus", int), m.numbers("dg_bus", int)
     dgs, lines, loads = (m.read(key, list) for key in ("dgs", "lines", "loads"))
     m.close()
-    lines = tuple(Line(a - 1, b - 1, r, x) for a, b, r, x in
-                  _entries(lines, "plant line", "from", "to", "r", "x"))
-    loads = tuple(Load(b - 1, r, x) for b, r, x in _entries(loads, "plant load", "bus", "r", "x"))
-    net = NetworkParams(n_bus=n_bus, lines=lines, loads=loads,
-                        dg_bus=tuple(b - 1 for b in dg_bus))
-    return MicrogridModel(dgs=[ConfigReader(e, f"plant dg {k + 1}").build(DgParams)
-                               for k, e in enumerate(dgs)], network=net)
+    try:   # a component's ValueError (NetworkError included) keeps its text
+        lines = tuple(Line(a - 1, b - 1, r, x) for a, b, r, x in
+                      _entries(lines, "plant line", "from", "to", "r", "x"))
+        loads = tuple(Load(b - 1, r, x) for b, r, x in
+                      _entries(loads, "plant load", "bus", "r", "x"))
+        net = NetworkParams(n_bus=n_bus, lines=lines, loads=loads,
+                            dg_bus=tuple(b - 1 for b in dg_bus))
+        return MicrogridModel(dgs=[ConfigReader(e, f"plant dg {k + 1}").build(DgParams)
+                                   for k, e in enumerate(dgs)], network=net)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _parse_graph(d) -> CommGraph:
@@ -384,6 +394,10 @@ def _parse_graph(d) -> CommGraph:
         w = _as(e[2], float, f"{where} weight") if len(e) == 3 else 1.0
         if not (1 <= frm <= n and 1 <= to <= n):
             raise ScenarioError(f"graph edge ({frm}, {to}) references an unknown DG")
+        if w <= 0:   # a zero weight would drop the edge's channels
+            raise ScenarioError(f"{where} weight must be positive, got {w:g}")
+        if adj[to - 1, frm - 1]:
+            raise ScenarioError(f"graph edge ({frm}, {to}) is given twice")
         adj[to - 1, frm - 1] = w  # information flows frm -> to
     try:
         return CommGraph(adj, np.array(pinning))
@@ -394,18 +408,16 @@ def _parse_graph(d) -> CommGraph:
 def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
               ann_model: str | None = None) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed YAML mapping.  An
-    ``ann_model`` path replaces its controllers (ANN on DG1) and model file,
-    which is read here, once, into the config when some DG runs ``"ann"``."""
+    ``ann_model`` path replaces the file's ``controllers`` with ``"ann"`` on
+    DG1 and ``"pi"`` elsewhere, and the file's model; the model is read here,
+    once, into the config when some DG runs ``"ann"``."""
     top = ConfigReader(d, "scenario")
     kw = {"duration": top.read("duration"), "dt": top.read("dt", float, None),
           "sample_period": top.read("sample_period", float, None)}
     plant, graph = top.read("plant", dict, None), top.read("graph", dict, None)
     refs = ConfigReader(top.read("references", dict, {}), "references")
     gains = ConfigReader(top.read("gains", dict, {}), "gains")
-    if "controller" in top and "controllers" in top:
-        raise ScenarioError("scenario takes controller or controllers, not both")
     controllers = top.read("controllers", list, None)
-    controller = top.read("controller", str, "pi")
     file_model = top.read("ann_model", object, None)
     events = top.read("load_events", list, [])
     attacks = top.read("attacks", list, [])
@@ -414,21 +426,18 @@ def from_dict(d: dict, scenario_id: str = "scenario", base_dir: str = ".",
 
     kw["v_ref"], hz = refs.read("voltage", float, None), refs.read("frequency_hz", float, None)
     refs.close()
-    for key, v in (("voltage", kw["v_ref"]), ("frequency_hz", hz)):
-        if v is not None and not 0 < v < math.inf:   # validate would name v_ref or w_ref
-            raise ScenarioError(f"references {key} must be positive and finite, got {v}")
+    if (v := kw["v_ref"]) is not None and not 0 < v < math.inf:   # validate would name v_ref
+        raise ScenarioError(f"references voltage must be positive and finite, got {v}")
     if hz is not None:
         kw["w_ref"] = _rad_s(hz, "references frequency_hz")
     model = default_model() if plant is None else _parse_plant(plant)
     graph = ring_graph(model.n) if graph is None else _parse_graph(graph)
 
     if ann_model is not None:   # the ANN on DG1, the attacked DG
-        controller, controllers = "ann", None
+        controllers = ["ann"] + ["pi"] * (graph.n - 1)
     elif file_model is not None:   # an absolute path is kept as it is
         ann_model = os.path.join(base_dir, _as(file_model, str, "field 'ann_model' in scenario"))
-    controllers = ((controller,) + ("pi",) * (graph.n - 1) if controllers is None
-                   else tuple(map(str, controllers)))
-    if "ann" in controllers and ann_model is not None:
+    if "ann" in (controllers or ()) and ann_model is not None:
         try:
             kw["ann_model"] = load_model(ann_model)
         except ValueError as exc:

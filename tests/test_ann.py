@@ -56,6 +56,8 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         MlpParams(np.zeros((9, 7)), np.zeros(10), np.zeros((1, 10)), np.zeros(1),
                   NormalizationSpec.identity())
+    with pytest.raises(ValueError, match="gradient needs a non-empty batch"):
+        gradient(params, np.zeros((0, 7)), np.zeros(0))
 
 
 def test_init_is_seeded_and_bounded():
@@ -246,11 +248,25 @@ def test_train_input_validation():
         x = np.ones((60, 7))
         x[0, 0] = np.nan
         Dataset(x=x, y=np.ones(60), attacked=np.ones(60, dtype=bool))
+    with pytest.raises(DatasetError, match=r"inconsistent dataset shapes \(60, 7\) / \(59,\)"):
+        Dataset(x=np.ones((60, 7)), y=np.ones(59), attacked=np.ones(60, dtype=bool))
+    for split in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"split must be in \(0, 1\)"):
+            TrainConfig(split=split)
+    with pytest.raises(DatasetError, match="validation split is empty"):
+        train(synth_dataset(n=50), TrainConfig(split=0.99))
+    huge = synth_dataset()
+    huge.y[:] = np.where(np.arange(len(huge)) % 2, 1e200, -1e200)
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match="non-finite training loss at the initial weights"):
+        train(huge, TrainConfig())
 
 
 def test_runtime_features_and_clamp():
     f = runtime_features(np.array([1.0, 1.1, 1.2]), 1.0)
     np.testing.assert_array_equal(f, [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0])
+    with pytest.raises(ValueError, match="received triple must have length 3"):
+        runtime_features(np.array([1.0, 1.1]), 1.0)
     # force huge outputs through the denormalization to hit both clamps
     raw = init_params(np.random.default_rng(0))
     hi = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2,
@@ -390,6 +406,11 @@ def test_normalization_rejects_non_finite_maps():
     for name, bad in (("x_offset", np.full(7, np.inf)), ("x_scale", np.full(7, np.nan)),
                       ("y_offset", np.nan), ("y_scale", np.inf)):
         with pytest.raises(ValueError, match=f"normalization {name} contains non-finite"):
+            NormalizationSpec(**dict(ok, **{name: bad}))
+    for name, bad, message in (("x_offset", np.zeros(6), "maps must have length 7"),
+                               ("x_scale", np.zeros(7), "scales must be nonzero"),
+                               ("y_scale", 0.0, "scales must be nonzero")):
+        with pytest.raises(ValueError, match=f"normalization {message}"):
             NormalizationSpec(**dict(ok, **{name: bad}))
 
 

@@ -177,14 +177,14 @@ def test_compare(pipeline, work, capsys):
 
 
 def test_compare_baseline_is_pi_whatever_the_file_names(pipeline, work):
-    # the baseline kept the file's controllers, so a controller: ann file
-    # compared the ANN with itself
+    # the baseline kept the file's controllers, so a file with the ANN on
+    # DG1 compared the ANN with itself
     _, _, _, model = pipeline
     reports = {}
     for ctrl in ("ann", "pi"):
         path = work / f"compare-{ctrl}.yaml"
         path.write_text(SHORT_ATTACK_YAML.replace("duration: 0.8", "duration: 1.0")
-                        + f"controller: {ctrl}\nann_model: {model}\n")
+                        + f"controllers: [{ctrl}, pi, pi, pi]\nann_model: {model}\n")
         report = work / f"report-{ctrl}.json"
         assert main(["compare", "--scenario", str(path), "--model", str(model),
                      "--report", str(report)]) == 0
@@ -259,7 +259,7 @@ def test_model_flag_replaces_a_stale_file_model(pipeline, work, capsys):
     # stale one ended evaluate and compare with exit 1 even with a valid --model
     _, _, _, model = pipeline
     stale = work / "stale-model.yaml"
-    stale.write_text("duration: 0.6\ncontroller: ann\nann_model: gone.txt\n")
+    stale.write_text("duration: 0.6\ncontrollers: [ann, pi, pi, pi]\nann_model: gone.txt\n")
     for command, out_flag in (("evaluate", "--out"), ("compare", "--report")):
         out = work / f"stale-{command}.out"
         assert main([command, "--scenario", str(stale), "--model", str(model),
@@ -444,9 +444,14 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
     (attack_doc(kind="nonperiodic, alpha: .nan"), "attack alpha must be finite, got nan"),
     (attack_doc(kind="periodic, beta: .nan, freq_hz: 60"), "attack beta must be finite, got nan"),
     (attack_doc(kind="periodic, beta: 0.5, freq_hz: .inf"),
-     "attack freq_hz must be finite, got inf"),
+     "attack freq_hz must be positive and finite, got inf"),
     (attack_doc(kind="periodic, beta: 0.5, freq_hz: .nan"),
-     "attack freq_hz must be finite, got nan"),
+     "attack freq_hz must be positive and finite, got nan"),
+    # these two ran: 0 Hz left the attack without effect, and -60 Hz flipped its sign
+    (attack_doc(kind="periodic, beta: 0.5, freq_hz: 0"),
+     "attack freq_hz must be positive and finite, got 0.0"),
+    (attack_doc(kind="periodic, beta: 0.5, freq_hz: -60"),
+     "attack freq_hz must be positive and finite, got -60.0"),
     # finite in hertz, but 2 pi hz is not: it failed as "attack omega must be finite"
     (attack_doc(kind="periodic, beta: 0.5, freq_hz: 1e308"),
      "attack freq_hz 1e+308 overflows in rad/s"),
@@ -549,7 +554,8 @@ def test_a_path_that_is_not_a_regular_file_exits_1(work, capsys, case):
     short.write_text("duration: 0.01\n")
     a_dir.mkdir(exist_ok=True)
     a_file.write_text("")
-    (work / "dir-model.yaml").write_text(f"duration: 0.01\ncontroller: ann\nann_model: {a_dir}\n")
+    (work / "dir-model.yaml").write_text(
+        f"duration: 0.01\ncontrollers: [ann, pi, pi, pi]\nann_model: {a_dir}\n")
     args, message = {
         "simulate --out": (["simulate", "--scenario", str(short), "--out", str(a_dir)],
                            "Is a directory"),
@@ -622,6 +628,7 @@ def test_evaluate_malformed_model_exits_1(work, capsys, row, values, message):
     ("attacks: 3\n", "field 'attacks' in scenario must be a list"),
     ("controllers: 3\n", "field 'controllers' in scenario must be a list"),
     (attack_doc(kind="periodic, beta: 0.5"), "missing required field 'freq_hz' in attack 1"),
+    (attack_doc(kind="ramp"), "attack 1 kind must be nonperiodic or periodic, got 'ramp'"),
 ])
 def test_malformed_scenario_exits_1(work, capsys, doc, field):
     path = work / "malformed.yaml"
@@ -691,6 +698,14 @@ def plant4(lines: str = "[{from: 1, to: 2, r: 0.05, x: 0.1}, {from: 2, to: 3, r:
     (plant4(loads="[{bus: 5, r: 0.8, x: 0.3}]"), "error: load bus 5 does not exist\n"),
     (plant4(lines="[{from: 1, to: 2, r: 0.05, x: 0.1}, {from: 2, to: 3, r: 0.05, x: 0.1}]"),
      "error: network is not connected (isolated buses [4])\n"),
+    (GRAPH4 + "[[1, 2], [2, 3], [3, 4], [1, 9]]\n",
+     "error: graph edge (1, 9) references an unknown DG\n"),
+    # a zero weight dropped both channels of the edge, and a repeated edge
+    # kept its last weight
+    (GRAPH4 + "[[2, 3], [3, 4], [1, 2, 0], [4, 1]]\n",
+     "error: graph edge 3 weight must be positive, got 0\n"),
+    (GRAPH4 + "[[1, 2], [2, 3], [3, 4], [4, 1], [1, 2, 3.0]]\n",
+     "error: graph edge (1, 2) is given twice\n"),
 ])
 def test_malformed_graph_or_dg_entry_exits_1(work, capsys, doc, field):
     path = work / "malformed-entry.yaml"
@@ -762,8 +777,7 @@ def test_controller_and_controllers_exits_1(work, capsys):
     path.write_text("duration: 0.1\ncontroller: ann\nann_model: m.txt\n"
                     "controllers: [pi, pi, pi, pi]\n")
     assert main(["simulate", "--scenario", str(path), "--out", str(work / "c.csv")]) == 1
-    assert capsys.readouterr().err == (
-        "error: scenario takes controller or controllers, not both\n")
+    assert capsys.readouterr().err == "error: unknown scenario fields: ['controller']\n"
 
 
 def test_ann_on_a_dg_without_two_in_neighbors_exits_1(work, capsys, monkeypatch):
@@ -774,7 +788,8 @@ def test_ann_on_a_dg_without_two_in_neighbors_exits_1(work, capsys, monkeypatch)
     model.write_text(model_text_with(8, "1"))
     graph = GRAPH4 + "[[2, 1], [1, 2], [2, 3], [3, 4], [4, 3]]\n"
     path = work / "one-neighbor.yaml"
-    path.write_text("duration: 0.01\ncontroller: ann\nann_model: ann-model.txt\n" + graph)
+    path.write_text("duration: 0.01\ncontrollers: [ann, pi, pi, pi]\nann_model: ann-model.txt\n"
+                    + graph)
     assert main(["simulate", "--scenario", str(path), "--out", str(work / "n.csv")]) == 1
     assert capsys.readouterr().err == message
     # compare ran the whole PI baseline before the ANN run found it

@@ -42,6 +42,9 @@ def test_disconnected_dg_is_rejected():
      "negative pinning gain -1.0 of DG 2"),
     (np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), np.array([1.0, 0, 0]),
      "DG 3 is unreachable"),
+    (np.zeros((2, 3)), np.array([1.0, 0.0]), r"adjacency must be square, got shape \(2, 3\)"),
+    (np.zeros((2, 2)), np.array([1.0]), r"pinning must have length 2, got shape \(1,\)"),
+    (np.array([[0.0, np.nan], [1.0, 0.0]]), np.array([1.0, 0.0]), "graph weights must be finite"),
 ])
 def test_invariant_violations(adj, pin, msg):
     with pytest.raises(GraphError, match=msg):

@@ -157,6 +157,8 @@ def test_network_invariants():
         Load(0, 0.0, 0.0).admittance
     with pytest.raises(NetworkError, match="DG bus 3 does not exist"):
         NetworkParams(2, (Line(0, 1, 0.05, 0.1),), (), (2,))
+    with pytest.raises(NetworkError, match="line endpoint bus 3 does not exist"):
+        NetworkParams(2, (Line(0, 2, 0.05, 0.1),), (), (0,))
 
 
 @given(st.floats(0.9, 1.1), st.floats(370, 380),

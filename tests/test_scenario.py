@@ -130,7 +130,7 @@ def test_unknown_fields_rejected():
     with pytest.raises(ScenarioError, match="missing required field 't' in load event 1"):
         from_dict({"duration": 1.0, "load_events": [{"bus": 1, "r": 0.4, "x": 0.1}]})
     # "controller: ann" beside a controllers list was dropped: the run was all-PI
-    with pytest.raises(ScenarioError, match="scenario takes controller or controllers, not both"):
+    with pytest.raises(ScenarioError, match=r"^unknown scenario fields: \['controller'\]$"):
         from_dict({"duration": 1.0, "controllers": ["pi"] * 4, "controller": "ann",
                    "ann_model": "m.txt"})
 
@@ -168,6 +168,24 @@ def test_plant_needs_a_dg():
     with pytest.raises(ValueError, match="at least one DG"):
         from_dict({"duration": 1.0, "plant": {"n_bus": 1, "dg_bus": [], "dgs": [],
                                               "lines": [], "loads": []}})
+
+
+def plant_doc(dgs=({},), lines=({"from": 1, "to": 2, "r": 0.05, "x": 0.1},)) -> dict:
+    """A 2-bus plant with one DG on bus 1 and a load on bus 2."""
+    return {"n_bus": 2, "dg_bus": [1], "dgs": list(dgs), "lines": list(lines),
+            "loads": [{"bus": 2, "r": 0.8, "x": 0.3}]}
+
+
+@pytest.mark.parametrize("plant, message", [
+    (plant_doc(lines=()), "network is not connected (isolated buses [2])"),   # a NetworkError
+    (plant_doc(dgs=({"m_p": -1},)), "DG m_p must be positive and finite, got -1.0"),
+    (plant_doc(dgs=({}, {})), "one DgParams entry per network DG attachment required"),
+], ids=["network", "dg", "model"])
+def test_plant_errors_are_scenario_errors(plant, message):
+    # the first raised a NetworkError and the others a bare ValueError
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$") as exc:
+        from_dict({"duration": 1.0, "plant": plant, "graph": {"edges": [], "pinning": [1]}})
+    assert type(exc.value) is ScenarioError
 
 
 @pytest.mark.parametrize("override, msg", [
@@ -220,16 +238,21 @@ def test_a_run_start_shortens_the_run():
 def test_controller_validation():
     with pytest.raises(ScenarioError, match="need 4 controller entries"):
         from_dict({"duration": 1.0, "controllers": ["pi", "pi"]})
+    # an empty list ran PI on every DG
+    with pytest.raises(ScenarioError, match="need 4 controller entries, got 0"):
+        from_dict({"duration": 1.0, "controllers": []})
     with pytest.raises(ScenarioError, match="unknown controller 'fuzzy'"):
-        from_dict({"duration": 1.0, "controller": "fuzzy"})
+        from_dict({"duration": 1.0, "controllers": ["fuzzy", "pi", "pi", "pi"]})
     cfg = builtin_scenario("default")
     for names in (("pi",) * 4, ("ann", "pi", "pi", "pi")):
         assert replace(cfg, controllers=names, ann_model=PARAMS).controllers == names
+    # None, the default, is PI on every DG: the compare baseline
+    assert replace(cfg, controllers=None).controllers == ("pi",) * 4
     with pytest.raises(ScenarioError,
                        match=r"^unknown controller 'pid'; expected one of \('pi', 'ann'\)$"):
         replace(cfg, controllers=("pi", "pid", "pi", "pi"))
     with pytest.raises(ScenarioError, match="requires an ann_model"):
-        from_dict({"duration": 1.0, "controller": "ann"})
+        from_dict({"duration": 1.0, "controllers": ["ann", "pi", "pi", "pi"]})
 
 
 def test_attack_and_event_cross_validation():
