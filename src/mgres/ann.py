@@ -478,6 +478,14 @@ def build_dataset(runs) -> Dataset:
     """
     xs, ys, att = [], [], []
     for trace, clean_trace, scenario_id in runs:
+        try:   # before any column is read
+            col = dict(zip(TRIPLE, feature_channels(trace.channels, 0)))
+            if (src := max(s for s, _, _ in trace.channels)) >= trace.n_dg:   # ch_clean reads it
+                raise ValueError(f"channel source DG{src + 1} has no columns")
+        except ValueError as exc:
+            raise DatasetError(f"run {scenario_id}: {exc}") from None
+        if clean_trace.n_dg != trace.n_dg:
+            raise DatasetError(f"clean reference for {scenario_id} has {clean_trace.n_dg} DGs")
         target = clean_trace.dg["Vn"][:, 0]
         if len(target) != len(trace.t):
             raise DatasetError(
@@ -485,7 +493,6 @@ def build_dataset(runs) -> Dataset:
         if trace.v_ref is None:
             raise DatasetError(f"trace {scenario_id} is missing the voltage reference")
         keep = trace.t >= 0.1 - 1e-12
-        col = dict(zip(TRIPLE, feature_channels(trace.channels, 0)))
         is_attacked = bool(trace.attack_active.any())
         for first in (trace.ch_clean, trace.ch_recv)[:1 + is_attacked]:
             x = np.empty((np.count_nonzero(keep), N_IN))
@@ -526,6 +533,8 @@ def load_model(path) -> MlpParams:
         raise ValueError(f"ANN model file not found: {path}") from None
     except OSError as exc:   # a directory, unreadable
         raise ValueError(f"cannot read model file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"model file {path} is not text: {exc}") from None
     if not lines:
         raise ValueError(f"model file {path} is empty")
     if lines[0].split() != _MODEL_HEADER.split():

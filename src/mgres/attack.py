@@ -89,7 +89,7 @@ class AttackSpec:
             and self.dst in (BROADCAST, dst)
 
 
-_TARGET_RE = re.compile(r"^\s*(dg(\d+)\.(\w+)|broadcast)\s*->\s*(dg(\d+)(\.(\w+))?|broadcast)\s*$")
+_TARGET_RE = re.compile(r"^\s*(?:dg(\d+)\.(\w+)|broadcast)\s*->\s*(?:dg(\d+)(?:\.(\w+))?|broadcast)\s*$")
 
 
 def parse_target(target: str) -> tuple[int | str, int | str, str]:
@@ -105,24 +105,16 @@ def parse_target(target: str) -> tuple[int | str, int | str, str]:
     m = _TARGET_RE.match(target)
     if not m:
         raise AttackConfigError(f"cannot parse attack target {target!r}")
-    left_dg, left_sig = m.group(2), m.group(3)
-    right_dg, right_sig = m.group(5), m.group(7)
-    if left_dg is None and right_dg is None:
+    src, left_sig, dst, right_sig = m.groups()
+    if src is None and dst is None:
         raise AttackConfigError(f"target {target!r} has no DG endpoint")
-    if left_dg is None:
-        if right_sig is None:
-            raise AttackConfigError(f"target {target!r} is missing the signal kind")
-        src, dst, sig = BROADCAST, int(right_dg) - 1, right_sig
-    else:
-        src, sig = int(left_dg) - 1, left_sig
-        if right_dg is None:
-            dst = BROADCAST
-        else:
-            dst = int(right_dg) - 1
-            if right_sig is not None and right_sig != sig:
-                raise AttackConfigError(f"target {target!r} names two different signals")
-    if sig not in SIGNALS:
+    if src is None and right_sig is None:
+        raise AttackConfigError(f"target {target!r} is missing the signal kind")
+    if left_sig and right_sig and right_sig != left_sig:
+        raise AttackConfigError(f"target {target!r} names two different signals")
+    if (sig := left_sig or right_sig) not in SIGNALS:
         raise AttackConfigError(f"unknown signal kind {sig!r} in target {target!r}")
+    src, dst = (BROADCAST if g is None else int(g) - 1 for g in (src, dst))
     return src, dst, sig
 
 

@@ -47,7 +47,7 @@ _MATRIX_RANGES = {
     "load_factors": ("positive and finite", lambda v: 0 < v < math.inf),
     "alphas": ("finite", math.isfinite),
     "betas": ("finite", math.isfinite),
-    "freq_hz": ("positive and finite", lambda v: 0 < v < math.inf),
+    "freq_hz": ("positive and finite, also in rad/s", lambda v: 0 < 2 * math.pi * v < math.inf),
     "tau": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "step_time": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "duration": ("positive and finite", lambda v: 0 < v < math.inf),
@@ -183,8 +183,11 @@ _MANIFEST_FIELDS = {"id": str, "file": str, "status": str, "clean_ref": str,
 def load_runs(data_dir: str) -> list[tuple[Trace, Trace, str]]:
     """Read a gen-data directory back into (trace, clean_trace, id) tuples."""
     path = os.path.join(data_dir, "manifest.json")
-    with open(path) as fh:
-        entries = json.load(fh)
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise DatasetError(f"cannot parse {path}: {exc}") from None
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise DatasetError(f"{path} must hold a list of run mappings")
     first: dict[str, int] = {}   # id -> number of the run that first has it

@@ -79,19 +79,16 @@ class LoadEvent:
 
 @dataclass(frozen=True)
 class RunStart:
-    """The state of a run before its sample step ``step``: the phase angle
-    per DG, the filtered [P, Q] per DG and the set-points [V_n per DG],
-    [w_n per DG].  A run that starts here goes on as the run it was taken
-    from did, bit for bit."""
+    """A run's state before its sample step ``step`` as 5n floats: the phase
+    angle per DG, the filtered [P, Q] per DG, then V_n per DG and w_n per DG.
+    A run that starts here goes on as the run it was taken from, bit for bit."""
     step: int
-    delta: tuple[float, ...]
-    pq: tuple[tuple[float, float], ...]
-    setpoints: tuple[tuple[float, ...], tuple[float, ...]]
+    state: tuple[float, ...]
 
     @classmethod
     def flat(cls, n: int, v_ref: float, w_ref: float) -> RunStart:
         """Step 0 at rest: zero angles and powers, set-points at the references."""
-        return cls(0, (0.0,) * n, ((0.0, 0.0),) * n, ((float(v_ref),) * n, (float(w_ref),) * n))
+        return cls(0, (0.0,) * 3 * n + (float(v_ref),) * n + (float(w_ref),) * n)
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,9 @@ class ScenarioConfig:
         for name in ("duration", "dt", "sample_period", "v_ref", "w_ref"):
             if not 0 < (v := getattr(self, name)) < math.inf:
                 raise ScenarioError(f"{name} must be positive and finite, got {v}")
+        for name in ("duration", "sample_period"):   # a step count that overflows
+            if math.isinf((v := getattr(self, name)) / self.dt):
+                raise ScenarioError(f"{name} / dt is not finite: {v} / {self.dt}")
         if self.sample_period < self.dt:
             raise ScenarioError(
                 f"sample period {self.sample_period} is below the integrator step {self.dt}")
@@ -167,11 +167,8 @@ class ScenarioConfig:
         if s.step % self.sample_stride:
             raise ScenarioError(f"run start step {s.step} is not a sample step "
                                 f"(every {self.sample_stride} steps)")
-        if (len(s.delta), len(s.pq), len(s.setpoints)) != (n, n, 2) \
-                or any(len(row) != 2 for row in s.pq) \
-                or any(len(row) != n for row in s.setpoints):
-            raise ScenarioError(f"run start must hold {n} angles, {n} [P, Q] pairs "
-                                f"and [V_n] and [w_n] rows of {n}")
+        if len(s.state) != 5 * n:
+            raise ScenarioError(f"run start must hold {5 * n} values, got {len(s.state)}")
 
     @property
     def sample_stride(self) -> int:

@@ -6,14 +6,14 @@ the same configuration produces byte-identical CSV output.  The config holds
 all a run needs, the ANN model of its ``"ann"`` DGs included
 (``ScenarioConfig.ann_model``), so a run opens no file.
 
-A run starts from ``config.start``, a ``scenario.RunStart``: the angles,
-filtered powers and set-points before its sample step ``step`` (None is the
-flat start at step 0, on the same path).  Steps keep their absolute k, so t,
-the rows and the load epochs have the bits of a run from step 0; the first
-step applies every load event whose step it has reached.  For each sample
-step in ``fork_steps`` the run hands out its own ``RunStart`` before that
-step in ``Trace.forks``, taken on the sampling branch (no per-step work): a
-run started there repeats this run's rows from that step on, bit for bit.
+A run starts from ``config.start``, a ``scenario.RunStart`` (None is the
+flat start at step 0, on the same path): the buffers ``ws.delta``,
+``ws.pq_flat`` and ``setpoints.ravel()`` in order, before its sample step
+``step``.  Steps keep their absolute k, so t, the rows and the load epochs
+have the bits of a run from step 0; the first step applies every load event
+whose step it has reached.  At each sample step in ``fork_steps`` the run
+hands out its ``RunStart`` in ``Trace.forks``, on the sampling branch (no
+per-step work): a run started there repeats this run's rows, bit for bit.
 
 Each step k (t = k dt) runs, in order:
 
@@ -123,8 +123,8 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
 
     x, recv = cmap.x, cmap.recv
     ws = PlantWorkspace(config.model, dt, cmap.droop)
-    ws.delta[:], ws.pq_t[:] = start.delta, start.pq
-    setpoints = np.array(start.setpoints)
+    ws.delta[:], ws.pq_flat[:] = start.state[:n], start.state[n:3 * n]
+    setpoints = np.array(start.state[3 * n:]).reshape(2, n)
     vw_t, pq_t, sp_t = ws.vw.T, ws.pq_t, setpoints.T   # (n, 2) per DG
     # (step, bus, r, x) per load event, in step order, then a step never reached
     events = [(config.first_step(ev.due, ev.t), ev.bus, ev.r, ev.x) for ev in config.load_events]
@@ -140,9 +140,8 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
         if record:   # a step updates P and Q in place; a diverged step's row is cut
             rec_pq[sample] = pq_t
             if k in fork_steps:
-                trace.forks[k] = RunStart(k, tuple(ws.delta.tolist()),
-                                          tuple(map(tuple, pq_t.tolist())),
-                                          tuple(map(tuple, setpoints.tolist())))
+                trace.forks[k] = RunStart(k, tuple(ws.delta.tolist() + ws.pq_flat.tolist()
+                                                   + setpoints.ravel().tolist()))
         try:
             if k >= events[0][0]:   # from a later start, every event due by then
                 net = ws.net

@@ -174,7 +174,8 @@ def parse_csv(source) -> Trace:
     reader rounds correctly: each value has the bits float() gives its text."""
     text = isinstance(source, str) and "\n" in source
     where = "CSV text" if text else str(source)
-    with (io.StringIO(source) if text else open(source)) as fh:
+    # a byte that is not UTF-8 reads as a character that no value or column holds
+    with (io.StringIO(source) if text else open(source, errors="surrogateescape")) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header[0] != "t" or header[-1] != "attack_active":
             raise TraceFormatError(

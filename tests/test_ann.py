@@ -483,3 +483,12 @@ def test_build_dataset_errors():
     long.v_ref = None   # as parse_csv leaves it
     with pytest.raises(DatasetError, match="trace no-ref is missing the voltage reference"):
         build_dataset([(long, long, "no-ref")])
+    # each ended in an IndexError; the first from a CSV of t and attack_active alone
+    no_dg = Trace.empty(150, 0, [], 0)
+    with pytest.raises(DatasetError, match="run bare: the ANN controller on DG1 needs exactly 3"):
+        build_dataset([(no_dg, no_dg, "bare")])
+    one_dg = Trace.empty(150, 1, short.channels, 0)
+    with pytest.raises(DatasetError, match="run cut: channel source DG4 has no columns"):
+        build_dataset([(one_dg, one_dg, "cut")])
+    with pytest.raises(DatasetError, match="clean reference for x has 3 DGs"):
+        build_dataset([(short, Trace.empty(150, 3, [], 0), "x")])

@@ -376,7 +376,10 @@ def test_train_on_csvs_with_clean_channel_columns_exits_1(work, capsys):
     ("step_time: .nan\n", "matrix step_time must be finite and >= 0, got nan"),
     ("betas: [.nan]\n", "matrix betas must be finite, got nan"),
     ("alphas: [-.inf]\n", "matrix alphas must be finite, got -inf"),
-    ("freq_hz: 0\n", "matrix freq_hz must be positive and finite, got 0.0"),
+    ("freq_hz: 0\n", "matrix freq_hz must be positive and finite, also in rad/s, got 0.0"),
+    # "attack omega must be finite, got inf", a name the matrix does not have
+    ("freq_hz: 1.0e+308\n",
+     "matrix freq_hz must be positive and finite, also in rad/s, got 1e+308"),
     # "0/0 runs ok", an empty manifest and exit 0; train then found no run
     ("load_factors: []\n", "matrix load_factors must hold at least one value"),
     # an error that named no matrix, and an empty --out-dir left behind
@@ -472,6 +475,11 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
     (one_dg_plant(line_r=".nan"), "line 1-2 needs finite r >= 0 and x > 0, got r=nan, x=0.1"),
     (one_dg_plant(load_r=".nan"), "load at bus 2 needs finite r and x, got r=nan, x=0.3"),
     (one_dg_plant(m_p=".nan"), "DG m_p must be positive and finite, got nan"),
+    # an OverflowError traceback: a step count of inf in last_step, a sample
+    # ratio of inf in the ratio check
+    ("dt: 1.0e-310\n", "duration / dt is not finite: 0.05 / 1e-310"),
+    ("dt: 1.0e-300\nsample_period: 1.0e+300\n",
+     "sample_period / dt is not finite: 1e+300 / 1e-300"),
 ])
 def test_non_finite_scenario_value_exits_1(work, capsys, doc, message):
     path = work / "non-finite.yaml"
@@ -534,15 +542,52 @@ def test_yaml_path_is_a_directory_exits_1(work, capsys, command, what):
      ' "w_ref": 377.0}, {"id": "b", "file": "b.csv", "status": "ok", "clean_ref": "b",'
      ' "v_ref": 1.0, "w_ref": 377.0}, {"id": "a", "file": "c.csv", "status": "failed",'
      ' "clean_ref": "a", "v_ref": 1.0, "w_ref": 377.0}]', "runs 1 and 3 have the same id 'a'"),
+    # a codec or JSON error that named no file
+    (b"[\xff]", "manifest.json: 'utf-8' codec can't decode byte 0xff in position 1"),
+    ("not json", "manifest.json: Expecting value: line 1 column 1 (char 0)"),
 ])
 def test_malformed_manifest_exits_1(work, capsys, manifest, message):
     data = work / "bad-manifest"
     data.mkdir(exist_ok=True)
-    (data / "manifest.json").write_text(manifest)
+    (data / "manifest.json").write_bytes(
+        manifest if isinstance(manifest, bytes) else manifest.encode())
     rc = main(["train", "--data", str(data), "--out", str(work / "m.txt")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+# a manifest of one ok run, "a", whose CSV is a.csv
+ONE_RUN = ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_ref": 1.0,'
+           ' "w_ref": 377.0}]')
+
+
+def test_a_run_without_dg1s_voltage_triple_exits_1(tmp_path, capsys):
+    # an IndexError traceback in build_dataset
+    (tmp_path / "manifest.json").write_text(ONE_RUN)
+    (tmp_path / "a.csv").write_text("t,attack_active\n0,0\n")
+    assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run a: the ANN controller on DG1 needs exactly 3 inbound "
+                          "voltage channels") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["model", "csv"])
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, case):
+    # a codec error that named no file
+    if case == "model":
+        path = tmp_path / "model.txt"
+        path.write_bytes(FIXTURE_MODEL.read_bytes() + b"\xff")
+        args = ["evaluate", "--scenario", "default", "--model", str(path),
+                "--out", str(tmp_path / "unwritten.csv")]
+    else:
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"t,attack_active\n0,0\n\xff\n")
+        (tmp_path / "manifest.json").write_text(ONE_RUN)
+        args = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.txt")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["simulate --out", "gen-data --out-dir", "--model",

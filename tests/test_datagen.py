@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -238,23 +239,30 @@ def test_gen_data_records_failures(tmp_path):
     assert by_status["load1-nonperiodic-a-0.999"].startswith("diverged")
 
 
-# a valid gen-data directory with its manifest fields edited, and one cell of
-# one CSV (header included) replaced; the oracle is that only ValueError
-# escapes, which is what the CLI turns into exit 1 (cli.CONFIG_ERRORS)
+# a valid gen-data directory with its manifest fields edited, every column of
+# one CSV whose name holds a fragment dropped, and one cell of one CSV replaced
+# (a header cell about half the time: a column renamed); the oracle is that
+# only ValueError escapes, which is what the CLI turns into exit 1
+# (cli.CONFIG_ERRORS)
 WRONG = (st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.floats()
          | st.sampled_from([10**400, "", ".", "manifest.json", "missing.csv"])
          | st.lists(st.integers(), max_size=2) | st.just({}))
 MANIFEST_EDIT = st.tuples(st.integers(0, 2), st.sampled_from(
     ["id", "file", "status", "clean_ref", "v_ref", "w_ref"]), st.booleans(), WRONG)
 CELL = (st.text(max_size=4) | st.sampled_from(
-    ["", "nan", "inf", "-inf", "1e999", "0.5", "2", "-1", "1,2", "t", "dg1.v", "\n"]))
+    ["", "nan", "inf", "-inf", "1e999", "0.5", "2", "-1", "1,2", "t", "dg1.v", "\n",
+     "dg5.v", "load1.I", "ch.dg2->dg1.frequency.recv", "ch.dg5->dg1.voltage.recv"]))
+# "." drops every column but t and attack_active, "dg" every DG column
+FRAGMENT = st.sampled_from([".", "dg", "dg1.", "dg4.", ".Vn", "ch.", "->dg1.voltage", "load"])
 
 
 @settings(deadline=None, max_examples=150)
 @given(edits=st.lists(MANIFEST_EDIT, max_size=2), whole=st.integers(0, 19),
-       cell=st.tuples(st.integers(0, 2), st.integers(0, 800), st.integers(0, 60), CELL)
-       | st.none())
-def test_load_runs_raises_only_value_errors(data_dir, tmp_path_factory, edits, whole, cell):
+       cut=st.tuples(st.integers(0, 2), FRAGMENT) | st.none(),
+       cell=st.tuples(st.integers(0, 2), st.just(0) | st.integers(0, 800), st.integers(0, 60),
+                      CELL) | st.none())
+def test_load_runs_raises_only_value_errors(data_dir, tmp_path_factory, edits, whole, cut,
+                                            cell):
     work = tmp_path_factory.mktemp("fuzz")
     source = Path(data_dir)
     entries = json.loads((source / "manifest.json").read_text())
@@ -267,8 +275,16 @@ def test_load_runs_raises_only_value_errors(data_dir, tmp_path_factory, edits, w
     # one manifest in twenty is not a list, and one holds a run that is not a mapping
     manifest = {7: {"runs": entries}, 8: entries[:1] + [3]}.get(whole, entries)
     (work / "manifest.json").write_text(json.dumps(manifest))
+    edited = {e[0] for e in (cut, cell) if e is not None}
     for k, name in enumerate(files):
+        if k not in edited:
+            shutil.copyfile(source / name, work / name)
+            continue
         lines = (source / name).read_text().split("\n")
+        if cut is not None and cut[0] == k:   # lines[-1] is the empty text after the last row
+            keep = [j for j, col in enumerate(lines[0].split(",")) if cut[1] not in col]
+            lines = [",".join([row[j] for j in keep]) for row in
+                     (line.split(",") for line in lines[:-1])] + [""]
         if cell is not None and cell[0] == k:
             cells = lines[cell[1]].split(",")
             cells[cell[2] % len(cells)] = cell[3]

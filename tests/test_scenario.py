@@ -213,11 +213,14 @@ FLAT = RunStart.flat(4, 1.0, 2 * math.pi * 60)
     (replace(FLAT, step=10010), r"run start step 10010 must be a whole number in \[0, 10000\]"),
     (replace(FLAT, step=20.0), r"run start step 20.0 must be a whole number"),
     (replace(FLAT, step=True), r"run start step True must be a whole number"),
-    (replace(FLAT, delta=(0.0,) * 3), "run start must hold 4 angles, 4 \\[P, Q\\] pairs"),
-    (replace(FLAT, pq=((0.0, 0.0),) * 5), "run start must hold 4 angles"),
-    (replace(FLAT, pq=((0.0, 0.0, 0.0),) * 4), "run start must hold 4 angles"),
-    (replace(FLAT, setpoints=FLAT.setpoints[:1]), "run start must hold 4 angles"),
-    (replace(FLAT, setpoints=((1.0,) * 3, FLAT.setpoints[1])), "run start must hold 4 angles"),
+    # the widths of a start with three angles, five [P, Q] pairs, four
+    # triples in place of [P, Q] pairs, the V_n row alone, a V_n row of three
+    (replace(FLAT, state=(0.0,) * 19), "run start must hold 20 values, got 19"),
+    (replace(FLAT, state=(0.0,) * 22), "run start must hold 20 values, got 22"),
+    (replace(FLAT, state=(0.0,) * 24), "run start must hold 20 values, got 24"),
+    (replace(FLAT, state=FLAT.state[:16]), "run start must hold 20 values, got 16"),
+    (replace(FLAT, state=FLAT.state[:15] + FLAT.state[16:]),
+     "run start must hold 20 values, got 19"),
 ])
 def test_run_start_validation(start, msg):
     cfg = builtin_scenario("default", duration=1.0)
@@ -231,8 +234,8 @@ def test_a_run_start_shortens_the_run():
     for step in (0, 2500, 10000):
         resumed = replace(cfg, start=replace(FLAT, step=step))
         assert (resumed.last_step, resumed.n_steps) == (10000, 10000 - step)
-    assert FLAT.setpoints == ((1.0,) * 4, (2 * math.pi * 60,) * 4)
-    assert all(type(x) is float for row in RunStart.flat(2, 1, 377).setpoints for x in row)
+    assert FLAT.state == (0.0,) * 12 + (1.0,) * 4 + (2 * math.pi * 60,) * 4
+    assert all(type(x) is float for x in RunStart.flat(2, 1, 377).state)
 
 
 def test_controller_validation():
