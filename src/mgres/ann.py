@@ -11,9 +11,11 @@ attacked runs add runtime rows.
 
 Hidden layer: 10 units with tansig = 2/(1+exp(-2z)) - 1 (the hyperbolic
 tangent); output layer: purelin (affine).  Trained offline by full-batch
-gradient descent with backtracking step control.  The fit runs on rows
-normalised once per fit, in a workspace of buffers allocated once per split;
-its loss is bit-equal to ``mse``, the inference path's (``forward_batch``).
+gradient descent with backtracking step control.  Runs that resume from a
+shared run repeat its rows bit for bit, so each split of the fit holds its
+distinct rows once, normalised once, with their counts, in buffers allocated
+once per split.  Its loss is still the mean over every row, and on rows
+without copies it is bit-equal to ``mse``, the inference path's.
 """
 
 from __future__ import annotations
@@ -204,14 +206,20 @@ def _fit_layers(v: np.ndarray) -> tuple:
 
 
 class _FitSplit(_Forward):
-    """One split of a fit: rows normalised once, and the kernel's temporaries.
+    """One split of a fit: its distinct rows, normalised once, their counts,
+    and the kernel's temporaries.
 
-    ``loss(w)`` is the forward pass of ``forward_batch`` and ``mse`` for the
-    fit vector w on this split's ``_Forward`` buffers, so it is bit-equal to
-    ``mse`` on the raw rows.  ``gradient()`` is the backward pass for the
-    weights of the last ``loss`` call, which left tansig(a1) and the residual
-    in ``h``/``r``; it then reuses ``h`` for 1 - h^2, and writes the gradient
-    into one fit vector ``g``, overwritten by the next call.
+    The split keeps each distinct (xn, y) row, compared as bytes, once, in
+    the order of its first occurrence, with its count c.  ``loss(w)`` is the
+    forward pass of ``forward_batch`` and ``mse`` for the fit vector w on
+    this split's ``_Forward`` buffers, and returns sum(c r^2) / N over the N
+    rows the split was given: the mean over every row.  ``gradient()`` is the
+    backward pass for the weights of the last ``loss`` call, which left
+    tansig(a1) and the residual in ``h``/``r``; it weights the residual by c,
+    then reuses ``h`` for 1 - h^2, and writes the gradient into one fit
+    vector ``g``, overwritten by the next call.  On rows without copies every
+    c is 1 and the rows keep their order, so both are bit-equal to the
+    unweighted pass, and ``loss`` to ``mse`` on the raw rows.
 
     Each product and reduction reads the layout that is fastest for it and
     gives the bits of the plain NumPy expression it replaces (tests/test_ann.py
@@ -225,8 +233,8 @@ class _FitSplit(_Forward):
     - d_h = d_out w2 is the K = 1 product ``np.dot(d_out[:, None], w2)``:
       one rounding per entry, as the broadcast multiply, at about a third
       of its cost;
-    - the loss is ``np.add.reduce`` of r^2 over N, the reduction and the
-      division of ``np.mean``;
+    - the loss is ``np.add.reduce`` of c r^2, divided by N: with unit counts,
+      the reduction and the division of ``np.mean``;
     - the column sums of d_a1 go through ``einsum``, which adds rows in row
       order, the order of ``d.sum(axis=0)``, at a fifth of its cost;
     - g_w1 is ``d_a1.T @ xn`` into a (10, 7) buffer, copied transposed into
@@ -236,7 +244,15 @@ class _FitSplit(_Forward):
     BLOCK = 32   # rows per bias-add block
 
     def __init__(self, xn: np.ndarray, y: np.ndarray, norm: NormalizationSpec):
-        n = xn.shape[0]
+        rows = np.column_stack([xn, y])        # a row's key is its bytes
+        _, first, counts = np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                                     return_index=True, return_counts=True)
+        order = np.argsort(first)              # distinct rows in order of first occurrence
+        keep = first[order]
+        xn, y = xn[keep], y[keep]
+        self.c = counts[order].astype(float)   # each kept row's count
+        self.n_rows = len(rows)                # N: the rows given, copies included
+        n = len(keep)
         self.r = np.empty(n)               # h w2^T, then the residual, then d_out
         super().__init__(n, self.BLOCK, self.r[:, None])
         self.xn, self.y, self.norm = xn, y, norm
@@ -261,11 +277,13 @@ class _FitSplit(_Forward):
         r += self.norm.y_offset
         r -= self.y
         np.multiply(r, r, out=self.r2)
-        return float(np.add.reduce(self.r2)) / len(r)
+        self.r2 *= self.c
+        return float(np.add.reduce(self.r2)) / self.n_rows
 
     def gradient(self) -> np.ndarray:
         h, r, g = self.h, self.r, self.g
-        r *= 2.0 / len(r)                  # d_out = (2 / N) * r * y_scale
+        r *= self.c                        # d_out = (2 / N) * c * r * y_scale
+        r *= 2.0 / self.n_rows
         r *= self.norm.y_scale
         np.dot(r, h, out=g[_W2T])
         g[_B2] = np.add.reduce(r)
@@ -348,8 +366,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[MlpParams, TrainReport
     NaN (step rejected) and grown by 1.2 on acceptance, so the accepted-step
     train MSE is non-increasing by construction.  Returns the parameters with
     the best validation MSE; a fit in which no accepted step gives one raises
-    TrainingError.  Both splits are normalised once and every epoch runs on
-    one preallocated workspace per split (``_FitSplit``).  The weights and
+    TrainingError.  The split and the normalisation are drawn from every
+    row; each split then fits its distinct rows once, weighted by their
+    counts, so the objective is unchanged, on one preallocated workspace per
+    split (``_FitSplit``).  The weights and
     the gradient are fit vectors, w1^T (C order), b1, w2^T and b2 end to end,
     so a candidate is one vector expression, w - lr * g, with the ops of the
     per-array steps; they go back to MlpParams' layout once, at the end.

@@ -114,7 +114,10 @@ def parse_target(target: str) -> tuple[int | str, int | str, str]:
         raise AttackConfigError(f"target {target!r} names two different signals")
     if (sig := left_sig or right_sig) not in SIGNALS:
         raise AttackConfigError(f"unknown signal kind {sig!r} in target {target!r}")
-    src, dst = (BROADCAST if g is None else int(g) - 1 for g in (src, dst))
+    try:
+        src, dst = (BROADCAST if g is None else int(g) - 1 for g in (src, dst))
+    except ValueError:   # more digits than int() converts
+        raise AttackConfigError(f"target {target!r} names a DG number too long to read") from None
     return src, dst, sig
 
 

@@ -169,9 +169,40 @@ def _bad_row(fh, width: int) -> str | None:
                 return f"line {k}: attack_active must be 0 or 1, got {values[-1]:g}"
 
 
+def _layout(header: list[str], fh, where: str) -> tuple[int, list]:
+    """(n_dg, channels) of the layout the header announces.  A name out of
+    place raises; so does a channel to or from a DG that the layout lacks.
+    When the first row after the header (read from ``fh``) has another width
+    than a misnamed header, that row fault is reported instead, as it was
+    when the rows were read before the names were checked."""
+    names = header[1:-1]
+    n_dg = sum(name.startswith("dg") for name in names) // len(DG_SIGNALS)
+    found = {k: m for k, m in enumerate(map(_CH_RE.match, header)) if m}
+    channels = [(int(m[1]) - 1, int(m[2]) - 1, m[3]) for m in found.values()]
+    n_load = len(names) - len(DG_SIGNALS) * n_dg - len(channels)
+    expected = column_names(Trace.empty(0, n_dg, channels, n_load))
+    if header != expected:
+        k, (got, want) = next((k, pair) for k, pair in enumerate(zip_longest(header, expected))
+                              if pair[0] != pair[1])
+        kind = next((noun for prefix, noun in _KINDS if str(got).startswith(prefix)), "")
+        fault = f"bad {kind}column {got!r} at position {k + 1}, expected {want!r}"
+        line, row = next(((n, row) for n, row in enumerate(fh, start=2) if row.strip()), (0, ""))
+        if row and (width := row.count(",") + 1) != len(header):
+            fault = f"line {line}: row width {width} does not match the header's {len(header)}"
+        raise TraceFormatError(f"{where}: {fault}")
+    for k, (src, dst, _) in zip(found, channels):
+        for dg in (src, dst):
+            if not 0 <= dg < n_dg:
+                raise TraceFormatError(f"{where}: bad channel column {header[k]!r} at position "
+                                       f"{k + 1}: the trace has no DG{dg + 1}")
+    return n_dg, channels
+
+
 def parse_csv(source) -> Trace:
     """Rebuild a Trace from its CSV form (file path or CSV text).  NumPy's C
-    reader rounds correctly: each value has the bits float() gives its text."""
+    reader rounds correctly: each value has the bits float() gives its text.
+    The header is checked against the layout it announces before the rows
+    are read."""
     text = isinstance(source, str) and "\n" in source
     where = "CSV text" if text else str(source)
     # a byte that is not UTF-8 reads as a character that no value or column holds
@@ -180,6 +211,7 @@ def parse_csv(source) -> Trace:
         if header[0] != "t" or header[-1] != "attack_active":
             raise TraceFormatError(
                 f"{where}: CSV header must start with t and end with attack_active")
+        n_dg, channels = _layout(header, fh, where)
         try:
             with warnings.catch_warnings():     # a header-only file has no rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -192,20 +224,7 @@ def parse_csv(source) -> Trace:
             fh.seek(0)
             raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc
     data = data.reshape(-1, len(header))
-
-    # the layout the header announces; any name out of place fails the check
-    names = header[1:-1]
-    n_dg = sum(name.startswith("dg") for name in names) // len(DG_SIGNALS)
-    channels = [(int(m[1]) - 1, int(m[2]) - 1, m[3]) for m in map(_CH_RE.match, names) if m]
-    trace = Trace(data[:, :-1], n_dg, channels, data[:, -1].astype(int))
-    expected = column_names(trace)
-    if header != expected:
-        k, (got, want) = next((k, pair) for k, pair in enumerate(zip_longest(header, expected))
-                              if pair[0] != pair[1])
-        kind = next((noun for prefix, noun in _KINDS if str(got).startswith(prefix)), "")
-        raise TraceFormatError(f"{where}: bad {kind}column {got!r} at position {k + 1}, "
-                               f"expected {want!r}")
-    return trace
+    return Trace(data[:, :-1], n_dg, channels, data[:, -1].astype(int))
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:

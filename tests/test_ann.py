@@ -9,6 +9,7 @@ from mgres.ann import (FEATURES, AnnKernel, Dataset, DatasetError, MlpParams,
                        NormalizationSpec, TrainConfig, TrainingError, ann_controller,
                        build_dataset, forward, forward_batch, gradient, init_params,
                        load_model, mse, runtime_features, save_model, tansig, train)
+from mgres.datagen import gen_data, load_runs
 from mgres.graph import ring_graph
 from mgres.scenario import ConfigReader, builtin_scenario
 from mgres.secondary import ConsensusMap, SecondaryGains
@@ -90,6 +91,21 @@ def test_gradient_matches_central_differences():
             assert g[idx] == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
 
 
+def reference_fit(params: MlpParams, x: np.ndarray, y: np.ndarray, every=slice(None)):
+    """(MSE, gradient) of the batch as plain NumPy expressions, in the fit
+    kernel's order of operations.  The forward pass runs on the rows of x;
+    the batch is then the rows ``every`` picks from them."""
+    norm = params.norm
+    xn = (x - norm.x_offset) / norm.x_scale
+    h = np.tanh(xn @ params.w1.T + params.b1)
+    r = (h @ params.w2.T + params.b2)[:, 0] * norm.y_scale + norm.y_offset - y
+    xn, h, r = xn[every], h[every], r[every]
+    d_out = (2.0 / len(r)) * r * norm.y_scale
+    d_a1 = d_out[:, None] * params.w2 * (1.0 - h * h)
+    return np.mean(r * r), (d_a1.T @ xn, d_a1.sum(axis=0), (d_out @ h)[None, :],
+                            np.array([d_out.sum()]))
+
+
 def test_gradient_is_the_reference_arithmetic_bitwise():
     # the fit kernel writes into buffers and sums columns with einsum; the
     # plain expressions, in the same order, are its reference bit for bit
@@ -97,14 +113,7 @@ def test_gradient_is_the_reference_arithmetic_bitwise():
     x = rng.uniform(0.9, 1.1, (500, 7))
     y = rng.uniform(1.0, 1.05, 500)
     params = init_params(rng, NormalizationSpec.from_data(x, y))
-    norm = params.norm
-    xn = (x - norm.x_offset) / norm.x_scale
-    h = np.tanh(xn @ params.w1.T + params.b1)
-    r = (h @ params.w2.T + params.b2)[:, 0] * norm.y_scale + norm.y_offset - y
-    d_out = (2.0 / len(y)) * r * norm.y_scale
-    d_a1 = d_out[:, None] * params.w2 * (1.0 - h * h)
-    want = (d_a1.T @ xn, d_a1.sum(axis=0), (d_out @ h)[None, :], np.array([d_out.sum()]))
-    for got, ref in zip(gradient(params, x, y), want):
+    for got, ref in zip(gradient(params, x, y), reference_fit(params, x, y)[1]):
         assert got.shape == ref.shape
         np.testing.assert_array_equal(got, ref)
 
@@ -119,18 +128,35 @@ def test_fit_split_is_the_reference_arithmetic_bitwise(n):
     y = rng.uniform(1.0, 1.05, n)
     params = init_params(rng, NormalizationSpec.from_data(rng.uniform(0.9, 1.1, (50, 7)),
                                                           rng.uniform(1.0, 1.05, 50)))
-    norm = params.norm
-    xn = (x - norm.x_offset) / norm.x_scale
-    h = np.tanh(xn @ params.w1.T + params.b1)
-    r = (h @ params.w2.T + params.b2)[:, 0] * norm.y_scale + norm.y_offset - y
-    d_out = (2.0 / len(y)) * r * norm.y_scale
-    d_a1 = d_out[:, None] * params.w2 * (1.0 - h * h)
-    want = (d_a1.T @ xn, d_a1.sum(axis=0), (d_out @ h)[None, :], np.array([d_out.sum()]))
-    split = ann._FitSplit(norm.normalize_x(x), y, norm)
+    split = ann._FitSplit(params.norm.normalize_x(x), y, params.norm)
     assert split.loss(ann._fit_vector(params)) == mse(params, x, y)
-    for got, ref in zip(ann._fit_layers(split.gradient()), want):
+    for got, ref in zip(ann._fit_layers(split.gradient()), reference_fit(params, x, y)[1]):
         assert got.shape == ref.shape
         np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+def test_counted_rows_are_the_expanded_rows(counts, seed):
+    # a split fits its distinct rows once, each weighted by its count; the
+    # loss and gradient are those of every row, to the summation's rounding.
+    # The reference runs the forward pass on the distinct rows, as the split
+    # does: a row's forward bits may depend on the batch it is in
+    rng = np.random.default_rng(seed)
+    distinct = rng.uniform(0.9, 1.1, (len(counts), 8))   # x, then y
+    which = np.repeat(np.arange(len(counts)), counts)[rng.permutation(sum(counts))]
+    x, y = distinct[which, :7], distinct[which, 7]
+    params = init_params(rng, NormalizationSpec.from_data(x, y))
+    split = ann._FitSplit(params.norm.normalize_x(x), y, params.norm)
+    kept = list(dict.fromkeys(which))              # in order of first occurrence
+    np.testing.assert_array_equal(split.y, distinct[kept, 7])
+    np.testing.assert_array_equal(split.c, np.array(counts)[kept])
+    every = [kept.index(k) for k in which]   # each row's kept slot
+    loss, want = reference_fit(params, distinct[kept, :7], distinct[kept, 7], every)
+    assert split.loss(ann._fit_vector(params)) == pytest.approx(loss, rel=1e-15, abs=0)
+    scale = max(np.abs(ref).max() for ref in want)   # a sum that cancels has no relative error
+    for got, ref in zip(ann._fit_layers(split.gradient()), want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
 
 
 def test_normalization_from_data():
@@ -170,16 +196,30 @@ def test_train_learns_and_is_reproducible():
     assert all(b <= a + 1e-15 for a, b in zip(acc, acc[1:]))
 
 
-def test_best_val_mse_is_the_inference_mse():
-    # the fit kernel's forward half must not drift from forward_batch
-    ds = synth_dataset()
-    for seed in (1, 2):
-        cfg = TrainConfig(max_epochs=300, seed=seed)
-        params, report = train(ds, cfg)
-        order = np.random.default_rng(seed).permutation(len(ds))
-        va = order[int(round(len(ds) * cfg.split)):]
-        assert report.best_val_mse == mse(params, ds.x[va], ds.y[va])
-        assert report.best_val_mse == report.val_mse[report.best_epoch]
+@pytest.fixture(scope="module")
+def gen_dataset(tmp_path_factory):
+    """The dataset of test_golden's small gen-data matrix: its attacked runs
+    repeat their clean runs' rows up to the onset."""
+    from test_golden import GEN_MATRIX
+    work = tmp_path_factory.mktemp("gen-data")
+    gen_data(str(work), GEN_MATRIX)
+    return build_dataset(load_runs(str(work)))
+
+
+def test_best_val_mse_is_the_inference_mse(gen_dataset):
+    # the fit kernel's forward half must not drift from forward_batch: bit for
+    # bit on rows without copies, to the summation's rounding on counted rows
+    rows = np.column_stack([gen_dataset.x, gen_dataset.y])
+    assert len(np.unique(rows, axis=0)) < 0.8 * len(rows)
+    for ds, rtol, seeds in ((synth_dataset(), 0, (1, 2)), (gen_dataset, 1e-12, (0, 1))):
+        for seed in seeds:
+            cfg = TrainConfig(max_epochs=300, seed=seed)
+            params, report = train(ds, cfg)
+            order = np.random.default_rng(seed).permutation(len(ds))
+            va = order[int(round(len(ds) * cfg.split)):]
+            assert report.best_val_mse == pytest.approx(mse(params, ds.x[va], ds.y[va]),
+                                                        rel=rtol, abs=0)
+            assert report.best_val_mse == report.val_mse[report.best_epoch]
 
 
 def test_nan_candidate_is_rejected():

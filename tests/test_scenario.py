@@ -273,6 +273,16 @@ def test_attack_and_event_cross_validation():
                                 "kind": "periodic", "beta": 0.5, "tau": 0.5}]})
 
 
+@pytest.mark.parametrize("target", ["dg" + "1" * 5000 + ".voltage -> dg2",
+                                    "dg1.voltage -> dg" + "2" * 5000], ids=["src", "dst"])
+def test_a_dg_number_too_long_to_read_is_a_scenario_error(target):
+    # int() refuses more than 4 300 digits, with a bare ValueError that named no attack
+    with pytest.raises(ScenarioError, match="names a DG number too long to read$") as exc:
+        from_dict({"duration": 1.0, "attacks": [{"target": target, "kind": "nonperiodic",
+                                                 "alpha": 0.5, "tau": 0.5}]})
+    assert type(exc.value) is ScenarioError
+
+
 def test_graph_plant_size_mismatch():
     with pytest.raises(ScenarioError, match="graph has 2 DGs"):
         from_dict({"duration": 1.0,

@@ -92,6 +92,9 @@ def test_seventeen_digit_precision(short_trace):
     assert float(row[1]) == short_trace.dg["v"][2, 0]
 
 
+TWO_DG_HEADER = column_names(Trace.empty(0, 2, [], 0))
+
+
 @pytest.mark.parametrize("text, msg", [
     ("a,b\n", "start with t"),
     ("t,dg1.v,attack_active\n1,2\n", "row width"),
@@ -115,10 +118,31 @@ def test_seventeen_digit_precision(short_trace):
     ("t,attack_active\n0,0.5\n", "CSV text: line 2: attack_active must be 0 or 1, got 0.5"),
     ("t,attack_active\n0,nan\n", "CSV text: line 2: attack_active must be 0 or 1, got nan"),
     ("t,attack_active\n0,0\n\n0.001,2\n", "CSV text: line 4: attack_active must be 0 or 1, got 2"),
+    # a channel joins two of the trace's DGs: ch_clean read a source DG0 as the
+    # last DG and raised IndexError on one past the last DG
+    (",".join(TWO_DG_HEADER[:-1] + ["ch.dg0->dg1.voltage.recv", "attack_active"]),
+     "CSV text: bad channel column 'ch.dg0->dg1.voltage.recv' at position 14: "
+     "the trace has no DG0"),
+    (",".join(TWO_DG_HEADER[:-1] + ["ch.dg3->dg1.voltage.recv", "attack_active"]),
+     "the trace has no DG3"),
+    (",".join(TWO_DG_HEADER[:-1] + ["ch.dg1->dg2.voltage.recv", "ch.dg2->dg3.frequency.recv",
+                                    "attack_active"]),
+     "bad channel column 'ch.dg2->dg3.frequency.recv' at position 15: the trace has no DG3"),
 ])
 def test_parse_rejects_malformed(text, msg):
     with pytest.raises(TraceFormatError, match=msg):
         parse_csv(text + "\n")
+
+
+def test_a_bad_header_is_rejected_before_the_rows_are_read(short_trace, monkeypatch):
+    # a renamed column once cost a parse of every row before the header check
+    def read_rows(*args, **kwargs):
+        raise AssertionError("np.loadtxt read the rows")
+
+    text = export_csv(short_trace).replace("dg2.Q", "dg2.q", 1)
+    monkeypatch.setattr("mgres.trace.np.loadtxt", read_rows)
+    with pytest.raises(TraceFormatError, match="bad DG column 'dg2.q' at position 11, expected 'dg2.Q'"):
+        parse_csv(text)
 
 
 def test_traces_equal_detects_differences(short_trace):
@@ -290,8 +314,9 @@ def mixed_headers(draw):
     """A trace header with up to three names replaced, inserted or dropped, and
     whether it is still the header it started as."""
     n_dg = draw(st.integers(0, 2))
+    # a channel joins two DGs of the layout
     channels = draw(st.lists(st.sampled_from([(0, 1, "voltage"), (1, 0, "frequency")]),
-                             max_size=2))
+                             max_size=2)) if n_dg == 2 else []
     start = column_names(Trace.empty(0, n_dg, channels, draw(st.integers(0, 2))))
     header = list(start)
     for _ in range(draw(st.integers(0, 3))):
