@@ -488,13 +488,13 @@ def build_dataset(runs) -> Dataset:
     """Assemble (x, y) training pairs from recorded runs.
 
     ``runs`` is an iterable of (trace, clean_trace, scenario_id) where
-    clean_trace is the matching no-attack baseline run (identical loads);
-    for a normal run trace is its own clean reference.  ``FEATURES`` is
-    resolved for DG1 onto the trace: a received voltage onto its ``ch_recv``
-    column, v_ref onto ``trace.v_ref``.  Each sample gives a paired row,
-    whose first triple reads ``ch_clean``, the source DGs' ``v`` columns,
-    instead; an attacked run then adds the runtime row.  The first 0.1 s of
-    every trace is discarded.
+    clean_trace is the matching no-attack baseline run (identical loads; an
+    attacked one is rejected); for a normal run trace is its own clean
+    reference.  ``FEATURES`` is resolved for DG1 onto the trace: a received
+    voltage onto its ``ch_recv`` column, v_ref onto ``trace.v_ref``.  Each
+    sample gives a paired row, whose first triple reads ``ch_clean``, the
+    source DGs' ``v`` columns, instead; an attacked run then adds the
+    runtime row.  The first 0.1 s of every trace is discarded.
     """
     xs, ys, att = [], [], []
     for trace, clean_trace, scenario_id in runs:
@@ -512,6 +512,8 @@ def build_dataset(runs) -> Dataset:
                 f"clean reference for {scenario_id} has a different length")
         if trace.v_ref is None:
             raise DatasetError(f"trace {scenario_id} is missing the voltage reference")
+        if clean_trace.attack_active.any():   # its V_n is not the clean target
+            raise DatasetError(f"clean reference for {scenario_id} is an attacked run")
         keep = trace.t >= 0.1 - 1e-12
         is_attacked = bool(trace.attack_active.any())
         for first in (trace.ch_clean, trace.ch_recv)[:1 + is_attacked]:

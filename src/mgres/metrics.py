@@ -123,21 +123,23 @@ def compare(trace_pi: Trace, trace_ann: Trace, v_ref: float | None = None,
     a run cut at its divergence holds a prefix of the other's samples."""
     short, full = sorted((trace_pi, trace_ann), key=lambda tr: len(tr.t))
     m = len(short.t)
-    if not (short.diverged or m == len(full.t)) or not np.array_equal(short.t, full.t[:m]) \
-            or not np.array_equal(short.attack_active, full.attack_active[:m]):
+    if not (short.diverged or m == len(full.t)) \
+            or not np.array_equal(short.data[:, [0, -1]], full.data[:m, [0, -1]]):
         raise MetricsError("traces come from different scenarios "
                            "(mismatched time base or attack schedule)")
     m_pi = compute_metrics(trace_pi, v_ref, w_ref)
     m_ann = compute_metrics(trace_ann, v_ref, w_ref)
     vr = v_ref if v_ref is not None else trace_ann.v_ref
 
-    # a baseline that diverged loses to an ANN that held, whatever its window saw
-    better = m_ann.eps_v_post_mean is not None and (
-        (m_pi.diverged and not m_ann.diverged)
+    # an ANN that diverged wins nothing; a baseline that diverged loses to an
+    # ANN that held, whatever its window saw
+    held = not m_ann.diverged
+    better = held and m_ann.eps_v_post_mean is not None and (
+        m_pi.diverged
         or (m_pi.eps_v_post_mean is not None and m_ann.eps_v_post_mean < m_pi.eps_v_post_mean))
-    within = (m_ann.eps_v_post_max is not None
+    within = (held and m_ann.eps_v_post_max is not None
               and m_ann.eps_v_post_max < 0.02 * vr)
-    smaller_ripple = (m_ann.voltage_ripple is not None
+    smaller_ripple = (held and m_ann.voltage_ripple is not None
                       and m_pi.voltage_ripple is not None
                       and m_ann.voltage_ripple < m_pi.voltage_ripple)
     return ComparisonReport(baseline=m_pi, ann=m_ann,

@@ -61,7 +61,7 @@ writes in place to a one-entry array:
   ``secondary_update`` rewrites once the step has recorded and consumed
   them, and the trace, whose block (``Trace.data``) a sample enters
   through views made once per run: t, the DG columns in [v, w], [P, Q] and
-  [V_n, w_n] pairs, the received channels and the load currents.
+  [V_n, w_n] pairs, the received channels, the load currents and the flag.
 
 The returned trace is this run's block, cut to the recorded samples, so a
 later run never changes it.
@@ -88,8 +88,8 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     run reached to the ``RunStart`` taken before it (a run that diverged
     before a step has no entry for it).
 
-    Divergence is reported on the returned trace (``diverged`` flag and
-    truncated arrays), not raised, and so is a network that load events
+    Divergence is reported on the returned trace (its ``diverged_time`` and
+    a block cut there), not raised, and so is a network that load events
     after step 0 make singular; at step 0 a ``NetworkError`` is raised.
     """
     graph = config.graph
@@ -175,7 +175,7 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
             rec_sp[sample] = sp_t
             rec_recv[sample] = recv
             rec_load[sample] = ws.load_current
-            rec_att[sample] = int(any(s.active(t) for s, *_ in attacks))
+            rec_att[sample] = any(s.active(t) for s, *_ in attacks)
             sample += 1
 
         if k == last:
@@ -188,7 +188,6 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
         for i, kernel in ann_kernels:
             setpoints[0, i] = annmod.ann_controller(kernel, x)
 
-    trace.data, trace.attack_active = trace.data[:sample], rec_att[:sample]
-    trace.diverged, trace.diverged_time = diverged_time is not None, diverged_time
+    trace.data, trace.diverged_time = trace.data[:sample], diverged_time
     trace.max_power_residual = max_residual
     return trace

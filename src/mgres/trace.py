@@ -6,11 +6,11 @@ CSV schema (bit-exact, one column per recorded quantity):
     ch.dg{s}->dg{d}.{sig}.recv, load{k}.I, attack_active
 
 Values are decimal with 17 significant digits, rows ordered by time, so
-export -> parse -> export is byte-identical.  A ``Trace`` holds the float
-columns as one block in this order: a run records into it, ``export_csv``
-formats it and ``parse_csv`` wraps it once the header matches.  A channel's
-clean (pre-attack) value has no column: it is its source DG's v or w, which
-``Trace.ch_clean`` gathers.
+export -> parse -> export is byte-identical.  A ``Trace`` holds every
+column, ``attack_active`` (0.0 or 1.0) last, as one float block in this
+order: a run records into it, ``export_csv`` formats it and ``parse_csv``
+wraps it once the header matches.  A channel's clean (pre-attack) value has
+no column: it is its source DG's v or w, which ``Trace.ch_clean`` gathers.
 """
 
 from __future__ import annotations
@@ -39,17 +39,15 @@ class TraceFormatError(ValueError):
 @dataclass
 class Trace:
     """Recorded columns as one float block, ``data``, in the CSV's column order
-    (``attack_active`` aside); ``t``, ``dg[sig]``, ``ch_recv`` and
-    ``load_current`` are views of it, ``ch_clean`` a read-only copy."""
+    (the attack flag last); ``t``, ``dg[sig]``, ``ch_recv``, ``load_current``
+    and ``attack_active`` are views of it, ``ch_clean`` a read-only copy."""
     data: np.ndarray                             # (N, W)
     n_dg: int
     channels: list[tuple[int, int, str]]         # (src, dst, signal)
-    attack_active: np.ndarray                    # (N,) 0/1
     # run metadata; not part of the CSV schema
     v_ref: float | None = None
     w_ref: float | None = None
-    diverged: bool = False
-    diverged_time: float | None = None
+    diverged_time: float | None = None           # None: the run did not diverge
     max_power_residual: float = 0.0
     # the states run_scenario was asked for, by the sample step they precede
     forks: dict[int, RunStart] = field(default_factory=dict)
@@ -58,8 +56,12 @@ class Trace:
     def empty(cls, rows: int, n_dg: int, channels: list[tuple[int, int, str]],
               n_load: int) -> Trace:
         """A zero-filled trace of ``rows`` samples with this layout."""
-        width = 1 + len(DG_SIGNALS) * n_dg + len(channels) + n_load
-        return cls(np.zeros((rows, width)), n_dg, list(channels), np.zeros(rows, dtype=int))
+        width = 2 + len(DG_SIGNALS) * n_dg + len(channels) + n_load   # 2: t and the flag
+        return cls(np.zeros((rows, width)), n_dg, list(channels))
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_time is not None
 
     @property
     def _ch(self) -> int:                        # first channel column
@@ -94,7 +96,11 @@ class Trace:
 
     @property
     def load_current(self) -> np.ndarray:        # (N, K)
-        return self.data[:, self._load:]
+        return self.data[:, self._load:-1]
+
+    @property
+    def attack_active(self) -> np.ndarray:       # (N,) 0.0 or 1.0
+        return self.data[:, -1]
 
 
 def column_names(trace: Trace) -> list[str]:
@@ -125,12 +131,12 @@ def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
     slots = [seen.setdefault(col.tobytes(), len(seen)) for col in trace.data.T]
     distinct = trace.data[:, [slots.index(s) for s in range(len(seen))]]
     del seen                                        # near half the data's bytes
-    row_fmt = ",".join(f"{{{s}}}" for s in slots) + f",{{{distinct.shape[1]}}}\n"
+    row_fmt = ",".join(f"{{{s}}}" for s in slots) + "\n"
     fmt = "{:.17g}".format
     lines = [head or header]
     # row by row: a whole-block tolist() would hold ~4x the block as floats
-    for row, flag in zip(distinct, trace.attack_active.astype(int).tolist()):
-        lines.append(row_fmt.format(*map(fmt, row.tolist()), flag))
+    for row in distinct:
+        lines.append(row_fmt.format(*map(fmt, row.tolist())))
     text = "".join(lines)
     return text if path is None else write_text(path, text)
 
@@ -149,7 +155,8 @@ def write_text(path, text: str) -> None:
         raise
 
 
-_CH_RE = re.compile(rf"^ch\.dg(\d+)->dg(\d+)\.({'|'.join(CH_SOURCE)})\.recv$")
+# a DG number has at most nine digits (int() refuses over 4 300): a longer one is no channel
+_CH_RE = re.compile(rf"^ch\.dg(\d{{1,9}})->dg(\d{{1,9}})\.({'|'.join(CH_SOURCE)})\.recv$")
 # the kind of column a name prefix announces, for the header check's message
 _KINDS = (("ch.", "channel "), ("dg", "DG "), ("load", "load "))
 
@@ -169,12 +176,9 @@ def _bad_row(fh, width: int) -> str | None:
                 return f"line {k}: attack_active must be 0 or 1, got {values[-1]:g}"
 
 
-def _layout(header: list[str], fh, where: str) -> tuple[int, list]:
+def _layout(header: list[str], where: str) -> tuple[int, list]:
     """(n_dg, channels) of the layout the header announces.  A name out of
-    place raises; so does a channel to or from a DG that the layout lacks.
-    When the first row after the header (read from ``fh``) has another width
-    than a misnamed header, that row fault is reported instead, as it was
-    when the rows were read before the names were checked."""
+    place raises; so does a channel to or from a DG that the layout lacks."""
     names = header[1:-1]
     n_dg = sum(name.startswith("dg") for name in names) // len(DG_SIGNALS)
     found = {k: m for k, m in enumerate(map(_CH_RE.match, header)) if m}
@@ -185,11 +189,8 @@ def _layout(header: list[str], fh, where: str) -> tuple[int, list]:
         k, (got, want) = next((k, pair) for k, pair in enumerate(zip_longest(header, expected))
                               if pair[0] != pair[1])
         kind = next((noun for prefix, noun in _KINDS if str(got).startswith(prefix)), "")
-        fault = f"bad {kind}column {got!r} at position {k + 1}, expected {want!r}"
-        line, row = next(((n, row) for n, row in enumerate(fh, start=2) if row.strip()), (0, ""))
-        if row and (width := row.count(",") + 1) != len(header):
-            fault = f"line {line}: row width {width} does not match the header's {len(header)}"
-        raise TraceFormatError(f"{where}: {fault}")
+        raise TraceFormatError(f"{where}: bad {kind}column {got!r} at position {k + 1}, "
+                               f"expected {want!r}")
     for k, (src, dst, _) in zip(found, channels):
         for dg in (src, dst):
             if not 0 <= dg < n_dg:
@@ -211,7 +212,7 @@ def parse_csv(source) -> Trace:
         if header[0] != "t" or header[-1] != "attack_active":
             raise TraceFormatError(
                 f"{where}: CSV header must start with t and end with attack_active")
-        n_dg, channels = _layout(header, fh, where)
+        n_dg, channels = _layout(header, where)
         try:
             with warnings.catch_warnings():     # a header-only file has no rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -223,11 +224,9 @@ def parse_csv(source) -> Trace:
         except ValueError as exc:
             fh.seek(0)
             raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc
-    data = data.reshape(-1, len(header))
-    return Trace(data[:, :-1], n_dg, channels, data[:, -1].astype(int))
+    return Trace(data.reshape(-1, len(header)), n_dg, channels)
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:
     """Exact equality of the recorded columns (metadata excluded)."""
-    return (column_names(a) == column_names(b) and np.array_equal(a.data, b.data)
-            and np.array_equal(a.attack_active, b.attack_active))
+    return column_names(a) == column_names(b) and np.array_equal(a.data, b.data)

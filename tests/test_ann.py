@@ -532,3 +532,7 @@ def test_build_dataset_errors():
         build_dataset([(one_dg, one_dg, "cut")])
     with pytest.raises(DatasetError, match="clean reference for x has 3 DGs"):
         build_dataset([(short, Trace.empty(150, 3, [], 0), "x")])
+    # its targets were the attacked run's V_n
+    attacked = make_trace(150, attacked=True, vn1=1.3)
+    with pytest.raises(DatasetError, match="clean reference for y is an attacked run"):
+        build_dataset([(short, attacked, "y")])

@@ -1,8 +1,10 @@
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import mgres
+from mgres.trace import Trace
 
 SRC = Path(mgres.__file__).parent
 
@@ -35,11 +37,13 @@ def test_only_scenario_imports_yaml():
     assert sorted(found) == ["scenario.py"]
 
 
-def calls(path: Path, name: str) -> bool:
-    """Whether the module at ``path`` calls a function or method ``name``."""
+def calls(where: Path | ast.AST, name: str) -> bool:
+    """Whether the module at ``where``, or the node ``where``, calls a function
+    or method ``name``."""
+    tree = ast.parse(where.read_text(), str(where)) if isinstance(where, Path) else where
     return any(isinstance(node, ast.Call)
                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-               for node in ast.walk(ast.parse(path.read_text(), str(path))))
+               for node in ast.walk(tree))
 
 
 def test_only_scenario_reads_a_model_and_a_run_opens_no_file():
@@ -145,3 +149,13 @@ def test_only_trace_write_text_writes_a_file():
         top = [node for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         assert not any(writes_a_file(node) for node in top), path.name
     assert writers == ["trace.py:write_text"]
+
+
+def test_a_trace_is_one_block_built_in_trace_py():
+    # a Trace is its CSV: one float block, the attack flag its last column, made
+    # by Trace.empty (a run's block) or parse_csv (a file's block) and nowhere else
+    builders = sorted(f"{path.name}:{name}" for path in SRC.glob("*.py")
+                      for name, fn in functions(ast.parse(path.read_text(), str(path)))
+                      if calls(fn, "Trace") or (name.startswith("Trace.") and calls(fn, "cls")))
+    assert builders == ["trace.py:Trace.empty", "trace.py:parse_csv"]
+    assert [f.name for f in fields(Trace) if "ndarray" in str(f.type)] == ["data"]

@@ -90,12 +90,12 @@ def test_metric_input_validation():
 def test_a_run_that_diverged_inside_the_steady_window_takes_its_whole_span():
     t = np.arange(0, 0.493, 1e-3)
     tr = make_trace(t, np.where(t >= 0.3, 1.05, 1.0), attack_from=0.0)
-    tr.diverged, tr.diverged_time = True, 0.4921
+    tr.diverged_time = 0.4921
     m = compute_metrics(tr)
     assert m.diverged and m.eps_v_post_mean is None and m.settling_time is None
     assert m.steady_voltage_error_pct[0] == pytest.approx(100 * 0.05 * (t >= 0.3).mean())
     assert m.steady_voltage_error_pct[1:].max() == 0.0
-    tr.diverged = False   # the same short trace from a run that ended there
+    tr.diverged_time = None   # the same short trace from a run that ended there
     with pytest.raises(MetricsError, match="steady window"):
         compute_metrics(tr)
 
@@ -106,19 +106,36 @@ def test_compare_verdict_on_a_diverged_baseline():
     ann = make_trace(t, np.where(t > 0, 1.003, 1.0), attack_from=0.0)
     cut = t < 0.492
     pi = make_trace(t[cut], np.where(t[cut] > 0, 0.8, 1.0), attack_from=0.0)
-    pi.diverged, pi.diverged_time = True, 0.4921
+    pi.diverged_time = 0.4921
     rep = compare(pi, ann)
     assert rep.baseline.eps_v_post_mean is None and rep.ann.eps_v_post_mean is not None
     assert rep.ann_better_mean_eps_v
     # both diverged: no verdict for the ANN, as before
     ann_cut = make_trace(t[:700], np.where(t[:700] > 0, 1.003, 1.0), attack_from=0.0)
-    ann_cut.diverged, ann_cut.diverged_time = True, 0.7
+    ann_cut.diverged_time = 0.7
     assert not compare(pi, ann_cut).ann_better_mean_eps_v
     # an ANN with no post-attack window gets none either
     no_window = make_trace(t, np.ones_like(t))
     pi_quiet = make_trace(t[cut], np.ones(cut.sum()))
-    pi_quiet.diverged, pi_quiet.diverged_time = True, 0.4921
+    pi_quiet.diverged_time = 0.4921
     assert not compare(pi_quiet, no_window).ann_better_mean_eps_v
+
+
+def test_an_ann_that_diverged_wins_no_verdict():
+    # an ANN cut at 2.8 s, in band until then, against a PI run that held
+    # at a rippling 0.7 pu: the ANN's short window once won all three
+    t = np.arange(0, 4.001, 1e-3)
+    pi = make_trace(t, np.where(t >= 2.0, 0.7 + 0.01 * np.sin(2 * np.pi * 60 * t), 1.0),
+                    attack_from=2.0)
+    cut = t < 2.8
+    ann = make_trace(t[cut], np.where(t[cut] >= 2.0, 1.002, 1.0), attack_from=2.0)
+    ann.diverged_time = 2.8
+    rep = compare(pi, ann)
+    assert rep.ann.eps_v_post_mean == pytest.approx(0.002) and rep.ann.voltage_ripple == 0.0
+    assert not (rep.ann_better_mean_eps_v or rep.ann_within_limits or rep.ann_smaller_ripple)
+    # the same ANN run held to the end wins all three
+    rep = compare(pi, make_trace(t, np.where(t >= 2.0, 1.002, 1.0), attack_from=2.0))
+    assert rep.ann_better_mean_eps_v and rep.ann_within_limits and rep.ann_smaller_ripple
 
 
 def test_compare_verdicts():
@@ -150,7 +167,7 @@ def test_compare_accepts_a_run_cut_at_its_divergence():
     ann = make_trace(t, np.where(t >= 2.0, 1.002, 1.0), attack_from=2.0)
     cut = t < 2.42
     pi = make_trace(t[cut], np.where(t[cut] >= 2.0, 0.7, 1.0), attack_from=2.0)
-    pi.diverged, pi.diverged_time = True, 2.42
+    pi.diverged_time = 2.42
     rep = compare(pi, ann)
     d = rep.as_dict()
     assert (d["baseline"]["diverged"], d["baseline"]["diverged_time"]) == (True, 2.42)
@@ -175,7 +192,7 @@ def test_report_layout_is_metrics_fields_then_verdicts():
     ann = make_trace(t, v_ann, attack_from=2.0, w=W60 + 2 * np.pi * 0.05)
     cut = t < 2.42
     pi = make_trace(t[cut], np.where(t[cut] >= 2.0, 0.7, 1.0), attack_from=2.0)
-    pi.diverged, pi.diverged_time = True, 2.42
+    pi.diverged_time = 2.42
     d = compare(pi, ann).as_dict()
     side = [f.name for f in fields(Metrics) if f.name not in ("eps_v", "attack_start")]
     assert list(d) == ["baseline", "ann", "verdicts"]

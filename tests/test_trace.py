@@ -97,7 +97,8 @@ TWO_DG_HEADER = column_names(Trace.empty(0, 2, [], 0))
 
 @pytest.mark.parametrize("text, msg", [
     ("a,b\n", "start with t"),
-    ("t,dg1.v,attack_active\n1,2\n", "row width"),
+    # the header alone is judged first: its fault comes before the short row's
+    ("t,dg1.v,attack_active\n1,2\n", "bad DG column 'dg1.v' at position 2, expected 'load1.I'"),
     ("t,ch.bogus,attack_active\n", "bad channel column"),
     # a channel carries a DG's voltage or frequency, nothing else
     ("t,ch.dg1->dg2.power.recv,attack_active\n",
@@ -128,6 +129,10 @@ TWO_DG_HEADER = column_names(Trace.empty(0, 2, [], 0))
     (",".join(TWO_DG_HEADER[:-1] + ["ch.dg1->dg2.voltage.recv", "ch.dg2->dg3.frequency.recv",
                                     "attack_active"]),
      "bad channel column 'ch.dg2->dg3.frequency.recv' at position 15: the trace has no DG3"),
+    # int() refuses more than 4 300 digits, with a ValueError that named no file or column
+    pytest.param("t,ch.dg" + "1" * 5000 + "->dg1.voltage.recv,attack_active\n0,1,0\n",
+                 r"CSV text: bad channel column 'ch.dg1+->dg1.voltage.recv' at position 2, "
+                 "expected 'load1.I'", id="dg-number-too-long"),
 ])
 def test_parse_rejects_malformed(text, msg):
     with pytest.raises(TraceFormatError, match=msg):
@@ -143,6 +148,32 @@ def test_a_bad_header_is_rejected_before_the_rows_are_read(short_trace, monkeypa
     monkeypatch.setattr("mgres.trace.np.loadtxt", read_rows)
     with pytest.raises(TraceFormatError, match="bad DG column 'dg2.q' at position 11, expected 'dg2.Q'"):
         parse_csv(text)
+
+
+def test_the_attack_flag_is_the_blocks_last_column(short_trace):
+    # a trace is its CSV block, wherever it comes from: one array holds the flag
+    for tr in (Trace.empty(3, 2, [(0, 1, "voltage")], 1), short_trace,
+               parse_csv(export_csv(short_trace))):
+        assert np.shares_memory(tr.attack_active, tr.data)
+
+
+def test_a_cut_block_keeps_its_flag_rows():
+    cfg = builtin_scenario("default-nonperiodic", duration=0.05)
+    tr = run_scenario(replace(cfg, attacks=tuple(replace(a, tau=0.02) for a in cfg.attacks)))
+    assert tr.attack_active.any() and not tr.attack_active.all()
+    for k in (0, 20, 21, len(tr.t)):
+        tail = replace(tr, data=tr.data[k:])
+        assert tail.attack_active.tobytes() == tr.attack_active[k:].tobytes()
+        assert export_csv(tail).splitlines()[1:] == export_csv(tr).splitlines()[1 + k:]
+
+
+def test_diverged_follows_diverged_time():
+    tr = Trace.empty(2, 1, [], 0)
+    assert not tr.diverged
+    tr.diverged_time = 0.0   # a run that diverged on its first step
+    assert tr.diverged and not replace(tr, diverged_time=None).diverged
+    with pytest.raises(AttributeError):
+        tr.diverged = False
 
 
 def test_traces_equal_detects_differences(short_trace):
@@ -173,7 +204,7 @@ def per_value_csv(tr: Trace) -> str:
                             for sig in ("v", "w", "P", "Q", "Vn", "wn")]
         vals += list(tr.ch_recv[r])
         vals += list(tr.load_current[r])
-        lines.append(",".join(format(x, ".17g") for x in vals) + f",{tr.attack_active[r]}")
+        lines.append(",".join(format(x, ".17g") for x in vals) + f",{int(tr.attack_active[r])}")
     return "\n".join(lines) + "\n"
 
 
@@ -187,8 +218,7 @@ def test_export_matches_per_value_formatting():
 def test_export_continues_a_head_of_rows(short_trace):
     text = export_csv(short_trace)
     lines = text.splitlines(keepends=True)
-    tail = replace(short_trace, data=short_trace.data[5:],
-                   attack_active=short_trace.attack_active[5:])
+    tail = replace(short_trace, data=short_trace.data[5:])
     assert export_csv(tail, head="".join(lines[:6])) == text
     # the head's first line must be the trace's header
     for head in ("".join(lines[1:6]), text.replace("dg1.v,", "dg1.V,", 1),
