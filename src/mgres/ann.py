@@ -488,7 +488,8 @@ def build_dataset(runs) -> Dataset:
     """Assemble (x, y) training pairs from recorded runs.
 
     ``runs`` is an iterable of (trace, clean_trace, scenario_id) where
-    clean_trace is the matching no-attack baseline run (identical loads; an
+    clean_trace is the matching no-attack baseline run (identical loads: its
+    rows before the run's first attacked row are the run's, bit for bit; an
     attacked one is rejected); for a normal run trace is its own clean
     reference.  ``FEATURES`` is resolved for DG1 onto the trace: a received
     voltage onto its ``ch_recv`` column, v_ref onto ``trace.v_ref``.  Each
@@ -514,8 +515,16 @@ def build_dataset(runs) -> Dataset:
             raise DatasetError(f"trace {scenario_id} is missing the voltage reference")
         if clean_trace.attack_active.any():   # its V_n is not the clean target
             raise DatasetError(f"clean reference for {scenario_id} is an attacked run")
-        keep = trace.t >= 0.1 - 1e-12
         is_attacked = bool(trace.attack_active.any())
+        # until its attack begins a run is its clean reference, bit for bit
+        before = int(np.argmax(trace.attack_active)) if is_attacked else len(trace.t)
+        if (clean_trace is not trace
+                and trace.data[:before].tobytes() != clean_trace.data[:before].tobytes()):
+            k = next(k for k, (a, b) in enumerate(zip(trace.data, clean_trace.data))
+                     if a.tobytes() != b.tobytes())
+            raise DatasetError(f"clean reference for {scenario_id} differs from it before "
+                               f"the attack, first at t={trace.t[k]:.6f}s")
+        keep = trace.t >= 0.1 - 1e-12
         for first in (trace.ch_clean, trace.ch_recv)[:1 + is_attacked]:
             x = np.empty((np.count_nonzero(keep), N_IN))
             for j, name in enumerate(FEATURES):

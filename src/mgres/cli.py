@@ -47,7 +47,8 @@ def cmd_simulate(args) -> int:
     trace = run_scenario(cfg)
     export_csv(trace, args.out)
     if trace.diverged:
-        print(f"diverged at t={trace.diverged_time:.6f}s; partial trace in {args.out}")
+        print(f"diverged at t={trace.diverged_time:.6f}s ({trace.diverged_cause}); "
+              f"partial trace in {args.out}")
         return 2
     steady = "" if args.model is None else (
         f"; steady voltage error {compute_metrics(trace).steady_voltage_error_pct.max():.3f}%")

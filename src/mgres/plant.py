@@ -32,7 +32,7 @@ class NetworkError(ValueError):
 class DivergenceError(RuntimeError):
     def __init__(self, t: float, what: str):
         super().__init__(f"state diverged at t={t:.6f}s ({what})")
-        self.t = t
+        self.t, self.what = t, what
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,10 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     run reached to the ``RunStart`` taken before it (a run that diverged
     before a step has no entry for it).
 
-    Divergence is reported on the returned trace (its ``diverged_time`` and
-    a block cut there), not raised, and so is a network that load events
-    after step 0 make singular; at step 0 a ``NetworkError`` is raised.
+    Divergence is reported on the returned trace (its ``diverged_time``,
+    ``diverged_cause`` and a block cut there), not raised, and so is a
+    network that load events after step 0 make singular; at step 0 a
+    ``NetworkError`` is raised.
     """
     graph = config.graph
     n = graph.n
@@ -130,7 +131,6 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     events = [(config.first_step(ev.due, ev.t), ev.bus, ev.r, ev.x) for ev in config.load_events]
     events.append((last + 1,))
 
-    diverged_time = None
     max_residual = 0.0
     sample = 0
 
@@ -150,12 +150,12 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
                 ws.use(net)
             step_plant(ws, setpoints, t)
         except DivergenceError as exc:
-            diverged_time = exc.t
+            trace.diverged_time, trace.diverged_cause = exc.t, exc.what
             break
-        except NetworkError:    # only ws.use raises it: a singular load epoch
-            if k == 0:          # the scenario's own network: a config error
+        except NetworkError as exc:   # only ws.use raises it: a singular load epoch
+            if k == 0:                # the scenario's own network: a config error
                 raise
-            diverged_time = t
+            trace.diverged_time, trace.diverged_cause = t, str(exc)
             break
         if ws.balance_residual > max_residual:
             max_residual = ws.balance_residual
@@ -188,6 +188,6 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
         for i, kernel in ann_kernels:
             setpoints[0, i] = annmod.ann_controller(kernel, x)
 
-    trace.data, trace.diverged_time = trace.data[:sample], diverged_time
+    trace.data = trace.data[:sample]
     trace.max_power_residual = max_residual
     return trace

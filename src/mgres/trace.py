@@ -9,7 +9,8 @@ Values are decimal with 17 significant digits, rows ordered by time, so
 export -> parse -> export is byte-identical.  A ``Trace`` holds every
 column, ``attack_active`` (0.0 or 1.0) last, as one float block in this
 order: a run records into it, ``export_csv`` formats it and ``parse_csv``
-wraps it once the header matches.  A channel's clean (pre-attack) value has
+wraps it once the header matches; both take as ``head`` the CSV that a
+resumed run's leading rows copy.  A channel's clean (pre-attack) value has
 no column: it is its source DG's v or w, which ``Trace.ch_clean`` gathers.
 """
 
@@ -20,7 +21,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,6 +49,7 @@ class Trace:
     v_ref: float | None = None
     w_ref: float | None = None
     diverged_time: float | None = None           # None: the run did not diverge
+    diverged_cause: str | None = None            # the guard's or the network's message
     max_power_residual: float = 0.0
     # the states run_scenario was asked for, by the sample step they precede
     forks: dict[int, RunStart] = field(default_factory=dict)
@@ -199,24 +201,39 @@ def _layout(header: list[str], where: str) -> tuple[int, list]:
     return n_dg, channels
 
 
-def parse_csv(source) -> Trace:
+def parse_csv(source, head: tuple[str, Trace] | None = None) -> Trace:
     """Rebuild a Trace from its CSV form (file path or CSV text).  NumPy's C
     reader rounds correctly: each value has the bits float() gives its text.
     The header is checked against the layout it announces before the rows
-    are read."""
+    are read.
+
+    ``head`` mirrors ``export_csv``'s: the path and parsed Trace of the CSV
+    whose rows this one's continue.  The leading lines, header first, that
+    equal that file's lines as text take its rows, copied; the comparison
+    stops at the first differing or blank line, and only the rest is read,
+    so every row has the bits of a whole parse.  Both files are streamed.
+    """
     text = isinstance(source, str) and "\n" in source
     where = "CSV text" if text else str(source)
     # a byte that is not UTF-8 reads as a character that no value or column holds
     with (io.StringIO(source) if text else open(source, errors="surrogateescape")) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+        header = (line := fh.readline()).rstrip("\r\n").split(",")
         if header[0] != "t" or header[-1] != "attack_active":
             raise TraceFormatError(
                 f"{where}: CSV header must start with t and end with attack_active")
         n_dg, channels = _layout(header, where)
+        copied, rest = 0, fh
+        if head is not None:
+            with open(head[0], errors="surrogateescape") as src:
+                shared = src.readline() == line   # the headers
+                # past a blank line, which holds no row, line k would not hold row k - 1
+                while (line := fh.readline()).strip() and shared and line == src.readline():
+                    copied += 1
+            rest = chain([line], fh)
         try:
             with warnings.catch_warnings():     # a header-only file has no rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
             if data.size and data.shape[1] != len(header):
                 raise ValueError("row width does not match the header")
             if not np.isin(data[:, -1:], (0, 1)).all():
@@ -224,7 +241,10 @@ def parse_csv(source) -> Trace:
         except ValueError as exc:
             fh.seek(0)
             raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc
-    return Trace(data.reshape(-1, len(header)), n_dg, channels)
+    data = data.reshape(-1, len(header))
+    if copied:
+        data = np.concatenate((head[1].data[:copied], data))
+    return Trace(data, n_dg, channels)
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:

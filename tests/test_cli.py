@@ -12,6 +12,7 @@ from mgres.scenario import load_scenario
 from mgres.simulate import run_scenario
 from test_acceptance import per_dg, post_attack_eps
 from test_ann import model_text_with
+from test_datagen import clean_ref_of_another_load
 
 SHORT_ATTACK_YAML = textwrap.dedent("""\
     duration: 0.8
@@ -562,6 +563,15 @@ ONE_RUN = ('[{"id": "a", "file": "a.csv", "status": "ok", "clean_ref": "a", "v_r
            ' "w_ref": 377.0}]')
 
 
+def test_a_clean_reference_of_another_load_exits_1(tmp_path, capsys):
+    data = clean_ref_of_another_load(tmp_path / "data")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: clean reference for load1.15-nonperiodic-a0.5 differs from it before the "
+        "attack, first at t=0.200000s\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_a_run_without_dg1s_voltage_triple_exits_1(tmp_path, capsys):
     # an IndexError traceback in build_dataset
     (tmp_path / "manifest.json").write_text(ONE_RUN)
@@ -805,8 +815,22 @@ def test_singular_network_at_a_load_event_exits_2(work, capsys):
     path.write_text(ONE_DG_YAML % (-0.05, -0.10))
     out = work / "singular-event.csv"
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
-    assert "diverged at t=0.020000s" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(
+        "diverged at t=0.020000s (singular admittance system: ")
     assert len(out.read_text().splitlines()) == 1 + 20    # samples up to 0.019 s
+
+
+@pytest.mark.parametrize("command, model, t", [("simulate", [], "0.001100"),
+                                               ("evaluate", ["--model", str(FIXTURE_MODEL)],
+                                                "0.000800")])
+def test_a_diverged_run_prints_its_cause(work, capsys, command, model, t):
+    # an integral gain whose step overshoots; only the time was printed
+    path = work / "overshoot.yaml"
+    path.write_text(SHORT_ATTACK_YAML + "gains: {c_v: 10000}\n")
+    out = work / f"overshoot-{command}.csv"
+    assert main([command, "--scenario", str(path), *model, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == (f"diverged at t={t}s (non-positive or non-finite droop "
+                                       f"voltage); partial trace in {out}\n")
 
 
 def test_zero_impedance_load_event_exits_1(work, capsys):

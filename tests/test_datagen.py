@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgres import datagen
-from mgres.ann import TrainConfig, build_dataset, train
+from mgres.ann import DatasetError, TrainConfig, build_dataset, train
 from mgres.datagen import MatrixSpec, gen_data, load_runs, training_matrix
 from mgres.scenario import ConfigReader, ScenarioError
 from mgres.simulate import run_scenario
-from mgres.trace import export_csv
-from test_golden import GEN_MATRIX
+from mgres.trace import TraceFormatError, export_csv, parse_csv
+from test_golden import GEN_MATRIX, GEN_MATRIX_EARLY
 
 TINY = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
                   tau=0.4, step_time=0.2, duration=0.8)
@@ -210,6 +210,159 @@ def test_load_runs_pairs_attacked_with_clean(data_dir):
             assert trace is clean
 
 
+def whole_parses(data_dir) -> dict:
+    """Each ok run's trace data from a parse of its CSV alone, by run id."""
+    entries = json.loads((Path(data_dir) / "manifest.json").read_text())
+    return {e["id"]: parse_csv(os.path.join(data_dir, e["file"])).data
+            for e in entries if e["status"] == "ok"}
+
+
+def assert_loads_whole_parses(data_dir):
+    whole = whole_parses(data_dir)
+    runs = load_runs(str(data_dir))
+    assert len(runs) == len(whole)
+    for trace, _, run_id in runs:
+        assert np.array_equal(trace.data, whole[run_id]), run_id
+
+
+@pytest.mark.parametrize("spec", [GEN_MATRIX, GEN_MATRIX_EARLY,
+                                  MatrixSpec(load_factors=(0.85, 1.15))],
+                         ids=["gen-matrix", "gen-matrix-early", "two-load-default"])
+def test_load_runs_reads_the_data_of_whole_parses(tmp_path, spec):
+    # a resumed run's CSV head is read from the run it resumed from
+    entries = gen_data(str(tmp_path), spec)
+    assert sum(e["resumed_from"] is not None for e in entries) == len(entries) - 1
+    assert_loads_whole_parses(tmp_path)
+
+
+def test_load_runs_parses_each_run_file_once(data_dir, monkeypatch):
+    # one call per ok run file, with the file of the run it resumed from as its head
+    calls = []
+    inner = datagen.parse_csv
+
+    def counted(path, head=None):
+        calls.append((os.path.basename(path), head and os.path.basename(head[0])))
+        return inner(path, head)
+
+    monkeypatch.setattr(datagen, "parse_csv", counted)
+    load_runs(data_dir)
+    entries = json.loads((Path(data_dir) / "manifest.json").read_text())
+    files = {e["id"]: e["file"] for e in entries}
+    assert calls == [(e["file"], e["resumed_from"] and files[e["resumed_from"]["id"]])
+                     for e in entries if e["status"] == "ok"]
+    assert [head for _, head in calls] == [None, "load1-normal.csv", "load1-normal.csv"]
+
+
+def copy_data(data_dir, work: Path) -> list[dict]:
+    shutil.copytree(data_dir, work)
+    return json.loads((work / "manifest.json").read_text())
+
+
+def edit_line(path: Path, k: int, edit) -> None:
+    lines = path.read_text().split("\n")
+    lines[k] = edit(lines[k])
+    path.write_text("\n".join(lines))
+
+
+def test_parse_csv_copies_the_rows_of_the_lines_a_head_shares(data_dir):
+    # a marked copy of the source's rows shows which rows were copied: those
+    # before the onset row (400), whose attack_active the source does not share
+    normal, attacked = (os.path.join(data_dir, name) for name in
+                        ("load1-normal.csv", "load1-nonperiodic-a0.5.csv"))
+    marked = parse_csv(normal)
+    marked.data += 1.0
+    resumed = parse_csv(attacked, head=(normal, marked))
+    whole = parse_csv(attacked).data
+    np.testing.assert_array_equal(resumed.data[:400], whole[:400] + 1.0)
+    np.testing.assert_array_equal(resumed.data[400:], whole[400:])
+    assert whole[400, -1] == 1 and not whole[:400, -1].any()
+
+
+def test_a_blank_line_that_both_files_share_ends_the_copied_head(data_dir, tmp_path):
+    # np.loadtxt skips a blank line: past it, line k no longer holds row k - 1
+    normal, attacked = (tmp_path / name for name in
+                        ("load1-normal.csv", "load1-nonperiodic-a0.5.csv"))
+    for path in (normal, attacked):
+        shutil.copy(os.path.join(data_dir, path.name), path)
+        edit_line(path, 301, lambda row: "\n" + row)
+    resumed = parse_csv(attacked, head=(normal, parse_csv(normal)))
+    assert resumed.data.tobytes() == parse_csv(attacked).data.tobytes()
+
+
+def test_an_edited_head_row_is_read_from_its_file(data_dir, tmp_path):
+    entries = copy_data(data_dir, tmp_path / "data")
+    normal, nonperiodic, periodic = (tmp_path / "data" / e["file"] for e in entries)
+    assert entries[1]["resumed_from"] == {"id": "load1-normal", "step": 4000}
+    # split line k holds row k - 1; rows up to 400 are in the head each attacked file copied
+    edit_line(nonperiodic, 101, lambda row: row.replace(row.split(",")[1], "0.5", 1))
+    edit_line(normal, 201, lambda row: row.replace(row.split(",")[2], "7", 1))
+    edit_line(periodic, 301, lambda row: "\n" + row)   # a blank line before row 300
+    runs = {run_id: trace for trace, _, run_id in load_runs(str(tmp_path / "data"))}
+    assert runs["load1-nonperiodic-a0.5"].dg["v"][100, 0] == 0.5
+    assert runs["load1-normal"].dg["w"][200, 0] == 7
+    assert runs["load1-periodic-b0.5"].dg["w"][200, 0] != 7
+    assert_loads_whole_parses(tmp_path / "data")
+
+
+@pytest.mark.parametrize("hint", ["drop", "load1-normal", {}, {"id": "gone"}, {"id": "failed"},
+                                  {"id": "load1-nonperiodic-a0.5"}, {"id": ["load1-normal"]}])
+def test_a_wrong_resumed_from_loads_the_same_data(data_dir, tmp_path, hint):
+    # the hint names the run whose rows to try; a wrong one costs time, never data
+    entries = copy_data(data_dir, tmp_path / "data")
+    for e in entries[1:]:
+        if hint == "drop":
+            del e["resumed_from"]
+        else:
+            e["resumed_from"] = hint
+    entries.append(dict(entries[0], id="failed", status="error: no file"))
+    (tmp_path / "data" / "manifest.json").write_text(json.dumps(entries))
+    whole = whole_parses(data_dir)
+    runs = load_runs(str(tmp_path / "data"))
+    assert [run_id for _, _, run_id in runs] == list(whole)
+    for trace, _, run_id in runs:
+        assert trace.data.tobytes() == whole[run_id].tobytes(), run_id
+
+
+def test_a_bad_cell_in_a_resumed_files_own_rows_names_its_line(data_dir, tmp_path):
+    entries = copy_data(data_dir, tmp_path / "data")
+    path = tmp_path / "data" / entries[1]["file"]
+    edit_line(path, 600, lambda row: row.replace(",", ",x,", 1))   # row 599: past the fork
+    with pytest.raises(TraceFormatError) as whole:
+        parse_csv(path)
+    assert "line 601:" in str(whole.value)   # the file's own line number
+    with pytest.raises(TraceFormatError) as resumed:
+        load_runs(str(tmp_path / "data"))
+    assert str(resumed.value) == str(whole.value)
+
+
+# two load factors whose attacked cells start at 0.4 s, after the load step
+WRONG_LOAD = MatrixSpec(load_factors=(0.85, 1.15), alphas=(0.5,), betas=(), duration=0.8,
+                        step_time=0.2, tau=0.4)
+
+
+def clean_ref_of_another_load(out: Path) -> Path:
+    """gen-data output of ``WRONG_LOAD`` whose attacked load factor 1.15 run names
+    the normal run of load factor 0.85 as its clean reference."""
+    entries = gen_data(str(out), WRONG_LOAD)
+    for e in entries:
+        if e["id"] == "load1.15-nonperiodic-a0.5":
+            e["clean_ref"] = "load0.85-normal"
+    (out / "manifest.json").write_text(json.dumps(entries))
+    return out
+
+
+def test_a_clean_reference_of_another_load_is_rejected(tmp_path):
+    # it was built into 4 206 rows whose targets were the other load's V_n
+    runs = load_runs(str(clean_ref_of_another_load(tmp_path)))
+    with pytest.raises(DatasetError, match=r"^clean reference for load1.15-nonperiodic-a0.5 "
+                                           r"differs from it before the attack, first at "
+                                           r"t=0.200000s$"):
+        build_dataset(runs)
+    # the pairs that gen-data wrote differ nowhere before the attack
+    runs[-1] = (runs[-1][0], runs[-2][1], runs[-1][2])
+    assert len(build_dataset(runs)) == 4206
+
+
 def test_dataset_row_count(data_dir):
     ds = build_dataset(load_runs(data_dir))
     # 0.8 s at 1 ms = 801 samples, 701 after the 0.1 s discard;
@@ -248,7 +401,8 @@ WRONG = (st.none() | st.booleans() | st.text(max_size=4) | st.integers() | st.fl
          | st.sampled_from([10**400, "", ".", "manifest.json", "missing.csv"])
          | st.lists(st.integers(), max_size=2) | st.just({}))
 MANIFEST_EDIT = st.tuples(st.integers(0, 2), st.sampled_from(
-    ["id", "file", "status", "clean_ref", "v_ref", "w_ref"]), st.booleans(), WRONG)
+    ["id", "file", "status", "clean_ref", "v_ref", "w_ref", "resumed_from"]), st.booleans(),
+    WRONG)
 CELL = (st.text(max_size=4) | st.sampled_from(
     ["", "nan", "inf", "-inf", "1e999", "0.5", "2", "-1", "1,2", "t", "dg1.v", "\n",
      "dg5.v", "load1.I", "ch.dg2->dg1.frequency.recv", "ch.dg5->dg1.voltage.recv"]))

@@ -13,6 +13,7 @@ from mgres.graph import CommGraph, GraphError, ring_graph
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
                          build_ybus)
 from mgres.scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError, builtin_scenario
+from mgres.secondary import SecondaryGains
 from mgres.simulate import run_scenario
 from mgres.trace import traces_equal
 from test_golden import PARAMS
@@ -149,6 +150,16 @@ def test_divergence_is_reported_not_raised():
     # pinned on the engine before the per-step rewrite
     assert tr.diverged_time == 0.2398
     assert len(tr.t) == 240
+    # the trace keeps which guard tripped; a run that did not diverge has no cause
+    assert tr.diverged_cause == "state magnitude 10 exceeded 10.0 pu"
+    assert run_scenario(short(duration=0.01)).diverged_cause is None
+    # an integral gain whose step overshoots drives a droop voltage below zero
+    tr = run_scenario(short(gains=SecondaryGains(c_v=1e4)))
+    assert tr.diverged_time == 0.0011
+    assert tr.diverged_cause == "non-positive or non-finite droop voltage"
+    # a load event that makes the network singular ends the run with the solver's message
+    tr = run_scenario(one_dg(LoadEvent(0.02, 1, -0.05, -0.10)))
+    assert tr.diverged_cause.startswith("singular admittance system: ")
 
 
 def test_diverged_run_keeps_the_rows_of_a_run_cut_before_it():

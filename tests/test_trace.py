@@ -139,6 +139,16 @@ def test_parse_rejects_malformed(text, msg):
         parse_csv(text + "\n")
 
 
+def test_a_head_under_another_header_lends_no_rows(tmp_path):
+    # its rows were checked against its own header's width, not this file's
+    wide, narrow = (",".join(column_names(Trace.empty(0, 1, [], n))) for n in (1, 0))
+    rows = "0,1,377,0,0,1,377,0.5,0\n"
+    (tmp_path / "head.csv").write_text(wide + "\n" + rows)
+    head = (tmp_path / "head.csv", parse_csv(tmp_path / "head.csv"))
+    with pytest.raises(TraceFormatError, match="line 2: row width 9 does not match the header's 8"):
+        parse_csv(narrow + "\n" + rows, head=head)
+
+
 def test_a_bad_header_is_rejected_before_the_rows_are_read(short_trace, monkeypatch):
     # a renamed column once cost a parse of every row before the header check
     def read_rows(*args, **kwargs):
