@@ -15,7 +15,7 @@ gradient descent with backtracking step control.  Runs that resume from a
 shared run repeat its rows bit for bit, so each split of the fit holds its
 distinct rows once, normalised once, with their counts, in buffers allocated
 once per split.  Its loss is still the mean over every row, and on rows
-without copies it is bit-equal to ``mse``, the inference path's.
+without copies it is bit-equal to ``mse`` of ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ class TrainingError(RuntimeError):
     pass
 
 
-def tansig(z):
-    """Hidden activation 2/(1+exp(-2z)) - 1, i.e. the hyperbolic tangent."""
-    return np.tanh(z)
-
-
 @dataclass(frozen=True, eq=False)   # its arrays: compared and hashed by identity
 class NormalizationSpec:
     """Per-feature affine maps: normalized = (raw - offset) / scale."""
@@ -71,10 +66,6 @@ class NormalizationSpec:
             raise ValueError("normalization scales must be nonzero")
 
     @classmethod
-    def identity(cls) -> "NormalizationSpec":
-        return cls(np.zeros(N_IN), np.ones(N_IN), 0.0, 1.0)
-
-    @classmethod
     def from_data(cls, x: np.ndarray, y: np.ndarray) -> "NormalizationSpec":
         """Affine map of each feature (and the target) to [-1, 1] via min/max."""
         lo, hi = x.min(axis=0), x.max(axis=0)
@@ -88,12 +79,6 @@ class NormalizationSpec:
 
     def normalize_x(self, x: np.ndarray) -> np.ndarray:
         return (x - self.x_offset) / self.x_scale
-
-    def normalize_y(self, y):
-        return (y - self.y_offset) / self.y_scale
-
-    def denormalize_y(self, yn):
-        return yn * self.y_scale + self.y_offset
 
 
 @dataclass(frozen=True, eq=False)   # its arrays: compared and hashed by identity
@@ -117,8 +102,7 @@ class MlpParams:
                 raise ValueError(f"{name} contains non-finite entries")
 
 
-def init_params(rng: np.random.Generator,
-                norm: NormalizationSpec | None = None) -> MlpParams:
+def init_params(rng: np.random.Generator, norm: NormalizationSpec) -> MlpParams:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
     lim1 = 1.0 / np.sqrt(N_IN)
     lim2 = 1.0 / np.sqrt(N_HIDDEN)
@@ -127,14 +111,14 @@ def init_params(rng: np.random.Generator,
         b1=rng.uniform(-lim1, lim1, N_HIDDEN),
         w2=rng.uniform(-lim2, lim2, (1, N_HIDDEN)),
         b2=rng.uniform(-lim2, lim2, 1),
-        norm=norm if norm is not None else NormalizationSpec.identity(),
+        norm=norm,
     )
 
 
 class _Forward:
     """The MLP's two layers on ``rows`` normalised rows, into buffers allocated
     once: h = tansig(xn w1^T + b1), out = h w2^T + b2.  Every forward pass
-    (``forward_batch``, the fit's loss, ``ann_controller``) runs here.
+    (the fit's loss, ``ann_controller``, tests/reference.py's) runs here.
 
     ``h`` is the first ``rows`` rows of a buffer that holds whole blocks of
     ``block`` rows, and the bias add and tansig run on those blocks: ``b1``
@@ -159,29 +143,6 @@ class _Forward:
         h.dot(w2t, pre)
         np.add(pre, b2, out)
         return out
-
-
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Network output for a batch of rows, in raw target units."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != N_IN:
-        raise ValueError(f"expected (N, {N_IN}) input, got {x.shape}")
-    out = _Forward(len(x)).run(params.norm.normalize_x(x), params.w1.T, params.b1,
-                               params.w2.T, params.b2)
-    return params.norm.denormalize_y(out[:, 0])
-
-
-def forward(params: MlpParams, x: np.ndarray) -> float:
-    """Single-row forward pass."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N_IN,):
-        raise ValueError(f"expected length-{N_IN} input, got shape {x.shape}")
-    return float(forward_batch(params, x[None, :])[0])
-
-
-def mse(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    r = forward_batch(params, x) - y
-    return float(np.mean(r * r))
 
 
 # The fit's weights as one vector, in the layouts its products read: w1^T as
@@ -211,15 +172,15 @@ class _FitSplit(_Forward):
 
     The split keeps each distinct (xn, y) row, compared as bytes, once, in
     the order of its first occurrence, with its count c.  ``loss(w)`` is the
-    forward pass of ``forward_batch`` and ``mse`` for the fit vector w on
-    this split's ``_Forward`` buffers, and returns sum(c r^2) / N over the N
-    rows the split was given: the mean over every row.  ``gradient()`` is the
-    backward pass for the weights of the last ``loss`` call, which left
-    tansig(a1) and the residual in ``h``/``r``; it weights the residual by c,
-    then reuses ``h`` for 1 - h^2, and writes the gradient into one fit
-    vector ``g``, overwritten by the next call.  On rows without copies every
-    c is 1 and the rows keep their order, so both are bit-equal to the
-    unweighted pass, and ``loss`` to ``mse`` on the raw rows.
+    forward pass for the fit vector w on this split's ``_Forward`` buffers,
+    and returns sum(c r^2) / N over the N rows the split was given: the mean
+    over every row.  ``gradient()`` is the backward pass for the weights of
+    the last ``loss`` call, which left tansig(a1) and the residual in
+    ``h``/``r``; it weights the residual by c, then reuses ``h`` for 1 - h^2,
+    and writes the gradient into one fit vector ``g``, overwritten by the
+    next call.  On rows without copies every c is 1 and the rows keep their
+    order, so both are bit-equal to the unweighted pass, and ``loss`` to
+    ``mse`` of ``tests/reference.py`` (whose ``gradient`` is this one).
 
     Each product and reduction reads the layout that is fastest for it and
     gives the bits of the plain NumPy expression it replaces (tests/test_ann.py
@@ -228,7 +189,7 @@ class _FitSplit(_Forward):
       view ``w1.T`` (OpenBLAS's matrix product gives the same bits on both
       for N >= 2).  One row takes numpy's matrix-vector path, whose bits
       depend on the layout, so a one-row split reads w1^T in F order, as
-      ``forward_batch`` does;
+      ``AnnKernel`` does;
     - the bias add runs on blocks of ``BLOCK`` rows (``_Forward``);
     - d_h = d_out w2 is the K = 1 product ``np.dot(d_out[:, None], w2)``:
       one rounding per entry, as the broadcast multiply, at about a third
@@ -295,20 +256,6 @@ class _FitSplit(_Forward):
         np.dot(d.T, self.xn, out=self.g_w1)
         self.g_w1t[...] = self.g_w1.T
         return g
-
-
-def gradient(params: MlpParams, x: np.ndarray, y: np.ndarray):
-    """Analytic gradient of the batch MSE w.r.t. (w1, b1, w2, b2).
-
-    Loss is L = (1/N) sum (forward(x) - y)^2 in raw target units.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("gradient needs a non-empty batch")
-    split = _FitSplit(params.norm.normalize_x(x), y, params.norm)
-    split.loss(_fit_vector(params))
-    return _fit_layers(split.gradient())
 
 
 @dataclass
@@ -441,23 +388,15 @@ def feature_channels(channels: list[tuple[int, int, str]], dg: int) -> list[int]
     return [k for *_, k in inbound]
 
 
-def runtime_features(received_triple: np.ndarray, v_ref: float) -> np.ndarray:
-    """Controller input vector with the received triple in both slots."""
-    r = np.asarray(received_triple, dtype=float)
-    if r.shape != (3,):
-        raise ValueError("received triple must have length 3")
-    return np.concatenate([r, r, [v_ref]])
-
-
 class AnnKernel(_Forward):
-    """``forward_batch`` on one runtime feature row, in buffers built once.
+    """The forward pass on one runtime feature row, in buffers built once.
 
     ``positions`` holds each ``FEATURES`` column's position in the secondary
     layer's input x (``ConsensusMap.positions``).  ``ann_controller`` fills
     the row with one take from x, v* included, normalises it in place and
     runs ``_Forward`` on (1, .) buffers.  These are ``forward_batch``'s
-    operations in its order, so the set-point is bit-equal to
-    ``forward(runtime_features(r, v*))``.
+    operations in its order (tests/reference.py), so the set-point is
+    bit-equal to it on the one row [r, r, v*].
     """
 
     def __init__(self, params: MlpParams, positions):

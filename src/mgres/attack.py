@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .graph import SIGNALS
 
 BROADCAST = "broadcast"
+STEP_TOLERANCE = 1e-12   # s: an attack bound or load event at k dt acts on step k
 
 
 class AttackConfigError(ValueError):
@@ -74,6 +75,7 @@ class AttackSpec:
             raise AttackConfigError("src and dst cannot both be broadcast")
 
     def active(self, t: float) -> bool:
+        t += STEP_TOLERANCE   # k * dt may round below a bound at k dt
         return t >= self.tau and (self.end is None or t < self.end)
 
     def gain(self, t: float) -> float:

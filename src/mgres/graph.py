@@ -1,11 +1,11 @@
-"""Sparse communication digraph between DGs, its channel layout and the
-neighborhood tracking errors.
+"""Sparse communication digraph between DGs and its channel layout.
 
 DG i receives information from DG j iff adjacency[i, j] > 0.  A pinned DG
 (pinning[i] > 0) additionally receives the global reference.  Every DG also
 feeds its own measurement back to its local controller, so the channel set
 contains a self loop per DG on top of the digraph edges.  Errors number DGs
-from 1, as scenario files do: a[i, j] is the edge dg(j+1) -> dg(i+1).
+from 1, as scenario files do: a[i, j] is the edge dg(j+1) -> dg(i+1).  The
+tracking errors are ``secondary.ConsensusMap``'s (oracle: tests/reference.py).
 """
 
 from __future__ import annotations
@@ -84,30 +84,13 @@ def validate(graph: CommGraph) -> None:
     if not (pin > 0).any():
         raise GraphError("no pinned DG (all b_i are zero)")
 
-    # BFS from the virtual reference node: info flows j -> i when a[i, j] > 0.
+    # from the virtual reference node: info flows j -> i when a[i, j] > 0
     reached = pin > 0
-    frontier = list(np.flatnonzero(reached))
-    while frontier:
-        j = frontier.pop()
-        for i in np.flatnonzero(adj[:, j] > 0):
-            if not reached[i]:
-                reached[i] = True
-                frontier.append(int(i))
+    while (new := (adj[:, reached] > 0).any(axis=1) & ~reached).any():
+        reached |= new
     if not reached.all():
         i = int(np.flatnonzero(~reached)[0])
         raise GraphError(f"DG {i + 1} is unreachable from the reference")
-
-
-def tracking_errors(graph: CommGraph, recv_self: np.ndarray,
-                    recv: np.ndarray, reference: float) -> np.ndarray:
-    """Cooperative errors e_i = sum_j a_ij (x_ii - x_ij) + b_i (x_ii - x*).
-
-    recv_self[i] is DG i's received copy of its own signal; recv[i, j] its
-    received copy of DG j's signal (only entries with a_ij > 0 are used).  A
-    row vector recv means every DG receives the same values.
-    """
-    diff = graph.adjacency * (recv_self[:, None] - recv)
-    return diff.sum(axis=1) + graph.pinning * (recv_self - reference)
 
 
 def ring_graph(n: int = 4) -> CommGraph:

@@ -15,6 +15,7 @@ files do.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -47,12 +48,25 @@ class DgParams:
                 raise ValueError(f"DG {name} must be positive and finite, got {v}")
 
 
+def admittance(r: float, x: float, what: str) -> complex:
+    """1 / (r + jx) of the element ``what``; a NetworkError where it is not finite."""
+    if (z := complex(r, x)) == 0:
+        raise NetworkError(f"{what} has zero impedance")
+    if not cmath.isfinite(y := 1.0 / z):
+        raise NetworkError(f"{what} has an impedance too small to invert, r={r}, x={x}")
+    return y
+
+
 @dataclass(frozen=True)
 class Line:
     bus_a: int
     bus_b: int
     r: float
     x: float
+
+    @property
+    def admittance(self) -> complex:
+        return admittance(self.r, self.x, f"line {self.bus_a + 1}-{self.bus_b + 1}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +77,7 @@ class Load:
 
     @property
     def admittance(self) -> complex:
-        z = complex(self.r, self.x)
-        if z == 0:
-            raise NetworkError(f"load at bus {self.bus + 1} has zero impedance")
-        return 1.0 / z
+        return admittance(self.r, self.x, f"load at bus {self.bus + 1}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,7 @@ class NetworkParams:
             if not (0 <= ln.r < math.inf and 0 < ln.x < math.inf):
                 raise NetworkError(f"line {ln.bus_a + 1}-{ln.bus_b + 1} needs finite r >= 0 and "
                                    f"x > 0, got r={ln.r}, x={ln.x}")
+            ln.admittance   # raises if it is not finite
         for ld in self.loads:
             if not 0 <= ld.bus < self.n_bus:
                 raise NetworkError(f"load bus {ld.bus + 1} does not exist")
@@ -107,18 +119,11 @@ class NetworkParams:
         self._check_connected()
 
     def _check_connected(self):
-        seen = {0}
-        frontier = [0]
-        nbrs: dict[int, list[int]] = {b: [] for b in range(self.n_bus)}
-        for ln in self.lines:
-            nbrs[ln.bus_a].append(ln.bus_b)
-            nbrs[ln.bus_b].append(ln.bus_a)
-        while frontier:
-            b = frontier.pop()
-            for nb in nbrs[b]:
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
+        pairs = [(ln.bus_a, ln.bus_b) for ln in self.lines]
+        pairs += [(b, a) for a, b in pairs]
+        seen = {0}   # bus 1, then every bus that a line joins to a seen one
+        while new := {b for a, b in pairs if a in seen} - seen:
+            seen |= new
         if len(seen) != self.n_bus:
             missing = [b + 1 for b in range(self.n_bus) if b not in seen]
             raise NetworkError(f"network is not connected (isolated buses {missing})")
@@ -133,7 +138,7 @@ def build_ybus(net: NetworkParams) -> np.ndarray:
     """Nodal admittance matrix including the constant impedance loads."""
     y = np.zeros((net.n_bus, net.n_bus), dtype=complex)
     for ln in net.lines:
-        yl = 1.0 / complex(ln.r, ln.x)
+        yl = ln.admittance
         y[ln.bus_a, ln.bus_a] += yl
         y[ln.bus_b, ln.bus_b] += yl
         y[ln.bus_a, ln.bus_b] -= yl
@@ -179,7 +184,7 @@ class NetworkSolver:
         g = []
         for k, ln in enumerate(net.lines):
             incidence[k, [ln.bus_a, ln.bus_b]] = 1.0, -1.0
-            g.append((1.0 / complex(ln.r, ln.x)).real)
+            g.append(ln.admittance.real)
         for k, ld in enumerate(net.loads, start=len(net.lines)):
             incidence[k, ld.bus] = 1.0
         g += self.load_y.real.tolist()

@@ -40,10 +40,11 @@ import numpy as np
 import yaml
 
 from .ann import MlpParams, feature_channels, load_model
-from .attack import AttackConfigError, AttackSpec, NonPeriodic, Periodic, \
+from .attack import STEP_TOLERANCE, AttackConfigError, AttackSpec, NonPeriodic, Periodic, \
     parse_target, resolve_channels
 from .graph import CommGraph, GraphError, ring_graph
-from .plant import DgParams, Line, Load, MicrogridModel, NetworkParams, default_model
+from .plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
+                    admittance, default_model)
 from .secondary import SecondaryGains
 
 # the attacks of each built-in scenario, as a scenario file writes them
@@ -74,7 +75,7 @@ class LoadEvent:
 
     def due(self, t: float) -> bool:
         """Whether the event acts at time t; one at k dt acts on step k."""
-        return self.t <= t + 1e-12
+        return self.t <= t + STEP_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,10 @@ class ScenarioConfig:
         for ev in self.load_events:
             if ev.bus not in loads_by_bus:
                 raise ScenarioError(f"load event targets bus {ev.bus + 1} with no load")
-            if ev.r == 0 and ev.x == 0:
-                raise ScenarioError(
-                    f"load event at t={ev.t:g} s on bus {ev.bus + 1} has zero impedance")
+            try:
+                admittance(ev.r, ev.x, f"load event at t={ev.t:g} s on bus {ev.bus + 1}")
+            except NetworkError as exc:
+                raise ScenarioError(str(exc)) from None
         channels = self.graph.channels()
         try:   # each ANN DG's voltage triple, and each attack's channels
             for i, name in enumerate(self.controllers):

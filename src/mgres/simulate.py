@@ -134,59 +134,61 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     max_residual = 0.0
     sample = 0
 
-    for k in range(start.step, last + 1):
-        t = k * dt
-        record = k % stride == 0
-        if record:   # a step updates P and Q in place; a diverged step's row is cut
-            rec_pq[sample] = pq_t
-            if k in fork_steps:
-                trace.forks[k] = RunStart(k, tuple(ws.delta.tolist() + ws.pq_flat.tolist()
-                                                   + setpoints.ravel().tolist()))
-        try:
-            if k >= events[0][0]:   # from a later start, every event due by then
-                net = ws.net
-                while k >= events[0][0]:
-                    net = apply_load_event(net, *events.pop(0)[1:])
-                ws.use(net)
-            step_plant(ws, setpoints, t)
-        except DivergenceError as exc:
-            trace.diverged_time, trace.diverged_cause = exc.t, exc.what
-            break
-        except NetworkError as exc:   # only ws.use raises it: a singular load epoch
-            if k == 0:                # the scenario's own network: a config error
-                raise
-            trace.diverged_time, trace.diverged_cause = t, str(exc)
-            break
-        if ws.balance_residual > max_residual:
-            max_residual = ws.balance_residual
+    # the step guards report an overflow or NaN as the run's divergence: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start.step, last + 1):
+            t = k * dt
+            record = k % stride == 0
+            if record:   # a step updates P and Q in place; a diverged step's row is cut
+                rec_pq[sample] = pq_t
+                if k in fork_steps:
+                    trace.forks[k] = RunStart(k, tuple(ws.delta.tolist() + ws.pq_flat.tolist()
+                                                       + setpoints.ravel().tolist()))
+            try:
+                if k >= events[0][0]:   # from a later start, every event due by then
+                    net = ws.net
+                    while k >= events[0][0]:
+                        net = apply_load_event(net, *events.pop(0)[1:])
+                    ws.use(net)
+                step_plant(ws, setpoints, t)
+            except DivergenceError as exc:
+                trace.diverged_time, trace.diverged_cause = exc.t, exc.what
+                break
+            except NetworkError as exc:   # only ws.use raises it: a singular load epoch
+                if k == 0:                # the scenario's own network: a config error
+                    raise
+                trace.diverged_time, trace.diverged_cause = t, str(exc)
+                break
+            if ws.balance_residual > max_residual:
+                max_residual = ws.balance_residual
 
-        # gather is in range by construction; "clip" skips the buffered copy of "raise"
-        ws.vw.take(gather, out=recv, mode="clip")
-        for k_atk, (spec, targets, gv) in enumerate(attacks):
-            g = spec.gain(t)
-            if g != 1.0:
-                if g != held[k_atk]:
-                    gv[targets] = held[k_atk] = g
-                np.multiply(recv, gv, recv)
+            # gather is in range by construction; "clip" skips the buffered copy of "raise"
+            ws.vw.take(gather, out=recv, mode="clip")
+            for k_atk, (spec, targets, gv) in enumerate(attacks):
+                g = spec.gain(t)
+                if g != 1.0:
+                    if g != held[k_atk]:
+                        gv[targets] = held[k_atk] = g
+                    np.multiply(recv, gv, recv)
 
-        if record:
-            rec_t[sample] = t
-            rec_vw[sample] = vw_t
-            rec_sp[sample] = sp_t
-            rec_recv[sample] = recv
-            rec_load[sample] = ws.load_current
-            rec_att[sample] = any(s.active(t) for s, *_ in attacks)
-            sample += 1
+            if record:
+                rec_t[sample] = t
+                rec_vw[sample] = vw_t
+                rec_sp[sample] = sp_t
+                rec_recv[sample] = recv
+                rec_load[sample] = ws.load_current
+                rec_att[sample] = any(s.active(t) for s, *_ in attacks)
+                sample += 1
 
-        if k == last:
-            break
+            if k == last:
+                break
 
-        # the secondary layer consumes the received (possibly corrupted)
-        # values and the droop terms step_plant wrote; in place: this step
-        # has recorded and consumed the old set-points
-        secondary_update(cmap, setpoints)
-        for i, kernel in ann_kernels:
-            setpoints[0, i] = annmod.ann_controller(kernel, x)
+            # the secondary layer consumes the received (possibly corrupted)
+            # values and the droop terms step_plant wrote; in place: this step
+            # has recorded and consumed the old set-points
+            secondary_update(cmap, setpoints)
+            for i, kernel in ann_kernels:
+                setpoints[0, i] = annmod.ann_controller(kernel, x)
 
     trace.data = trace.data[:sample]
     trace.max_power_residual = max_residual

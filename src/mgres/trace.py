@@ -246,7 +246,3 @@ def parse_csv(source, head: tuple[str, Trace] | None = None) -> Trace:
         data = np.concatenate((head[1].data[:copied], data))
     return Trace(data, n_dg, channels)
 
-
-def traces_equal(a: Trace, b: Trace) -> bool:
-    """Exact equality of the recorded columns (metadata excluded)."""
-    return column_names(a) == column_names(b) and np.array_equal(a.data, b.data)

@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from mgres.ann import (Dataset, MlpParams, TrainConfig, build_dataset, gradient,
-                       init_params, forward_batch, load_model, mse, save_model, train)
+from mgres.ann import (Dataset, MlpParams, TrainConfig, build_dataset, init_params,
+                       load_model, save_model, train)
 from mgres.datagen import MatrixSpec, gen_data, load_runs
 from mgres.metrics import POST_ATTACK_GUARD, compute_metrics
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
                          PlantWorkspace, solve_network)
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
-from mgres.trace import export_csv, parse_csv, traces_equal
+from mgres.trace import export_csv, parse_csv
+from reference import UNIT_NORM, forward_batch, gradient, mse, traces_equal
 
 
 def verdict(capsys, name, ok, detail):
@@ -145,7 +146,7 @@ def test_gradient_against_finite_differences(capsys):
     eps = 1e-6
     worst = 0.0
     for _ in range(100):
-        params = init_params(rng)
+        params = init_params(rng, UNIT_NORM)
         x = rng.uniform(-1, 1, (8, 7))
         y = rng.uniform(-1, 1, 8)
         grads = gradient(params, x, y)
@@ -206,7 +207,7 @@ def test_serialization_round_trips(pipeline, capsys):
 def test_trainer_fits_realizable_target(capsys):
     # data produced by a known 7-10-1 teacher must be fit nearly exactly
     rng = np.random.default_rng(42)
-    teacher = init_params(rng)
+    teacher = init_params(rng, UNIT_NORM)
     teacher = MlpParams(teacher.w1 * 0.3, teacher.b1 * 0.3,
                         teacher.w2, teacher.b2, teacher.norm)
     x = rng.uniform(-1, 1, (400, 7))

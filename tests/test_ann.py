@@ -7,14 +7,26 @@ from hypothesis import given, settings, strategies as st
 from mgres import ann
 from mgres.ann import (FEATURES, AnnKernel, Dataset, DatasetError, MlpParams,
                        NormalizationSpec, TrainConfig, TrainingError, ann_controller,
-                       build_dataset, forward, forward_batch, gradient, init_params,
-                       load_model, mse, runtime_features, save_model, tansig, train)
+                       build_dataset, init_params, load_model, save_model, train)
 from mgres.datagen import gen_data, load_runs
 from mgres.graph import ring_graph
 from mgres.scenario import ConfigReader, builtin_scenario
 from mgres.secondary import ConsensusMap, SecondaryGains
 from mgres.simulate import run_scenario
 from mgres.trace import Trace
+from reference import UNIT_NORM, forward_batch, gradient, mse
+
+
+def tansig(z):
+    """The hidden activation at z, read through the forward pass of a model
+    with one unit: it sees the first input, and the output is that unit."""
+    w1, w2 = np.zeros((10, 7)), np.zeros((1, 10))
+    w1[0, 0] = w2[0, 0] = 1.0
+    params = MlpParams(w1, np.zeros(10), w2, np.zeros(1), UNIT_NORM)
+    x = np.zeros((np.size(z), 7))
+    x[:, 0] = z
+    out = forward_batch(params, x)
+    return out if np.ndim(z) else out[0]
 
 
 def test_tansig_is_tanh():
@@ -28,43 +40,39 @@ def test_tansig_is_tanh():
 
 def test_forward_matches_hand_computation():
     rng = np.random.default_rng(1)
-    params = init_params(rng)
+    params = init_params(rng, UNIT_NORM)
     x = rng.uniform(-1, 1, 7)
     h = np.tanh(params.w1 @ x + params.b1)
     expect = float((params.w2 @ h + params.b2)[0])
-    assert forward(params, x) == pytest.approx(expect, rel=1e-12)
     assert forward_batch(params, x[None, :])[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_forward_respects_normalization():
     norm = NormalizationSpec(x_offset=np.full(7, 1.0), x_scale=np.full(7, 0.5),
                              y_offset=2.0, y_scale=3.0)
-    raw = init_params(np.random.default_rng(2))
+    raw = init_params(np.random.default_rng(2), UNIT_NORM)
     params = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2, norm)
     x = np.full(7, 1.25)
     xn = (x - 1.0) / 0.5
     inner = float((raw.w2 @ np.tanh(raw.w1 @ xn + raw.b1) + raw.b2)[0])
-    assert forward(params, x) == pytest.approx(inner * 3.0 + 2.0, rel=1e-12)
+    assert forward_batch(params, x[None, :])[0] == pytest.approx(inner * 3.0 + 2.0, rel=1e-12)
 
 
 def test_shape_validation():
     rng = np.random.default_rng(0)
-    params = init_params(rng)
-    with pytest.raises(ValueError):
-        forward(params, np.zeros(6))
+    params = init_params(rng, UNIT_NORM)
     with pytest.raises(ValueError):
         forward_batch(params, np.zeros((3, 8)))
     with pytest.raises(ValueError):
-        MlpParams(np.zeros((9, 7)), np.zeros(10), np.zeros((1, 10)), np.zeros(1),
-                  NormalizationSpec.identity())
+        MlpParams(np.zeros((9, 7)), np.zeros(10), np.zeros((1, 10)), np.zeros(1), UNIT_NORM)
     with pytest.raises(ValueError, match="gradient needs a non-empty batch"):
         gradient(params, np.zeros((0, 7)), np.zeros(0))
 
 
 def test_init_is_seeded_and_bounded():
-    a = init_params(np.random.default_rng(5))
-    b = init_params(np.random.default_rng(5))
-    c = init_params(np.random.default_rng(6))
+    a = init_params(np.random.default_rng(5), UNIT_NORM)
+    b = init_params(np.random.default_rng(5), UNIT_NORM)
+    c = init_params(np.random.default_rng(6), UNIT_NORM)
     np.testing.assert_array_equal(a.w1, b.w1)
     assert not np.array_equal(a.w1, c.w1)
     assert np.abs(a.w1).max() <= 1.0 / np.sqrt(7)
@@ -73,7 +81,7 @@ def test_init_is_seeded_and_bounded():
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
-    params = init_params(rng)
+    params = init_params(rng, UNIT_NORM)
     x = rng.uniform(-1, 1, (16, 7))
     y = rng.uniform(-1, 1, 16)
     grads = gradient(params, x, y)
@@ -168,8 +176,10 @@ def test_normalization_from_data():
     assert norm.x_scale[1] == 1.0  # constant column falls back to unit scale
     xn = norm.normalize_x(x)
     assert xn[:, 0].min() == -1.0 and xn[:, 0].max() == 1.0
-    assert norm.normalize_y(3.0) == 1.0 and norm.normalize_y(1.0) == -1.0
-    assert norm.denormalize_y(norm.normalize_y(2.2)) == pytest.approx(2.2)
+    assert (3.0 - norm.y_offset) / norm.y_scale == 1.0
+    assert (1.0 - norm.y_offset) / norm.y_scale == -1.0
+    assert (2.2 - norm.y_offset) / norm.y_scale * norm.y_scale + norm.y_offset \
+        == pytest.approx(2.2)
 
 
 def synth_dataset(n=200, seed=0):
@@ -303,12 +313,8 @@ def test_train_input_validation():
 
 
 def test_runtime_features_and_clamp():
-    f = runtime_features(np.array([1.0, 1.1, 1.2]), 1.0)
-    np.testing.assert_array_equal(f, [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0])
-    with pytest.raises(ValueError, match="received triple must have length 3"):
-        runtime_features(np.array([1.0, 1.1]), 1.0)
     # force huge outputs through the denormalization to hit both clamps
-    raw = init_params(np.random.default_rng(0))
+    raw = init_params(np.random.default_rng(0), UNIT_NORM)
     hi = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2,
                    NormalizationSpec(np.zeros(7), np.ones(7), 100.0, 1.0))
     lo = MlpParams(raw.w1, raw.b1, raw.w2, raw.b2,
@@ -316,8 +322,13 @@ def test_runtime_features_and_clamp():
     g = ring_graph(4)
     cmap = ConsensusMap(g, g.channels(), SecondaryGains(), 1.0, 377.0, 1e-4)
     cmap.recv[:] = 1.0
+    # the runtime row: DG1's received triple (its own, DG2's, DG4's) twice, then v*
+    for src, value in ((0, 1.0), (1, 1.1), (3, 1.2)):
+        cmap.recv[g.channels().index((src, 0, "voltage"))] = value
     at = cmap.positions(FEATURES, 0)
-    assert ann_controller(AnnKernel(hi, at), cmap.x) == 1.5
+    kernel = AnnKernel(hi, at)
+    assert ann_controller(kernel, cmap.x) == 1.5
+    np.testing.assert_array_equal(kernel.row[0], [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0])
     assert ann_controller(AnnKernel(lo, at), cmap.x) == 0.5
     two = [ch for ch in g.channels() if ch != (1, 0, "voltage")]
     with pytest.raises(ValueError, match="DG1 needs exactly 3"):
@@ -326,8 +337,8 @@ def test_runtime_features_and_clamp():
 
 def test_controller_is_forward_on_runtime_features_bitwise():
     # ann_controller runs forward_batch's operations on one kernel's buffers
-    # and skips forward's checks; the checked path is its reference, bit for
-    # bit, also when one kernel is reused call after call
+    # and skips its checks; the checked path is its reference, bit for bit,
+    # on the row [r, r, v*], also when one kernel is reused call after call
     rng = np.random.default_rng(5)
     x = rng.uniform(0.9, 1.1, (200, 7))
     params = init_params(rng, NormalizationSpec.from_data(x, rng.uniform(1.0, 1.05, 200)))
@@ -341,13 +352,15 @@ def test_controller_is_forward_on_runtime_features_bitwise():
     for channels in rng.uniform(0.8, 1.6, (300, len(layout))):
         cmap.recv[:] = channels
         cmap.droop[:] = rng.uniform(-1.0, 1.0, cmap.droop.shape)   # read by no feature
-        want = min(max(forward(params, runtime_features(channels[triple], 1.02)), 0.5), 1.5)
+        r = channels[triple]
+        want = min(max(forward_batch(params, np.concatenate([r, r, [1.02]])[None, :])[0],
+                       0.5), 1.5)
         assert ann_controller(kernel, cmap.x) == want
         assert ann_controller(AnnKernel(params, cmap.positions(FEATURES, 0)), cmap.x) == want
 
 
 def test_model_round_trip_is_exact(tmp_path):
-    params = init_params(np.random.default_rng(11))
+    params = init_params(np.random.default_rng(11), UNIT_NORM)
     path = tmp_path / "model.txt"
     save_model(params, path)
     back = load_model(path)
@@ -376,7 +389,7 @@ def test_model_load_rejects_garbage(tmp_path):
 def model_text_with(row: int, values: str) -> str:
     """A valid model file's text with value row ``row`` (w1 is 1) replaced."""
     lines = []
-    params = init_params(np.random.default_rng(2))
+    params = init_params(np.random.default_rng(2), UNIT_NORM)
     for arr in (params.w1, params.b1, params.w2, params.b2, params.norm.x_offset,
                 params.norm.x_scale, [params.norm.y_offset], [params.norm.y_scale]):
         lines.append(" ".join(format(v, ".17g") for v in np.ravel(arr)))
@@ -504,7 +517,8 @@ def test_kernel_row_is_the_runtime_row_of_build_dataset_bitwise():
     assert (paired[:, :3] != runtime[:, :3]).any()
     cmap = ConsensusMap(cfg.graph, attacked.channels, cfg.gains, cfg.v_ref, cfg.w_ref, cfg.dt)
     cmap.droop[:] = np.nan   # read by no feature
-    kernel = AnnKernel(init_params(np.random.default_rng(0)), cmap.positions(FEATURES, 0))
+    kernel = AnnKernel(init_params(np.random.default_rng(0), UNIT_NORM),
+                       cmap.positions(FEATURES, 0))
     recorded = attacked.ch_recv[attacked.t >= 0.1 - 1e-12]
     assert len(recorded) == len(runtime)
     for recv, row in zip(recorded, runtime):

@@ -435,6 +435,13 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
             f"  loads: [{{bus: 2, r: {load_r}, x: 0.3}}]\ngraph: {{edges: [], pinning: [1]}}\n")
 
 
+def two_dg_plant(line: str = "r: 0.05, x: 0.1", load: str = "r: 0.8, x: 0.3") -> str:
+    """Two DG buses and one line: the solve reads every admittance directly."""
+    return (f"plant:\n  n_bus: 2\n  dg_bus: [1, 2]\n  dgs: [{{}}, {{}}]\n"
+            f"  lines: [{{from: 1, to: 2, {line}}}]\n  loads: [{{bus: 2, {load}}}]\n"
+            "graph: {edges: [[1, 2], [2, 1]], pinning: [1, 0]}\n")
+
+
 @pytest.mark.filterwarnings("error")   # a non-finite value ran into NumPy warnings
 @pytest.mark.parametrize("doc, message", [
     # the first two ran with exit 0, no attack rows and no load step; a NaN
@@ -476,6 +483,14 @@ def one_dg_plant(line_r: str = "0.05", load_r: str = "0.8", m_p: str = "3.77") -
     (one_dg_plant(line_r=".nan"), "line 1-2 needs finite r >= 0 and x > 0, got r=nan, x=0.1"),
     (one_dg_plant(load_r=".nan"), "load at bus 2 needs finite r and x, got r=nan, x=0.3"),
     (one_dg_plant(m_p=".nan"), "DG m_p must be positive and finite, got nan"),
+    # finite, but 1/z overflows: the solve read inf, and the run "diverged" at
+    # t = 0 or at the event, with the cause "state magnitude nan" (exit 2)
+    (two_dg_plant(line="r: 0, x: 1.0e-320"),
+     "line 1-2 has an impedance too small to invert, r=0.0, x=1e-320"),
+    (two_dg_plant(load="r: 1.0e-320, x: 0"),
+     "load at bus 2 has an impedance too small to invert, r=1e-320, x=0.0"),
+    ("load_events:\n  - {t: 0.02, bus: 1, r: 1.0e-320, x: 0}\n",
+     "load event at t=0.02 s on bus 1 has an impedance too small to invert, r=1e-320, x=0.0"),
     # an OverflowError traceback: a step count of inf in last_step, a sample
     # ratio of inf in the ratio check
     ("dt: 1.0e-310\n", "duration / dt is not finite: 0.05 / 1e-310"),
@@ -839,6 +854,25 @@ def test_zero_impedance_load_event_exits_1(work, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(work / "z.csv")]) == 1
     assert capsys.readouterr().err == (
         "error: load event at t=0.02 s on bus 2 has zero impedance\n")
+
+
+RING_EDGES = "[[1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3], [4, 1], [1, 4]]"
+
+
+@pytest.mark.parametrize("doc, line", [
+    (attack_doc(kind="nonperiodic, alpha: 1e308"),
+     "diverged at t=0.010100s (non-positive or non-finite droop voltage)"),
+    (f"graph: {{edges: {RING_EDGES}, pinning: [1e308, 0, 0, 0]}}\n",
+     "diverged at t=0.000200s (state magnitude inf exceeded 10.0 pu)"),
+], ids=["attack", "pinning"])
+def test_an_overflowing_run_diverges_without_a_warning(work, capsys, doc, line):
+    # NumPy's overflow warnings from inside the step came before the run's
+    # own divergence line; the step guards already name the cause
+    path = work / "overflow.yaml"
+    path.write_text("duration: 0.05\n" + doc)
+    out = work / "overflow.csv"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (f"{line}; partial trace in {out}\n", "")
 
 
 def test_controller_and_controllers_exits_1(work, capsys):

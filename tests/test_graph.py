@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgres.graph import CommGraph, GraphError, ring_graph, tracking_errors, validate
+from mgres.graph import CommGraph, GraphError, ring_graph, validate
+from reference import tracking_errors
 
 
 def test_default_ring_is_valid():

@@ -101,8 +101,9 @@ def test_step_path_calls_no_numpy_dispatcher():
 
 
 def test_scenario_alone_puts_events_and_attacks_on_steps():
-    # LoadEvent.due holds the 1e-12 s rule and ScenarioConfig.first_step the
-    # one step search; the run and the run planner compare the steps it finds
+    # attack.STEP_TOLERANCE holds the 1e-12 s rule of LoadEvent.due and
+    # AttackSpec.active, and ScenarioConfig.first_step the one step search;
+    # the run and the run planner compare the steps it finds
     for name in ("simulate.py", "datagen.py"):
         tree = ast.parse((SRC / name).read_text(), name)
         assert [node.lineno for node in ast.walk(tree)
@@ -159,3 +160,90 @@ def test_a_trace_is_one_block_built_in_trace_py():
                       if calls(fn, "Trace") or (name.startswith("Trace.") and calls(fn, "cls")))
     assert builders == ["trace.py:Trace.empty", "trace.py:parse_csv"]
     assert [f.name for f in fields(Trace) if "ndarray" in str(f.type)] == ["data"]
+
+
+ROOT = SRC.parent.parent
+# what runs mgres: its command line, the benchmark harness and the demos
+ENTRY_POINTS = [SRC / "cli.py", *sorted((ROOT / "perfbench").glob("*.py")),
+                *sorted((ROOT / "demos").glob("*.py"))]
+# definitions in src/mgres that no entry point reaches, each commented with
+# the code that reads it; src/ holds what mgres runs, so this stays empty
+UNREACHED_ALLOWED: set[str] = set()
+
+
+def module_aliases(trees) -> set[str]:
+    """Names under which the files ``trees`` refer to an mgres module: its own
+    name, ``mgres``, and each ``from . import <module> as <alias>``."""
+    modules = {path.stem for path in SRC.glob("*.py")} | {"mgres"}
+    return modules | {alias.asname for tree in trees for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name in modules and alias.asname}
+
+
+def references(nodes, modules: set[str]) -> set[str]:
+    """The names ``nodes`` refer to: ``f`` for a module-level name (a bare name,
+    or an attribute of a module, as in ``ann.f``) and ``.m`` for an attribute
+    of anything else, as in ``obj.m``.  A docstring is a constant: no name."""
+    found = set()
+    for node in (n for root in nodes for n in ast.walk(root)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add("." + node.attr)
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) in modules:
+                found.add(node.attr)
+    return found
+
+
+def unreached_definitions() -> list[str]:
+    """``module:name`` of each module-level function and class, and
+    ``module:Class.method`` of each method, defined in src/mgres and not
+    reached from ``ENTRY_POINTS``.  The reached set is a fixed point: an
+    entry point's references reach definitions, whose own references reach
+    more.  A module-level definition is reached by its name, a method by
+    ``.name`` once its class is reached, a dunder method with its class.  A
+    class's reach also follows its bases, decorators and class-level
+    statements; a module-level assignment is followed when its name is
+    reached, and any other module-level statement always."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py")) + ENTRY_POINTS}
+    modules = module_aliases(trees.values())
+    refs = set().union(*(references([trees[path]], modules) for path in ENTRY_POINTS))
+    # (key, the name that reaches it, its class's key, the nodes it refers from, checked)
+    defs = []
+    for path, tree in trees.items():
+        if path in ENTRY_POINTS or path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            key = f"{path.stem}:{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef):
+                defs.append((key, node.name, None, [node], True))
+            elif isinstance(node, ast.ClassDef):
+                defs.append((key, node.name, None,
+                             node.bases + node.keywords + node.decorator_list
+                             + [s for s in node.body if not isinstance(s, ast.FunctionDef)], True))
+                defs += [(f"{key}.{fn.name}", "." + fn.name, key, [fn], True)
+                         for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(f"{key}{t.id}", t.id, None, [node], False)
+                         for t in targets if isinstance(t, ast.Name)]
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                refs |= references([node], modules)
+    reached: set[str] = set()
+    while new := [(key, nodes) for key, name, cls, nodes, _ in defs if key not in reached
+                  and (name in refs or re.fullmatch(r"\.__\w+__", name))
+                  and (cls is None or cls in reached)]:
+        for key, nodes in new:
+            reached.add(key)
+            refs |= references(nodes, modules)
+    return sorted(key for key, *_, checked in defs if checked and key not in reached)
+
+
+def test_src_holds_only_what_mgres_runs():
+    # every function, class and method in src/mgres is reached from the CLI,
+    # the benchmark or a demo; oracles that only tests read live in
+    # tests/reference.py.  Methods are told apart from module-level names:
+    # a method named like an unreached function does not reach it
+    assert unreached_definitions() == sorted(UNREACHED_ALLOWED)

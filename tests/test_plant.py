@@ -155,6 +155,8 @@ def test_network_invariants():
         NetworkParams(2, (Line(0, 1, 0.05, 0.0),), (), (0,))
     with pytest.raises(NetworkError, match="load at bus 1 has zero impedance"):
         Load(0, 0.0, 0.0).admittance
+    with pytest.raises(NetworkError, match="line 1-2 has an impedance too small to invert"):
+        NetworkParams(2, (Line(0, 1, 0.0, 1e-320),), (), (0, 1))
     with pytest.raises(NetworkError, match="DG bus 3 does not exist"):
         NetworkParams(2, (Line(0, 1, 0.05, 0.1),), (), (2,))
     with pytest.raises(NetworkError, match="line endpoint bus 3 does not exist"):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgres.attack import AttackSpec, NonPeriodic
-from mgres.graph import CommGraph, ring_graph, tracking_errors
+from mgres.graph import CommGraph, ring_graph
 from mgres.scenario import builtin_scenario
 from mgres.secondary import ConsensusMap, SecondaryGains, secondary_update
 from mgres.simulate import run_scenario
+from reference import tracking_errors
 
 
 def two_dg_graph():
@@ -148,7 +149,7 @@ def test_update_is_pure():
 
 def test_ring_matches_matrix_form_bitwise():
     # on the ring (two unit-weight in-edges per DG) the channel form sums the
-    # same terms in the same order as graph.tracking_errors, also when one
+    # same terms in the same order as reference.tracking_errors, also when one
     # map's buffers are reused and the set-points are updated in place
     g = ring_graph(4)
     channels = g.channels()
@@ -211,7 +212,7 @@ def test_consensus_is_an_exact_fixed_point(g, v_ref, w_ref, wp, dt):
 @settings(max_examples=60, deadline=None)
 @given(pinned_digraphs(), st.integers(0, 2**32 - 1))
 def test_random_digraphs_match_the_matrix_form(g, seed):
-    # the map's gathers and edge-weight product against graph.tracking_errors
+    # the map's gathers and edge-weight product against reference.tracking_errors
     rng, n = np.random.default_rng(seed), g.n
     v, rv = rng.uniform(0.95, 1.05, n), rng.uniform(0.95, 1.05, (n, n))
     w, rw = rng.uniform(376.0, 378.0, n), rng.uniform(376.0, 378.0, (n, n))

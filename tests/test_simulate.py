@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from mgres import ann, attack, plant, simulate
-from mgres.ann import MlpParams, NormalizationSpec
+from mgres.ann import MlpParams
 from mgres.attack import AttackSpec, NonPeriodic
 from mgres.graph import CommGraph, GraphError, ring_graph
 from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, NetworkParams,
@@ -15,7 +15,7 @@ from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkError, Net
 from mgres.scenario import LoadEvent, RunStart, ScenarioConfig, ScenarioError, builtin_scenario
 from mgres.secondary import SecondaryGains
 from mgres.simulate import run_scenario
-from mgres.trace import traces_equal
+from reference import UNIT_NORM, traces_equal
 from test_golden import PARAMS
 from test_plant import six_bus_model
 
@@ -27,7 +27,7 @@ def short(name="default", duration=0.2, **kw):
 
 def const_model(out):
     return MlpParams(np.zeros((10, 7)), np.zeros(10), np.zeros((1, 10)),
-                     np.array([float(out)]), NormalizationSpec.identity())
+                     np.array([float(out)]), UNIT_NORM)
 
 
 def test_trace_shape_and_sampling():
@@ -309,6 +309,24 @@ def test_a_load_event_lands_on_the_step_it_is_due():
         first_changed[offset] = int(np.flatnonzero(tr.load_current[:, 0] != base)[0])
     assert first_changed == {0.0: 20, 5e-13: 20, 2e-12: 21}
 
+
+
+@pytest.mark.parametrize("dt, start, stop", [(3e-4, 10, 20), (7e-5, 10, 17)])
+def test_an_attack_window_lands_on_steps_as_a_load_event_does(dt, start, stop):
+    # at both bounds k * dt rounds below the time k dt written to 10 digits
+    # (10 * 3e-4 is 0.0029999999999999996): the attack began and ended a
+    # step after a load event at the same time acted
+    t0, t1 = round(start * dt, 10), round(stop * dt, 10)
+    cfg = builtin_scenario("default-nonperiodic", duration=0.01)
+    cfg = replace(cfg, dt=dt, sample_period=dt, load_events=(),
+                  attacks=(replace(cfg.attacks[0], tau=t0, end=t1),))
+    events = (LoadEvent(t0, 0, 0.4, 0.15), LoadEvent(t1, 0, 0.8, 0.3))
+    base = run_scenario(cfg)
+    tr = run_scenario(replace(cfg, load_events=events))
+    changed = np.flatnonzero(tr.load_current[:, 0] != base.load_current[:, 0])
+    on = np.flatnonzero(tr.attack_active)
+    assert (changed[0], on[0], on[-1] + 1) == (start, start, stop)
+    assert [cfg.first_step(ev.due, ev.t) for ev in events] == [start, stop]
 
 def test_singular_network_at_a_load_event_ends_the_run():
     # the new load cancels the line's admittance: the passive bus's Y_oo is exactly 0

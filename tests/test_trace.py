@@ -10,8 +10,8 @@ from mgres.datagen import MatrixSpec, gen_data
 from mgres.graph import ring_graph
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
-from mgres.trace import (Trace, TraceFormatError, column_names, export_csv, parse_csv,
-                         traces_equal)
+from mgres.trace import Trace, TraceFormatError, column_names, export_csv, parse_csv
+from reference import traces_equal
 
 
 @pytest.fixture(scope="module")
