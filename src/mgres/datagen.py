@@ -104,17 +104,19 @@ def training_matrix(spec: MatrixSpec = MatrixSpec()) -> list[tuple[ScenarioConfi
     """Scenario list for gen-data: (config, id of the paired clean run).
 
     Every cell shares one plant and one graph (both frozen, the graph's
-    arrays read-only, compared by identity), so cells can share runs and the
-    plant's initial network builds its solver constants once per matrix.
+    arrays read-only, compared by identity), so cells can share runs, the
+    plant's initial network builds its solver constants once per matrix and
+    the graph derives its channel layout once per matrix.
     """
     model, graph = default_model(), ring_graph(4)
+    cases = _attack_cases(spec)   # the same for every load factor
     out = []
     for f in spec.load_factors:
         # step the load impedances so delivered power scales roughly by f
         events = tuple(LoadEvent(t=spec.step_time, bus=bus, r=BASE_LOAD.real / f,
                                  x=BASE_LOAD.imag / f) for bus in (0, 2))
         clean_id = f"load{f:g}-normal"
-        for case_name, atk in _attack_cases(spec):
+        for case_name, atk in cases:
             cfg = ScenarioConfig(
                 scenario_id=f"load{f:g}-{case_name}",
                 duration=spec.duration,

@@ -34,6 +34,11 @@ class CommGraph:
         validate(self)
         adj.setflags(write=False)
         pin.setflags(write=False)
+        # frozen and read-only, so the layout is a fact of the graph: derived once
+        pairs = [(i, i) for i in range(self.n)]
+        pairs += [(j, i) for i in range(self.n) for j in self.in_neighbors(i)]
+        object.__setattr__(self, "_channels",
+                           tuple((s, d, sig) for (s, d) in pairs for sig in SIGNALS))
 
     @property
     def n(self) -> int:
@@ -45,10 +50,9 @@ class CommGraph:
 
     def channels(self) -> list[tuple[int, int, str]]:
         """All (src, dst, signal) value channels: one self loop per DG, then
-        the edges by destination, each carrying voltage then frequency."""
-        pairs = [(i, i) for i in range(self.n)]
-        pairs += [(j, i) for i in range(self.n) for j in self.in_neighbors(i)]
-        return [(s, d, sig) for (s, d) in pairs for sig in SIGNALS]
+        the edges by destination, each carrying voltage then frequency.  The
+        layout is derived once per graph; each call returns a fresh list."""
+        return list(self._channels)
 
 
 def validate(graph: CommGraph) -> None:

@@ -74,7 +74,7 @@ import numpy as np
 from . import ann as annmod
 from .attack import resolve_channels
 from .plant import DivergenceError, NetworkError, PlantWorkspace, apply_load_event, step_plant
-from .scenario import RunStart, ScenarioConfig
+from .scenario import RunStart, ScenarioConfig, ScenarioError
 from .secondary import ConsensusMap, secondary_update
 from .trace import CH_SOURCE, Trace
 
@@ -91,7 +91,8 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
     Divergence is reported on the returned trace (its ``diverged_time``,
     ``diverged_cause`` and a block cut there), not raised, and so is a
     network that load events after step 0 make singular; at step 0 a
-    ``NetworkError`` is raised.
+    ``NetworkError`` is raised, and a trace too large to allocate is a
+    ``ScenarioError`` that names the scenario and its sample count.
     """
     graph = config.graph
     n = graph.n
@@ -114,8 +115,12 @@ def run_scenario(config: ScenarioConfig, fork_steps=()) -> Trace:
         if not (start.step <= fork <= last and fork % stride == 0):
             raise ValueError(f"fork step {fork} is not a sample step of steps "
                              f"{start.step} to {last}")
-    trace = Trace.empty(last // stride - start.step // stride + 1, n, channels,
-                        len(config.model.network.loads))
+    rows = last // stride - start.step // stride + 1
+    try:
+        trace = Trace.empty(rows, n, channels, len(config.model.network.loads))
+    except (MemoryError, ValueError):   # NumPy: cannot allocate, or too big to ask
+        raise ScenarioError(f"scenario {config.scenario_id!r}: cannot allocate a trace of "
+                            f"{rows} samples") from None
     trace.v_ref, trace.w_ref = config.v_ref, config.w_ref
     rec_t, rec_att = trace.t, trace.attack_active
     rec_recv, rec_load = trace.ch_recv, trace.load_current

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import shutil
 import textwrap
 from dataclasses import replace
@@ -10,6 +12,7 @@ from mgres import cli
 from mgres.cli import main
 from mgres.scenario import load_scenario
 from mgres.simulate import run_scenario
+from mgres.trace import parse_csv
 from test_acceptance import per_dg, post_attack_eps
 from test_ann import model_text_with
 from test_datagen import clean_ref_of_another_load
@@ -422,6 +425,64 @@ def test_a_cell_that_cannot_be_written_exits_1(tmp_path, capsys):
     status = {e["id"]: e["status"] for e in json.loads((out / "manifest.json").read_text())}
     assert status.pop("load1-normal").startswith("error: [Errno 21] Is a directory")
     assert list(status.values()) == ["ok"]
+
+
+@pytest.mark.parametrize("command, duration, samples", [
+    ("simulate", "1e9", 10**12 + 1), ("simulate", "1e15", 10**18 + 1),
+    ("evaluate", "1e9", 10**12 + 1), ("compare", "1e9", 10**12 + 1)])
+def test_a_trace_too_large_to_allocate_exits_1(work, capsys, command, duration, samples):
+    # NumPy's MemoryError ('Unable to allocate 378. TiB ...') ended in a traceback,
+    # and at 1e15 s its 'array is too big' text named no scenario
+    path = work / "huge.yaml"
+    path.write_text(f"duration: {duration}\n")
+    out = ["--out", str(work / "huge.csv")]
+    args = {"simulate": out, "evaluate": ["--model", str(FIXTURE_MODEL), *out],
+            "compare": ["--model", str(FIXTURE_MODEL), "--report", str(work / "huge.json")]}
+    assert main([command, "--scenario", str(path), *args[command]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: scenario 'huge': cannot allocate a trace of {samples} samples\n")
+
+
+def test_a_matrix_cell_too_large_to_allocate_is_its_error(tmp_path, capsys):
+    # gen-data caught only ValueError and OSError: it crashed with no manifest
+    matrix = tmp_path / "huge.yaml"
+    matrix.write_text("load_factors: [1.0]\nalphas: []\nbetas: []\nduration: 1e9\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--matrix", str(matrix), "--out-dir", str(out)]) == 1
+    assert "0/1 runs ok" in capsys.readouterr().out
+    [entry] = json.loads((out / "manifest.json").read_text())
+    assert entry["status"] == ("error: scenario 'load1-normal': cannot allocate a trace of "
+                               f"{10**12 + 1} samples")
+
+
+FREQUENCY_ATTACK_YAML = ("duration: 4.0\nattacks:\n  - {target: \"broadcast -> dg1.frequency\", "
+                         "kind: nonperiodic, alpha: %g, tau: 2.0}\n")
+
+
+def test_a_frequency_channel_attack_moves_every_dgs_frequency(work, capsys):
+    # a 10 % gain on DG1's inbound frequency copies pulls the whole grid towards
+    # f* / (1 + alpha) = 54.5 Hz (measured 54.889-54.894 Hz at 4 s); no controller
+    # in mgres acts on w_n
+    path, out = work / "frequency-a0.1.yaml", work / "frequency-a0.1.csv"
+    path.write_text(FREQUENCY_ATTACK_YAML % 0.1)
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    tr = parse_csv(str(out))
+    assert tr.t[-1] == 4.0
+    assert (tr.dg["w"][-1] / (2 * math.pi) < 57.0).all()
+
+
+@pytest.mark.parametrize("command, model", [("simulate", []),
+                                            ("evaluate", ["--model", str(FIXTURE_MODEL)])])
+def test_a_frequency_channel_attack_at_alpha_05_diverges(work, capsys, command, model):
+    # measured: PI diverges at 2.174 s; the ANN on DG1 sets V_n only, and diverges at 2.2318 s
+    path, out = work / "frequency-a0.5.yaml", work / f"frequency-a0.5-{command}.csv"
+    path.write_text(FREQUENCY_ATTACK_YAML % 0.5)
+    assert main([command, "--scenario", str(path), *model, "--out", str(out)]) == 2
+    line = capsys.readouterr().out
+    m = re.fullmatch(r"diverged at t=(\S+)s \(state magnitude \S+ exceeded 10\.0 pu\); "
+                     r"partial trace in \S+\n", line)
+    assert m is not None, line
+    assert 2.0 < float(m[1]) < 2.5
 
 
 def attack_doc(kind: str = "nonperiodic, alpha: 0.5", tau: str = "0.01", end: str = "") -> str:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mgres import datagen
 from mgres.ann import DatasetError, TrainConfig, build_dataset, train
 from mgres.datagen import MatrixSpec, gen_data, load_runs, training_matrix
+from mgres.graph import CommGraph
 from mgres.scenario import ConfigReader, ScenarioError
 from mgres.simulate import run_scenario
 from mgres.trace import TraceFormatError, export_csv, parse_csv
@@ -54,6 +55,18 @@ def test_matrix_cells_share_one_plant_and_graph(tmp_path):
     assert len(names) == 11 and names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_a_matrix_derives_its_channel_layout_once(monkeypatch):
+    # each of the 25 cells' validation rebuilt the layout: 4 in_neighbors calls per cell
+    calls = []
+    inner = CommGraph.in_neighbors
+    monkeypatch.setattr(CommGraph, "in_neighbors", lambda g, i: calls.append(i) or inner(g, i))
+    cells = training_matrix(MatrixSpec())
+    assert len(cells) == 25 and calls == [0, 1, 2, 3]
+    # no cache across calls: each call builds its own graph and its layout
+    training_matrix(MatrixSpec())
+    assert calls == [0, 1, 2, 3] * 2
 
 
 # (matrix, the first step each cell simulates in matrix order, None for a full

@@ -114,3 +114,11 @@ def test_channel_layout():
     assert chans[8:12] == [(1, 0, "voltage"), (1, 0, "frequency"),
                            (3, 0, "voltage"), (3, 0, "frequency")]
     assert len(chans) == 24
+
+
+def test_a_returned_channel_list_is_the_callers():
+    g = ring_graph(4)
+    chans = g.channels()
+    chans[0] = (3, 3, "frequency")
+    chans.append((0, 0, "voltage"))
+    assert g.channels() == ring_graph(4).channels() and len(g.channels()) == 24
