@@ -19,7 +19,7 @@ from .trace import Trace
 STEADY_WINDOW = 0.5        # s, averaging window for steady-state statistics
 POST_ATTACK_GUARD = 0.5    # s, transient excluded after attack onset
 SETTLE_THRESHOLD = 0.02    # fractional voltage band for settling time
-REPORT_OMITS = ("eps_v", "attack_start")   # Metrics fields the compare report leaves out
+REPORT_OMITS = ("attack_start",)   # Metrics fields the compare report leaves out
 
 
 class MetricsError(ValueError):
@@ -28,7 +28,7 @@ class MetricsError(ValueError):
 
 @dataclass
 class Metrics:
-    eps_v: np.ndarray                      # |v_dg - v*| series, monitored DG
+    """Statistics of eps_v = |v_1 - v*| (the monitored DG) and of each DG's steady state."""
     eps_v_post_mean: float | None          # over the post-attack window
     eps_v_post_max: float | None
     voltage_ripple: float | None           # half peak-to-peak, post-attack
@@ -88,8 +88,7 @@ def compute_metrics(trace: Trace, v_ref: float | None = None,
             settle = float(trace.t[cand[0]] - attack_start)
 
     return Metrics(
-        eps_v=eps, eps_v_post_mean=post_mean, eps_v_post_max=post_max,
-        voltage_ripple=ripple,
+        eps_v_post_mean=post_mean, eps_v_post_max=post_max, voltage_ripple=ripple,
         steady_voltage_error_pct=steady_v,
         steady_frequency_error_hz=steady_f,
         settling_time=settle, attack_start=attack_start,
@@ -113,8 +112,8 @@ class ComparisonReport:
             return {f.name: v.tolist() if isinstance(v := getattr(m, f.name), np.ndarray) else v
                     for f in fields(m) if f.name not in REPORT_OMITS}
         return {"baseline": side(self.baseline), "ann": side(self.ann),
-                "verdicts": {f.name: getattr(self, f.name) for f in fields(self)
-                             if f.type == "bool"}}
+                "verdicts": {f.name: v for f in fields(self)
+                             if isinstance(v := getattr(self, f.name), bool)}}
 
 
 def compare(trace_pi: Trace, trace_ann: Trace, v_ref: float | None = None,

@@ -155,18 +155,18 @@ class NetworkSolver:
     v_o = K v_d with K = -Y_oo^-1 Y_od, so the DG currents are Y_red v_d with
     Y_red = Y_dd + Y_do K.  Bus voltages and branch voltages (lines, then
     loads to ground) are fixed linear maps of the DG voltages; ``stack`` =
-    [Y_red; branch maps] gives both in one product.  ``load_bus`` and
-    ``load_y`` are each load's bus and admittance, in the network's order.
+    [Y_red; branch maps] gives both in one product.  ``n_branch`` counts
+    the branches, ``load_y`` is each load's admittance, in the network's
+    order, and ``bus_map`` maps the DG voltages to all bus voltages.
     """
 
     def __init__(self, net: NetworkParams):
         ybus = build_ybus(net)
-        self.load_bus = np.array([ld.bus for ld in net.loads], dtype=int)
         self.load_y = np.array([ld.admittance for ld in net.loads], dtype=complex)
         dg = list(net.dg_bus)
         other = sorted(set(range(net.n_bus)) - set(dg))
         bus_map = np.eye(net.n_bus, dtype=complex)[:, dg].copy()   # C order, as in stack
-        self.y_red = ybus[np.ix_(dg, dg)]
+        y_red = ybus[np.ix_(dg, dg)]
         if other:
             try:
                 kron = np.linalg.solve(ybus[np.ix_(other, other)],
@@ -175,7 +175,7 @@ class NetworkSolver:
                 raise NetworkError(f"singular admittance system: {exc}") from exc
             if not np.isfinite(kron).all():
                 raise NetworkError("non-finite bus voltages (degenerate network)")
-            self.y_red = self.y_red + ybus[np.ix_(dg, other)] @ kron
+            y_red = y_red + ybus[np.ix_(dg, other)] @ kron
             bus_map[other] = kron
         self.bus_map = bus_map
         # branch voltages [lines; loads], then each scaled by its conductance:
@@ -189,8 +189,7 @@ class NetworkSolver:
             incidence[k, ld.bus] = 1.0
         g += self.load_y.real.tolist()
         branch = incidence @ bus_map
-        self.stack = np.vstack([self.y_red, branch, np.array(g)[:, None] * branch])
-        self.y_red, self.branch = self.stack[:len(dg)], self.stack[len(dg):]
+        self.stack = np.vstack([y_red, branch, np.array(g)[:, None] * branch])
         self.n_branch = len(g)
 
 

@@ -16,12 +16,12 @@ no column: it is its source DG's v or w, which ``Trace.ch_clean`` gathers.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,9 +114,8 @@ def column_names(trace: Trace) -> list[str]:
     return cols + ["attack_active"]
 
 
-def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
-    """Write the trace in the normative CSV schema; returns the text when no
-    path is given.
+def export_csv(trace: Trace, path, head: str = "") -> None:
+    """Write the trace to the file ``path`` in the normative CSV schema.
 
     A non-empty ``head`` is the CSV text, header line first, whose rows the
     trace's rows continue: it is written as it is, in place of the header,
@@ -128,19 +127,18 @@ def export_csv(trace: Trace, path=None, head: str = "") -> str | None:
         raise ValueError("CSV head's first line is not the trace's header")
     # an unattacked channel repeats its source DG's column (21 of 24 under a
     # one-DG attack): key columns by their bytes (-0 and 0, or two NaN payloads,
-    # differ) and format each distinct one once a row
+    # differ) and format each distinct one once a row, then gather the texts
     seen: dict[bytes, int] = {}                     # a column's bits -> its slot
     slots = [seen.setdefault(col.tobytes(), len(seen)) for col in trace.data.T]
     distinct = trace.data[:, [slots.index(s) for s in range(len(seen))]]
     del seen                                        # near half the data's bytes
-    row_fmt = ",".join(f"{{{s}}}" for s in slots) + "\n"
-    fmt = "{:.17g}".format
+    row_fmt = ",".join(["%.17g"] * distinct.shape[1])
+    gather = itemgetter(*slots)                     # two or more slots: a tuple
     lines = [head or header]
     # row by row: a whole-block tolist() would hold ~4x the block as floats
     for row in distinct:
-        lines.append(row_fmt.format(*map(fmt, row.tolist())))
-    text = "".join(lines)
-    return text if path is None else write_text(path, text)
+        lines.append(",".join(gather((row_fmt % tuple(row.tolist())).split(","))) + "\n")
+    write_text(path, "".join(lines))
 
 
 def write_text(path, text: str) -> None:
@@ -178,7 +176,7 @@ def _bad_row(fh, width: int) -> str | None:
                 return f"line {k}: attack_active must be 0 or 1, got {values[-1]:g}"
 
 
-def _layout(header: list[str], where: str) -> tuple[int, list]:
+def _layout(header: list[str], path) -> tuple[int, list]:
     """(n_dg, channels) of the layout the header announces.  A name out of
     place raises; so does a channel to or from a DG that the layout lacks."""
     names = header[1:-1]
@@ -191,21 +189,20 @@ def _layout(header: list[str], where: str) -> tuple[int, list]:
         k, (got, want) = next((k, pair) for k, pair in enumerate(zip_longest(header, expected))
                               if pair[0] != pair[1])
         kind = next((noun for prefix, noun in _KINDS if str(got).startswith(prefix)), "")
-        raise TraceFormatError(f"{where}: bad {kind}column {got!r} at position {k + 1}, "
+        raise TraceFormatError(f"{path}: bad {kind}column {got!r} at position {k + 1}, "
                                f"expected {want!r}")
     for k, (src, dst, _) in zip(found, channels):
         for dg in (src, dst):
             if not 0 <= dg < n_dg:
-                raise TraceFormatError(f"{where}: bad channel column {header[k]!r} at position "
+                raise TraceFormatError(f"{path}: bad channel column {header[k]!r} at position "
                                        f"{k + 1}: the trace has no DG{dg + 1}")
     return n_dg, channels
 
 
-def parse_csv(source, head: tuple[str, Trace] | None = None) -> Trace:
-    """Rebuild a Trace from its CSV form (file path or CSV text).  NumPy's C
-    reader rounds correctly: each value has the bits float() gives its text.
-    The header is checked against the layout it announces before the rows
-    are read.
+def parse_csv(path, head: tuple[str, Trace] | None = None) -> Trace:
+    """Rebuild a Trace from its CSV file ``path``.  NumPy's C reader rounds
+    correctly: each value has the bits float() gives its text.  The header
+    is checked against the layout it announces before the rows are read.
 
     ``head`` mirrors ``export_csv``'s: the path and parsed Trace of the CSV
     whose rows this one's continue.  The leading lines, header first, that
@@ -213,15 +210,13 @@ def parse_csv(source, head: tuple[str, Trace] | None = None) -> Trace:
     stops at the first differing or blank line, and only the rest is read,
     so every row has the bits of a whole parse.  Both files are streamed.
     """
-    text = isinstance(source, str) and "\n" in source
-    where = "CSV text" if text else str(source)
     # a byte that is not UTF-8 reads as a character that no value or column holds
-    with (io.StringIO(source) if text else open(source, errors="surrogateescape")) as fh:
+    with open(path, errors="surrogateescape") as fh:
         header = (line := fh.readline()).rstrip("\r\n").split(",")
         if header[0] != "t" or header[-1] != "attack_active":
             raise TraceFormatError(
-                f"{where}: CSV header must start with t and end with attack_active")
-        n_dg, channels = _layout(header, where)
+                f"{path}: CSV header must start with t and end with attack_active")
+        n_dg, channels = _layout(header, path)
         copied, rest = 0, fh
         if head is not None:
             with open(head[0], errors="surrogateescape") as src:
@@ -240,7 +235,7 @@ def parse_csv(source, head: tuple[str, Trace] | None = None) -> Trace:
                 raise ValueError("attack_active is not 0 or 1")
         except ValueError as exc:
             fh.seek(0)
-            raise TraceFormatError(f"{where}: {_bad_row(fh, len(header)) or exc}") from exc
+            raise TraceFormatError(f"{path}: {_bad_row(fh, len(header)) or exc}") from exc
     data = data.reshape(-1, len(header))
     if copied:
         data = np.concatenate((head[1].data[:copied], data))

@@ -11,14 +11,19 @@ an oracle here still checks that path's arithmetic:
 - ``tracking_errors`` is the cooperative error of one signal per DG, which
   ``secondary.ConsensusMap`` computes for both signals at once;
 - ``traces_equal`` compares two traces' recorded columns.
+
+``csv_text`` and ``parse_text`` take a trace's CSV through a file, the
+only way in and out of ``export_csv`` and ``parse_csv``.
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from mgres import ann
 from mgres.ann import N_IN, MlpParams, NormalizationSpec
 from mgres.graph import CommGraph
-from mgres.trace import Trace, column_names
+from mgres.trace import Trace, column_names, export_csv, parse_csv
 
 # the identity maps: a normalised value is its raw value
 UNIT_NORM = NormalizationSpec(np.zeros(N_IN), np.ones(N_IN), 0.0, 1.0)
@@ -68,3 +73,15 @@ def tracking_errors(graph: CommGraph, recv_self: np.ndarray,
 def traces_equal(a: Trace, b: Trace) -> bool:
     """Exact equality of the recorded columns (metadata excluded)."""
     return column_names(a) == column_names(b) and np.array_equal(a.data, b.data)
+
+
+def csv_text(trace: Trace, path, head: str = "") -> str:
+    """The text ``export_csv`` writes for ``trace`` to the file ``path``."""
+    export_csv(trace, path, head=head)
+    return Path(path).read_text()
+
+
+def parse_text(text: str, path, head=None) -> Trace:
+    """``parse_csv`` of ``text``, written first to the file ``path``."""
+    Path(path).write_text(text)
+    return parse_csv(path, head=head)

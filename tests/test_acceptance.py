@@ -18,8 +18,8 @@ from mgres.plant import (DgParams, Line, Load, MicrogridModel, NetworkParams,
                          PlantWorkspace, solve_network)
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
-from mgres.trace import export_csv, parse_csv
-from reference import UNIT_NORM, forward_batch, gradient, mse, traces_equal
+from mgres.trace import parse_csv
+from reference import UNIT_NORM, csv_text, forward_batch, gradient, mse, traces_equal
 
 
 def verdict(capsys, name, ok, detail):
@@ -90,8 +90,8 @@ def test_no_attack_regulation(pipeline, capsys):
 def test_determinism(pipeline, capsys):
     again = run_scenario(builtin_scenario("default"))
     same = traces_equal(pipeline["pi_default"], again)
-    csv_a = export_csv(pipeline["pi_default"])
-    csv_b = export_csv(again)
+    csv_a = csv_text(pipeline["pi_default"], pipeline["work"] / "determinism-a.csv")
+    csv_b = csv_text(again, pipeline["work"] / "determinism-b.csv")
     n = len(again.t)
     ok = same and csv_a == csv_b and n >= 4001
     verdict(capsys, "determinism", ok,
@@ -188,9 +188,10 @@ def test_network_solver_oracle(pipeline, capsys):
 
 def test_serialization_round_trips(pipeline, capsys):
     trace = pipeline["pi_np"]
-    text = export_csv(trace)
-    back = parse_csv(text)
-    csv_ok = export_csv(back) == text and traces_equal(trace, back)
+    text = csv_text(trace, pipeline["work"] / "roundtrip.csv")
+    back = parse_csv(pipeline["work"] / "roundtrip.csv")
+    csv_ok = csv_text(back, pipeline["work"] / "roundtrip-again.csv") == text \
+        and traces_equal(trace, back)
 
     path = pipeline["work"] / "roundtrip.txt"
     params = load_model(pipeline["model_path"])

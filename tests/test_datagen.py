@@ -13,7 +13,8 @@ from mgres.datagen import MatrixSpec, gen_data, load_runs, training_matrix
 from mgres.graph import CommGraph
 from mgres.scenario import ConfigReader, ScenarioError
 from mgres.simulate import run_scenario
-from mgres.trace import TraceFormatError, export_csv, parse_csv
+from mgres.trace import TraceFormatError, parse_csv
+from reference import csv_text
 from test_golden import GEN_MATRIX, GEN_MATRIX_EARLY
 
 TINY = MatrixSpec(load_factors=(1.0,), alphas=(0.5,), betas=(0.5,),
@@ -137,7 +138,8 @@ def test_gen_data_writes_the_csv_of_each_straight_run(tmp_path, monkeypatch, nam
     for (cfg, _), start in zip(cells, first):
         straight = run_scenario(cfg)
         e = entries[cfg.scenario_id]
-        assert (tmp_path / e["file"]).read_text() == export_csv(straight), cfg.scenario_id
+        assert (tmp_path / e["file"]).read_text() \
+            == csv_text(straight, tmp_path / "straight.csv"), cfg.scenario_id
         assert e["status"] == ("ok" if not straight.diverged
                                else f"diverged at t={straight.diverged_time:.6f}")
         assert starts[cfg.scenario_id] == start, cfg.scenario_id

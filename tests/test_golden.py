@@ -165,7 +165,10 @@ def builtin_runs(params: MlpParams) -> dict:
 
 
 def csv_digest(trace) -> str:
-    return hashlib.sha256(export_csv(trace).encode()).hexdigest()
+    """SHA-256 of the CSV file that export_csv writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as work:
+        export_csv(trace, Path(work, "trace.csv"))
+        return hashlib.sha256(Path(work, "trace.csv").read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")

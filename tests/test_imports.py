@@ -247,3 +247,33 @@ def test_src_holds_only_what_mgres_runs():
     # tests/reference.py.  Methods are told apart from module-level names:
     # a method named like an unreached function does not reach it
     assert unreached_definitions() == sorted(UNREACHED_ALLOWED)
+
+
+def unread_attributes() -> list[str]:
+    """``module:Class.name`` of each attribute that a src/mgres class stores on
+    ``self``, and of each property it defines, that no line of src/mgres,
+    ``perfbench/`` or ``demos/`` reads as ``.name``; a store is no read.
+    Dataclass fields are read through ``fields()``, so they are left out."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted({*SRC.glob("*.py"), *ENTRY_POINTS})}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    found = []
+    for path, tree in trees.items():
+        for cls in (node for node in tree.body if path.parent == SRC
+                    and isinstance(node, ast.ClassDef)):
+            stored = {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and getattr(node.value, "id", None) == "self"}
+            props = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                     and any(getattr(d, "id", None) == "property" for d in fn.decorator_list)}
+            if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                stored -= {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)}
+            found += [f"{path.stem}:{cls.name}.{name}" for name in sorted((stored | props) - read)]
+    return found
+
+
+def test_src_stores_only_what_mgres_reads():
+    # every attribute a class in src/mgres stores, and every property, is read
+    # by name where mgres runs; a value only tests read is computed for nothing
+    assert unread_attributes() == []

@@ -31,7 +31,6 @@ def test_no_attack_metrics():
     assert m.attack_start is None
     assert m.eps_v_post_mean is None and m.voltage_ripple is None
     assert m.settling_time is None
-    np.testing.assert_allclose(m.eps_v, 0.004)
     assert m.steady_voltage_error_pct[0] == pytest.approx(0.4)
     assert m.steady_voltage_error_pct[1] == pytest.approx(0.0)
     np.testing.assert_allclose(m.steady_frequency_error_hz, 0.0, atol=1e-12)
@@ -194,7 +193,7 @@ def test_report_layout_is_metrics_fields_then_verdicts():
     pi = make_trace(t[cut], np.where(t[cut] >= 2.0, 0.7, 1.0), attack_from=2.0)
     pi.diverged_time = 2.42
     d = compare(pi, ann).as_dict()
-    side = [f.name for f in fields(Metrics) if f.name not in ("eps_v", "attack_start")]
+    side = [f.name for f in fields(Metrics) if f.name not in ("attack_start",)]
     assert list(d) == ["baseline", "ann", "verdicts"]
     assert list(d["baseline"]) == list(d["ann"]) == side
     assert list(d["verdicts"]) == [f.name for f in fields(ComparisonReport)][2:]

@@ -329,7 +329,7 @@ def test_each_network_builds_its_solver_once():
     bumped = apply_load_event(net, bus=0, r=0.4, x=0.15)
     assert bumped.solver is bumped.solver
     assert bumped.solver is not net.solver
-    assert not np.array_equal(bumped.solver.y_red, net.solver.y_red)
+    assert not np.array_equal(bumped.solver.stack[:model.n], net.solver.stack[:model.n])
 
 
 @st.composite
@@ -368,7 +368,7 @@ def test_stacked_product_has_the_bits_of_the_two_products(model, seed):
     # voltages with the bits of the separate products on unstacked copies
     rng = np.random.default_rng(seed)
     solver = model.network.solver
-    y_red, branch = solver.y_red.copy(), solver.branch.copy()
+    y_red, branch = solver.stack[:model.n].copy(), solver.stack[model.n:].copy()
     ws = plant_ws(model)
     for _ in range(5):
         sol = solve_on(ws, rng.uniform(0.9, 1.1, model.n), rng.uniform(-0.3, 0.3, model.n),
@@ -392,7 +392,8 @@ def test_load_currents_and_residual_from_the_stacked_product(model):
     def step(*args, **kw):
         ws = step_plant(*args, **kw)
         solver = ws.solver
-        want.append(np.abs(ws.bus_v[solver.load_bus] * solver.load_y))
+        load_bus = [ld.bus for ld in ws.net.loads]
+        want.append(np.abs(ws.bus_v[load_bus] * solver.load_y))
         p_gen = sum(ws.p_dg.tolist())
         ref = abs(p_gen - np.vdot(ws.u_lo, ws.u_hi).real) / max(1.0, abs(p_gen))
         assert abs(ws.balance_residual - ref) <= 1e-15

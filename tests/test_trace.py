@@ -11,7 +11,7 @@ from mgres.graph import ring_graph
 from mgres.scenario import builtin_scenario
 from mgres.simulate import run_scenario
 from mgres.trace import Trace, TraceFormatError, column_names, export_csv, parse_csv
-from reference import traces_equal
+from reference import csv_text, parse_text, traces_equal
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +51,17 @@ def test_round_trip_is_byte_identical(short_trace, tmp_path):
     assert traces_equal(short_trace, back)
 
 
-def test_round_trip_from_text(short_trace):
-    text = export_csv(short_trace)
-    back = parse_csv(text)
+def test_round_trip_from_text(short_trace, tmp_path):
+    text = csv_text(short_trace, tmp_path / "trace.csv")
+    back = parse_text(text, tmp_path / "text.csv")
     assert traces_equal(short_trace, back)
-    assert export_csv(back) == text
+    assert csv_text(back, tmp_path / "again.csv") == text
 
 
-def test_parsed_values_match(short_trace):
-    back = parse_csv(export_csv(short_trace))
+def test_parsed_values_match(short_trace, tmp_path):
+    path = tmp_path / "trace.csv"
+    export_csv(short_trace, path)
+    back = parse_csv(path)
     np.testing.assert_array_equal(back.t, short_trace.t)
     np.testing.assert_array_equal(back.dg["Vn"], short_trace.dg["Vn"])
     assert back.channels == short_trace.channels
@@ -85,9 +87,9 @@ def test_triple_requires_two_neighbors():
         feature_channels(tr.channels, 0)
 
 
-def test_seventeen_digit_precision(short_trace):
+def test_seventeen_digit_precision(short_trace, tmp_path):
     # adjacent 1 ms samples differ in late digits only; the format keeps them
-    text = export_csv(short_trace)
+    text = csv_text(short_trace, tmp_path / "trace.csv")
     row = text.splitlines()[3].split(",")
     assert float(row[1]) == short_trace.dg["v"][2, 0]
 
@@ -116,13 +118,13 @@ TWO_DG_HEADER = column_names(Trace.empty(0, 2, [], 0))
     ("t," + "dg1.v," * 6 + "attack_active\n",
      "bad DG column 'dg1.v' at position 3, expected 'dg1.w'"),
     # parsed as 0, as -9223372036854775808 with a RuntimeWarning, and as 2
-    ("t,attack_active\n0,0.5\n", "CSV text: line 2: attack_active must be 0 or 1, got 0.5"),
-    ("t,attack_active\n0,nan\n", "CSV text: line 2: attack_active must be 0 or 1, got nan"),
-    ("t,attack_active\n0,0\n\n0.001,2\n", "CSV text: line 4: attack_active must be 0 or 1, got 2"),
+    ("t,attack_active\n0,0.5\n", "trace.csv: line 2: attack_active must be 0 or 1, got 0.5"),
+    ("t,attack_active\n0,nan\n", "trace.csv: line 2: attack_active must be 0 or 1, got nan"),
+    ("t,attack_active\n0,0\n\n0.001,2\n", "trace.csv: line 4: attack_active must be 0 or 1, got 2"),
     # a channel joins two of the trace's DGs: ch_clean read a source DG0 as the
     # last DG and raised IndexError on one past the last DG
     (",".join(TWO_DG_HEADER[:-1] + ["ch.dg0->dg1.voltage.recv", "attack_active"]),
-     "CSV text: bad channel column 'ch.dg0->dg1.voltage.recv' at position 14: "
+     "trace.csv: bad channel column 'ch.dg0->dg1.voltage.recv' at position 14: "
      "the trace has no DG0"),
     (",".join(TWO_DG_HEADER[:-1] + ["ch.dg3->dg1.voltage.recv", "attack_active"]),
      "the trace has no DG3"),
@@ -131,12 +133,12 @@ TWO_DG_HEADER = column_names(Trace.empty(0, 2, [], 0))
      "bad channel column 'ch.dg2->dg3.frequency.recv' at position 15: the trace has no DG3"),
     # int() refuses more than 4 300 digits, with a ValueError that named no file or column
     pytest.param("t,ch.dg" + "1" * 5000 + "->dg1.voltage.recv,attack_active\n0,1,0\n",
-                 r"CSV text: bad channel column 'ch.dg1+->dg1.voltage.recv' at position 2, "
+                 r"trace.csv: bad channel column 'ch.dg1+->dg1.voltage.recv' at position 2, "
                  "expected 'load1.I'", id="dg-number-too-long"),
 ])
-def test_parse_rejects_malformed(text, msg):
+def test_parse_rejects_malformed(text, msg, tmp_path):
     with pytest.raises(TraceFormatError, match=msg):
-        parse_csv(text + "\n")
+        parse_text(text + "\n", tmp_path / "trace.csv")
 
 
 def test_a_head_under_another_header_lends_no_rows(tmp_path):
@@ -146,35 +148,38 @@ def test_a_head_under_another_header_lends_no_rows(tmp_path):
     (tmp_path / "head.csv").write_text(wide + "\n" + rows)
     head = (tmp_path / "head.csv", parse_csv(tmp_path / "head.csv"))
     with pytest.raises(TraceFormatError, match="line 2: row width 9 does not match the header's 8"):
-        parse_csv(narrow + "\n" + rows, head=head)
+        parse_text(narrow + "\n" + rows, tmp_path / "narrow.csv", head=head)
 
 
-def test_a_bad_header_is_rejected_before_the_rows_are_read(short_trace, monkeypatch):
+def test_a_bad_header_is_rejected_before_the_rows_are_read(short_trace, monkeypatch, tmp_path):
     # a renamed column once cost a parse of every row before the header check
     def read_rows(*args, **kwargs):
         raise AssertionError("np.loadtxt read the rows")
 
-    text = export_csv(short_trace).replace("dg2.Q", "dg2.q", 1)
+    path = tmp_path / "trace.csv"
+    path.write_text(csv_text(short_trace, path).replace("dg2.Q", "dg2.q", 1))
     monkeypatch.setattr("mgres.trace.np.loadtxt", read_rows)
     with pytest.raises(TraceFormatError, match="bad DG column 'dg2.q' at position 11, expected 'dg2.Q'"):
-        parse_csv(text)
+        parse_csv(path)
 
 
-def test_the_attack_flag_is_the_blocks_last_column(short_trace):
+def test_the_attack_flag_is_the_blocks_last_column(short_trace, tmp_path):
     # a trace is its CSV block, wherever it comes from: one array holds the flag
+    export_csv(short_trace, tmp_path / "trace.csv")
     for tr in (Trace.empty(3, 2, [(0, 1, "voltage")], 1), short_trace,
-               parse_csv(export_csv(short_trace))):
+               parse_csv(tmp_path / "trace.csv")):
         assert np.shares_memory(tr.attack_active, tr.data)
 
 
-def test_a_cut_block_keeps_its_flag_rows():
+def test_a_cut_block_keeps_its_flag_rows(tmp_path):
     cfg = builtin_scenario("default-nonperiodic", duration=0.05)
     tr = run_scenario(replace(cfg, attacks=tuple(replace(a, tau=0.02) for a in cfg.attacks)))
     assert tr.attack_active.any() and not tr.attack_active.all()
     for k in (0, 20, 21, len(tr.t)):
         tail = replace(tr, data=tr.data[k:])
         assert tail.attack_active.tobytes() == tr.attack_active[k:].tobytes()
-        assert export_csv(tail).splitlines()[1:] == export_csv(tr).splitlines()[1 + k:]
+        assert csv_text(tail, tmp_path / "tail.csv").splitlines()[1:] \
+            == csv_text(tr, tmp_path / "trace.csv").splitlines()[1 + k:]
 
 
 def test_diverged_follows_diverged_time():
@@ -186,8 +191,9 @@ def test_diverged_follows_diverged_time():
         tr.diverged = False
 
 
-def test_traces_equal_detects_differences(short_trace):
-    other = parse_csv(export_csv(short_trace))
+def test_traces_equal_detects_differences(short_trace, tmp_path):
+    export_csv(short_trace, tmp_path / "trace.csv")
+    other = parse_csv(tmp_path / "trace.csv")
     other.dg["v"][0, 0] += 1e-15
     assert not traces_equal(short_trace, other)
 
@@ -218,23 +224,45 @@ def per_value_csv(tr: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_export_matches_per_value_formatting():
+def test_export_matches_per_value_formatting(tmp_path):
     tr = extreme_trace()
-    text = export_csv(tr)
+    text = csv_text(tr, tmp_path / "trace.csv")
     assert text == per_value_csv(tr)
     assert "-0," in text and "1e+300" in text and "1e-300" in text
 
 
-def test_export_continues_a_head_of_rows(short_trace):
-    text = export_csv(short_trace)
+# signed zeros, infinities, NaN, the smallest subnormal and normal, the largest
+# float, values with no short decimal, and the 60 Hz angular frequency
+EDGE_VALUES = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.1, 1 / 3, 1.0, 376.99111843077515])
+
+
+def test_percent_format_is_format_17g(tmp_path):
+    # export_csv formats a row with one "%.17g" call; the schema says format(x, ".17g")
+    for v in EDGE_VALUES.tolist():
+        assert "%.17g" % v == format(v, ".17g"), v
+    tr = Trace.empty(len(EDGE_VALUES), 2, [(0, 1, "voltage"), (1, 0, "frequency")], 1)
+    tr.t[:] = np.arange(len(EDGE_VALUES)) * 1e-4
+    # a NaN's sign is not written ("nan" either way), so no value is negated
+    for k, sig in enumerate(("v", "w", "P", "Q", "Vn", "wn")):
+        tr.dg[sig][:] = np.column_stack([np.roll(EDGE_VALUES, k), np.roll(EDGE_VALUES, -k - 1)])
+    tr.ch_recv[:] = np.column_stack([EDGE_VALUES[::-1], np.roll(EDGE_VALUES, 6)])
+    text = csv_text(tr, tmp_path / "trace.csv")
+    assert text == per_value_csv(tr)
+    assert parse_csv(tmp_path / "trace.csv").data.tobytes() == tr.data.tobytes()
+
+
+def test_export_continues_a_head_of_rows(short_trace, tmp_path):
+    text = csv_text(short_trace, tmp_path / "trace.csv")
     lines = text.splitlines(keepends=True)
     tail = replace(short_trace, data=short_trace.data[5:])
-    assert export_csv(tail, head="".join(lines[:6])) == text
+    assert csv_text(tail, tmp_path / "resumed.csv", head="".join(lines[:6])) == text
     # the head's first line must be the trace's header
     for head in ("".join(lines[1:6]), text.replace("dg1.v,", "dg1.V,", 1),
                  text.replace("attack_active", "attack_active,x", 1)):
         with pytest.raises(ValueError, match="first line is not the trace's header"):
-            export_csv(tail, head=head)
+            export_csv(tail, tmp_path / "bad.csv", head=head)
+        assert not (tmp_path / "bad.csv").exists()
 
 
 def uniform_trace(values: np.ndarray) -> Trace:
@@ -245,7 +273,7 @@ def uniform_trace(values: np.ndarray) -> Trace:
     return tr
 
 
-def test_export_keeps_columns_that_differ_only_in_bits():
+def test_export_keeps_columns_that_differ_only_in_bits(tmp_path):
     # column pairs equal as values (or both NaN) but not as bits are each
     # formatted from their own bits; columns equal as bits share one text
     quiet = np.array([np.nan, 1.0, -0.0, np.inf, -np.inf])
@@ -257,19 +285,19 @@ def test_export_keeps_columns_that_differ_only_in_bits():
     tr.dg["w"][:, 0] = payload
     tr.ch_recv[:, 1] = signed
     tr.load_current[:, 0] = payload
-    text = export_csv(tr)
+    text = csv_text(tr, tmp_path / "trace.csv")
     assert text == per_value_csv(tr)
     assert "nan,nan" in text and ",-0," in text and ",0," in text and "-inf" in text
-    back = parse_csv(text)
-    assert export_csv(back) == text
+    back = parse_csv(tmp_path / "trace.csv")
+    assert csv_text(back, tmp_path / "again.csv") == text
 
 
 @pytest.mark.parametrize("values", [np.array([0.25, -1e-300, 3.0]), np.zeros(0)])
-def test_export_with_every_column_equal(values):
+def test_export_with_every_column_equal(values, tmp_path):
     tr = uniform_trace(values)
-    text = export_csv(tr)
+    text = csv_text(tr, tmp_path / "trace.csv")
     assert text == per_value_csv(tr)
-    assert traces_equal(parse_csv(text), tr)
+    assert traces_equal(parse_csv(tmp_path / "trace.csv"), tr)
 
 
 def reference_rows(text: str) -> np.ndarray:
@@ -302,22 +330,22 @@ def test_parse_is_bit_equal_to_float_on_each_token(matrix_csvs, tmp_path):
     for path in matrix_csvs + [extreme]:
         text = path.read_text()
         ref = reference_rows(text)
-        for source in (str(path), text):
+        for source in (str(path), path):
             assert csv_order(parse_csv(source)).tobytes() == ref.tobytes(), path.name
-        assert export_csv(parse_csv(str(path))) == text
+        assert csv_text(parse_csv(str(path)), tmp_path / "again.csv") == text
 
 
 def test_header_only_file_is_a_zero_row_trace(short_trace, tmp_path):
-    header = export_csv(short_trace).splitlines(keepends=True)[0]
+    header = csv_text(short_trace, tmp_path / "trace.csv").splitlines(keepends=True)[0]
     path = tmp_path / "empty.csv"
     path.write_text(header)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for back in (parse_csv(str(path)), parse_csv(header + "\n")):
+        for back in (parse_csv(str(path)), parse_text(header + "\n", tmp_path / "blank.csv")):
             assert len(back.t) == 0 and back.channels == short_trace.channels
             assert back.dg["v"].shape == (0, 4) and back.ch_recv.shape == (0, 24)
             assert back.load_current.shape == (0, 2)
-            assert export_csv(back) == header
+            assert csv_text(back, tmp_path / "again.csv") == header
 
 
 WIDTH = "does not match the header's 52"
@@ -330,16 +358,15 @@ WIDTH = "does not match the header's 52"
     (lambda row: row.rsplit(",", 1)[0] + ",0.5\n", "line 4: attack_active must be 0 or 1"),
 ])
 def test_malformed_row_names_the_file_and_line(short_trace, tmp_path, edit, message):
-    lines = export_csv(short_trace).splitlines(keepends=True)
+    lines = csv_text(short_trace, tmp_path / "trace.csv").splitlines(keepends=True)
     lines[3] = edit(lines[3])
     path = tmp_path / "bad.csv"
     path.write_text("".join(lines))
-    with pytest.raises(TraceFormatError) as exc:
-        parse_csv(str(path))
-    assert str(exc.value).startswith(f"{path}: {message}")
-    with pytest.raises(TraceFormatError) as exc:
-        parse_csv("".join(lines))
-    assert str(exc.value).startswith(f"CSV text: {message}")
+    # named alike whether the path is a str or a Path
+    for source in (str(path), path):
+        with pytest.raises(TraceFormatError) as exc:
+            parse_csv(source)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
 
 LAYOUT = column_names(Trace.empty(0, 2, [(0, 1, "voltage"), (1, 0, "frequency")], 2))
@@ -371,9 +398,14 @@ def mixed_headers(draw):
     return header, header == start
 
 
+@pytest.fixture(scope="module")
+def header_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("headers")
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_headers(), st.data())
-def test_header_check_rejects_or_round_trips(case, data):
+def test_header_check_rejects_or_round_trips(header_dir, case, data):
     header, unchanged = case
     # a matching numeric row: 17-digit floats and an integer flag
     values = data.draw(st.lists(st.floats(), min_size=len(header) - 1,
@@ -381,9 +413,9 @@ def test_header_check_rejects_or_round_trips(case, data):
     row = [format(x, ".17g") for x in values] + [str(data.draw(st.integers(0, 1)))]
     text = ",".join(header) + "\n" + ",".join(row) + "\n"
     try:
-        back = parse_csv(text)
+        back = parse_text(text, header_dir / "mixed.csv")
     except TraceFormatError:
         assert not unchanged
         return
     assert column_names(back) == header
-    assert export_csv(back) == text
+    assert csv_text(back, header_dir / "again.csv") == text
